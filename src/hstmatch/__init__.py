@@ -47,9 +47,7 @@ from .online import (
     MatchingTrace,
     RwgmState,
     discretize_all,
-    discretize_request,
     greedy_serve,
-    mai_serve,
     pick_a_leaf,
     run_greedy,
     rwgm_init,

@@ -40,9 +40,17 @@ __all__ = [
 ]
 
 ALGORITHMS = ("rwgm", "rwgm-proportional", "greedy", "optimal")
+# Descent policy of each randomized tag; the other tags are deterministic.
+_TREE_POLICY = {"rwgm": "uniform", "rwgm-proportional": "proportional"}
 
 TRACE_HEADER = "episode,step,request_point,server_point,cost"
 SWEEP_HEADER = "n,algorithm,mean_ratio,std_error"
+
+
+def _check_algorithms(tags) -> None:
+    for tag in tags:
+        if tag not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {tag!r}, expected one of {ALGORITHMS}")
 
 
 def derive_seed(master_seed: int, *key: int) -> int:
@@ -107,14 +115,14 @@ class PipelineSetup:
     opt: float
 
 
-def pipeline_setup(inst: Instance, lam: float | None = None) -> PipelineSetup:
+def pipeline_setup(inst: Instance) -> PipelineSetup:
     sub, mapping = submetric_of_servers(inst)
     return PipelineSetup(
         inst=inst,
         sub=sub,
         mapping=mapping,
         g=discretize_all(inst),
-        lam=float(lam) if lam is not None else lambda_for_n(inst.n),
+        lam=lambda_for_n(inst.n),
         opt=optimal_matching(inst).cost,
     )
 
@@ -130,11 +138,10 @@ def run_episode(
     embed_seed: int,
     play_seed: int,
     *,
-    policy: str = "uniform",
     algorithm: str = "rwgm",
     check: bool = False,
 ) -> EpisodeResult:
-    """Play one full episode: embed, attach servers, serve every request.
+    """Play one full episode of a randomized tag: embed, attach servers, serve every request.
 
     With ``check`` set, every decision is verified against the per-request
     guarantees: the recorded cost never exceeds the inner cost plus the
@@ -146,14 +153,13 @@ def run_episode(
     tol = 1e-9 * float(dist.max()) if dist.size else 0.0
     tree = frt_embed(setup.sub, EmbeddingParams(lam=setup.lam, seed=embed_seed, n=inst.n))
     tree = attach_servers(tree, inst, setup.mapping)
-    state = rwgm_init(tree, play_seed, policy=policy)
+    state = rwgm_init(tree, play_seed, policy=_TREE_POLICY[algorithm])
 
-    # Which original server points wait at each leaf, consumed lowest index first.
+    # The server instances waiting at each leaf, highest point index first,
+    # so pop() consumes the lowest index.
     stock: dict = {}
-    for s in inst.servers:
-        leaf = tree.point_leaf[setup.mapping[s]]
-        per_leaf = stock.setdefault(leaf, {})
-        per_leaf[s] = per_leaf.get(s, 0) + 1
+    for s in sorted(inst.servers, reverse=True):
+        stock.setdefault(tree.point_leaf[setup.mapping[s]], []).append(s)
 
     trace = MatchingTrace(algorithm=algorithm, seed=int(play_seed))
     moves = 0
@@ -161,9 +167,7 @@ def run_episode(
         g = setup.g[i]
         g_leaf = tree.point_leaf[setup.mapping[g]]
         server_leaf, tree_cost = rwgm_serve(state, g_leaf)
-        at_leaf = stock[server_leaf]
-        s = min(p for p, c in at_leaf.items() if c > 0)
-        at_leaf[s] -= 1
+        s = stock[server_leaf].pop()
         cost = float(dist[r, s])
         if server_leaf != g_leaf:
             moves += 1
@@ -177,32 +181,10 @@ def run_episode(
     return EpisodeResult(trace=trace, moves=moves)
 
 
-def run_pipeline(
-    inst: Instance,
-    master_seed: int,
-    episodes: int,
-    *,
-    policy: str = "uniform",
-    lam: float | None = None,
-    check: bool = False,
-) -> RatioReport:
-    """Monte Carlo estimate of the pipeline's cost ratio over seeded episodes."""
-    if episodes < 1:
-        raise ValueError("episodes must be a positive integer")
-    setup = pipeline_setup(inst, lam=lam)
-    algorithm = "rwgm" if policy == "uniform" else "rwgm-proportional"
-    costs = []
-    for e in range(episodes):
-        result = run_episode(
-            setup,
-            derive_seed(master_seed, e, 0),
-            derive_seed(master_seed, e, 1),
-            policy=policy,
-            algorithm=algorithm,
-            check=check,
-        )
-        costs.append(result.trace.total_cost)
-    return _make_report(algorithm, costs, setup.opt, master_seed)
+def run_pipeline(inst: Instance, master_seed: int, episodes: int, *, check: bool = False) -> RatioReport:
+    """Monte Carlo estimate of the rwgm pipeline's cost ratio over seeded episodes."""
+    report, _ = run_algorithm(inst, "rwgm", master_seed, episodes, check=check)
+    return report
 
 
 def run_algorithm(
@@ -218,8 +200,7 @@ def run_algorithm(
     Deterministic tags collapse to a single episode regardless of the
     requested count.
     """
-    if tag not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {tag!r}, expected one of {ALGORITHMS}")
+    _check_algorithms([tag])
     if episodes < 1:
         raise ValueError("episodes must be a positive integer")
 
@@ -237,7 +218,6 @@ def run_algorithm(
             trace.append(r, s, float(inst.metric.dist[r, s]))
         return _make_report("optimal", [trace.total_cost], om.cost, master_seed), [trace]
 
-    policy = "uniform" if tag == "rwgm" else "proportional"
     setup = pipeline_setup(inst)
     costs = []
     traces = []
@@ -246,7 +226,6 @@ def run_algorithm(
             setup,
             derive_seed(master_seed, e, 0),
             derive_seed(master_seed, e, 1),
-            policy=policy,
             algorithm=tag,
             check=check,
         )
@@ -266,7 +245,8 @@ def sweep(
     coord_range: float = 100.0,
 ):
     """One row of statistics per (size, algorithm); deterministic in the seed."""
-    sizes = list(sizes)
+    sizes, algorithms = list(sizes), list(algorithms)
+    _check_algorithms(algorithms)
     if not sizes:
         raise ValueError("sizes must be nonempty")
     rows = []

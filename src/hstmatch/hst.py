@@ -24,7 +24,8 @@ lam * d_min in metric units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -61,8 +62,8 @@ class EmbeddingParams:
     n: int = 0
 
     def __post_init__(self) -> None:
-        if not self.lam > 1.0:
-            raise ValueError(f"lam must exceed 1, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam > 1.0):
+            raise ValueError(f"lam must be finite and exceed 1, got {self.lam}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,32 +100,36 @@ class HstTree:
     def is_leaf(self, v: int) -> bool:
         return not self.children[v]
 
-    def level_weight(self, i: int) -> float:
-        """Tree-unit weight of edges between level i-1 and level i."""
-        if not 1 <= i <= self.height:
-            raise ValueError(f"level {i} outside 1..{self.height}")
-        return self.lam ** (i - 1)
-
     def total_multiplicity(self) -> int:
         return sum(self.leaf_multiplicity.values())
 
+    @cached_property
+    def level_distance(self) -> tuple:
+        """Metric-unit distance between two leaves whose paths meet at level L, indexed by L.
+
+        Entry L is scale * 2 * sum_{i=1..L} lam**(i-1); every leaf distance
+        in the package is read from this table.
+        """
+        out = [0.0]
+        total = 0.0
+        for i in range(1, self.height + 1):
+            total += 2.0 * self.lam ** (i - 1)
+            out.append(self.scale * total)
+        return tuple(out)
+
 
 def tree_distance(t: HstTree, leaf_a: int, leaf_b: int) -> float:
-    """Metric-unit distance between two leaves: the weighted path sum."""
+    """Metric-unit distance between two leaves, read at the level where they meet."""
     for v in (leaf_a, leaf_b):
         if t.children[v]:
             raise ValueError(f"node {v} is not a leaf")
-    if leaf_a == leaf_b:
-        return 0.0
-    total = 0.0
     a, b = leaf_a, leaf_b
-    i = 1
+    meet = 0
     while a != b:
-        total += 2.0 * t.lam ** (i - 1)
         a = t.parent[a]
         b = t.parent[b]
-        i += 1
-    return t.scale * total
+        meet += 1
+    return t.level_distance[meet]
 
 
 @dataclass
@@ -322,54 +327,43 @@ def frt_embed(metric: FiniteMetric, params: EmbeddingParams) -> HstTree:
     k = len(reps)
 
     if k == 1:
-        t = HstTree(
-            lam=lam,
-            scale=1.0,
-            height=1,
-            parent=(None, 0),
-            children=((1,), ()),
-            level=(1, 0),
-            leaf_point={1: reps[0]},
-            point_leaf={p: 1 for p in range(npts)},
-            leaf_multiplicity={1: 0},
-        )
-        return t
+        raw = RawTree(parent=[None], level=[0], leaf_point={0: reps[0]}, lam=lam)
+    else:
+        rng = np.random.default_rng(params.seed)
+        beta = lam ** rng.random()  # density proportional to 1/beta on [1, lam)
+        perm = rng.permutation(k)
 
-    rng = np.random.default_rng(params.seed)
-    beta = lam ** rng.random()  # density proportional to 1/beta on [1, lam)
-    perm = rng.permutation(k)
+        d = metric.dist[np.ix_(reps, reps)]
+        d_min = float(d[d > 0.0].min())
+        dn = d / d_min
+        diameter = float(dn.max())
+        height = max(1, math.ceil(math.log(diameter) / math.log(lam)) + 1) if diameter > 1.0 else 1
 
-    d = metric.dist[np.ix_(reps, reps)]
-    d_min = float(d[d > 0.0].min())
-    dn = d / d_min
-    diameter = float(dn.max())
-    height = max(1, math.ceil(math.log(diameter) / math.log(lam)) + 1) if diameter > 1.0 else 1
+        dp = dn[perm]  # row r holds distances from the r-th center in permutation order
+        parent: list = [None]
+        level: list = [height]
+        leaf_point: dict = {}
+        clusters = [(0, np.arange(k))]
+        for lv in range(height - 1, -1, -1):
+            radius = beta * lam ** (lv - 1)
+            nxt = []
+            for node, members in clusters:
+                covered = dp[:, members] <= radius
+                winner = covered.argmax(axis=0)  # first covering center wins
+                for w in np.unique(winner):
+                    group = members[winner == w]
+                    cid = len(parent)
+                    parent.append(node)
+                    level.append(lv)
+                    if group.size == 1:
+                        leaf_point[cid] = reps[int(group[0])]
+                    else:
+                        nxt.append((cid, group))
+            clusters = nxt
+        if clusters:  # radius beta/lam < 1 forces singletons at level 0
+            raise AssertionError("partition did not reach singletons")
 
-    dp = dn[perm]  # row r holds distances from the r-th center in permutation order
-    parent: list = [None]
-    level: list = [height]
-    leaf_point: dict = {}
-    clusters = [(0, np.arange(k))]
-    for lv in range(height - 1, -1, -1):
-        radius = beta * lam ** (lv - 1)
-        nxt = []
-        for node, members in clusters:
-            covered = dp[:, members] <= radius
-            winner = covered.argmax(axis=0)  # first covering center wins
-            for w in np.unique(winner):
-                group = members[winner == w]
-                cid = len(parent)
-                parent.append(node)
-                level.append(lv)
-                if group.size == 1:
-                    leaf_point[cid] = reps[int(group[0])]
-                else:
-                    nxt.append((cid, group))
-        clusters = nxt
-    if clusters:  # radius beta/lam < 1 forces singletons at level 0
-        raise AssertionError("partition did not reach singletons")
-
-    raw = RawTree(parent=parent, level=level, leaf_point=leaf_point, lam=lam, scale=lam * d_min)
+        raw = RawTree(parent=parent, level=level, leaf_point=leaf_point, lam=lam, scale=lam * d_min)
     t = normalize_hst(raw)
     rep_leaf = {pt: leaf for leaf, pt in t.leaf_point.items()}
     point_leaf = {p: rep_leaf[reps[rep_of[p]]] for p in range(npts)}
@@ -383,14 +377,7 @@ def attach_servers(t: HstTree, inst: Instance, mapping: dict | None = None) -> H
     indices (as produced by submetric extraction); omit it when the tree was
     built directly on the instance's metric.
     """
-    mult = {leaf: 0 for leaf in t.leaves}
-    for s in inst.servers:
-        p = s if mapping is None else mapping[s]
-        leaf = t.point_leaf.get(p)
-        if leaf is None:
-            raise ValueError(f"server point {s} does not appear among the tree leaves")
-        mult[leaf] += 1
-    return replace(t, leaf_multiplicity=mult)
+    return replace(t, leaf_multiplicity=leaf_counts(t, inst.servers, mapping))
 
 
 def leaf_counts(t: HstTree, points, mapping: dict | None = None) -> dict:

@@ -151,18 +151,20 @@ class Instance:
     requests: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        servers = tuple(int(s) for s in self.servers)
-        requests = tuple(int(r) for r in self.requests)
-        if len(servers) != len(requests):
-            raise ValueError(f"{len(servers)} servers but {len(requests)} requests")
-        if not servers:
-            raise ValueError("instance must contain at least one server")
         npts = len(self.metric)
-        for idx in (*servers, *requests):
-            if not 0 <= idx < npts:
-                raise ValueError(f"point index {idx} outside 0..{npts - 1}")
-        object.__setattr__(self, "servers", servers)
-        object.__setattr__(self, "requests", requests)
+        for name in ("servers", "requests"):
+            entries = tuple(getattr(self, name))
+            for i, idx in enumerate(entries):
+                # bool is an int subclass; floats and strings are never coerced.
+                if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
+                    raise ValueError(f"{name}[{i}] = {idx!r} is not an integer point index")
+                if not 0 <= idx < npts:
+                    raise ValueError(f"point index {idx} outside 0..{npts - 1}")
+            object.__setattr__(self, name, tuple(int(idx) for idx in entries))
+        if len(self.servers) != len(self.requests):
+            raise ValueError(f"{len(self.servers)} servers but {len(self.requests)} requests")
+        if not self.servers:
+            raise ValueError("instance must contain at least one server")
 
     @property
     def n(self) -> int:

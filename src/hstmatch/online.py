@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hst import HstTree, tree_distance
+from .hst import HstTree
 from .metric import Instance
 
 __all__ = [
@@ -23,9 +23,7 @@ __all__ = [
     "rwgm_init",
     "rwgm_serve",
     "pick_a_leaf",
-    "discretize_request",
     "discretize_all",
-    "mai_serve",
     "greedy_serve",
     "run_greedy",
 ]
@@ -56,7 +54,7 @@ class RwgmState:
     concurrently need their own states and random streams.
     """
 
-    __slots__ = ("tree", "remaining", "subtree_remaining", "green", "served", "total", "rng", "policy")
+    __slots__ = ("tree", "remaining", "subtree_remaining", "green", "rng", "policy")
 
     def __init__(self, tree: HstTree, rng: np.random.Generator, policy: str) -> None:
         n = tree.n_nodes
@@ -69,8 +67,6 @@ class RwgmState:
             counts[tree.parent[v]] += counts[v]
         self.subtree_remaining = counts
         self.green = [c > 0 for c in counts]
-        self.served = 0
-        self.total = counts[tree.root]
         self.rng = rng
         self.policy = policy
 
@@ -81,7 +77,7 @@ def rwgm_init(tree: HstTree, seed, policy: str = "uniform") -> RwgmState:
         raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     state = RwgmState(tree, rng, policy)
-    if state.total <= 0:
+    if state.subtree_remaining[tree.root] <= 0:
         raise ValueError("tree carries no servers")
     return state
 
@@ -120,7 +116,9 @@ def rwgm_serve(state: RwgmState, request_leaf: int):
 
     The chosen leaf's multiplicity drops by one and green flags along its
     root path are refreshed. Raises when the request is not a leaf of the
-    tree or when every server has been assigned.
+    tree or when every server has been assigned. The lowest green ancestor
+    the climb stops at is the meet of the request and the chosen leaf, since
+    descent only enters green children, so its level gives the cost.
     """
     tree = state.tree
     if not 0 <= request_leaf < tree.n_nodes or tree.children[request_leaf]:
@@ -138,48 +136,18 @@ def rwgm_serve(state: RwgmState, request_leaf: int):
         if state.subtree_remaining[w] == 0:
             state.green[w] = False
         w = tree.parent[w]
-    state.served += 1
-    return chosen, tree_distance(tree, request_leaf, chosen)
-
-
-def discretize_request(inst: Instance, r: int) -> int:
-    """Nearest distinct server point to r; ties go to the lowest point index."""
-    dist = inst.metric.dist
-    best = -1
-    best_d = float("inf")
-    for s in sorted(set(inst.servers)):
-        d = dist[r, s]
-        if d < best_d:
-            best, best_d = s, d
-    return best
+    return chosen, tree.level_distance[tree.level[v]]
 
 
 def discretize_all(inst: Instance) -> tuple:
-    """Nearest-server image of every request, in request order."""
-    dist = inst.metric.dist
-    pts = sorted(set(inst.servers))
-    out = []
-    for r in inst.requests:
-        best = -1
-        best_d = float("inf")
-        for s in pts:
-            d = dist[r, s]
-            if d < best_d:
-                best, best_d = s, d
-        out.append(best)
-    return tuple(out)
+    """Nearest distinct server point of every request, in request order.
 
-
-def mai_serve(inner, inst: Instance, r: int):
-    """Serve an arbitrary request through an inner algorithm on server points.
-
-    The request is replaced by its nearest server point g(r), the inner
-    algorithm picks a server for g(r), and that server serves r. The
-    recorded cost is the original-metric distance d(r, server).
+    ``argmin`` returns the first minimum over the sorted server points, so
+    ties go to the lowest point index.
     """
-    g = discretize_request(inst, r)
-    server = inner(g)
-    return server, float(inst.metric.dist[r, server])
+    pts = np.array(sorted(set(inst.servers)))
+    nearest = inst.metric.dist[np.ix_(inst.requests, pts)].argmin(axis=1)
+    return tuple(pts[nearest].tolist())
 
 
 def greedy_serve(inst: Instance, remaining: dict, r: int):

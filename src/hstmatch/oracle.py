@@ -137,22 +137,21 @@ def _check_profile_tree(profile: TurningPointProfile, t: HstTree) -> None:
 
 
 def hst_cost_from_tau(profile: TurningPointProfile, t: HstTree) -> float:
-    """Optimal matching cost on the tree: scale * 2 * sum tau(u) * path weights."""
+    """Optimal matching cost on the tree: sum of tau(u) times the leaf distance meeting at u."""
     _check_profile_tree(profile, t)
-    csum = _power_prefix(t.lam, t.height, shift=-1)
     total = 0.0
     for u, tau in profile.tau.items():
         if tau:
-            total += tau * csum[profile.heights[u]]
-    return t.scale * 2.0 * total
+            total += tau * t.level_distance[profile.heights[u]]
+    return total
 
 
-def _power_prefix(base: float, height: int, shift: int) -> list:
-    """Prefix sums of base**(i+shift) for i = 1..height; index by height."""
+def _power_prefix(base: float, height: int) -> list:
+    """Prefix sums of base**i for i = 1..height; index by height."""
     out = [0.0]
     acc = 0.0
     for i in range(1, height + 1):
-        acc += base ** (i + shift)
+        acc += base**i
         out.append(acc)
     return out
 
@@ -209,7 +208,7 @@ def expected_moves_bound(profile: TurningPointProfile, n: int) -> float:
         raise ValueError("n must be a positive integer")
     base = 1.0 + math.log(n)
     max_h = max((profile.heights[u] for u, tau in profile.tau.items() if tau), default=0)
-    prefix = _power_prefix(base, max_h, shift=0)
+    prefix = _power_prefix(base, max_h)
     total = 0.0
     for u, tau in profile.tau.items():
         if tau:

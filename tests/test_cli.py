@@ -74,6 +74,19 @@ def test_embed_dumps_tree(tmp_path):
     assert json.loads(again.read_text())["lambda"] == 2.5
 
 
+@pytest.mark.parametrize("lam", ["inf", "nan"])
+def test_embed_rejects_non_finite_lambda(tmp_path, capsys, lam):
+    inst_path = tmp_path / "inst.json"
+    run_cli("generate", "--family", "euclidean", "--n", 4, "--seed", 4, "-o", inst_path)
+    capsys.readouterr()
+    tree_path = tmp_path / "tree.json"
+    assert run_cli("embed", "--instance", inst_path, "--lambda", lam, "--dump-tree", tree_path) == 1
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1
+    assert "lam must be finite" in json.loads(lines[0])["error"]
+    assert not tree_path.exists()
+
+
 def test_runtime_failure_emits_json_error_line(tmp_path, capsys):
     code = run_cli("run", "--instance", tmp_path / "missing.json", "--algorithm", "greedy")
     assert code == 1

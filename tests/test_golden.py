@@ -1,0 +1,87 @@
+"""Golden replay: sha256 digests of the files small seeded CLI runs write.
+
+The seeded replay contract says identical arguments reproduce identical
+bytes. These digests pin the bytes themselves, so a refactor that changes
+any output file (instance, trace, report, sweep table or tree dump) fails
+here. A deliberate format change bumps the output format version recorded
+in CHANGES.md and re-pins the table in the same change; the current format
+is version 1.
+"""
+import hashlib
+import json
+
+import pytest
+
+from hstmatch.cli import main
+
+# Two server points at distance zero plus one request point: the server
+# submetric collapses to a single class, so the embedding is the k=1 tree.
+COINCIDENT = {
+    "points": ["a", "b", "c"],
+    "dist": [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]],
+    "servers": [0, 1, 0],
+    "requests": [2, 2, 1],
+}
+
+# (output file, CLI arguments); "{name}" expands to the path of an earlier
+# output file, so later commands read the instances written before them.
+INVOCATIONS = (
+    ("star.json", ["generate", "--family", "star", "--n", "6", "--seed", "1", "-o", "{star.json}"]),
+    ("euclid.json", ["generate", "--family", "euclidean", "--n", "7", "--seed", "2", "-o", "{euclid.json}"]),
+    ("line.json", ["generate", "--family", "line", "--n", "6", "--seed", "3", "-o", "{line.json}"]),
+    ("rwgm.csv", ["run", "--instance", "{euclid.json}", "--algorithm", "rwgm", "--episodes", "25",
+                  "--seed", "4", "-o", "{rwgm.csv}", "--report", "{rwgm.report.json}"]),
+    ("prop.csv", ["run", "--instance", "{star.json}", "--algorithm", "rwgm-proportional",
+                  "--episodes", "25", "--seed", "5", "-o", "{prop.csv}", "--report", "{prop.report.json}"]),
+    ("greedy.csv", ["run", "--instance", "{line.json}", "--algorithm", "greedy", "--seed", "6",
+                    "-o", "{greedy.csv}", "--report", "{greedy.report.json}"]),
+    ("optimal.csv", ["run", "--instance", "{euclid.json}", "--algorithm", "optimal", "--seed", "7",
+                     "-o", "{optimal.csv}", "--report", "{optimal.report.json}"]),
+    ("coincident.csv", ["run", "--instance", "{coincident.json}", "--algorithm", "rwgm",
+                        "--episodes", "5", "--seed", "8", "-o", "{coincident.csv}",
+                        "--report", "{coincident.report.json}"]),
+    ("sweep.csv", ["sweep", "--family", "nested-uniform", "--sizes", "2,4",
+                   "--algorithms", "rwgm,rwgm-proportional,greedy,optimal",
+                   "--episodes", "15", "--seed", "9", "-o", "{sweep.csv}"]),
+    ("tree.json", ["embed", "--instance", "{euclid.json}", "--seed", "10", "--dump-tree", "{tree.json}"]),
+    ("tree-lam.json", ["embed", "--instance", "{line.json}", "--seed", "11", "--lambda", "2.5",
+                       "--dump-tree", "{tree-lam.json}"]),
+    ("tree-k1.json", ["embed", "--instance", "{coincident.json}", "--seed", "12",
+                      "--dump-tree", "{tree-k1.json}"]),
+)
+
+DIGESTS = {
+    "coincident.csv": "613d5689b6e0c7a811a071ab76beccb7ab712414c2af025204a250ad0274a6ed",
+    "coincident.report.json": "354d207a050f73087d7e8c8c1da03278d0f08e2b83c7e94d7f31ba0a1598eaa9",
+    "euclid.json": "dc53b4b1bdfb6fb14165f9c45ef61d58db0ada4268df484b477a8dac85380606",
+    "greedy.csv": "5f86d5703856bfef87c12277fccf6dd02ab90a0b72154d1eae89f63098937fd7",
+    "greedy.report.json": "ef416e746a43e180bcb07e1248e157b9fca9c0400dc5a8bc42180c0a8368e668",
+    "line.json": "412d09f66dce5e9752159ddcc14043b0fc0284720fc8b338847b45f49838b2d7",
+    "optimal.csv": "d293e83059db04e6a9941269a507e814eadd948f5c3a666e9fa9c6824b3fd366",
+    "optimal.report.json": "59b933b5d479e72e5dd854b88d6ebfd18817a47ecbb58a07a55682232b7355d7",
+    "prop.csv": "3761b7a6bdb40c43cfa5af81c0ed9aa63889191c3bc4e019c3f43067cc08b79f",
+    "prop.report.json": "446a0b78c28c20428a06644407c510e22957db786d758b4948489faab07a80dc",
+    "rwgm.csv": "c0e7fca0b9dabdef043201698602225ba52a9384e9ec735460ac7dfec219f198",
+    "rwgm.report.json": "20313176b6a990345b85ff939583934c1bed788da499b6ec96156e7e9dd57a73",
+    "star.json": "89ba232940e75c5ed36ebaf4564f0ef576ae615f1b35adaffeeb4cc201d0ebe2",
+    "sweep.csv": "712d5a1dd4dfb66bca43aa7ad41fb43b47e83c7b710f6b5bc6d4af781310e1a9",
+    "tree-k1.json": "a1fe0999eed30d8605b73dd111624a51ed8bf1010032848499aaa7bed426428b",
+    "tree-lam.json": "23f181c52eb586b60c7d0218c102cec0c17b030b9111679b4b071f13e6d0761b",
+    "tree.json": "81737fbd546b0ff7510816eaf16d5d906dbe59e30580d9adaa054c5a30797645",
+}
+
+
+def _expand(arg: str, tmp_path) -> str:
+    if arg.startswith("{") and arg.endswith("}"):
+        return str(tmp_path / arg[1:-1])
+    return arg
+
+
+def test_cli_outputs_match_pinned_digests(tmp_path):
+    (tmp_path / "coincident.json").write_text(json.dumps(COINCIDENT) + "\n", encoding="utf-8")
+    for _, argv in INVOCATIONS:
+        assert main([_expand(a, tmp_path) for a in argv]) == 0, argv
+    written = sorted(p.name for p in tmp_path.iterdir() if p.name != "coincident.json")
+    assert written == sorted(DIGESTS)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in written}
+    assert got == DIGESTS

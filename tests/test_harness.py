@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hstmatch import harness
 from hstmatch.generators import GeneratorSpec, generate_instance, uniform_metric
 from hstmatch.harness import (
     derive_seed,
@@ -131,6 +132,14 @@ def test_sweep_is_deterministic():
     a = sweep_csv(sweep("line", [2, 4], ["rwgm", "greedy"], **kwargs))
     b = sweep_csv(sweep("line", [2, 4], ["rwgm", "greedy"], **kwargs))
     assert a == b
+
+
+def test_sweep_rejects_unknown_tag_before_generating(monkeypatch):
+    generated = []
+    monkeypatch.setattr(harness, "generate_instance", generated.append)
+    with pytest.raises(ValueError, match="bogus"):
+        sweep("star", [2], ["rwgm", "bogus"], episodes=1, master_seed=0)
+    assert generated == []
 
 
 def test_sweep_rejects_empty_sizes():

@@ -29,8 +29,9 @@ def test_lambda_for_n():
 
 
 def test_embedding_params_requires_lam_above_one():
-    with pytest.raises(ValueError):
-        EmbeddingParams(lam=1.0, seed=0)
+    for lam in (1.0, 0.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            EmbeddingParams(lam=lam, seed=0)
 
 
 def test_tree_distance_basics():

@@ -144,6 +144,17 @@ def test_instance_json_round_trip(tmp_path):
     assert again.metric.points == m.points
 
 
+def test_instance_rejects_non_integer_entries():
+    base = {"points": ["0", "1"], "dist": [[0.0, 1.0], [1.0, 0.0]], "servers": [0], "requests": [1]}
+    for field, bad in (("servers", 0.9), ("requests", True), ("servers", 1.0), ("requests", "1")):
+        with pytest.raises(ValueError, match=f"{field}\\[0\\] = {bad!r}"):
+            instance_from_dict({**base, field: [bad]})
+    m = uniform_metric(3)
+    inst = Instance(metric=m, servers=(np.int64(2), 0), requests=np.array([1, 2], dtype=np.int32))
+    assert inst.servers == (2, 0) and inst.requests == (1, 2)
+    assert all(type(p) is int for p in inst.servers + inst.requests)
+
+
 def test_instance_json_missing_field():
     with pytest.raises(ValueError):
         instance_from_dict({"points": ["0"], "dist": [[0.0]], "servers": [0]})

@@ -12,13 +12,13 @@ from helpers import (
     with_multiplicity,
 )
 from hstmatch.generators import line_metric, star_metric, uniform_metric
+from hstmatch.harness import derive_seed, pipeline_setup, run_episode
 from hstmatch.hst import RawTree, normalize_hst, tree_distance
 from hstmatch.metric import Instance
 from hstmatch.online import (
+    POLICIES,
     discretize_all,
-    discretize_request,
     greedy_serve,
-    mai_serve,
     pick_a_leaf,
     run_greedy,
     rwgm_init,
@@ -177,19 +177,22 @@ def test_green_invariant_after_every_serve():
 
 
 def test_each_serve_is_tree_greedy():
-    rng = np.random.default_rng(20)
-    for trial in range(10):
-        tree, inst = random_tree_instance(rng, int(rng.integers(1, 4)), 10, lam=2.0)
-        st = rwgm_init(tree, rng)
-        for r in inst.requests:
-            req_leaf = tree.point_leaf[r]
-            best = min(
-                tree_distance(tree, req_leaf, leaf)
-                for leaf in tree.leaves
-                if st.remaining[leaf] > 0
-            )
-            _, cost = rwgm_serve(st, req_leaf)
-            assert cost == pytest.approx(best, rel=1e-12, abs=1e-12)
+    for policy in POLICIES:
+        rng = np.random.default_rng(20)
+        for trial in range(10):
+            tree, inst = random_tree_instance(rng, int(rng.integers(1, 4)), 10, lam=2.0)
+            st = rwgm_init(tree, rng, policy=policy)
+            for r in inst.requests:
+                req_leaf = tree.point_leaf[r]
+                best = min(
+                    tree_distance(tree, req_leaf, leaf)
+                    for leaf in tree.leaves
+                    if st.remaining[leaf] > 0
+                )
+                chosen, cost = rwgm_serve(st, req_leaf)
+                assert cost == pytest.approx(best, rel=1e-12, abs=1e-12)
+                # The cost read at the climb's stopping level is the leaf distance, bit for bit.
+                assert cost == tree_distance(tree, req_leaf, chosen)
 
 
 def test_conservation_every_server_used_once():
@@ -217,47 +220,55 @@ def test_identical_seeds_replay_identical_episodes():
 
 def test_discretize_request():
     m = line_metric([0.0, 4.0, 5.0, 10.0])
-    inst = Instance(metric=m, servers=(0, 3), requests=(1, 2))
-    assert discretize_request(inst, 0) == 0  # a server point maps to itself
-    assert discretize_request(inst, 1) == 0  # 4 is nearer to 0
-    assert discretize_request(inst, 2) == 0  # 5 ties, lowest index wins
-    assert discretize_all(inst) == (0, 0)
+    # A server point maps to itself, 4 is nearer to 0, and 5 ties: the lowest index wins.
+    inst = Instance(metric=m, servers=(0, 3, 3), requests=(0, 1, 2))
+    assert discretize_all(inst) == (0, 0, 0)
+    m = line_metric([0.0, 4.0, 9.0, 10.0])
+    inst = Instance(metric=m, servers=(0, 3, 3), requests=(1, 2, 3))
+    images = discretize_all(inst)
+    assert images == (0, 3, 3)
+    assert all(type(g) is int for g in images)
+
+    # Against a first-minimum scan over the sorted distinct server points.
+    rng = np.random.default_rng(60)
+    for trial in range(30):
+        m = line_metric(rng.integers(0, 6, 9).astype(float))  # many exact ties
+        servers = tuple(int(p) for p in rng.integers(0, 9, 4))
+        requests = tuple(int(p) for p in rng.integers(0, 9, 4))
+        inst = Instance(metric=m, servers=servers, requests=requests)
+        pts = sorted(set(servers))
+        assert discretize_all(inst) == tuple(min(pts, key=lambda s: m.dist[r, s]) for r in requests)
 
 
 def test_mai_serve_wrapper():
+    # Each request is replaced by its nearest server point (its image), the
+    # tree matcher serves that image, and the trace records the original-metric
+    # distance d(r, s).
     m = line_metric([0.0, 4.0, 9.0, 10.0])
-    inst = Instance(metric=m, servers=(0, 3), requests=(1, 2))
-
-    identity_cost = []
-
-    def inner(g):
-        identity_cost.append(g)
-        return g
-
-    s, cost = mai_serve(inner, inst, 1)
-    assert (s, cost) == (0, 4.0)
-    s, cost = mai_serve(inner, inst, 2)
-    assert (s, cost) == (3, 1.0)
-    assert identity_cost == [0, 3]  # inner saw the discretized requests
-
-    s, cost = mai_serve(inner, inst, 3)  # request already at a server point
-    assert (s, cost) == (3, 0.0)
+    for requests, images, decisions in (
+        ((1, 2), (0, 3), [(1, 0, 4.0), (2, 3, 1.0)]),
+        ((3, 0), (3, 0), [(3, 3, 0.0), (0, 0, 0.0)]),  # requests already at server points
+    ):
+        setup = pipeline_setup(Instance(metric=m, servers=(0, 3), requests=requests))
+        assert setup.g == images
+        result = run_episode(setup, 1, 2, check=True)
+        assert result.trace.decisions == decisions and result.moves == 0
 
 
 def test_mai_per_request_inequality():
+    # d(r, s) <= d(g, s) + d(g, r) for every request r, its image g and its
+    # server s; run_episode(check=True) asserts it too.
     rng = np.random.default_rng(50)
     m = line_metric(rng.uniform(0, 10, 8))
-    inst = Instance(metric=m, servers=(0, 1, 2, 3), requests=(4, 5, 6, 7))
-    remaining = {s: 1 for s in inst.servers}
-
-    def inner(g):
-        s, _ = greedy_serve(inst, remaining, g)
-        return s
-
-    for r in inst.requests:
-        g = discretize_request(inst, r)
-        s, cost = mai_serve(inner, inst, r)
-        assert cost <= m.dist[g, s] + m.dist[g, r] + 1e-12
+    setup = pipeline_setup(Instance(metric=m, servers=(0, 1, 2, 3), requests=(4, 5, 6, 7)))
+    for algorithm in ("rwgm", "rwgm-proportional"):
+        for e in range(20):
+            trace = run_episode(
+                setup, derive_seed(50, e, 0), derive_seed(50, e, 1), algorithm=algorithm, check=True
+            ).trace
+            for (r, s, cost), g in zip(trace.decisions, setup.g):
+                assert cost == m.dist[r, s]
+                assert cost <= m.dist[g, s] + m.dist[g, r] + 1e-12
 
 
 def test_greedy_serve_nearest_unused():
