@@ -20,18 +20,33 @@ joined at level L sits within a ball of diameter 2*beta*lam**(L-1)*d_min,
 strictly below its tree distance 2*lam*d_min*(lam**L - 1)/(lam - 1), so
 domination holds deterministically. The smallest tree edge then measures
 lam * d_min in metric units.
+
+Construction: the part of a draw that depends only on the metric (the
+classes of points at distance zero, the distances between class
+representatives in units of d_min, and the log of the diameter) is computed
+on the first embedding of a metric object and cached on it. A draw then
+builds the tree top-down in one vectorized pass per level: every class joins
+the first center in permutation order within the level's radius, and the
+level's nodes are the distinct (parent node, center) pairs in sorted order.
+Nodes therefore come out numbered breadth-first with every leaf at level 0,
+a class that is split off early continuing as a chain of single-child nodes.
+A draw whose node bound height * k + 1 over k classes exceeds
+MAX_TREE_NODES, or whose distances would overflow a float, is refused.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .metric import FiniteMetric, Instance, ensure_valid_metric
 
 __all__ = [
+    "MAX_TREE_NODES",
     "lambda_for_n",
     "EmbeddingParams",
     "HstTree",
@@ -44,6 +59,13 @@ __all__ = [
     "leaf_counts",
     "tree_to_dict",
 ]
+
+# Upper bound on the nodes of one embedded tree. A draw over k classes of
+# points has at most height * k + 1 nodes; a draw whose bound exceeds the
+# budget is refused before any node is built.
+MAX_TREE_NODES = 1 << 20
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def lambda_for_n(n: int) -> float:
@@ -311,6 +333,55 @@ def _zero_distance_classes(dist: np.ndarray) -> tuple[list, list]:
     return reps, rep_of
 
 
+class _Classes(NamedTuple):
+    """The seed-independent part of an embedding, computed once per metric object."""
+
+    reps: list  # first point of each zero-distance class, ascending
+    rep_of: list  # class index of every point
+    dn: np.ndarray  # distances between representatives, in units of d_min
+    d_min: float | None  # smallest positive distance; None for a single class
+    log_diameter: float  # log of dn's largest entry; 0 for a single class
+
+
+def _metric_classes(metric: FiniteMetric) -> _Classes:
+    """Zero-distance classes and normalized distances, cached on the metric."""
+    cached = getattr(metric, "_classes", None)
+    if cached is not None:
+        return cached
+    reps, rep_of = _zero_distance_classes(metric.dist)
+    if len(reps) == 1:
+        dn, d_min, diameter = np.zeros((1, 1)), None, 1.0
+    else:
+        d = metric.dist[np.ix_(reps, reps)]
+        d_min = float(d[d > 0.0].min())
+        diameter = float(d.max()) / d_min
+        if not math.isfinite(diameter):
+            raise ValueError(
+                f"distance spread {float(d.max())!r} / {d_min!r} exceeds the floating-point range"
+            )
+        dn = d / d_min
+    dn.flags.writeable = False
+    cached = _Classes(reps, rep_of, dn, d_min, math.log(diameter))
+    object.__setattr__(metric, "_classes", cached)
+    return cached
+
+
+def _check_budget(height: int, k: int, lam: float, scale: float) -> None:
+    """Refuse a draw whose tree could exceed MAX_TREE_NODES or overflow a float."""
+    if height * k + 1 > MAX_TREE_NODES:
+        raise ValueError(
+            f"a tree of height {height} over {k} points may need {height * k + 1} nodes,"
+            f" above MAX_TREE_NODES = {MAX_TREE_NODES}; raise lam"
+        )
+    # Upper bound on the log of the root-level distance scale * 2 * (lam**height - 1) / (lam - 1);
+    # the radii and the unscaled level sums stay below it too.
+    log_top = height * math.log(lam) + math.log(2.0 / (lam - 1.0)) + max(0.0, math.log(scale))
+    if log_top >= _LOG_FLOAT_MAX:
+        raise ValueError(
+            f"a tree of height {height} at lam={lam} and scale {scale!r} exceeds the floating-point range"
+        )
+
+
 def frt_embed(metric: FiniteMetric, params: EmbeddingParams) -> HstTree:
     """Sample one random tree over the metric's points.
 
@@ -320,54 +391,56 @@ def frt_embed(metric: FiniteMetric, params: EmbeddingParams) -> HstTree:
     """
     ensure_valid_metric(metric)
     lam = float(params.lam)
-    npts = len(metric)
-    if npts == 0:
+    if len(metric) == 0:
         raise ValueError("cannot embed an empty metric")
-    reps, rep_of = _zero_distance_classes(metric.dist)
-    k = len(reps)
+    c = _metric_classes(metric)
+    k = len(c.reps)
+    height = math.ceil(c.log_diameter / math.log(lam)) + 1 if c.log_diameter > 0.0 else 1
+    scale = lam * c.d_min if k > 1 else 1.0
+    _check_budget(height, k, lam, scale)
 
-    if k == 1:
-        raw = RawTree(parent=[None], level=[0], leaf_point={0: reps[0]}, lam=lam)
-    else:
-        rng = np.random.default_rng(params.seed)
-        beta = lam ** rng.random()  # density proportional to 1/beta on [1, lam)
-        perm = rng.permutation(k)
+    rng = np.random.default_rng(params.seed)
+    beta = lam ** rng.random()  # density proportional to 1/beta on [1, lam)
+    dp = c.dn[rng.permutation(k)]  # row r holds distances from the r-th center in permutation order
 
-        d = metric.dist[np.ix_(reps, reps)]
-        d_min = float(d[d > 0.0].min())
-        dn = d / d_min
-        diameter = float(dn.max())
-        height = max(1, math.ceil(math.log(diameter) / math.log(lam)) + 1) if diameter > 1.0 else 1
+    # One pass per level. A class joins the first center in permutation order
+    # that covers it, whatever its cluster, so the children of every cluster
+    # come out of one argmax over all classes; sorting them by (parent,
+    # center) numbers the nodes breadth-first.
+    parent: list = [None]
+    level: list = [height]
+    node = np.zeros(k, dtype=np.intp)  # each class's node at the level just built
+    split = k > 1  # some node of that level holds more than one class
+    for lv in range(height - 1, -1, -1):
+        first = len(parent)
+        if split:
+            winner = (dp <= beta * lam ** (lv - 1)).argmax(axis=0)
+            keys, node = np.unique(node * k + winner, return_inverse=True)
+            parent.extend((keys // k).tolist())
+            node += first
+            split = len(keys) < k
+        else:  # every node holds one class and gets one child
+            parent.extend(range(first - k, first))
+            node += k
+        level.extend([lv] * (len(parent) - first))
+    if split:  # radius beta/lam < 1 forces singletons at level 0
+        raise AssertionError("partition did not reach singletons")
 
-        dp = dn[perm]  # row r holds distances from the r-th center in permutation order
-        parent: list = [None]
-        level: list = [height]
-        leaf_point: dict = {}
-        clusters = [(0, np.arange(k))]
-        for lv in range(height - 1, -1, -1):
-            radius = beta * lam ** (lv - 1)
-            nxt = []
-            for node, members in clusters:
-                covered = dp[:, members] <= radius
-                winner = covered.argmax(axis=0)  # first covering center wins
-                for w in np.unique(winner):
-                    group = members[winner == w]
-                    cid = len(parent)
-                    parent.append(node)
-                    level.append(lv)
-                    if group.size == 1:
-                        leaf_point[cid] = reps[int(group[0])]
-                    else:
-                        nxt.append((cid, group))
-            clusters = nxt
-        if clusters:  # radius beta/lam < 1 forces singletons at level 0
-            raise AssertionError("partition did not reach singletons")
-
-        raw = RawTree(parent=parent, level=level, leaf_point=leaf_point, lam=lam, scale=lam * d_min)
-    t = normalize_hst(raw)
-    rep_leaf = {pt: leaf for leaf, pt in t.leaf_point.items()}
-    point_leaf = {p: rep_leaf[reps[rep_of[p]]] for p in range(npts)}
-    return replace(t, point_leaf=point_leaf)
+    children: list = [[] for _ in parent]
+    for v in range(1, len(parent)):
+        children[parent[v]].append(v)
+    leaves = node.tolist()
+    return HstTree(
+        lam=lam,
+        scale=scale,
+        height=height,
+        parent=tuple(parent),
+        children=tuple(map(tuple, children)),
+        level=tuple(level),
+        leaf_point=dict(zip(leaves, c.reps)),
+        point_leaf={p: leaves[ci] for p, ci in enumerate(c.rep_of)},
+        leaf_multiplicity=dict.fromkeys(leaves, 0),
+    )
 
 
 def attach_servers(t: HstTree, inst: Instance, mapping: dict | None = None) -> HstTree:

@@ -119,15 +119,16 @@ def validate_metric(m) -> MetricViolation | None:
             "symmetry", (i, j), f"dist[{i}][{j}] = {d[i, j]} != dist[{j}][{i}] = {d[j, i]}"
         )
     tol = TRIANGLE_SLACK * float(d.max()) if n else 0.0
+    excess = np.empty_like(d)  # reused by every k: holds d - (d[:, k] + d[k, :])
     for k in range(n):
-        via_k = d[:, k : k + 1] + d[k : k + 1, :]
-        excess = d - via_k
+        np.add(d[:, k : k + 1], d[k : k + 1, :], out=excess)
+        np.subtract(d, excess, out=excess)
         if float(excess.max()) > tol:
             i, j = np.unravel_index(int(excess.argmax()), excess.shape)
             return MetricViolation(
                 "triangle",
                 (int(i), int(j), k),
-                f"dist[{i}][{j}] = {d[i, j]} > dist[{i}][{k}] + dist[{k}][{j}] = {via_k[i, j]}",
+                f"dist[{i}][{j}] = {d[i, j]} > dist[{i}][{k}] + dist[{k}][{j}] = {d[i, k] + d[k, j]}",
             )
     object.__setattr__(metric, "_validated", True)
     return None

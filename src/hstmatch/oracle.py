@@ -13,7 +13,6 @@ from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .hst import HstTree
 from .metric import Instance
@@ -70,6 +69,10 @@ def optimal_matching(inst: Instance) -> OptimalMatching:
     distance matrix is solved exactly; the cost is the offline optimum used
     as the competitive-ratio denominator.
     """
+    # Imported here: loading scipy.optimize costs most of the package's import
+    # time, and only the runs that need an optimum should pay it.
+    from scipy.optimize import linear_sum_assignment
+
     if len(inst.servers) != len(inst.requests):
         raise ValueError("server and request multisets must have equal size")
     srv = np.asarray(inst.servers, dtype=int)

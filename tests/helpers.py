@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from hstmatch.hst import HstTree, RawTree, attach_servers, normalize_hst, tree_distance
-from hstmatch.metric import FiniteMetric, Instance
+from hstmatch.hst import EmbeddingParams, HstTree, RawTree, attach_servers, normalize_hst, tree_distance
+from hstmatch.metric import FiniteMetric, Instance, ensure_valid_metric
 from hstmatch.online import RwgmState, rwgm_init, rwgm_serve
 
 
@@ -34,6 +34,72 @@ def brute_force_cost(inst: Instance) -> float:
         if c < best:
             best = c
     return best
+
+
+def reference_frt_embed(metric: FiniteMetric, params: EmbeddingParams) -> HstTree:
+    """The embedding built cluster by cluster, the slow oracle for ``frt_embed``.
+
+    Zero-distance classes come from a greedy scan, each level splits every
+    cluster by its members' first covering centers, singleton clusters stop
+    as shallow leaves, and ``normalize_hst`` extends them with dummy chains
+    and numbers the nodes breadth-first.
+    """
+    ensure_valid_metric(metric)
+    lam = float(params.lam)
+    npts = len(metric)
+    reps: list = []
+    rep_of = [0] * npts
+    for i in range(npts):
+        for ri, r in enumerate(reps):
+            if metric.dist[i, r] == 0.0:
+                rep_of[i] = ri
+                break
+        else:
+            rep_of[i] = len(reps)
+            reps.append(i)
+    k = len(reps)
+
+    if k == 1:
+        raw = RawTree(parent=[None], level=[0], leaf_point={0: reps[0]}, lam=lam)
+    else:
+        rng = np.random.default_rng(params.seed)
+        beta = lam ** rng.random()
+        perm = rng.permutation(k)
+
+        d = metric.dist[np.ix_(reps, reps)]
+        d_min = float(d[d > 0.0].min())
+        dn = d / d_min
+        diameter = float(dn.max())
+        height = max(1, math.ceil(math.log(diameter) / math.log(lam)) + 1) if diameter > 1.0 else 1
+
+        dp = dn[perm]
+        parent: list = [None]
+        level: list = [height]
+        leaf_point: dict = {}
+        clusters = [(0, np.arange(k))]
+        for lv in range(height - 1, -1, -1):
+            radius = beta * lam ** (lv - 1)
+            nxt = []
+            for node, members in clusters:
+                covered = dp[:, members] <= radius
+                winner = covered.argmax(axis=0)
+                for w in np.unique(winner):
+                    group = members[winner == w]
+                    cid = len(parent)
+                    parent.append(node)
+                    level.append(lv)
+                    if group.size == 1:
+                        leaf_point[cid] = reps[int(group[0])]
+                    else:
+                        nxt.append((cid, group))
+            clusters = nxt
+        assert not clusters, "partition did not reach singletons"
+
+        raw = RawTree(parent=parent, level=level, leaf_point=leaf_point, lam=lam, scale=lam * d_min)
+    t = normalize_hst(raw)
+    rep_leaf = {pt: leaf for leaf, pt in t.leaf_point.items()}
+    point_leaf = {p: rep_leaf[reps[rep_of[p]]] for p in range(npts)}
+    return dataclasses.replace(t, point_leaf=point_leaf)
 
 
 def recompute_green(state: RwgmState) -> list:

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hstmatch
 from hstmatch.cli import main
 from hstmatch.generators import GeneratorSpec, generate_instance
 from hstmatch.metric import load_instance
@@ -85,6 +89,45 @@ def test_embed_rejects_non_finite_lambda(tmp_path, capsys, lam):
     assert len(lines) == 1
     assert "lam must be finite" in json.loads(lines[0])["error"]
     assert not tree_path.exists()
+
+
+# Three points on a line at 0, 1e-200 and 1e200.
+SPREAD_1E400 = {
+    "points": ["a", "b", "c"],
+    "dist": [[0.0, 1e-200, 1e200], [1e-200, 0.0, 1e200], [1e200, 1e200, 0.0]],
+    "servers": [0, 1, 2],
+    "requests": [2, 1, 0],
+}
+
+
+@pytest.mark.parametrize(
+    "instance, extra, message",
+    [
+        (None, ["--lambda", "1.0000001"], "MAX_TREE_NODES"),
+        (SPREAD_1E400, [], "floating-point range"),
+    ],
+)
+def test_embed_refuses_unbuildable_trees(tmp_path, capsys, instance, extra, message):
+    inst_path = tmp_path / "inst.json"
+    if instance is None:
+        run_cli("generate", "--family", "euclidean", "--n", 6, "--seed", 4, "-o", inst_path)
+    else:
+        inst_path.write_text(json.dumps(instance))
+    capsys.readouterr()
+    tree_path = tmp_path / "tree.json"
+    assert run_cli("embed", "--instance", inst_path, *extra, "--dump-tree", tree_path) == 1
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error.startswith("ValueError: ") and message in error
+    assert not tree_path.exists()
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    src = Path(hstmatch.__file__).resolve().parents[1]
+    code = "import sys, hstmatch.cli; sys.exit('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_runtime_failure_emits_json_error_line(tmp_path, capsys):

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import height1_tree, random_tree
-from hstmatch.generators import euclidean_metric, uniform_metric
+import hstmatch.hst as hst
+from helpers import height1_tree, random_tree, reference_frt_embed
+from hstmatch.generators import euclidean_metric, line_metric, uniform_metric
 from hstmatch.hst import (
     EmbeddingParams,
     RawTree,
@@ -176,6 +179,68 @@ def test_frt_coincident_points_share_a_leaf():
     t = frt_embed(FiniteMetric.from_matrix(d), EmbeddingParams(lam=2.0, seed=0))
     assert t.point_leaf[0] == t.point_leaf[1] != t.point_leaf[2]
     assert tree_distance(t, t.point_leaf[0], t.point_leaf[2]) >= 3.0
+
+
+@st.composite
+def euclidean_metrics(draw):
+    """Integer grid points with repeats; a repeated point sits at distance zero."""
+    base = draw(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=12))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=24))
+    return euclidean_metric([base[i] for i in picks])
+
+
+def line_metrics():
+    return st.lists(st.integers(0, 60), min_size=1, max_size=24).map(line_metric)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    metric=st.one_of(euclidean_metrics(), line_metrics()),
+    lam=st.sampled_from([1.05, 1.3, 2.0, 2.5, 4.2, 11.2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(metric=line_metric([7.0]), lam=2.0, seed=0)  # k = 1
+@example(metric=line_metric([7.0, 7.0]), lam=2.0, seed=0)  # k = 1 from two points
+@example(metric=line_metric([0.0, 3.0]), lam=2.0, seed=1)  # k = 2
+@example(metric=line_metric([0.0, 0.0, 3.0, 3.0, 24.0]), lam=2.0, seed=2)  # diameter a power of lam
+def test_frt_embed_matches_cluster_by_cluster_reference(metric, lam, seed):
+    params = EmbeddingParams(lam=lam, seed=seed)
+    got = frt_embed(metric, params)
+    want = reference_frt_embed(metric, params)
+    for field in ("parent", "children", "level", "leaf_point", "point_leaf", "scale", "height"):
+        assert getattr(got, field) == getattr(want, field), field
+    validate_hst(got)
+
+
+def test_frt_zero_distance_classes_computed_once_per_metric(monkeypatch):
+    calls = []
+    original = hst._zero_distance_classes
+    monkeypatch.setattr(hst, "_zero_distance_classes", lambda d: calls.append(d.shape) or original(d))
+    m = line_metric([0.0, 1.0, 1.0, 4.0])
+    first = frt_embed(m, EmbeddingParams(lam=2.0, seed=1))
+    frt_embed(m, EmbeddingParams(lam=3.0, seed=2))
+    assert frt_embed(m, EmbeddingParams(lam=2.0, seed=1)).parent == first.parent
+    assert calls == [(4, 4)]
+
+
+def test_frt_refuses_trees_beyond_the_node_budget():
+    m = line_metric(np.arange(8.0))
+    # lam barely above 1 asks for about ln(7) / 1e-7 levels.
+    with pytest.raises(ValueError, match="MAX_TREE_NODES"):
+        frt_embed(m, EmbeddingParams(lam=1.0000001, seed=0))
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        [0.0, 1e-200, 1e200],  # d_max / d_min overflows
+        [0.0, 1.0, 1e308],  # finite spread, but lam**height overflows
+        [0.0, 1.7e308],  # scale = lam * d_min overflows
+    ],
+)
+def test_frt_refuses_spreads_beyond_the_float_range(coords):
+    with pytest.raises(ValueError, match="floating-point range"):
+        frt_embed(line_metric(coords), EmbeddingParams(lam=2.0, seed=0))
 
 
 def test_tree_distance_is_a_metric_on_leaves():

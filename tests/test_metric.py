@@ -27,6 +27,7 @@ def test_validate_flags_triangle_violation_with_triple():
     assert v is not None and v.kind == "triangle"
     i, j, k = v.where
     assert {i, j} == {0, 1} and k == 2
+    assert str(v) == "dist[0][1] = 5.0 > dist[0][2] + dist[2][1] = 2.0"
 
 
 def test_validate_flags_diagonal_and_symmetry():
