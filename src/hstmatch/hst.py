@@ -410,20 +410,14 @@ def frt_embed(metric: FiniteMetric, params: EmbeddingParams) -> HstTree:
     parent: list = [None]
     level: list = [height]
     node = np.zeros(k, dtype=np.intp)  # each class's node at the level just built
-    split = k > 1  # some node of that level holds more than one class
     for lv in range(height - 1, -1, -1):
         first = len(parent)
-        if split:
-            winner = (dp <= beta * lam ** (lv - 1)).argmax(axis=0)
-            keys, node = np.unique(node * k + winner, return_inverse=True)
-            parent.extend((keys // k).tolist())
-            node += first
-            split = len(keys) < k
-        else:  # every node holds one class and gets one child
-            parent.extend(range(first - k, first))
-            node += k
-        level.extend([lv] * (len(parent) - first))
-    if split:  # radius beta/lam < 1 forces singletons at level 0
+        winner = (dp <= beta * lam ** (lv - 1)).argmax(axis=0)
+        keys, node = np.unique(node * k + winner, return_inverse=True)
+        parent.extend((keys // k).tolist())
+        level.extend([lv] * len(keys))
+        node += first
+    if len(keys) < k:  # radius beta/lam < 1 forces singletons at level 0
         raise AssertionError("partition did not reach singletons")
 
     children: list = [[] for _ in parent]
