@@ -91,6 +91,17 @@ def _cmd_embed(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy seeds streams from non-negative integers only."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hstmatch",
@@ -103,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--dim", type=int, default=2, help="dimension for the euclidean family")
     p.add_argument("--coord-range", type=float, default=100.0, help="coordinate span for the line family")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_generate)
 
@@ -111,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--algorithm", required=True, choices=ALGORITHMS)
     p.add_argument("--episodes", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-o", "--output", help="trace CSV path")
     p.add_argument("--report", help="report JSON path")
     p.set_defaults(func=_cmd_run)
@@ -121,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, help="comma-separated sizes, e.g. 2,4,8")
     p.add_argument("--algorithms", default="rwgm,greedy", help="comma-separated algorithm tags")
     p.add_argument("--episodes", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--coord-range", type=float, default=100.0)
     p.add_argument("-o", "--output", required=True)
@@ -129,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="embed an instance's server submetric into one random tree")
     p.add_argument("--instance", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--dump-tree", help="tree JSON path (stdout when omitted)")
     p.set_defaults(func=_cmd_embed)

@@ -13,6 +13,7 @@ identical traces on any platform.
 from __future__ import annotations
 
 import io
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,17 +112,25 @@ class PipelineSetup:
     sub: object
     mapping: dict
     g: tuple  # nearest-server image of each request, in request order
+    g_sub: tuple  # submetric index of each request's image
+    stock: tuple  # (submetric point, its server instances) pairs, highest point first
+    requests: np.ndarray  # the request points, for one cost gather per episode
     lam: float
     opt: float
 
 
 def pipeline_setup(inst: Instance) -> PipelineSetup:
     sub, mapping = submetric_of_servers(inst)
+    g = discretize_all(inst)
+    servers = Counter(inst.servers)
     return PipelineSetup(
         inst=inst,
         sub=sub,
         mapping=mapping,
-        g=discretize_all(inst),
+        g=g,
+        g_sub=tuple(mapping[p] for p in g),
+        stock=tuple((mapping[p], [p] * servers[p]) for p in sorted(servers, reverse=True)),
+        requests=np.asarray(inst.requests),
         lam=lambda_for_n(inst.n),
         opt=optimal_matching(inst).cost,
     )
@@ -150,34 +159,49 @@ def run_episode(
     """
     inst = setup.inst
     dist = inst.metric.dist
-    tol = 1e-9 * float(dist.max()) if dist.size else 0.0
     tree = frt_embed(setup.sub, EmbeddingParams(lam=setup.lam, seed=embed_seed, n=inst.n))
     tree = attach_servers(tree, inst, setup.mapping)
     state = rwgm_init(tree, play_seed, policy=_TREE_POLICY[algorithm])
+    point_leaf = tree.point_leaf
 
     # The server instances waiting at each leaf, highest point index first,
-    # so pop() consumes the lowest index.
+    # so pop() consumes the lowest index. Points of one zero-distance class
+    # share a leaf and arrive highest first, so appending keeps the order.
     stock: dict = {}
-    for s in sorted(inst.servers, reverse=True):
-        stock.setdefault(tree.point_leaf[setup.mapping[s]], []).append(s)
+    for q, servers in setup.stock:
+        stock.setdefault(point_leaf[q], []).extend(servers)
 
-    trace = MatchingTrace(algorithm=algorithm, seed=int(play_seed))
+    served = []
+    tree_costs = []
     moves = 0
-    for i, r in enumerate(inst.requests):
-        g = setup.g[i]
-        g_leaf = tree.point_leaf[setup.mapping[g]]
+    for q in setup.g_sub:
+        g_leaf = point_leaf[q]
         server_leaf, tree_cost = rwgm_serve(state, g_leaf)
-        s = stock[server_leaf].pop()
-        cost = float(dist[r, s])
+        served.append(stock[server_leaf].pop())
         if server_leaf != g_leaf:
             moves += 1
         if check:
+            tree_costs.append(tree_cost)
+    costs = dist[setup.requests, served].tolist()
+
+    if check:
+        tol = 1e-9 * float(dist.max())
+        for i, (r, g, s, cost, tree_cost) in enumerate(zip(inst.requests, setup.g, served, costs, tree_costs)):
             inner_cost = float(dist[g, s])
             if cost > inner_cost + float(dist[g, r]) + tol:
                 raise AssertionError(f"request {i}: wrapper cost exceeds inner cost plus detour")
             if inner_cost > tree_cost * (1.0 + 1e-12) + tol:
                 raise AssertionError(f"request {i}: tree cost fails to dominate the metric cost")
-        trace.append(r, s, cost)
+
+    total = 0.0  # summed left to right, as MatchingTrace.append does
+    for cost in costs:
+        total += cost
+    trace = MatchingTrace(
+        algorithm=algorithm,
+        seed=int(play_seed),
+        decisions=list(zip(inst.requests, served, costs)),
+        total_cost=total,
+    )
     return EpisodeResult(trace=trace, moves=moves)
 
 

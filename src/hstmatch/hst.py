@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -316,21 +317,20 @@ def _zero_distance_classes(dist: np.ndarray) -> tuple[list, list]:
     """Group points into classes of pairwise distance zero.
 
     Returns the sorted class representatives and, for every point, the index
-    of its representative in that list. Distance zero is transitive in a
-    metric, so greedy assignment to the first matching representative works.
+    of its representative in that list: each point joins the first
+    representative at distance zero, and a point with none becomes one. The
+    triangle slack can make distance zero non-transitive (d(a, b) = d(b, c) = 0
+    while d(a, c) is tiny and positive), so a class is what its first point
+    claims: a new representative takes every unclaimed point at distance zero
+    from it, one row operation per class (the matrix is symmetric).
     """
-    n = dist.shape[0]
     reps: list = []
-    rep_of = [0] * n
-    for i in range(n):
-        for ri, r in enumerate(reps):
-            if dist[i, r] == 0.0:
-                rep_of[i] = ri
-                break
-        else:
-            rep_of[i] = len(reps)
+    rep_of = np.full(dist.shape[0], -1)
+    for i in range(dist.shape[0]):
+        if rep_of[i] < 0:
+            rep_of[(rep_of < 0) & (dist[i] == 0.0)] = len(reps)
             reps.append(i)
-    return reps, rep_of
+    return reps, rep_of.tolist()
 
 
 class _Classes(NamedTuple):
@@ -449,13 +449,13 @@ def attach_servers(t: HstTree, inst: Instance, mapping: dict | None = None) -> H
 
 def leaf_counts(t: HstTree, points, mapping: dict | None = None) -> dict:
     """Tally a multiset of point indices by the leaf that hosts each point."""
-    counts = {leaf: 0 for leaf in t.leaves}
-    for p in points:
+    counts = dict.fromkeys(t.leaf_multiplicity, 0)  # its keys are exactly the leaves
+    for p, m in Counter(points).items():  # first-occurrence order, so the first bad point is named
         q = p if mapping is None else mapping[p]
         leaf = t.point_leaf.get(q)
         if leaf is None:
             raise ValueError(f"point {p} does not appear among the tree leaves")
-        counts[leaf] += 1
+        counts[leaf] += m
     return counts
 
 

@@ -120,16 +120,19 @@ def validate_metric(m) -> MetricViolation | None:
         )
     tol = TRIANGLE_SLACK * float(d.max()) if n else 0.0
     excess = np.empty_like(d)  # reused by every k: holds d - (d[:, k] + d[k, :])
-    for k in range(n):
-        np.add(d[:, k : k + 1], d[k : k + 1, :], out=excess)
-        np.subtract(d, excess, out=excess)
-        if float(excess.max()) > tol:
-            i, j = np.unravel_index(int(excess.argmax()), excess.shape)
-            return MetricViolation(
-                "triangle",
-                (int(i), int(j), k),
-                f"dist[{i}][{j}] = {d[i, j]} > dist[{i}][{k}] + dist[{k}][{j}] = {d[i, k] + d[k, j]}",
-            )
+    # A detour that overflows to inf is never shorter than a direct distance,
+    # so the overflow cannot change the verdict.
+    with np.errstate(over="ignore"):
+        for k in range(n):
+            np.add(d[:, k : k + 1], d[k : k + 1, :], out=excess)
+            np.subtract(d, excess, out=excess)
+            if float(excess.max()) > tol:
+                i, j = np.unravel_index(int(excess.argmax()), excess.shape)
+                return MetricViolation(
+                    "triangle",
+                    (int(i), int(j), k),
+                    f"dist[{i}][{j}] = {d[i, j]} > dist[{i}][{k}] + dist[{k}][{j}] = {d[i, k] + d[k, j]}",
+                )
     object.__setattr__(metric, "_validated", True)
     return None
 

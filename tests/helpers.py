@@ -15,7 +15,7 @@ import numpy as np
 
 from hstmatch.hst import EmbeddingParams, HstTree, RawTree, attach_servers, normalize_hst, tree_distance
 from hstmatch.metric import FiniteMetric, Instance, ensure_valid_metric
-from hstmatch.online import RwgmState, rwgm_init, rwgm_serve
+from hstmatch.online import POLICIES, RwgmState, rwgm_init, rwgm_serve
 
 
 def brute_force_cost(inst: Instance) -> float:
@@ -36,6 +36,21 @@ def brute_force_cost(inst: Instance) -> float:
     return best
 
 
+def reference_zero_distance_classes(dist) -> tuple[list, list]:
+    """Greedy scan: each point joins the first representative at distance zero or becomes one."""
+    reps: list = []
+    rep_of = [0] * dist.shape[0]
+    for i in range(dist.shape[0]):
+        for ri, r in enumerate(reps):
+            if dist[i, r] == 0.0:
+                rep_of[i] = ri
+                break
+        else:
+            rep_of[i] = len(reps)
+            reps.append(i)
+    return reps, rep_of
+
+
 def reference_frt_embed(metric: FiniteMetric, params: EmbeddingParams) -> HstTree:
     """The embedding built cluster by cluster, the slow oracle for ``frt_embed``.
 
@@ -47,16 +62,7 @@ def reference_frt_embed(metric: FiniteMetric, params: EmbeddingParams) -> HstTre
     ensure_valid_metric(metric)
     lam = float(params.lam)
     npts = len(metric)
-    reps: list = []
-    rep_of = [0] * npts
-    for i in range(npts):
-        for ri, r in enumerate(reps):
-            if metric.dist[i, r] == 0.0:
-                rep_of[i] = ri
-                break
-        else:
-            rep_of[i] = len(reps)
-            reps.append(i)
+    reps, rep_of = reference_zero_distance_classes(metric.dist)
     k = len(reps)
 
     if k == 1:
@@ -100,6 +106,80 @@ def reference_frt_embed(metric: FiniteMetric, params: EmbeddingParams) -> HstTre
     rep_leaf = {pt: leaf for leaf, pt in t.leaf_point.items()}
     point_leaf = {p: rep_leaf[reps[rep_of[p]]] for p in range(npts)}
     return dataclasses.replace(t, point_leaf=point_leaf)
+
+
+class ReferenceRwgmState:
+    """Tree matcher state drawing through ``Generator.integers``, the oracle for ``RwgmState``."""
+
+    __slots__ = ("tree", "remaining", "subtree_remaining", "green", "rng", "policy")
+
+    def __init__(self, tree: HstTree, rng: np.random.Generator, policy: str) -> None:
+        n = tree.n_nodes
+        self.tree = tree
+        self.remaining = [0] * n
+        for leaf, m in tree.leaf_multiplicity.items():
+            self.remaining[leaf] = int(m)
+        counts = list(self.remaining)
+        for v in range(n - 1, 0, -1):
+            counts[tree.parent[v]] += counts[v]
+        self.subtree_remaining = counts
+        self.green = [c > 0 for c in counts]
+        self.rng = rng
+        self.policy = policy
+
+
+def reference_rwgm_init(tree: HstTree, seed, policy: str = "uniform") -> ReferenceRwgmState:
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    state = ReferenceRwgmState(tree, rng, policy)
+    if state.subtree_remaining[tree.root] <= 0:
+        raise ValueError("tree carries no servers")
+    return state
+
+
+def reference_pick_a_leaf(state: ReferenceRwgmState, u: int) -> int:
+    """Descent with one ``rng.integers`` call per level, over the green children."""
+    if not state.green[u]:
+        raise ValueError(f"node {u} is not green")
+    tree = state.tree
+    green = state.green
+    rng = state.rng
+    while tree.children[u]:
+        kids = [c for c in tree.children[u] if green[c]]
+        if state.policy == "uniform":
+            u = kids[int(rng.integers(len(kids)))]
+        else:
+            counts = state.subtree_remaining
+            total = sum(counts[c] for c in kids)
+            r = int(rng.integers(total))
+            for c in kids:
+                r -= counts[c]
+                if r < 0:
+                    u = c
+                    break
+    return u
+
+
+def reference_rwgm_serve(state: ReferenceRwgmState, request_leaf: int):
+    """Serve one request the way ``rwgm_serve`` must: climb, descend, refresh green flags."""
+    tree = state.tree
+    if not 0 <= request_leaf < tree.n_nodes or tree.children[request_leaf]:
+        raise ValueError(f"request node {request_leaf} is not a leaf of the tree")
+    v = request_leaf
+    while v is not None and not state.green[v]:
+        v = tree.parent[v]
+    if v is None:
+        raise RuntimeError("all servers have been assigned")
+    chosen = reference_pick_a_leaf(state, v)
+    state.remaining[chosen] -= 1
+    w = chosen
+    while w is not None:
+        state.subtree_remaining[w] -= 1
+        if state.subtree_remaining[w] == 0:
+            state.green[w] = False
+        w = tree.parent[w]
+    return chosen, tree.level_distance[tree.level[v]]
 
 
 def recompute_green(state: RwgmState) -> list:

@@ -123,6 +123,27 @@ def test_embed_refuses_unbuildable_trees(tmp_path, capsys, instance, extra, mess
     assert not tree_path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--family", "star", "--n", "4"],
+        ["run", "--instance", "inst.json", "--algorithm", "rwgm"],
+        ["sweep", "--family", "star", "--sizes", "2"],
+        ["embed", "--instance", "inst.json"],
+    ],
+    ids=["generate", "run", "sweep", "embed"],
+)
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    extra = [] if argv[0] in ("run", "embed") else ["-o", out]
+    argv = [str(tmp_path / a) if a == "inst.json" else a for a in argv]
+    assert run_cli(*argv, *extra, "--seed", "-1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hstmatch " + argv[0])
+    assert "argument --seed: must be a non-negative integer, got -1" in err
+    assert not out.exists()
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     src = Path(hstmatch.__file__).resolve().parents[1]
     code = "import sys, hstmatch.cli; sys.exit('scipy.optimize' in sys.modules)"

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hstmatch.hst as hst
-from helpers import height1_tree, random_tree, reference_frt_embed
+from helpers import height1_tree, random_tree, reference_frt_embed, reference_zero_distance_classes
 from hstmatch.generators import euclidean_metric, line_metric, uniform_metric
 from hstmatch.hst import (
     EmbeddingParams,
@@ -19,7 +19,7 @@ from hstmatch.hst import (
     tree_to_dict,
     validate_hst,
 )
-from hstmatch.metric import FiniteMetric, Instance
+from hstmatch.metric import FiniteMetric, Instance, validate_metric
 
 
 def test_lambda_for_n():
@@ -221,6 +221,36 @@ def test_frt_zero_distance_classes_computed_once_per_metric(monkeypatch):
     frt_embed(m, EmbeddingParams(lam=3.0, seed=2))
     assert frt_embed(m, EmbeddingParams(lam=2.0, seed=1)).parent == first.parent
     assert calls == [(4, 4)]
+
+
+def slack_dist(points) -> np.ndarray:
+    """Points (macro, micro) plus a far point at macro 1000, whose distance sets the triangle slack.
+
+    Points with the same macro sit micro * 1e-12 apart, rounded to zero when
+    their micros differ by at most one, so zero distance need not be
+    transitive: micros 0, 1, 2 give d(a, b) = d(b, c) = 0 < d(a, c).
+    """
+    points = list(points) + [(1000, 0)]
+    n = len(points)
+    d = np.zeros((n, n))
+    for i, (mi, ui) in enumerate(points):
+        for j, (mj, uj) in enumerate(points):
+            if mi != mj:
+                d[i, j] = abs(mi - mj)
+            elif abs(ui - uj) > 1:
+                d[i, j] = abs(ui - uj) * 1e-12
+    return d
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(points=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)), min_size=1, max_size=16))
+@example(points=[(0, 0), (0, 1), (0, 2)])  # a ~ b ~ c, a !~ c: b joins a, c starts a class of its own
+@example(points=[(0, 1), (0, 0), (0, 2)])  # the same points, b first: b's class takes a and c
+@example(points=[(0, 0), (0, 0), (1, 0), (0, 0)])  # repeats only
+def test_zero_distance_classes_match_the_greedy_scan(points):
+    d = slack_dist(points)
+    assert validate_metric(d) is None
+    assert hst._zero_distance_classes(d) == reference_zero_distance_classes(d)
 
 
 def test_frt_refuses_trees_beyond_the_node_budget():

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,13 @@ def test_validate_flags_triangle_violation_with_triple():
     i, j, k = v.where
     assert {i, j} == {0, 1} and k == 2
     assert str(v) == "dist[0][1] = 5.0 > dist[0][2] + dist[2][1] = 2.0"
+
+
+def test_validate_ignores_overflowing_detours():
+    # dist[0][2] + dist[2][1] overflows to inf, which can never be a violation.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert validate_metric(line_metric([0.0, 1.0, 1e308]).dist) is None
 
 
 def test_validate_flags_diagonal_and_symmetry():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as strat
 
 from helpers import (
     height1_tree,
@@ -9,6 +11,8 @@ from helpers import (
     random_tree,
     random_tree_instance,
     recompute_green,
+    reference_rwgm_init,
+    reference_rwgm_serve,
     with_multiplicity,
 )
 from hstmatch.generators import line_metric, star_metric, uniform_metric
@@ -17,6 +21,7 @@ from hstmatch.hst import RawTree, normalize_hst, tree_distance
 from hstmatch.metric import Instance
 from hstmatch.online import (
     POLICIES,
+    _below,
     discretize_all,
     greedy_serve,
     pick_a_leaf,
@@ -46,6 +51,52 @@ def test_init_rejects_empty_tree_and_bad_policy():
         rwgm_init(t, 0)
     with pytest.raises(ValueError):
         rwgm_init(with_multiplicity(height1_tree(2), {0: 1}), 0, policy="bogus")
+
+
+BOUNDS = [1, 2, 3, 7, 2**31 + 1, 2**32 - 1]  # 2**31 + 1 rejects about half of its draws
+
+
+@pytest.mark.parametrize("n", BOUNDS)
+def test_below_replays_generator_integers(n):
+    st = rwgm_init(with_multiplicity(height1_tree(1), {0: 1}), 11)
+    rng = np.random.default_rng(11)
+    assert [_below(st, n) for _ in range(10_000)] == [int(rng.integers(n)) for _ in range(10_000)]
+
+
+def test_below_rejects_exactly_the_biased_low_words():
+    # For n = 3, (2**32 - 3) % 3 == 1: a low word of 0 is redrawn, a low word of 1 is kept.
+    st = rwgm_init(with_multiplicity(height1_tree(1), {0: 1}), 0)
+    st.u32 = iter([0, 2**31, 2863311531, 7])
+    assert _below(st, 3) == 1  # 0 is rejected; 2**31 * 3 >> 32 == 1
+    assert _below(st, 3) == 2  # 2863311531 * 3 == 2 * 2**32 + 1
+    assert list(st.u32) == [7]
+
+
+def test_init_takes_any_generator_or_bit_generator():
+    t = with_multiplicity(height1_tree(2), {0: 1, 1: 1})
+    for seed in (np.random.Generator(np.random.MT19937(0)), np.random.default_rng(0), np.random.Philox(0)):
+        st = rwgm_init(t, seed)
+        assert sorted(rwgm_serve(st, 1)[0] for _ in range(2)) == [1, 2]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    tree_seed=strat.integers(0, 2**32 - 1),
+    play_seed=strat.integers(0, 2**64 - 1),
+    height=strat.integers(1, 4),
+    n=strat.integers(1, 30),
+    policy=strat.sampled_from(POLICIES),
+)
+def test_serve_matches_the_generator_reference(tree_seed, play_seed, height, n, policy):
+    tree, inst = random_tree_instance(np.random.default_rng(tree_seed), height, n, lam=2.5)
+    got = rwgm_init(tree, play_seed, policy=policy)
+    want = reference_rwgm_init(tree, play_seed, policy=policy)
+    for r in inst.requests:
+        leaf = tree.point_leaf[r]
+        assert rwgm_serve(got, leaf) == reference_rwgm_serve(want, leaf)
+        assert got.green == want.green
+        assert got.remaining == want.remaining
+        assert got.subtree_remaining == want.subtree_remaining
 
 
 def test_serve_self_match_costs_zero():
