@@ -23,12 +23,10 @@ from .harness import (
 from .hst import (
     EmbeddingParams,
     HstTree,
-    RawTree,
     attach_servers,
     frt_embed,
     lambda_for_n,
     leaf_counts,
-    normalize_hst,
     tree_distance,
     tree_to_dict,
     validate_hst,

@@ -80,7 +80,7 @@ def _cmd_embed(args) -> int:
     inst = load_instance(args.instance)
     sub, mapping = submetric_of_servers(inst)
     lam = args.lam if args.lam is not None else lambda_for_n(inst.n)
-    tree = frt_embed(sub, EmbeddingParams(lam=lam, seed=args.seed, n=inst.n))
+    tree = frt_embed(sub, EmbeddingParams(lam=lam, seed=args.seed))
     tree = attach_servers(tree, inst, mapping)
     dump = tree_to_dict(tree)
     if args.dump_tree:

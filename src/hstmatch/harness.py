@@ -116,7 +116,6 @@ class PipelineSetup:
     stock: tuple  # (submetric point, its server instances) pairs, highest point first
     requests: np.ndarray  # the request points, for one cost gather per episode
     lam: float
-    opt: float
 
 
 def pipeline_setup(inst: Instance) -> PipelineSetup:
@@ -132,7 +131,6 @@ def pipeline_setup(inst: Instance) -> PipelineSetup:
         stock=tuple((mapping[p], [p] * servers[p]) for p in sorted(servers, reverse=True)),
         requests=np.asarray(inst.requests),
         lam=lambda_for_n(inst.n),
-        opt=optimal_matching(inst).cost,
     )
 
 
@@ -159,7 +157,7 @@ def run_episode(
     """
     inst = setup.inst
     dist = inst.metric.dist
-    tree = frt_embed(setup.sub, EmbeddingParams(lam=setup.lam, seed=embed_seed, n=inst.n))
+    tree = frt_embed(setup.sub, EmbeddingParams(lam=setup.lam, seed=embed_seed))
     tree = attach_servers(tree, inst, setup.mapping)
     state = rwgm_init(tree, play_seed, policy=_TREE_POLICY[algorithm])
     point_leaf = tree.point_leaf
@@ -193,14 +191,10 @@ def run_episode(
             if inner_cost > tree_cost * (1.0 + 1e-12) + tol:
                 raise AssertionError(f"request {i}: tree cost fails to dominate the metric cost")
 
-    total = 0.0  # summed left to right, as MatchingTrace.append does
-    for cost in costs:
-        total += cost
     trace = MatchingTrace(
         algorithm=algorithm,
         seed=int(play_seed),
         decisions=list(zip(inst.requests, served, costs)),
-        total_cost=total,
     )
     return EpisodeResult(trace=trace, moves=moves)
 
@@ -227,19 +221,19 @@ def run_algorithm(
     _check_algorithms([tag])
     if episodes < 1:
         raise ValueError("episodes must be a positive integer")
+    om = optimal_matching(inst)
 
     if tag == "greedy":
         trace = run_greedy(inst)
-        opt = optimal_matching(inst).cost
-        return _make_report("greedy", [trace.total_cost], opt, master_seed), [trace]
+        return _make_report("greedy", [trace.total_cost], om.cost, master_seed), [trace]
 
     if tag == "optimal":
-        om = optimal_matching(inst)
-        trace = MatchingTrace(algorithm="optimal", seed=None)
+        decisions = []
         for srv_idx, req_idx in om.pairs:
             r = inst.requests[req_idx]
             s = inst.servers[srv_idx]
-            trace.append(r, s, float(inst.metric.dist[r, s]))
+            decisions.append((r, s, float(inst.metric.dist[r, s])))
+        trace = MatchingTrace(algorithm="optimal", seed=None, decisions=decisions)
         return _make_report("optimal", [trace.total_cost], om.cost, master_seed), [trace]
 
     setup = pipeline_setup(inst)
@@ -255,7 +249,7 @@ def run_algorithm(
         )
         costs.append(result.trace.total_cost)
         traces.append(result.trace)
-    return _make_report(tag, costs, setup.opt, master_seed), traces
+    return _make_report(tag, costs, om.cost, master_seed), traces
 
 
 def sweep(

@@ -51,9 +51,7 @@ __all__ = [
     "lambda_for_n",
     "EmbeddingParams",
     "HstTree",
-    "RawTree",
     "tree_distance",
-    "normalize_hst",
     "validate_hst",
     "frt_embed",
     "attach_servers",
@@ -78,11 +76,10 @@ def lambda_for_n(n: int) -> float:
 
 @dataclass(frozen=True)
 class EmbeddingParams:
-    """Knobs of one embedding draw. ``n`` records the game size for reports."""
+    """Knobs of one embedding draw."""
 
     lam: float
     seed: int
-    n: int = 0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lam) and self.lam > 1.0):
@@ -123,9 +120,6 @@ class HstTree:
     def is_leaf(self, v: int) -> bool:
         return not self.children[v]
 
-    def total_multiplicity(self) -> int:
-        return sum(self.leaf_multiplicity.values())
-
     @cached_property
     def level_distance(self) -> tuple:
         """Metric-unit distance between two leaves whose paths meet at level L, indexed by L.
@@ -153,125 +147,6 @@ def tree_distance(t: HstTree, leaf_a: int, leaf_b: int) -> float:
         b = t.parent[b]
         meet += 1
     return t.level_distance[meet]
-
-
-@dataclass
-class RawTree:
-    """Rooted tree with explicit integer levels, prior to normalization.
-
-    Children must sit exactly one level below their parent; childless nodes
-    may end at any level and carry a point in ``leaf_point``.
-    """
-
-    parent: list
-    level: list
-    leaf_point: dict
-    lam: float
-    scale: float = 1.0
-
-
-def _raw_children(raw: RawTree) -> tuple[int, list]:
-    n = len(raw.parent)
-    if len(raw.level) != n:
-        raise ValueError("parent and level arrays disagree in length")
-    roots = [v for v, p in enumerate(raw.parent) if p is None]
-    if len(roots) != 1:
-        raise ValueError(f"tree must have exactly one root, found {len(roots)}")
-    children: list = [[] for _ in range(n)]
-    for v, p in enumerate(raw.parent):
-        if p is None:
-            continue
-        if not (0 <= p < n) or p == v:
-            raise ValueError(f"node {v} has invalid parent {p}")
-        children[p].append(v)
-    root = roots[0]
-    # Reachability from the root detects both cycles and disconnected parts.
-    seen = [False] * n
-    stack = [root]
-    seen[root] = True
-    count = 1
-    while stack:
-        u = stack.pop()
-        for c in children[u]:
-            if seen[c]:
-                raise ValueError("cyclic parent links")
-            seen[c] = True
-            count += 1
-            stack.append(c)
-    if count != n:
-        raise ValueError("tree is disconnected or cyclic")
-    return root, children
-
-
-def normalize_hst(raw: RawTree) -> HstTree:
-    """Bring a raw tree to uniform leaf depth by inserting dummy chains.
-
-    Each childless node above level 0 is extended downward with a chain of
-    single-child dummies; its point moves to the new bottom leaf, so source
-    leaf identities are preserved and pairwise distances grow by exactly the
-    inserted edge weights. A lone node becomes a height-1 tree with a dummy
-    root. The output is renumbered breadth-first from the root.
-    """
-    root, children = _raw_children(raw)
-    parent = list(raw.parent)
-    level = list(raw.level)
-    leaf_point = dict(raw.leaf_point)
-
-    for v, kids in enumerate(children):
-        for c in kids:
-            if level[c] != level[v] - 1:
-                raise ValueError(
-                    f"child {c} at level {level[c]} under parent {v} at level {level[v]}"
-                )
-        if kids and v in leaf_point:
-            raise ValueError(f"internal node {v} carries a point")
-        if not kids and v not in leaf_point:
-            raise ValueError(f"leaf node {v} carries no point")
-    if min(level) < 0:
-        raise ValueError("negative node level")
-
-    if not children[root]:
-        new_root = len(parent)
-        parent.append(None)
-        level.append(level[root] + 1)
-        children.append([root])
-        parent[root] = new_root
-        root = new_root
-
-    for v in [u for u in range(len(parent)) if not children[u]]:
-        cur = v
-        while level[cur] > 0:
-            w = len(parent)
-            parent.append(cur)
-            level.append(level[cur] - 1)
-            children.append([])
-            children[cur].append(w)
-            cur = w
-        if cur != v:
-            leaf_point[cur] = leaf_point.pop(v)
-
-    # Renumber breadth-first so parents always precede children.
-    order = [root]
-    for u in order:
-        order.extend(children[u])
-    new_id = {old: i for i, old in enumerate(order)}
-    n = len(order)
-    new_parent = tuple(None if parent[old] is None else new_id[parent[old]] for old in order)
-    new_level = tuple(level[old] for old in order)
-    new_children = tuple(tuple(new_id[c] for c in children[old]) for old in order)
-    new_leaf_point = {new_id[old]: pt for old, pt in leaf_point.items()}
-
-    return HstTree(
-        lam=raw.lam,
-        scale=raw.scale,
-        height=level[root],
-        parent=new_parent,
-        children=new_children,
-        level=new_level,
-        leaf_point=new_leaf_point,
-        point_leaf={pt: leaf for leaf, pt in new_leaf_point.items()},
-        leaf_multiplicity={new_id[old]: 0 for old in leaf_point},
-    )
 
 
 def validate_hst(t: HstTree) -> None:

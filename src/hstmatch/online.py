@@ -9,7 +9,7 @@ for comparison only and carries no bound claims.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,12 +37,19 @@ class MatchingTrace:
 
     algorithm: str
     seed: int | None
-    decisions: list = field(default_factory=list)
-    total_cost: float = 0.0
+    decisions: list
 
-    def append(self, request: int, server: int, cost: float) -> None:
-        self.decisions.append((request, server, cost))
-        self.total_cost += cost
+    @property
+    def total_cost(self) -> float:
+        """The decision costs added left to right from 0.0.
+
+        Not ``sum()``: from Python 3.12 it compensates float rounding, which
+        would change the reported bytes.
+        """
+        total = 0.0
+        for _, _, cost in self.decisions:
+            total += cost
+        return total
 
 
 # 64-bit outputs pulled from the bit generator each time a state's 32-bit
@@ -55,27 +62,26 @@ _RAW_BLOCK = 64
 class RwgmState:
     """Mutable single-episode state for the tree matcher.
 
-    ``remaining`` counts unassigned servers per leaf, ``subtree_remaining``
-    aggregates them per node, and ``green`` flags nodes whose subtree still
-    holds one. The descent draws come from a 32-bit stream read off a PCG64
-    bit generator, the low half of each 64-bit output first, as numpy's
-    ``next_uint32`` splits them. One state serves one request sequence;
-    episodes that run concurrently need their own states and random streams.
+    ``subtree_remaining`` counts the unassigned servers in each node's
+    subtree, so a leaf's entry is its own count and a node is green exactly
+    when its entry is positive. The descent draws come from a 32-bit stream
+    read off a PCG64 bit generator, the low half of each 64-bit output
+    first, as numpy's ``next_uint32`` splits them. One state serves one
+    request sequence; episodes that run concurrently need their own states
+    and random streams.
     """
 
-    __slots__ = ("tree", "remaining", "subtree_remaining", "green", "policy", "bits", "u32")
+    __slots__ = ("tree", "subtree_remaining", "policy", "bits", "u32")
 
     def __init__(self, tree: HstTree, bits: np.random.PCG64, policy: str) -> None:
         n = len(tree.parent)
         self.tree = tree
-        self.remaining = [0] * n
+        counts = [0] * n
         for leaf, m in tree.leaf_multiplicity.items():
-            self.remaining[leaf] = int(m)
-        counts = list(self.remaining)
+            counts[leaf] = int(m)
         for v in range(n - 1, 0, -1):  # breadth-first numbering: parents precede children
             counts[tree.parent[v]] += counts[v]
         self.subtree_remaining = counts
-        self.green = [c > 0 for c in counts]
         self.policy = policy
         self.bits = bits
         self.u32 = iter(())
@@ -135,16 +141,15 @@ def pick_a_leaf(state: RwgmState, u: int) -> int:
     proportional policy children are weighted by their unassigned-server
     counts, which sum to the node's own count.
     """
-    if not state.green[u]:
+    counts = state.subtree_remaining
+    if not counts[u]:
         raise ValueError(f"node {u} is not green")
     children = state.tree.children
     if state.policy == "uniform":
-        green = state.green
         while children[u]:
-            kids = [c for c in children[u] if green[c]]
+            kids = [c for c in children[u] if counts[c]]
             u = kids[_below(state, len(kids))]
     else:
-        counts = state.subtree_remaining
         while children[u]:
             r = _below(state, counts[u])
             for c in children[u]:
@@ -158,30 +163,26 @@ def pick_a_leaf(state: RwgmState, u: int) -> int:
 def rwgm_serve(state: RwgmState, request_leaf: int):
     """Serve one request at a leaf; return (server leaf, metric-unit cost).
 
-    The chosen leaf's multiplicity drops by one and green flags along its
-    root path are refreshed. Raises when the request is not a leaf of the
-    tree or when every server has been assigned. The lowest green ancestor
-    the climb stops at is the meet of the request and the chosen leaf, since
-    descent only enters green children, so its level gives the cost.
+    The unassigned-server count of the chosen leaf and of every ancestor
+    drops by one. Raises when the request is not a leaf of the tree or when
+    every server has been assigned. The lowest green ancestor the climb
+    stops at is the meet of the request and the chosen leaf, since descent
+    only enters green children, so its level gives the cost.
     """
     tree = state.tree
     parent = tree.parent
     if not 0 <= request_leaf < len(parent) or tree.children[request_leaf]:
         raise ValueError(f"request node {request_leaf} is not a leaf of the tree")
-    green = state.green
+    counts = state.subtree_remaining
     v = request_leaf
-    while v is not None and not green[v]:
+    while v is not None and not counts[v]:
         v = parent[v]
     if v is None:
         raise RuntimeError("all servers have been assigned")
     chosen = v if v == request_leaf else pick_a_leaf(state, v)  # a green leaf serves itself
-    state.remaining[chosen] -= 1
-    counts = state.subtree_remaining
     w = chosen
     while w is not None:
         counts[w] -= 1
-        if not counts[w]:
-            green[w] = False
         w = parent[w]
     return chosen, tree.level_distance[tree.level[v]]
 
@@ -223,8 +224,5 @@ def run_greedy(inst: Instance) -> MatchingTrace:
     remaining: dict = {}
     for s in inst.servers:
         remaining[s] = remaining.get(s, 0) + 1
-    trace = MatchingTrace(algorithm="greedy", seed=None)
-    for r in inst.requests:
-        server, cost = greedy_serve(inst, remaining, r)
-        trace.append(r, server, cost)
-    return trace
+    decisions = [(r, *greedy_serve(inst, remaining, r)) for r in inst.requests]
+    return MatchingTrace(algorithm="greedy", seed=None, decisions=decisions)

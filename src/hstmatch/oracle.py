@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Mapping
 
 import numpy as np
@@ -139,24 +140,19 @@ def _check_profile_tree(profile: TurningPointProfile, t: HstTree) -> None:
         raise ValueError("profile was computed for a different tree")
 
 
-def hst_cost_from_tau(profile: TurningPointProfile, t: HstTree) -> float:
-    """Optimal matching cost on the tree: sum of tau(u) times the leaf distance meeting at u."""
-    _check_profile_tree(profile, t)
+def _tau_sum(profile: TurningPointProfile, table) -> float:
+    """sum of tau(u) * table[height(u)] over the turning points, added in node order."""
     total = 0.0
     for u, tau in profile.tau.items():
         if tau:
-            total += tau * t.level_distance[profile.heights[u]]
+            total += tau * table[profile.heights[u]]
     return total
 
 
-def _power_prefix(base: float, height: int) -> list:
-    """Prefix sums of base**i for i = 1..height; index by height."""
-    out = [0.0]
-    acc = 0.0
-    for i in range(1, height + 1):
-        acc += base**i
-        out.append(acc)
-    return out
+def hst_cost_from_tau(profile: TurningPointProfile, t: HstTree) -> float:
+    """Optimal matching cost on the tree: sum of tau(u) times the leaf distance meeting at u."""
+    _check_profile_tree(profile, t)
+    return _tau_sum(profile, t.level_distance)
 
 
 @dataclass(frozen=True)
@@ -173,12 +169,7 @@ class BoundParams:
 
     @classmethod
     def for_height(cls, lam: float, n: int, height: int) -> "BoundParams":
-        coeffs = []
-        acc = 0.0
-        for t in range(1, height + 1):
-            acc += 0.5**t
-            coeffs.append(acc)
-        return cls(lam=lam, n=n, c=tuple(coeffs))
+        return cls(lam=lam, n=n, c=tuple(accumulate(0.5**t for t in range(1, height + 1))))
 
 
 def bound_rwgm_hst(profile: TurningPointProfile, params: BoundParams) -> float:
@@ -188,16 +179,8 @@ def bound_rwgm_hst(profile: TurningPointProfile, params: BoundParams) -> float:
     max_h = max((profile.heights[u] for u, tau in profile.tau.items() if tau), default=0)
     if max_h > len(params.c):
         raise ValueError(f"need coefficients up to height {max_h}, got {len(params.c)}")
-    prefix = [0.0]
-    acc = 0.0
-    for i in range(1, max_h + 1):
-        acc += params.c[i - 1] * params.lam**i
-        prefix.append(acc)
-    total = 0.0
-    for u, tau in profile.tau.items():
-        if tau:
-            total += tau * prefix[profile.heights[u]]
-    return profile.scale * 2.0 * total
+    prefix = list(accumulate((params.c[i - 1] * params.lam**i for i in range(1, max_h + 1)), initial=0.0))
+    return profile.scale * 2.0 * _tau_sum(profile, prefix)
 
 
 def expected_moves_bound(profile: TurningPointProfile, n: int) -> float:
@@ -211,9 +194,5 @@ def expected_moves_bound(profile: TurningPointProfile, n: int) -> float:
         raise ValueError("n must be a positive integer")
     base = 1.0 + math.log(n)
     max_h = max((profile.heights[u] for u, tau in profile.tau.items() if tau), default=0)
-    prefix = _power_prefix(base, max_h)
-    total = 0.0
-    for u, tau in profile.tau.items():
-        if tau:
-            total += tau * prefix[profile.heights[u]]
-    return total
+    prefix = list(accumulate((base**i for i in range(1, max_h + 1)), initial=0.0))
+    return _tau_sum(profile, prefix)

@@ -6,15 +6,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hstmatch.hst as hst
-from helpers import height1_tree, random_tree, reference_frt_embed, reference_zero_distance_classes
+from helpers import (
+    RawTree,
+    height1_tree,
+    normalize_hst,
+    random_tree,
+    reference_frt_embed,
+    reference_zero_distance_classes,
+)
 from hstmatch.generators import euclidean_metric, line_metric, uniform_metric
 from hstmatch.hst import (
     EmbeddingParams,
-    RawTree,
     attach_servers,
     frt_embed,
     lambda_for_n,
-    normalize_hst,
     tree_distance,
     tree_to_dict,
     validate_hst,
@@ -316,7 +321,7 @@ def test_attach_servers_counts():
     assert t.leaf_multiplicity[t.point_leaf[0]] == 2
     assert t.leaf_multiplicity[t.point_leaf[1]] == 1
     assert t.leaf_multiplicity[t.point_leaf[2]] == 0
-    assert t.total_multiplicity() == 3
+    assert sum(t.leaf_multiplicity.values()) == 3
 
 
 def test_attach_servers_all_on_one_leaf():

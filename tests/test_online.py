@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as strat
 
 from helpers import (
+    RawTree,
     height1_tree,
+    normalize_hst,
     play_on_tree,
     random_tree,
     random_tree_instance,
@@ -17,10 +19,11 @@ from helpers import (
 )
 from hstmatch.generators import line_metric, star_metric, uniform_metric
 from hstmatch.harness import derive_seed, pipeline_setup, run_episode
-from hstmatch.hst import RawTree, normalize_hst, tree_distance
+from hstmatch.hst import tree_distance
 from hstmatch.metric import Instance
 from hstmatch.online import (
     POLICIES,
+    MatchingTrace,
     _below,
     discretize_all,
     greedy_serve,
@@ -31,18 +34,24 @@ from hstmatch.online import (
 )
 
 
+def green(state) -> list:
+    """A node is green exactly when its subtree still holds an unassigned server."""
+    return [c > 0 for c in state.subtree_remaining]
+
+
 def test_init_green_sets():
     t = with_multiplicity(height1_tree(1), {0: 3})
     st = rwgm_init(t, 0)
-    assert st.green[t.point_leaf[0]] and st.green[t.root]
+    assert green(st)[t.point_leaf[0]] and green(st)[t.root]
+    assert st.subtree_remaining[t.point_leaf[0]] == st.subtree_remaining[t.root] == 3
 
     t = with_multiplicity(height1_tree(2), {0: 1, 1: 0})
     st = rwgm_init(t, 0)
-    assert st.green[t.point_leaf[0]] and not st.green[t.point_leaf[1]] and st.green[t.root]
+    assert green(st)[t.point_leaf[0]] and not green(st)[t.point_leaf[1]] and green(st)[t.root]
 
     t = with_multiplicity(height1_tree(3), {0: 1, 1: 2, 2: 1})
     st = rwgm_init(t, 0)
-    assert all(st.green)
+    assert all(green(st))
 
 
 def test_init_rejects_empty_tree_and_bad_policy():
@@ -94,8 +103,9 @@ def test_serve_matches_the_generator_reference(tree_seed, play_seed, height, n, 
     for r in inst.requests:
         leaf = tree.point_leaf[r]
         assert rwgm_serve(got, leaf) == reference_rwgm_serve(want, leaf)
-        assert got.green == want.green
-        assert got.remaining == want.remaining
+        assert green(got) == want.green
+        leaf_counts = [got.subtree_remaining[v] if tree.is_leaf(v) else 0 for v in range(tree.n_nodes)]
+        assert leaf_counts == want.remaining
         assert got.subtree_remaining == want.subtree_remaining
 
 
@@ -223,8 +233,8 @@ def test_green_invariant_after_every_serve():
         st = rwgm_init(tree, rng)
         for r in inst.requests:
             rwgm_serve(st, tree.point_leaf[r])
-            assert st.green == recompute_green(st)
-        assert sum(st.remaining) == 0
+            assert green(st) == recompute_green(st)
+        assert st.subtree_remaining[tree.root] == 0
 
 
 def test_each_serve_is_tree_greedy():
@@ -238,7 +248,7 @@ def test_each_serve_is_tree_greedy():
                 best = min(
                     tree_distance(tree, req_leaf, leaf)
                     for leaf in tree.leaves
-                    if st.remaining[leaf] > 0
+                    if st.subtree_remaining[leaf] > 0
                 )
                 chosen, cost = rwgm_serve(st, req_leaf)
                 assert cost == pytest.approx(best, rel=1e-12, abs=1e-12)
@@ -336,6 +346,15 @@ def test_greedy_zero_cost_on_own_server():
     m = uniform_metric(3)
     inst = Instance(metric=m, servers=(1, 2), requests=(2, 0))
     assert run_greedy(inst).decisions[0] == (2, 2, 0.0)
+
+
+def test_total_cost_adds_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16, so the plain float sum loses the 1.0
+    # that math.fsum (and sum() from Python 3.12) keeps; reports use the plain sum.
+    for costs, total in (([1e16, 1.0, -1e16], 0.0), ([1e16, 1.0, -1e16, 0.5], 0.5)):
+        trace = MatchingTrace(algorithm="rwgm", seed=0, decisions=[(0, 0, c) for c in costs])
+        assert trace.total_cost == total
+        assert math.fsum(costs) == total + 1.0
 
 
 @pytest.mark.parametrize("k", [2, 4, 8, 16])

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_force_cost, height1_tree, random_tree_instance, with_multiplicity
+from helpers import RawTree, brute_force_cost, height1_tree, normalize_hst, random_tree_instance, with_multiplicity
 from hstmatch.generators import GeneratorSpec, generate_instance, line_metric, uniform_metric
-from hstmatch.hst import RawTree, leaf_counts, normalize_hst, tree_distance
+from hstmatch.hst import leaf_counts, tree_distance
 from hstmatch.metric import FiniteMetric, Instance
 from hstmatch.online import discretize_all
 from hstmatch.oracle import (
