@@ -7,11 +7,12 @@ Euclidean point clouds, and random points on a line.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import FiniteMetric, Instance, ensure_valid_metric
+from .metric import FiniteMetric, Instance, _mark_validated, ensure_valid_metric
 
 __all__ = [
     "FAMILIES",
@@ -24,6 +25,14 @@ __all__ = [
 ]
 
 FAMILIES = ("star", "nested-uniform", "euclidean", "line")
+
+# The Euclidean matrix is built a block of rows at a time, with at most this
+# many coordinate differences (8 MiB of floats) alive at once.
+_CHUNK_ENTRIES = 1 << 20
+# A nonzero coordinate difference at least this large has a normal square, so
+# every Euclidean distance is within a few ulps of exact; the triangle
+# inequality then holds far inside TRIANGLE_SLACK.
+_MIN_SAFE_GAP = 2.0**-511
 
 
 @dataclass(frozen=True)
@@ -43,8 +52,12 @@ class GeneratorSpec:
             raise ValueError("n must be a positive integer")
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        if not self.coord_range > 0:
-            raise ValueError("coord_range must be positive")
+        if not (math.isfinite(self.coord_range) and self.coord_range > 0):
+            raise ValueError(f"coord_range must be finite and positive, got {self.coord_range}")
+
+
+# The constructors below build metrics that are valid by construction, so they
+# skip the cubic check; tests/test_metric.py proves it by property test.
 
 
 def star_metric(k: int) -> FiniteMetric:
@@ -56,7 +69,7 @@ def star_metric(k: int) -> FiniteMetric:
     d[:, 0] = 1.0
     np.fill_diagonal(d, 0.0)
     labels = ("center",) + tuple(f"leaf{i}" for i in range(1, k + 1))
-    return ensure_valid_metric(FiniteMetric(points=labels, dist=d))
+    return _mark_validated(FiniteMetric(points=labels, dist=d))
 
 
 def uniform_metric(u: int) -> FiniteMetric:
@@ -64,16 +77,29 @@ def uniform_metric(u: int) -> FiniteMetric:
     if u < 1:
         raise ValueError("need at least one point")
     d = np.ones((u, u)) - np.eye(u)
-    return ensure_valid_metric(FiniteMetric.from_matrix(d))
+    return _mark_validated(FiniteMetric.from_matrix(d))
 
 
 def euclidean_metric(coords) -> FiniteMetric:
-    """Pairwise Euclidean distances of a (n, dim) coordinate array."""
+    """Pairwise Euclidean distances of a (n, dim) coordinate array.
+
+    Coordinates so close in some dimension that the square of their
+    difference underflows lose the accuracy the construction relies on;
+    only then is the metric checked exactly.
+    """
     pts = np.atleast_2d(np.asarray(coords, dtype=float))
-    diff = pts[:, None, :] - pts[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=-1))
+    n, dim = pts.shape
+    d = np.empty((n, n))
+    step = max(1, _CHUNK_ENTRIES // max(1, n * dim))
+    for lo in range(0, n, step):
+        diff = pts[lo : lo + step, None, :] - pts[None, :, :]
+        d[lo : lo + step] = np.sqrt((diff * diff).sum(axis=-1))
     np.fill_diagonal(d, 0.0)
-    return ensure_valid_metric(FiniteMetric.from_matrix(d))
+    metric = FiniteMetric.from_matrix(d)
+    gaps = np.diff(np.sort(pts, axis=0), axis=0)
+    if (gaps[gaps > 0] >= _MIN_SAFE_GAP).all():
+        return _mark_validated(metric)
+    return ensure_valid_metric(metric)
 
 
 def line_metric(coords) -> FiniteMetric:
@@ -81,7 +107,7 @@ def line_metric(coords) -> FiniteMetric:
     xs = np.asarray(coords, dtype=float).ravel()
     d = np.abs(xs[:, None] - xs[None, :])
     labels = tuple(repr(float(x)) for x in xs)
-    return ensure_valid_metric(FiniteMetric(points=labels, dist=d))
+    return _mark_validated(FiniteMetric(points=labels, dist=d))
 
 
 def generate_instance(spec: GeneratorSpec) -> Instance:

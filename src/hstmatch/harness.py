@@ -267,6 +267,8 @@ def sweep(
     _check_algorithms(algorithms)
     if not sizes:
         raise ValueError("sizes must be nonempty")
+    if not algorithms:
+        raise ValueError("algorithms must be nonempty")
     rows = []
     for si, n in enumerate(sizes):
         spec = GeneratorSpec(

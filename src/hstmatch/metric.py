@@ -133,8 +133,14 @@ def validate_metric(m) -> MetricViolation | None:
                     (int(i), int(j), k),
                     f"dist[{i}][{j}] = {d[i, j]} > dist[{i}][{k}] + dist[{k}][{j}] = {d[i, k] + d[k, j]}",
                 )
-    object.__setattr__(metric, "_validated", True)
+    _mark_validated(metric)
     return None
+
+
+def _mark_validated(m: FiniteMetric) -> FiniteMetric:
+    """Record that m is known to satisfy the metric axioms; ensure_valid_metric then skips it."""
+    object.__setattr__(m, "_validated", True)
+    return m
 
 
 def ensure_valid_metric(m: FiniteMetric) -> FiniteMetric:
@@ -191,7 +197,7 @@ def submetric_of_servers(inst: Instance) -> tuple[FiniteMetric, dict[int, int]]:
     )
     if getattr(inst.metric, "_validated", False):
         # A restriction of a valid metric is valid.
-        object.__setattr__(sub, "_validated", True)
+        _mark_validated(sub)
     mapping = {p: i for i, p in enumerate(pts)}
     return sub, mapping
 
@@ -205,8 +211,19 @@ def instance_to_dict(inst: Instance) -> dict:
     }
 
 
+def _check_numeric_rows(dist) -> None:
+    """Reject JSON strings, booleans and nulls in a distance matrix, which numpy would coerce."""
+    if not isinstance(dist, list):
+        return
+    for i, row in enumerate(dist):
+        if isinstance(row, list) and not set(map(type, row)) <= {float, int}:
+            j, entry = next((j, x) for j, x in enumerate(row) if type(x) not in (float, int))
+            raise ValueError(f"dist[{i}][{j}] = {entry!r} is not a number")
+
+
 def instance_from_dict(data: dict) -> Instance:
     try:
+        _check_numeric_rows(data["dist"])
         metric = FiniteMetric(points=tuple(data["points"]), dist=data["dist"])
         return Instance(metric=metric, servers=tuple(data["servers"]), requests=tuple(data["requests"]))
     except KeyError as missing:

@@ -7,7 +7,11 @@ Carlo suite tests the randomized matcher against.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -63,6 +67,51 @@ class OptimalMatching:
     cost: float
 
 
+_LSAP = "scipy.optimize._lsap"
+
+
+@lru_cache(maxsize=None)
+def _linear_sum_assignment():
+    """scipy's assignment solver, loaded once per process.
+
+    Importing scipy.optimize takes most of a short run's wall time, so the
+    solver's compiled extension is loaded on its own, without running
+    scipy/optimize/__init__.py. This depends on scipy's private layout: the
+    public scipy.optimize.linear_sum_assignment is the function of the
+    extension module scipy.optimize._lsap. Whenever that file is missing or
+    will not load, the public import is used instead; that fallback is what
+    keeps the result correct on any other layout.
+    """
+    try:
+        return _load_lsap().linear_sum_assignment
+    except (ImportError, OSError, AttributeError):
+        from scipy.optimize import linear_sum_assignment
+
+        return linear_sum_assignment
+
+
+def _load_lsap():
+    """Load scipy.optimize._lsap from its file, leaving sys.modules as it was."""
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(scipy_dir, "optimize", "_lsap" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"no compiled {_LSAP} in {scipy_dir}")
+    loader = importlib.machinery.ExtensionFileLoader(_LSAP, path)
+    registered = _LSAP in sys.modules
+    try:
+        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_LSAP, loader))
+        loader.exec_module(module)
+    finally:
+        # Loading a single-phase extension registers it without its package;
+        # dropping the entry lets a later `import scipy.optimize` load it as usual.
+        if not registered:
+            sys.modules.pop(_LSAP, None)
+    return module
+
+
 def optimal_matching(inst: Instance) -> OptimalMatching:
     """Exact minimum-cost matching of server instances to requests.
 
@@ -70,16 +119,12 @@ def optimal_matching(inst: Instance) -> OptimalMatching:
     distance matrix is solved exactly; the cost is the offline optimum used
     as the competitive-ratio denominator.
     """
-    # Imported here: loading scipy.optimize costs most of the package's import
-    # time, and only the runs that need an optimum should pay it.
-    from scipy.optimize import linear_sum_assignment
-
     if len(inst.servers) != len(inst.requests):
         raise ValueError("server and request multisets must have equal size")
     srv = np.asarray(inst.servers, dtype=int)
     req = np.asarray(inst.requests, dtype=int)
     cost = inst.metric.dist[np.ix_(srv, req)]
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = _linear_sum_assignment()(cost)
     order = np.argsort(cols)
     pairs = tuple((int(rows[i]), int(cols[i])) for i in order)
     return OptimalMatching(pairs=pairs, cost=float(cost[rows, cols].sum()))

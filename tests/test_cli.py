@@ -144,11 +144,67 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
+def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
     src = Path(hstmatch.__file__).resolve().parents[1]
     code = "import sys, hstmatch.cli; sys.exit('scipy.optimize' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr.decode()
+    # Runs and sweeps that solve for the optimum load only the solver.
+    inst_path = tmp_path / "inst.json"
+    run_cli("generate", "--family", "euclidean", "--n", 6, "--seed", 4, "-o", inst_path)
+    commands = [
+        ["run", "--instance", inst_path, "--algorithm", "rwgm", "--episodes", 3, "-o", tmp_path / "trace.csv"],
+        ["sweep", "--family", "line", "--sizes", "3,5", "--algorithms", "rwgm,greedy,optimal",
+         "--episodes", 3, "-o", tmp_path / "sweep.csv"],
+    ]
+    code = (
+        "import sys, hstmatch.cli; code = hstmatch.cli.main(sys.argv[1:]); "
+        "sys.exit(code or 10 * ('scipy.optimize' in sys.modules))"
+    )
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *map(str, argv)], cwd=src, capture_output=True, timeout=60
+        )
+        assert proc.returncode == 0, (argv[0], proc.returncode, proc.stderr.decode())
+    assert (tmp_path / "trace.csv").exists() and (tmp_path / "sweep.csv").exists()
+
+
+def one_error_line(capsys) -> str:
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1
+    return json.loads(lines[0])["error"]
+
+
+@pytest.mark.parametrize("entry", ["1", True, None])
+def test_run_rejects_non_numeric_distances(tmp_path, capsys, entry):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(
+        {"points": ["a", "b"], "dist": [[0.0, entry], [1.0, 0.0]], "servers": [0], "requests": [1]}
+    ))
+    report = tmp_path / "report.json"
+    assert run_cli("run", "--instance", inst_path, "--algorithm", "optimal", "--report", report) == 1
+    assert one_error_line(capsys) == f"ValueError: dist[0][1] = {entry!r} is not a number"
+    assert not report.exists()
+
+
+def test_generate_rejects_infinite_coord_range(tmp_path, capsys):
+    out = tmp_path / "inst.json"
+    code = run_cli("generate", "--family", "line", "--n", 4, "--coord-range", "inf", "-o", out)
+    assert code == 1
+    assert one_error_line(capsys) == "ValueError: coord_range must be finite and positive, got inf"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "sizes, algorithms, message",
+    [("4", "", "algorithms must be nonempty"), ("", "rwgm", "sizes must be nonempty")],
+)
+def test_sweep_rejects_empty_lists(tmp_path, capsys, sizes, algorithms, message):
+    out = tmp_path / "sweep.csv"
+    code = run_cli("sweep", "--family", "line", "--sizes", sizes, "--algorithms", algorithms, "-o", out)
+    assert code == 1
+    assert one_error_line(capsys) == f"ValueError: {message}"
+    assert not out.exists()
 
 
 def test_runtime_failure_emits_json_error_line(tmp_path, capsys):

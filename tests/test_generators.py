@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hstmatch.generators import FAMILIES, GeneratorSpec, generate_instance
+from hstmatch import generators
+from hstmatch.generators import FAMILIES, GeneratorSpec, euclidean_metric, generate_instance
 from hstmatch.metric import validate_metric
 from hstmatch.oracle import optimal_matching
 
@@ -13,6 +14,9 @@ def test_spec_validation():
         GeneratorSpec("star", 0, seed=0)
     with pytest.raises(ValueError):
         GeneratorSpec("euclidean", 4, seed=0, dim=0)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="coord_range must be finite and positive"):
+            GeneratorSpec("line", 4, seed=0, coord_range=bad)
 
 
 def test_star_instance_structure_and_opt():
@@ -60,3 +64,14 @@ def test_generation_is_deterministic_in_seed():
     assert np.array_equal(a.metric.dist, b.metric.dist)
     assert a.servers == b.servers and a.requests == b.requests
     assert not np.array_equal(a.metric.dist, c.metric.dist)
+
+
+@pytest.mark.parametrize("n, dim", [(1, 1), (2, 3), (17, 2), (40, 8), (33, 9), (25, 12), (9, 17)])
+def test_euclidean_rows_in_chunks_are_bit_exact(monkeypatch, n, dim):
+    pts = np.random.default_rng(n * dim).random((n, dim)) * 10.0 ** np.arange(-2, dim - 2)
+    diff = pts[:, None, :] - pts[None, :, :]
+    one_shot = np.sqrt((diff * diff).sum(axis=-1))
+    np.fill_diagonal(one_shot, 0.0)
+    for entries in (1, n * dim, 5 * n * dim, 1 << 20):
+        monkeypatch.setattr(generators, "_CHUNK_ENTRIES", entries)
+        assert np.array_equal(euclidean_metric(pts).dist, one_shot)

@@ -1,14 +1,18 @@
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hstmatch.generators import euclidean_metric, line_metric, star_metric, uniform_metric
 from hstmatch.metric import (
     FiniteMetric,
     Instance,
     MetricStructureError,
+    ensure_valid_metric,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -77,6 +81,74 @@ def test_generator_families_validate_up_to_256(size):
     assert validate_metric(line_metric(rng.uniform(0, 100, size))) is None
     if size <= 64:
         assert validate_metric(euclidean_metric(rng.random((size, 3)))) is None
+
+
+@st.composite
+def coordinate_arrays(draw, max_dim):
+    """n x dim coordinates with magnitudes from 1e-150 to 1e150, both signs, zeros and repeats."""
+    n = draw(st.integers(1, 128))
+    dim = draw(st.integers(1, max_dim))
+    magnitude = st.floats(1e-150, 1e150)
+    pool = draw(st.lists(st.just(0.0) | magnitude | magnitude.map(lambda x: -x), min_size=1, max_size=8))
+    low = draw(st.integers(-150, 149))
+    high = draw(st.integers(low, 149))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = rng.uniform(1.0, 10.0, (n, dim)) * 10.0 ** rng.integers(low, high + 1, (n, dim))
+    spread[rng.random((n, dim)) < 0.5] *= -1.0
+    repeated = rng.choice(np.asarray(pool), size=(n, dim))
+    return np.where(rng.random((n, dim)) < draw(st.sampled_from([0.0, 0.5, 1.0])), repeated, spread)
+
+
+def assert_trusted_and_valid(m):
+    assert m._validated  # so ensure_valid_metric will not check it again
+    assert validate_metric(m) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.integers(1, 128))
+def test_star_and_uniform_are_valid_by_construction(size):
+    assert_trusted_and_valid(star_metric(size))
+    assert_trusted_and_valid(uniform_metric(size))
+
+
+@settings(max_examples=60, deadline=None)
+@given(coords=coordinate_arrays(max_dim=1))
+def test_line_metric_is_valid_by_construction(coords):
+    assert_trusted_and_valid(line_metric(coords[:, 0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(coords=coordinate_arrays(max_dim=12))
+def test_euclidean_metric_is_valid_by_construction(coords):
+    try:
+        m = euclidean_metric(coords)
+    except ValueError as exc:
+        # Only where a squared difference underflows does the constructor run the exact check.
+        gaps = np.diff(np.sort(coords, axis=0), axis=0)
+        assert (gaps[gaps > 0] < 2.0**-511).any() and str(exc).startswith("invalid metric: ")
+        return
+    assert_trusted_and_valid(m)
+
+
+def test_generated_matrix_loaded_again_is_checked():
+    rng = np.random.default_rng(4)
+    m = euclidean_metric(rng.random((12, 3)))
+    assert m._validated
+    inst = Instance(metric=m, servers=(0, 1, 2, 3, 4, 5), requests=(6, 7, 8, 9, 10, 11))
+    loaded = instance_from_dict(json.loads(json.dumps(instance_to_dict(inst))))
+    assert np.array_equal(loaded.metric.dist, m.dist)
+    assert not loaded.metric._validated
+    sub, _ = submetric_of_servers(loaded)
+    assert not sub._validated  # the pipeline checks what it embeds
+    assert ensure_valid_metric(loaded.metric)._validated
+
+
+def test_euclidean_underflow_falls_back_to_the_exact_check():
+    # Squared gaps of 1e-162 round to zero while 2e-162 squared does not, so
+    # the computed distances 0, 0 and 2.2e-162 break the triangle inequality.
+    with pytest.raises(ValueError, match="invalid metric: dist\\[0\\]\\[2\\]"):
+        euclidean_metric([[0.0], [1e-162], [2e-162]])
+    assert euclidean_metric([[0.0], [1e-162]])._validated  # two points are a metric
 
 
 def test_metric_is_immutable():
@@ -162,6 +234,16 @@ def test_instance_rejects_non_integer_entries():
     inst = Instance(metric=m, servers=(np.int64(2), 0), requests=np.array([1, 2], dtype=np.int32))
     assert inst.servers == (2, 0) and inst.requests == (1, 2)
     assert all(type(p) is int for p in inst.servers + inst.requests)
+
+
+def test_instance_rejects_non_numeric_distances():
+    base = {"points": ["0", "1"], "servers": [0], "requests": [1]}
+    for bad in ("1", True, None, [1.0]):
+        dist = [[0.0, 1.0], [bad, 0.0]]
+        with pytest.raises(ValueError, match=f"^dist\\[1\\]\\[0\\] = {re.escape(repr(bad))} is not a number$"):
+            instance_from_dict({**base, "dist": dist})
+    inst = instance_from_dict({**base, "dist": [[0, 1], [1.0, 0]]})  # JSON integers are numbers
+    assert inst.metric.dist.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 def test_instance_json_missing_field():

@@ -1,12 +1,18 @@
+import importlib.machinery
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hstmatch
 from helpers import RawTree, brute_force_cost, height1_tree, normalize_hst, random_tree_instance, with_multiplicity
 from hstmatch.generators import GeneratorSpec, generate_instance, line_metric, uniform_metric
 from hstmatch.hst import leaf_counts, tree_distance
 from hstmatch.metric import FiniteMetric, Instance
+from hstmatch import oracle
 from hstmatch.online import discretize_all
 from hstmatch.oracle import (
     BoundParams,
@@ -196,3 +202,87 @@ def test_discretized_optimum_within_twice_opt():
         disc = Instance(metric=inst.metric, servers=inst.servers, requests=discretize_all(inst))
         opt_disc = optimal_matching(disc).cost
         assert opt_disc <= 2.0 * opt + 1e-9 * max(1.0, opt)
+
+
+def assignment_matrices():
+    """Random, tie-heavy integer, and repeated-server (duplicate row) cost matrices."""
+    rng = np.random.default_rng(2026)
+    mats = []
+    for n in (1, 2, 5, 40, 150):
+        mats.append(rng.random((n, n)))
+        mats.append(rng.integers(0, 3, (n, n)).astype(float))
+        points = rng.random((max(1, n // 3), n))
+        mats.append(points[rng.integers(0, len(points), n)])
+    return mats
+
+
+# Solves every matrix with the solver optimal_matching uses, before anything
+# imports scipy.optimize, then again through scipy.optimize imported afterwards.
+SOLVER_SCRIPT = """
+import sys
+import numpy as np
+from hstmatch.oracle import _linear_sum_assignment
+mats = np.load(sys.argv[1])
+solve = _linear_sum_assignment()
+assert not any(name.startswith("scipy.optimize") for name in sys.modules), "solver left scipy.optimize loaded"
+first = [solve(mats[k]) for k in mats.files]
+import scipy.optimize
+assert scipy.optimize._lsap.linear_sum_assignment is solve
+later = [scipy.optimize.linear_sum_assignment(mats[k]) for k in mats.files]
+np.savez(sys.argv[2], *[a for rows_cols in first + later for a in rows_cols])
+"""
+
+
+def test_loaded_solver_matches_public_scipy(tmp_path):
+    from scipy.optimize import linear_sum_assignment
+
+    mats = assignment_matrices()
+    np.savez(tmp_path / "mats.npz", *mats)
+    src = Path(hstmatch.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", SOLVER_SCRIPT, tmp_path / "mats.npz", tmp_path / "out.npz"],
+        cwd=src,
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    out = np.load(tmp_path / "out.npz")
+    arrays = [out[f"arr_{i}"] for i in range(len(out.files))]
+    first, later = arrays[: 2 * len(mats)], arrays[2 * len(mats) :]
+    for k, m in enumerate(mats):
+        rows, cols = linear_sum_assignment(m)
+        for solved in (first, later):
+            assert np.array_equal(solved[2 * k], rows) and np.array_equal(solved[2 * k + 1], cols)
+
+
+@pytest.mark.parametrize("failure", ["missing-file", "load-error"])
+def test_solver_falls_back_to_public_import(monkeypatch, failure):
+    import scipy.optimize
+
+    inst = generate_instance(GeneratorSpec("euclidean", 30, seed=8))
+    expected = optimal_matching(inst)
+    public = scipy.optimize.linear_sum_assignment
+    calls = []
+
+    def spy(cost):
+        calls.append(cost.shape)
+        return public(cost)
+
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", spy)
+    if failure == "missing-file":
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".no-such-suffix"])
+        with pytest.raises(ImportError):
+            oracle._load_lsap()
+    else:
+
+        def fail():
+            raise OSError("cannot load")
+
+        monkeypatch.setattr(oracle, "_load_lsap", fail)
+    oracle._linear_sum_assignment.cache_clear()
+    try:
+        assert oracle._linear_sum_assignment() is spy
+        assert optimal_matching(inst) == expected
+        assert calls == [(30, 30)]
+    finally:
+        oracle._linear_sum_assignment.cache_clear()
