@@ -27,9 +27,7 @@ from .hst import (
     frt_embed,
     lambda_for_n,
     leaf_counts,
-    tree_distance,
     tree_to_dict,
-    validate_hst,
 )
 from .metric import (
     FiniteMetric,
@@ -52,16 +50,13 @@ from .online import (
     rwgm_serve,
 )
 from .oracle import (
-    BoundParams,
     OptimalMatching,
     TurningPointProfile,
     bound_rwgm_hst,
     expected_moves_bound,
-    harmonic,
     hst_cost_from_tau,
     optimal_matching,
     turning_point_tau,
-    uniform_bound,
 )
 
 __version__ = "0.1.0"

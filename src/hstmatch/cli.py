@@ -14,14 +14,15 @@ from pathlib import Path
 from .generators import FAMILIES, GeneratorSpec, generate_instance
 from .harness import (
     ALGORITHMS,
+    pipeline_setup,
     report_to_dict,
     run_algorithm,
     sweep,
     sweep_csv,
     trace_csv,
 )
-from .hst import EmbeddingParams, attach_servers, frt_embed, lambda_for_n, tree_to_dict
-from .metric import load_instance, save_instance, submetric_of_servers
+from .hst import EmbeddingParams, attach_servers, frt_embed, tree_to_dict
+from .metric import load_instance, save_instance
 
 __all__ = ["main"]
 
@@ -78,10 +79,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_embed(args) -> int:
     inst = load_instance(args.instance)
-    sub, mapping = submetric_of_servers(inst)
-    lam = args.lam if args.lam is not None else lambda_for_n(inst.n)
-    tree = frt_embed(sub, EmbeddingParams(lam=lam, seed=args.seed))
-    tree = attach_servers(tree, inst, mapping)
+    setup = pipeline_setup(inst)
+    lam = args.lam if args.lam is not None else setup.lam
+    tree = frt_embed(setup.sub, EmbeddingParams(lam=lam, seed=args.seed))
+    tree = attach_servers(tree, inst, setup.mapping)
     dump = tree_to_dict(tree)
     if args.dump_tree:
         _write_json(args.dump_tree, dump)

@@ -26,6 +26,10 @@ __all__ = [
 
 FAMILIES = ("star", "nested-uniform", "euclidean", "line")
 
+# Largest point count of a generated metric: its distance matrix and
+# FiniteMetric's copy of it take 16 * MAX_POINTS**2 bytes (1 GiB) together.
+MAX_POINTS = 2**13
+
 # The Euclidean matrix is built a block of rows at a time, with at most this
 # many coordinate differences (8 MiB of floats) alive at once.
 _CHUNK_ENTRIES = 1 << 20
@@ -50,6 +54,9 @@ class GeneratorSpec:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if self.n < 1:
             raise ValueError("n must be a positive integer")
+        points = 2 * self.n if self.family in ("euclidean", "line") else self.n + 1
+        if points > MAX_POINTS:
+            raise ValueError(f"{self.family} n={self.n} needs {points} points, above MAX_POINTS = {MAX_POINTS}")
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
         if not (math.isfinite(self.coord_range) and self.coord_range > 0):

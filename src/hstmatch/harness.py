@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import io
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -269,21 +269,24 @@ def sweep(
         raise ValueError("sizes must be nonempty")
     if not algorithms:
         raise ValueError("algorithms must be nonempty")
-    rows = []
-    for si, n in enumerate(sizes):
-        spec = GeneratorSpec(
+    specs = [  # every size is checked before any instance is built
+        GeneratorSpec(
             family=family,
             n=int(n),
             seed=derive_seed(master_seed, 0, si),
             dim=dim,
             coord_range=coord_range,
         )
+        for si, n in enumerate(sizes)
+    ]
+    rows = []
+    for si, spec in enumerate(specs):
         inst = generate_instance(spec)
         for ai, tag in enumerate(algorithms):
             report, _ = run_algorithm(inst, tag, derive_seed(master_seed, 1, si, ai), episodes)
             if report.kind != "ratio":
-                raise ValueError(f"instance (family={family}, n={n}) has zero optimum")
-            rows.append((int(n), tag, report.mean, report.std_error))
+                raise ValueError(f"instance (family={family}, n={spec.n}) has zero optimum")
+            rows.append((spec.n, tag, report.mean, report.std_error))
     return rows
 
 
@@ -306,15 +309,6 @@ def trace_csv(traces) -> str:
 
 
 def report_to_dict(report: RatioReport) -> dict:
-    return {
-        "algorithm": report.algorithm,
-        "episodes": report.episodes,
-        "opt": report.opt,
-        "kind": report.kind,
-        "mean_ratio" if report.kind == "ratio" else "mean_cost": report.mean,
-        "std_error": report.std_error,
-        "min": report.min,
-        "max": report.max,
-        "quantiles": report.quantiles,
-        "master_seed": report.master_seed,
-    }
+    """The report's fields in declaration order, ``mean`` renamed after the report's kind."""
+    mean = "mean_ratio" if report.kind == "ratio" else "mean_cost"
+    return {mean if k == "mean" else k: v for k, v in asdict(report).items()}

@@ -51,8 +51,6 @@ __all__ = [
     "lambda_for_n",
     "EmbeddingParams",
     "HstTree",
-    "tree_distance",
-    "validate_hst",
     "frt_embed",
     "attach_servers",
     "leaf_counts",
@@ -134,58 +132,15 @@ class HstTree:
             out.append(self.scale * total)
         return tuple(out)
 
-
-def tree_distance(t: HstTree, leaf_a: int, leaf_b: int) -> float:
-    """Metric-unit distance between two leaves, read at the level where they meet."""
-    for v in (leaf_a, leaf_b):
-        if t.children[v]:
-            raise ValueError(f"node {v} is not a leaf")
-    a, b = leaf_a, leaf_b
-    meet = 0
-    while a != b:
-        a = t.parent[a]
-        b = t.parent[b]
-        meet += 1
-    return t.level_distance[meet]
-
-
-def validate_hst(t: HstTree) -> None:
-    """Check every structural invariant; raise ValueError on the first failure."""
-    n = t.n_nodes
-    if t.height < 1:
-        raise ValueError("height must be at least 1")
-    if not t.lam > 1.0:
-        raise ValueError("lam must exceed 1")
-    if not t.scale > 0.0:
-        raise ValueError("scale must be positive")
-    if t.parent[t.root] is not None or t.level[t.root] != t.height:
-        raise ValueError("root must be parentless at level == height")
-    for v in range(n):
-        if v != t.root and t.parent[v] is None:
-            raise ValueError(f"second root at node {v}")
-        for c in t.children[v]:
-            if t.parent[c] != v:
-                raise ValueError(f"parent/children disagree at edge ({v}, {c})")
-            if t.level[c] != t.level[v] - 1:
-                raise ValueError(f"level gap at edge ({v}, {c})")
-        if t.children[v]:
-            kinds = {bool(t.children[c]) for c in t.children[v]}
-            if len(kinds) > 1:
-                raise ValueError(f"node {v} mixes leaf and internal children")
-    for v in range(n):
-        if t.is_leaf(v) != (t.level[v] == 0):
-            raise ValueError(f"node {v}: leaves must sit exactly at level 0")
-    leaves = set(t.leaves)
-    if set(t.leaf_point) != leaves:
-        raise ValueError("leaf_point keys must be exactly the leaves")
-    if set(t.leaf_multiplicity) != leaves:
-        raise ValueError("leaf_multiplicity keys must be exactly the leaves")
-    for pt, leaf in t.point_leaf.items():
-        if leaf not in leaves:
-            raise ValueError(f"point {pt} mapped to non-leaf {leaf}")
-    for leaf, m in t.leaf_multiplicity.items():
-        if m < 0:
-            raise ValueError(f"negative multiplicity at leaf {leaf}")
+    def subtree_sums(self, leaf_values) -> list:
+        """Sum a leaf -> integer mapping over every node's subtree, as Python ints; absent leaves are 0."""
+        parent = self.parent
+        sums = [0] * len(parent)
+        for leaf, x in leaf_values.items():
+            sums[leaf] = int(x)
+        for v in range(len(parent) - 1, 0, -1):  # breadth-first numbering: parents precede children
+            sums[parent[v]] += sums[v]
+        return sums
 
 
 def _zero_distance_classes(dist: np.ndarray) -> tuple[list, list]:

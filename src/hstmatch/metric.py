@@ -94,9 +94,6 @@ class FiniteMetric:
     def __len__(self) -> int:
         return len(self.points)
 
-    def d(self, i: int, j: int) -> float:
-        return float(self.dist[i, j])
-
 
 def validate_metric(m) -> MetricViolation | None:
     """Check the metric axioms; return None if they hold.
@@ -211,6 +208,15 @@ def instance_to_dict(inst: Instance) -> dict:
     }
 
 
+def _check_labels(points) -> None:
+    """Reject point labels that are not JSON strings, which str() would coerce."""
+    if not isinstance(points, list):
+        raise ValueError(f"points must be a list of strings, got {type(points).__name__}")
+    for i, label in enumerate(points):
+        if type(label) is not str:
+            raise ValueError(f"points[{i}] = {label!r} is not a string")
+
+
 def _check_numeric_rows(dist) -> None:
     """Reject JSON strings, booleans and nulls in a distance matrix, which numpy would coerce."""
     if not isinstance(dist, list):
@@ -223,6 +229,7 @@ def _check_numeric_rows(dist) -> None:
 
 def instance_from_dict(data: dict) -> Instance:
     try:
+        _check_labels(data["points"])
         _check_numeric_rows(data["dist"])
         metric = FiniteMetric(points=tuple(data["points"]), dist=data["dist"])
         return Instance(metric=metric, servers=tuple(data["servers"]), requests=tuple(data["requests"]))

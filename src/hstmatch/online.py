@@ -74,14 +74,8 @@ class RwgmState:
     __slots__ = ("tree", "subtree_remaining", "policy", "bits", "u32")
 
     def __init__(self, tree: HstTree, bits: np.random.PCG64, policy: str) -> None:
-        n = len(tree.parent)
         self.tree = tree
-        counts = [0] * n
-        for leaf, m in tree.leaf_multiplicity.items():
-            counts[leaf] = int(m)
-        for v in range(n - 1, 0, -1):  # breadth-first numbering: parents precede children
-            counts[tree.parent[v]] += counts[v]
-        self.subtree_remaining = counts
+        self.subtree_remaining = tree.subtree_sums(tree.leaf_multiplicity)
         self.policy = policy
         self.bits = bits
         self.u32 = iter(())

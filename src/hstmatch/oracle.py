@@ -2,8 +2,8 @@
 
 The assignment oracle provides the ratio denominators; the turning-point
 profile recovers the optimal cost on a tree combinatorially, and the bound
-functions evaluate the harmonic and geometric envelopes that the Monte
-Carlo suite tests the randomized matcher against.
+functions evaluate the geometric envelopes that the Monte Carlo suite tests
+the randomized matcher against.
 """
 from __future__ import annotations
 
@@ -23,40 +23,14 @@ from .hst import HstTree
 from .metric import Instance
 
 __all__ = [
-    "harmonic",
-    "uniform_bound",
     "OptimalMatching",
     "optimal_matching",
     "TurningPointProfile",
     "turning_point_tau",
     "hst_cost_from_tau",
-    "BoundParams",
     "bound_rwgm_hst",
     "expected_moves_bound",
 ]
-
-
-@lru_cache(maxsize=None)
-def _harmonic_positive(m: int) -> float:
-    return math.fsum(1.0 / k for k in range(1, m + 1))
-
-
-def harmonic(m: int) -> float:
-    """m-th harmonic number 1 + 1/2 + ... + 1/m, with value 0 for m <= 0."""
-    if m <= 0:
-        return 0.0
-    return _harmonic_positive(int(m))
-
-
-def uniform_bound(q: int, delta: int) -> float:
-    """Expected-cost envelope H_q + H_{q-1} + ... + H_{q-delta+1}.
-
-    Bounds the mean number of cross-leaf moves on a height-1 tree holding q
-    servers when delta requests arrive at server-free leaves.
-    """
-    if delta < 0 or delta > q:
-        raise ValueError(f"delta must satisfy 0 <= delta <= q, got q={q}, delta={delta}")
-    return math.fsum(harmonic(q - j) for j in range(delta))
 
 
 @dataclass(frozen=True)
@@ -132,7 +106,7 @@ def optimal_matching(inst: Instance) -> OptimalMatching:
 
 @dataclass(frozen=True)
 class TurningPointProfile:
-    """Per-node pair counts tau(u) and node heights for one tree instance.
+    """Per-node pair counts tau(u) on one tree instance.
 
     tau(u) counts the matched pairs whose tree path peaks at u; it is the
     same for every optimal matching, so it is computed directly from the
@@ -140,9 +114,12 @@ class TurningPointProfile:
     """
 
     tau: dict
-    heights: dict
-    lam: float
-    scale: float
+    tree: HstTree
+
+    @property
+    def max_height(self) -> int:
+        """Highest level of a node with a turning pair; 0 when there is none."""
+        return max((self.tree.level[u] for u, tau in self.tau.items() if tau), default=0)
 
 
 def turning_point_tau(
@@ -158,18 +135,12 @@ def turning_point_tau(
     """
     if server_count is None:
         server_count = t.leaf_multiplicity
-    n = t.n_nodes
-    b = [0] * n
-    for leaf in t.leaves:
-        b[leaf] = int(request_count.get(leaf, 0)) - int(server_count.get(leaf, 0))
-    for v in range(n - 1, 0, -1):
-        b[t.parent[v]] += b[v]
+    excess = {leaf: int(request_count.get(leaf, 0)) - int(server_count.get(leaf, 0)) for leaf in t.leaves}
+    b = t.subtree_sums(excess)
     if b[t.root] != 0:
         raise ValueError("request and server totals differ")
     tau = {}
-    heights = {}
-    for v in range(n):
-        heights[v] = t.level[v]
+    for v in range(t.n_nodes):
         if t.is_leaf(v):
             tau[v] = 0
             continue
@@ -177,12 +148,7 @@ def turning_point_tau(
         if spread < 0 or spread % 2:
             raise AssertionError(f"imbalance bookkeeping broke at node {v}")
         tau[v] = spread // 2
-    return TurningPointProfile(tau=tau, heights=heights, lam=t.lam, scale=t.scale)
-
-
-def _check_profile_tree(profile: TurningPointProfile, t: HstTree) -> None:
-    if profile.lam != t.lam or profile.scale != t.scale:
-        raise ValueError("profile was computed for a different tree")
+    return TurningPointProfile(tau=tau, tree=t)
 
 
 def _tau_sum(profile: TurningPointProfile, table) -> float:
@@ -190,42 +156,24 @@ def _tau_sum(profile: TurningPointProfile, table) -> float:
     total = 0.0
     for u, tau in profile.tau.items():
         if tau:
-            total += tau * table[profile.heights[u]]
+            total += tau * table[profile.tree.level[u]]
     return total
 
 
-def hst_cost_from_tau(profile: TurningPointProfile, t: HstTree) -> float:
+def hst_cost_from_tau(profile: TurningPointProfile) -> float:
     """Optimal matching cost on the tree: sum of tau(u) times the leaf distance meeting at u."""
-    _check_profile_tree(profile, t)
-    return _tau_sum(profile, t.level_distance)
+    return _tau_sum(profile, profile.tree.level_distance)
 
 
-@dataclass(frozen=True)
-class BoundParams:
-    """Coefficients of the expected-cost envelope on a tree.
+def bound_rwgm_hst(profile: TurningPointProfile) -> float:
+    """Envelope for the matcher's expected cost: scale * 2 * sum tau(u) * sum c_i lam^i.
 
-    The sequence c starts at 1/2 and adds (1/2)**t at step t, so it
-    increases toward (but never reaches) one.
+    c_i = 1/2 + 1/4 + ... + (1/2)**i rises toward (but never reaches) one.
     """
-
-    lam: float
-    n: int
-    c: tuple
-
-    @classmethod
-    def for_height(cls, lam: float, n: int, height: int) -> "BoundParams":
-        return cls(lam=lam, n=n, c=tuple(accumulate(0.5**t for t in range(1, height + 1))))
-
-
-def bound_rwgm_hst(profile: TurningPointProfile, params: BoundParams) -> float:
-    """Envelope for the matcher's expected cost: scale * 2 * sum tau(u) * sum c_i lam^i."""
-    if abs(params.lam - profile.lam) > 1e-12 * max(1.0, abs(profile.lam)):
-        raise ValueError("params.lam must match the tree's lam")
-    max_h = max((profile.heights[u] for u, tau in profile.tau.items() if tau), default=0)
-    if max_h > len(params.c):
-        raise ValueError(f"need coefficients up to height {max_h}, got {len(params.c)}")
-    prefix = list(accumulate((params.c[i - 1] * params.lam**i for i in range(1, max_h + 1)), initial=0.0))
-    return profile.scale * 2.0 * _tau_sum(profile, prefix)
+    lam = profile.tree.lam
+    c = accumulate(0.5**i for i in range(1, profile.max_height + 1))
+    prefix = list(accumulate((c_i * lam**i for i, c_i in enumerate(c, start=1)), initial=0.0))
+    return profile.tree.scale * 2.0 * _tau_sum(profile, prefix)
 
 
 def expected_moves_bound(profile: TurningPointProfile, n: int) -> float:
@@ -238,6 +186,5 @@ def expected_moves_bound(profile: TurningPointProfile, n: int) -> float:
     if n < 1:
         raise ValueError("n must be a positive integer")
     base = 1.0 + math.log(n)
-    max_h = max((profile.heights[u] for u, tau in profile.tau.items() if tau), default=0)
-    prefix = list(accumulate((base**i for i in range(1, max_h + 1)), initial=0.0))
+    prefix = list(accumulate((base**i for i in range(1, profile.max_height + 1)), initial=0.0))
     return _tau_sum(profile, prefix)

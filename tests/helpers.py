@@ -13,10 +13,11 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from hstmatch.hst import EmbeddingParams, HstTree, attach_servers, tree_distance
+from hstmatch.hst import EmbeddingParams, HstTree, attach_servers
 from hstmatch.metric import FiniteMetric, Instance, ensure_valid_metric
 from hstmatch.online import POLICIES, RwgmState, rwgm_init, rwgm_serve
 
@@ -140,6 +141,59 @@ def normalize_hst(raw: RawTree) -> HstTree:
     )
 
 
+def tree_distance(t: HstTree, leaf_a: int, leaf_b: int) -> float:
+    """Metric-unit distance between two leaves, read at the level where they meet."""
+    for v in (leaf_a, leaf_b):
+        if t.children[v]:
+            raise ValueError(f"node {v} is not a leaf")
+    a, b = leaf_a, leaf_b
+    meet = 0
+    while a != b:
+        a = t.parent[a]
+        b = t.parent[b]
+        meet += 1
+    return t.level_distance[meet]
+
+
+def validate_hst(t: HstTree) -> None:
+    """Check every structural invariant; raise ValueError on the first failure."""
+    n = t.n_nodes
+    if t.height < 1:
+        raise ValueError("height must be at least 1")
+    if not t.lam > 1.0:
+        raise ValueError("lam must exceed 1")
+    if not t.scale > 0.0:
+        raise ValueError("scale must be positive")
+    if t.parent[t.root] is not None or t.level[t.root] != t.height:
+        raise ValueError("root must be parentless at level == height")
+    for v in range(n):
+        if v != t.root and t.parent[v] is None:
+            raise ValueError(f"second root at node {v}")
+        for c in t.children[v]:
+            if t.parent[c] != v:
+                raise ValueError(f"parent/children disagree at edge ({v}, {c})")
+            if t.level[c] != t.level[v] - 1:
+                raise ValueError(f"level gap at edge ({v}, {c})")
+        if t.children[v]:
+            kinds = {bool(t.children[c]) for c in t.children[v]}
+            if len(kinds) > 1:
+                raise ValueError(f"node {v} mixes leaf and internal children")
+    for v in range(n):
+        if t.is_leaf(v) != (t.level[v] == 0):
+            raise ValueError(f"node {v}: leaves must sit exactly at level 0")
+    leaves = set(t.leaves)
+    if set(t.leaf_point) != leaves:
+        raise ValueError("leaf_point keys must be exactly the leaves")
+    if set(t.leaf_multiplicity) != leaves:
+        raise ValueError("leaf_multiplicity keys must be exactly the leaves")
+    for pt, leaf in t.point_leaf.items():
+        if leaf not in leaves:
+            raise ValueError(f"point {pt} mapped to non-leaf {leaf}")
+    for leaf, m in t.leaf_multiplicity.items():
+        if m < 0:
+            raise ValueError(f"negative multiplicity at leaf {leaf}")
+
+
 def brute_force_cost(inst: Instance) -> float:
     """Minimum matching cost by enumerating all n! assignments."""
     n = inst.n
@@ -156,6 +210,29 @@ def brute_force_cost(inst: Instance) -> float:
         if c < best:
             best = c
     return best
+
+
+@lru_cache(maxsize=None)
+def _harmonic_positive(m: int) -> float:
+    return math.fsum(1.0 / k for k in range(1, m + 1))
+
+
+def harmonic(m: int) -> float:
+    """m-th harmonic number 1 + 1/2 + ... + 1/m, with value 0 for m <= 0."""
+    if m <= 0:
+        return 0.0
+    return _harmonic_positive(int(m))
+
+
+def uniform_bound(q: int, delta: int) -> float:
+    """Expected-cost envelope H_q + H_{q-1} + ... + H_{q-delta+1}.
+
+    Bounds the mean number of cross-leaf moves on a height-1 tree holding q
+    servers when delta requests arrive at server-free leaves.
+    """
+    if delta < 0 or delta > q:
+        raise ValueError(f"delta must satisfy 0 <= delta <= q, got q={q}, delta={delta}")
+    return math.fsum(harmonic(q - j) for j in range(delta))
 
 
 def reference_zero_distance_classes(dist) -> tuple[list, list]:

@@ -10,9 +10,12 @@ import numpy as np
 
 from helpers import (
     brute_force_cost,
+    harmonic,
     height1_tree,
     play_on_tree,
     random_tree_instance,
+    tree_distance,
+    uniform_bound,
     with_multiplicity,
 )
 from hstmatch.generators import (
@@ -28,19 +31,15 @@ from hstmatch.hst import (
     frt_embed,
     lambda_for_n,
     leaf_counts,
-    tree_distance,
 )
 from hstmatch.metric import Instance
 from hstmatch.online import discretize_all
 from hstmatch.oracle import (
-    BoundParams,
     bound_rwgm_hst,
     expected_moves_bound,
-    harmonic,
     hst_cost_from_tau,
     optimal_matching,
     turning_point_tau,
-    uniform_bound,
 )
 
 
@@ -97,7 +96,7 @@ def test_criterion_03_turning_point_cost_formula():
         n = int(rng.integers(1, 8))
         tree, inst = random_tree_instance(rng, height, n, lam=1.5 + 2.0 * float(rng.random()))
         profile = turning_point_tau(tree, leaf_counts(tree, inst.requests))
-        from_tau = hst_cost_from_tau(profile, tree)
+        from_tau = hst_cost_from_tau(profile)
         exact = optimal_matching(inst).cost
         worst = max(worst, abs(from_tau - exact) / max(1.0, exact))
         checked += 1
@@ -246,7 +245,7 @@ def test_criterion_09_hst_envelope():
             profile = turning_point_tau(tree, leaf_counts(tree, inst.requests))
             if any(profile.tau.values()):
                 break
-        cost_bound = bound_rwgm_hst(profile, BoundParams.for_height(lam, n, tree.height))
+        cost_bound = bound_rwgm_hst(profile)
         moves_bound = expected_moves_bound(profile, n)
         costs = np.empty(episodes)
         moves = np.empty(episodes)

@@ -187,6 +187,32 @@ def test_run_rejects_non_numeric_distances(tmp_path, capsys, entry):
     assert not report.exists()
 
 
+def test_run_rejects_non_string_labels(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(
+        {"points": [None, True], "dist": [[0.0, 1.0], [1.0, 0.0]], "servers": [0], "requests": [1]}
+    ))
+    report = tmp_path / "report.json"
+    assert run_cli("run", "--instance", inst_path, "--algorithm", "optimal", "--report", report) == 1
+    assert one_error_line(capsys) == "ValueError: points[0] = None is not a string"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["generate", "--family", "line", "--n", 15000], "line n=15000 needs 30000 points"),
+        (["generate", "--family", "star", "--n", 8192], "star n=8192 needs 8193 points"),
+        (["sweep", "--family", "euclidean", "--sizes", "4,4097"], "euclidean n=4097 needs 8194 points"),
+    ],
+)
+def test_generators_refuse_more_than_max_points(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "-o", out) == 1
+    assert one_error_line(capsys) == f"ValueError: {message}, above MAX_POINTS = 8192"
+    assert not out.exists()
+
+
 def test_generate_rejects_infinite_coord_range(tmp_path, capsys):
     out = tmp_path / "inst.json"
     code = run_cli("generate", "--family", "line", "--n", 4, "--coord-range", "inf", "-o", out)

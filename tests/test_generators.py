@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hstmatch import generators
-from hstmatch.generators import FAMILIES, GeneratorSpec, euclidean_metric, generate_instance
+from hstmatch.generators import FAMILIES, MAX_POINTS, GeneratorSpec, euclidean_metric, generate_instance
 from hstmatch.metric import validate_metric
 from hstmatch.oracle import optimal_matching
 
@@ -17,6 +17,13 @@ def test_spec_validation():
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="coord_range must be finite and positive"):
             GeneratorSpec("line", 4, seed=0, coord_range=bad)
+    # Specs only: none of these builds a metric.
+    for family, n_max in (("euclidean", MAX_POINTS // 2), ("line", MAX_POINTS // 2),
+                          ("star", MAX_POINTS - 1), ("nested-uniform", MAX_POINTS - 1)):
+        GeneratorSpec(family, n_max, seed=0)
+        for n in (n_max + 1, 10**18):
+            with pytest.raises(ValueError, match=f"^{family} n={n} needs .* above MAX_POINTS = {MAX_POINTS}$"):
+                GeneratorSpec(family, n, seed=0)
 
 
 def test_star_instance_structure_and_opt():

@@ -1,11 +1,11 @@
-"""Golden replay: sha256 digests of the files small seeded CLI runs write.
+"""Golden replay: sha256 digests of what small seeded CLI runs write and print.
 
 The seeded replay contract says identical arguments reproduce identical
 bytes. These digests pin the bytes themselves, so a refactor that changes
-any output file (instance, trace, report, sweep table or tree dump) fails
-here. A deliberate format change bumps the output format version recorded
-in CHANGES.md and re-pins the table in the same change; the current format
-is version 1.
+any output file (instance, trace, report, sweep table or tree dump), or the
+report line and tree that the CLI prints to stdout, fails here. A deliberate
+format change bumps the output format version recorded in CHANGES.md and
+re-pins the tables in the same change; the current format is version 1.
 """
 import hashlib
 import json
@@ -24,7 +24,8 @@ COINCIDENT = {
 }
 
 # (output file, CLI arguments); "{name}" expands to the path of an earlier
-# output file, so later commands read the instances written before them.
+# output file, so later commands read the instances written before them. The
+# last command writes no file and is named after what it prints.
 INVOCATIONS = (
     ("star.json", ["generate", "--family", "star", "--n", "6", "--seed", "1", "-o", "{star.json}"]),
     ("euclid.json", ["generate", "--family", "euclidean", "--n", "7", "--seed", "2", "-o", "{euclid.json}"]),
@@ -48,6 +49,7 @@ INVOCATIONS = (
                        "--dump-tree", "{tree-lam.json}"]),
     ("tree-k1.json", ["embed", "--instance", "{coincident.json}", "--seed", "12",
                       "--dump-tree", "{tree-k1.json}"]),
+    ("tree.stdout", ["embed", "--instance", "{line.json}", "--seed", "13"]),
 )
 
 DIGESTS = {
@@ -71,16 +73,31 @@ DIGESTS = {
 }
 
 
+# sha256 of the stdout of each invocation, keyed by its first element. The
+# invocations left out print the path of a temporary file.
+STDOUT_DIGESTS = {
+    "coincident.csv": "cdc482fe9984e3c06b7e73f0fe9d6d6464bf0cf56c3c57dfa0d8c95bbbb3796f",
+    "greedy.csv": "8c95580fbdc9dae814a36016ca6be958e821715c8582c51ca2bd3bdd5b1fc62b",
+    "optimal.csv": "0cd69d31b5c3c2822b7003ef5d0a5aeb1985c9c0536189a6ba6684efb8eec6d7",
+    "prop.csv": "1d61c1cd8a585fbe3b4a1fe08585622c618d2b856b46ac95a8d1764a7e11e60d",
+    "rwgm.csv": "a3c32ae53be9f941189b52817e0251f1ba64dad52dff13672ca6e31a8bbf18c6",
+    "tree.stdout": "6b4b1f84b70d52db349dfd989941d9c550d3d0889e72bd57340b71ab97bbf396",
+}
+
+
 def _expand(arg: str, tmp_path) -> str:
     if arg.startswith("{") and arg.endswith("}"):
         return str(tmp_path / arg[1:-1])
     return arg
 
 
-def test_cli_outputs_match_pinned_digests(tmp_path):
+def test_cli_outputs_match_pinned_digests(tmp_path, capsys):
     (tmp_path / "coincident.json").write_text(json.dumps(COINCIDENT) + "\n", encoding="utf-8")
-    for _, argv in INVOCATIONS:
+    printed = {}
+    for name, argv in INVOCATIONS:
         assert main([_expand(a, tmp_path) for a in argv]) == 0, argv
+        printed[name] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert {name: printed[name] for name in STDOUT_DIGESTS} == STDOUT_DIGESTS
     written = sorted(p.name for p in tmp_path.iterdir() if p.name != "coincident.json")
     assert written == sorted(DIGESTS)
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in written}

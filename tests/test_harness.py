@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import harmonic
 from hstmatch import harness
 from hstmatch.generators import GeneratorSpec, generate_instance, uniform_metric
 from hstmatch.harness import (
@@ -17,7 +18,6 @@ from hstmatch.harness import (
     report_to_dict,
 )
 from hstmatch.metric import Instance
-from hstmatch.oracle import harmonic
 
 
 def test_derive_seed_is_stable_and_keyed():

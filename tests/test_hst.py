@@ -13,6 +13,8 @@ from helpers import (
     random_tree,
     reference_frt_embed,
     reference_zero_distance_classes,
+    tree_distance,
+    validate_hst,
 )
 from hstmatch.generators import euclidean_metric, line_metric, uniform_metric
 from hstmatch.hst import (
@@ -20,9 +22,7 @@ from hstmatch.hst import (
     attach_servers,
     frt_embed,
     lambda_for_n,
-    tree_distance,
     tree_to_dict,
-    validate_hst,
 )
 from hstmatch.metric import FiniteMetric, Instance, validate_metric
 
@@ -61,6 +61,22 @@ def test_tree_distance_meet_at_height_two():
     )
     t = normalize_hst(raw)
     assert tree_distance(t, t.point_leaf[0], t.point_leaf[1]) == pytest.approx(8.0)
+
+
+def test_subtree_sums_add_every_leaf_into_its_ancestors():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        t = random_tree(rng, int(rng.integers(1, 5)), lam=3.0)
+        values = {leaf: np.int64(rng.integers(-5, 6)) for leaf in t.leaves if rng.random() < 0.7}
+        expect = [0] * t.n_nodes
+        for leaf, x in values.items():
+            v = leaf
+            while v is not None:
+                expect[v] += int(x)
+                v = t.parent[v]
+        sums = t.subtree_sums(values)
+        assert sums == expect
+        assert all(type(x) is int for x in sums)
 
 
 def test_normalize_is_identity_on_normal_trees():

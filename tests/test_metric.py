@@ -246,6 +246,17 @@ def test_instance_rejects_non_numeric_distances():
     assert inst.metric.dist.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
+def test_instance_rejects_non_string_labels():
+    base = {"dist": [[0.0, 1.0], [1.0, 0.0]], "servers": [0], "requests": [1]}
+    for bad in (None, True, 1, 1.5, {"a": 1}, ["a"]):
+        with pytest.raises(ValueError, match=f"^points\\[1\\] = {re.escape(repr(bad))} is not a string$"):
+            instance_from_dict({**base, "points": ["a", bad]})
+    for bad, kind in (("ab", "str"), ({"a": 0, "b": 1}, "dict"), (None, "NoneType")):
+        with pytest.raises(ValueError, match=f"^points must be a list of strings, got {kind}$"):
+            instance_from_dict({**base, "points": bad})
+    assert instance_from_dict({**base, "points": ["", "\u00e9"]}).metric.points == ("", "\u00e9")
+
+
 def test_instance_json_missing_field():
     with pytest.raises(ValueError):
         instance_from_dict({"points": ["0"], "dist": [[0.0]], "servers": [0]})

@@ -15,11 +15,11 @@ from helpers import (
     recompute_green,
     reference_rwgm_init,
     reference_rwgm_serve,
+    tree_distance,
     with_multiplicity,
 )
 from hstmatch.generators import line_metric, star_metric, uniform_metric
 from hstmatch.harness import derive_seed, pipeline_setup, run_episode
-from hstmatch.hst import tree_distance
 from hstmatch.metric import Instance
 from hstmatch.online import (
     POLICIES,

@@ -8,21 +8,28 @@ import numpy as np
 import pytest
 
 import hstmatch
-from helpers import RawTree, brute_force_cost, height1_tree, normalize_hst, random_tree_instance, with_multiplicity
+from helpers import (
+    RawTree,
+    brute_force_cost,
+    harmonic,
+    height1_tree,
+    normalize_hst,
+    random_tree_instance,
+    tree_distance,
+    uniform_bound,
+    with_multiplicity,
+)
 from hstmatch.generators import GeneratorSpec, generate_instance, line_metric, uniform_metric
-from hstmatch.hst import leaf_counts, tree_distance
+from hstmatch.hst import leaf_counts
 from hstmatch.metric import FiniteMetric, Instance
 from hstmatch import oracle
 from hstmatch.online import discretize_all
 from hstmatch.oracle import (
-    BoundParams,
     bound_rwgm_hst,
     expected_moves_bound,
-    harmonic,
     hst_cost_from_tau,
     optimal_matching,
     turning_point_tau,
-    uniform_bound,
 )
 
 
@@ -92,14 +99,14 @@ def test_tau_zero_when_pairs_share_leaves():
     t = with_multiplicity(height1_tree(3), {0: 2, 1: 1, 2: 0})
     profile = turning_point_tau(t, leaf_counts(t, [0, 0, 1]))
     assert all(v == 0 for v in profile.tau.values())
-    assert hst_cost_from_tau(profile, t) == 0.0
+    assert hst_cost_from_tau(profile) == 0.0
 
 
 def test_tau_single_cross_pair():
     t = with_multiplicity(height1_tree(2, scale=1.0), {0: 1, 1: 0})
     profile = turning_point_tau(t, leaf_counts(t, [1]), server_count={t.point_leaf[0]: 1, t.point_leaf[1]: 0})
     assert profile.tau[t.root] == 1
-    assert hst_cost_from_tau(profile, t) == pytest.approx(2.0)
+    assert hst_cost_from_tau(profile) == pytest.approx(2.0)
 
 
 def test_tau_rejects_unbalanced_totals():
@@ -116,7 +123,7 @@ def test_tau_cost_matches_oracle_on_random_trees():
         tree, inst = random_tree_instance(rng, height, n, lam=2.0 + float(rng.random()))
         req = leaf_counts(tree, inst.requests)
         profile = turning_point_tau(tree, req)
-        cost = hst_cost_from_tau(profile, tree)
+        cost = hst_cost_from_tau(profile)
         assert cost == pytest.approx(optimal_matching(inst).cost, rel=1e-9, abs=1e-12)
         # Total tau counts exactly the pairs no leaf can absorb locally.
         cross = n - sum(min(req[leaf], tree.leaf_multiplicity[leaf]) for leaf in tree.leaves)
@@ -133,35 +140,38 @@ def test_hst_cost_single_pair_height_two():
     )
     t = with_multiplicity(normalize_hst(raw), {0: 1, 1: 0})
     profile = turning_point_tau(t, leaf_counts(t, [1]))
-    assert hst_cost_from_tau(profile, t) == pytest.approx(8.0)
-    assert hst_cost_from_tau(profile, t) == pytest.approx(
+    assert hst_cost_from_tau(profile) == pytest.approx(8.0)
+    assert hst_cost_from_tau(profile) == pytest.approx(
         tree_distance(t, t.point_leaf[0], t.point_leaf[1])
     )
 
 
 def test_bound_params_coefficients():
-    params = BoundParams.for_height(lam=4.0, n=8, height=10)
-    assert params.c[0] == 0.5
-    assert all(c < 1.0 for c in params.c)
-    assert all(b > a for a, b in zip(params.c, params.c[1:]))
-    for t, c in enumerate(params.c, start=1):
-        assert c == pytest.approx(1.0 - 0.5**t, abs=1e-15)
+    # One cross pair meeting at level h bounds at 2 * sum_{i<=h} c_i lam^i, so
+    # consecutive heights recover c_h.
+    lam = 4.0
+    bounds = [0.0]
+    for h in range(1, 11):
+        raw = RawTree(parent=[None, 0, 0], level=[h, h - 1, h - 1], leaf_point={1: 0, 2: 1}, lam=lam)
+        t = with_multiplicity(normalize_hst(raw), {0: 1, 1: 0})
+        profile = turning_point_tau(t, leaf_counts(t, [1]))
+        assert profile.max_height == h
+        bounds.append(bound_rwgm_hst(profile))
+    c = [(b - a) / (2.0 * lam**h) for h, (a, b) in enumerate(zip(bounds, bounds[1:]), start=1)]
+    assert c[0] == 0.5
+    assert all(ch < 1.0 for ch in c)
+    assert all(b > a for a, b in zip(c, c[1:]))
+    for h, ch in enumerate(c, start=1):
+        assert ch == pytest.approx(1.0 - 0.5**h, abs=1e-15)
 
 
 def test_bound_rwgm_trivial_cases():
     t = with_multiplicity(height1_tree(2), {0: 1, 1: 1})
-    params = BoundParams.for_height(lam=t.lam, n=2, height=t.height)
     zero = turning_point_tau(t, leaf_counts(t, [0, 1]))
-    assert bound_rwgm_hst(zero, params) == 0.0
+    assert zero.max_height == 0
+    assert bound_rwgm_hst(zero) == 0.0
     one = turning_point_tau(t, leaf_counts(t, [0, 0]), server_count={t.point_leaf[0]: 1, t.point_leaf[1]: 1})
-    assert bound_rwgm_hst(one, params) == pytest.approx(t.lam)  # 2 * c_1 * lam
-
-
-def test_bound_rwgm_checks_lam():
-    t = with_multiplicity(height1_tree(2), {0: 1, 1: 1})
-    profile = turning_point_tau(t, leaf_counts(t, [0, 1]))
-    with pytest.raises(ValueError):
-        bound_rwgm_hst(profile, BoundParams.for_height(lam=t.lam + 1.0, n=2, height=3))
+    assert bound_rwgm_hst(one) == pytest.approx(t.lam)  # 2 * c_1 * lam
 
 
 def test_bound_envelope_stays_below_lam_times_opt():
@@ -169,8 +179,8 @@ def test_bound_envelope_stays_below_lam_times_opt():
     for trial in range(25):
         tree, inst = random_tree_instance(rng, int(rng.integers(1, 4)), 8, lam=3.0)
         profile = turning_point_tau(tree, leaf_counts(tree, inst.requests))
-        opt = hst_cost_from_tau(profile, tree)
-        bound = bound_rwgm_hst(profile, BoundParams.for_height(tree.lam, 8, tree.height))
+        opt = hst_cost_from_tau(profile)
+        bound = bound_rwgm_hst(profile)
         if opt > 0:
             assert bound < tree.lam * opt
         else:

@@ -1,0 +1,37 @@
+"""The public surface resolves: every exported name and every traced benchmark target exists."""
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import hstmatch
+
+TRACED = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+MODULES = sorted(
+    m.name for m in pkgutil.iter_modules(hstmatch.__path__, "hstmatch.") if m.name != "hstmatch.__main__"
+)
+
+
+def traced_targets() -> tuple:
+    """perfbench/traced.py's TARGETS, read from its source without running it."""
+    for node in ast.parse(TRACED.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no TARGETS assignment in {TRACED}")
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_every_exported_name_exists(module_name):
+    module = importlib.import_module(module_name)
+    assert module.__all__, module_name
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing, f"{module_name}.__all__ names missing attributes: {missing}"
+
+
+def test_every_traced_target_resolves():
+    targets = traced_targets()
+    assert targets
+    missing = [(m, a) for m, a in targets if not callable(getattr(importlib.import_module(m), a, None))]
+    assert not missing, f"perfbench/traced.py TARGETS that no longer resolve: {missing}"
