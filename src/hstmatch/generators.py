@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import FiniteMetric, Instance, _mark_validated, ensure_valid_metric
+from .metric import _CHUNK_ENTRIES, FiniteMetric, Instance, _mark_validated, ensure_valid_metric
 
 __all__ = [
     "FAMILIES",
@@ -30,9 +30,11 @@ FAMILIES = ("star", "nested-uniform", "euclidean", "line")
 # FiniteMetric's copy of it take 16 * MAX_POINTS**2 bytes (1 GiB) together.
 MAX_POINTS = 2**13
 
-# The Euclidean matrix is built a block of rows at a time, with at most this
-# many coordinate differences (8 MiB of floats) alive at once.
-_CHUNK_ENTRIES = 1 << 20
+# Largest coordinate count (2n * dim) of a Euclidean instance. The random
+# coordinates, one row block of their differences and the sorted gaps each
+# hold that many floats, so at this bound they take a few times 32 MiB, well
+# under the 512 MiB of the largest distance matrix.
+MAX_COORDINATES = MAX_POINTS**2 // 16
 # A nonzero coordinate difference at least this large has a normal square, so
 # every Euclidean distance is within a few ulps of exact; the triangle
 # inequality then holds far inside TRIANGLE_SLACK.
@@ -59,6 +61,11 @@ class GeneratorSpec:
             raise ValueError(f"{self.family} n={self.n} needs {points} points, above MAX_POINTS = {MAX_POINTS}")
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
+        if self.family == "euclidean" and points * self.dim > MAX_COORDINATES:
+            raise ValueError(
+                f"euclidean n={self.n} dim={self.dim} needs {points * self.dim} coordinates,"
+                f" above MAX_COORDINATES = {MAX_COORDINATES}"
+            )
         if not (math.isfinite(self.coord_range) and self.coord_range > 0):
             raise ValueError(f"coord_range must be finite and positive, got {self.coord_range}")
 

@@ -219,10 +219,17 @@ def run_algorithm(
     requested count.
     """
     _check_algorithms([tag])
+    _check_episodes(episodes)
+    return _run_tag(inst, tag, master_seed, episodes, optimal_matching(inst), check)
+
+
+def _check_episodes(episodes: int) -> None:
     if episodes < 1:
         raise ValueError("episodes must be a positive integer")
-    om = optimal_matching(inst)
 
+
+def _run_tag(inst: Instance, tag: str, master_seed: int, episodes: int, om, check: bool = False):
+    """run_algorithm's body, against an optimum ``om`` of inst solved by the caller."""
     if tag == "greedy":
         trace = run_greedy(inst)
         return _make_report("greedy", [trace.total_cost], om.cost, master_seed), [trace]
@@ -269,6 +276,7 @@ def sweep(
         raise ValueError("sizes must be nonempty")
     if not algorithms:
         raise ValueError("algorithms must be nonempty")
+    _check_episodes(episodes)
     specs = [  # every size is checked before any instance is built
         GeneratorSpec(
             family=family,
@@ -282,8 +290,9 @@ def sweep(
     rows = []
     for si, spec in enumerate(specs):
         inst = generate_instance(spec)
+        om = optimal_matching(inst)  # one solve serves every tag
         for ai, tag in enumerate(algorithms):
-            report, _ = run_algorithm(inst, tag, derive_seed(master_seed, 1, si, ai), episodes)
+            report, _ = _run_tag(inst, tag, derive_seed(master_seed, 1, si, ai), episodes, om)
             if report.kind != "ratio":
                 raise ValueError(f"instance (family={family}, n={spec.n}) has zero optimum")
             rows.append((spec.n, tag, report.mean, report.std_error))
@@ -299,13 +308,25 @@ def sweep_csv(rows) -> str:
 
 
 def trace_csv(traces) -> str:
-    """One row per decision across episodes, fixed header, episode-major order."""
-    out = io.StringIO()
-    out.write(TRACE_HEADER + "\n")
+    """One row per decision across episodes, fixed header, episode-major order.
+
+    Episodes repeat decisions, so each call formats the text of every
+    distinct (request, server, cost), and of every step number, once.
+    """
+    parts = [TRACE_HEADER + "\n"]
+    steps: list = []  # "step," texts
+    tails: dict = {}  # (request, server, cost) -> "request,server,cost\n"
     for episode, trace in enumerate(traces):
-        for step, (r, s, cost) in enumerate(trace.decisions):
-            out.write(f"{episode},{step},{r},{s},{cost!r}\n")
-    return out.getvalue()
+        decisions = trace.decisions
+        steps.extend(f"{step}," for step in range(len(steps), len(decisions)))
+        prefix = f"{episode},"
+        for step, (r, s, cost) in zip(steps, decisions):
+            key = (r, s, cost or repr(cost))  # 0.0 and -0.0 are equal but print differently
+            tail = tails.get(key)
+            if tail is None:
+                tail = tails[key] = f"{r},{s},{cost!r}\n"
+            parts.append(prefix + step + tail)
+    return "".join(parts)
 
 
 def report_to_dict(report: RatioReport) -> dict:

@@ -31,6 +31,10 @@ __all__ = [
 # rounding in floating-point constructions such as Euclidean distances.
 TRIANGLE_SLACK = 1e-9
 
+# Row-blocked loops over a matrix (the triangle check, the Euclidean
+# generator) keep at most this many floats (8 MiB) in a temporary at once.
+_CHUNK_ENTRIES = 1 << 20
+
 
 class MetricStructureError(ValueError):
     """Distance data is malformed: non-square, negative, or non-finite."""
@@ -116,9 +120,44 @@ def validate_metric(m) -> MetricViolation | None:
             "symmetry", (i, j), f"dist[{i}][{j}] = {d[i, j]} != dist[{j}][{i}] = {d[j, i]}"
         )
     tol = TRIANGLE_SLACK * float(d.max()) if n else 0.0
-    excess = np.empty_like(d)  # reused by every k: holds d - (d[:, k] + d[k, :])
+    if _triangle_holds(d, tol):
+        _mark_validated(metric)
+        return None
+    return _first_triangle_violation(d, tol)
+
+
+def _triangle_holds(d: np.ndarray, tol: float) -> bool:
+    """Whether d[i, j] - (d[i, k] + d[k, j]) <= tol for every triple of a symmetric d.
+
+    Scans rows: for i and every j >= i, the shortest detour min_k d[j, k] + d[i, k]
+    adds the same two floats as d[i, k] + d[k, j] (d equals its transpose), and
+    rounded subtraction is monotone, so d[i, j] minus that minimum is the largest
+    excess over k. (j, i) is the same inequality as (i, j). The sums are taken a
+    block of rows j at a time, at most _CHUNK_ENTRIES of them at once.
+    """
+    n = d.shape[0]
+    step = max(1, _CHUNK_ENTRIES // max(1, n))
+    buf = np.empty((min(step, n), n))
     # A detour that overflows to inf is never shorter than a direct distance,
     # so the overflow cannot change the verdict.
+    with np.errstate(over="ignore"):
+        for i in range(n):
+            for lo in range(i, n, step):
+                hi = min(lo + step, n)
+                sums = np.add(d[lo:hi], d[i], out=buf[: hi - lo])
+                if ((d[i, lo:hi] - sums.min(axis=1)) > tol).any():
+                    return False
+    return True
+
+
+def _first_triangle_violation(d: np.ndarray, tol: float) -> MetricViolation | None:
+    """The k-major triangle check: the first k, then the first (i, j), whose excess exceeds tol.
+
+    Three full passes over d per k; validate_metric runs it only to name a
+    violation that the row scan found, and the tests keep it as the reference.
+    """
+    n = d.shape[0]
+    excess = np.empty_like(d)  # reused by every k: holds d - (d[:, k] + d[k, :])
     with np.errstate(over="ignore"):
         for k in range(n):
             np.add(d[:, k : k + 1], d[k : k + 1, :], out=excess)
@@ -130,7 +169,6 @@ def validate_metric(m) -> MetricViolation | None:
                     (int(i), int(j), k),
                     f"dist[{i}][{j}] = {d[i, j]} > dist[{i}][{k}] + dist[{k}][{j}] = {d[i, k] + d[k, j]}",
                 )
-    _mark_validated(metric)
     return None
 
 

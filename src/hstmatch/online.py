@@ -65,15 +65,15 @@ class RwgmState:
     ``subtree_remaining`` counts the unassigned servers in each node's
     subtree, so a leaf's entry is its own count and a node is green exactly
     when its entry is positive. The descent draws come from a 32-bit stream
-    read off a PCG64 bit generator, the low half of each 64-bit output
-    first, as numpy's ``next_uint32`` splits them. One state serves one
+    read off a bit generator with 64-bit outputs, the low half of each
+    output first, as numpy's ``next_uint32`` splits them. One state serves one
     request sequence; episodes that run concurrently need their own states
     and random streams.
     """
 
     __slots__ = ("tree", "subtree_remaining", "policy", "bits", "u32")
 
-    def __init__(self, tree: HstTree, bits: np.random.PCG64, policy: str) -> None:
+    def __init__(self, tree: HstTree, bits: np.random.BitGenerator, policy: str) -> None:
         self.tree = tree
         self.subtree_remaining = tree.subtree_sums(tree.leaf_multiplicity)
         self.policy = policy
@@ -81,19 +81,29 @@ class RwgmState:
         self.u32 = iter(())
 
 
+# Bit generators whose random_raw yields full 64-bit outputs, so the state's
+# 32-bit stream can be read off them directly. MT19937's outputs are 32-bit.
+_RAW64 = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64)
+
+
 def rwgm_init(tree: HstTree, seed, policy: str = "uniform") -> RwgmState:
     """Fresh episode state.
 
     ``seed`` is anything ``np.random.default_rng`` accepts. An int seeds the
     episode's PCG64 stream directly, so every descent draw equals what
-    ``np.random.default_rng(seed).integers(n)`` would return; a Generator or
-    a bit generator is asked for one seed of a fresh stream.
+    ``np.random.default_rng(seed).integers(n)`` would return. A Generator or
+    a bit generator with 64-bit outputs (PCG64, PCG64DXSM, Philox, SFC64)
+    is read directly, and advances as the episode draws; any other is asked
+    for one seed of a fresh stream.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
-    if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
-        seed = int(np.random.default_rng(seed).integers(2**63))
-    state = RwgmState(tree, np.random.PCG64(seed), policy)
+    bits = seed.bit_generator if isinstance(seed, np.random.Generator) else seed
+    if not isinstance(bits, _RAW64):
+        if isinstance(bits, np.random.BitGenerator):
+            seed = int(np.random.default_rng(bits).integers(2**63))
+        bits = np.random.PCG64(seed)
+    state = RwgmState(tree, bits, policy)
     if state.subtree_remaining[tree.root] <= 0:
         raise ValueError("tree carries no servers")
     return state

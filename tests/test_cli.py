@@ -213,6 +213,15 @@ def test_generators_refuse_more_than_max_points(tmp_path, capsys, argv, message)
     assert not out.exists()
 
 
+def test_generate_refuses_too_many_coordinates(tmp_path, capsys):
+    out = tmp_path / "inst.json"
+    assert run_cli("generate", "--family", "euclidean", "--n", 1, "--dim", 4000000, "-o", out) == 1
+    assert one_error_line(capsys) == (
+        "ValueError: euclidean n=1 dim=4000000 needs 8000000 coordinates, above MAX_COORDINATES = 4194304"
+    )
+    assert not out.exists()
+
+
 def test_generate_rejects_infinite_coord_range(tmp_path, capsys):
     out = tmp_path / "inst.json"
     code = run_cli("generate", "--family", "line", "--n", 4, "--coord-range", "inf", "-o", out)

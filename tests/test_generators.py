@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hstmatch import generators
-from hstmatch.generators import FAMILIES, MAX_POINTS, GeneratorSpec, euclidean_metric, generate_instance
+from hstmatch.generators import FAMILIES, MAX_COORDINATES, MAX_POINTS, GeneratorSpec, euclidean_metric, generate_instance
 from hstmatch.metric import validate_metric
 from hstmatch.oracle import optimal_matching
 
@@ -24,6 +24,13 @@ def test_spec_validation():
         for n in (n_max + 1, 10**18):
             with pytest.raises(ValueError, match=f"^{family} n={n} needs .* above MAX_POINTS = {MAX_POINTS}$"):
                 GeneratorSpec(family, n, seed=0)
+    # The coordinate bound applies to euclidean specs only: 2n * dim coordinates.
+    GeneratorSpec("euclidean", MAX_POINTS // 2, seed=0, dim=MAX_COORDINATES // MAX_POINTS)
+    GeneratorSpec("line", MAX_POINTS // 2, seed=0, dim=10**18)
+    for n, dim in ((MAX_POINTS // 2, MAX_COORDINATES // MAX_POINTS + 1), (1, MAX_COORDINATES // 2 + 1), (1, 10**18)):
+        message = f"^euclidean n={n} dim={dim} needs {2 * n * dim} coordinates, above MAX_COORDINATES = {MAX_COORDINATES}$"
+        with pytest.raises(ValueError, match=message):
+            GeneratorSpec("euclidean", n, seed=0, dim=dim)
 
 
 def test_star_instance_structure_and_opt():

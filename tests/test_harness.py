@@ -17,7 +17,8 @@ from hstmatch.harness import (
     trace_csv,
     report_to_dict,
 )
-from hstmatch.metric import Instance
+from hstmatch.metric import FiniteMetric, Instance
+from hstmatch.online import MatchingTrace
 
 
 def test_derive_seed_is_stable_and_keyed():
@@ -134,6 +135,24 @@ def test_sweep_is_deterministic():
     assert a == b
 
 
+def test_sweep_solves_each_size_once(monkeypatch):
+    kwargs = dict(episodes=4, master_seed=5)
+    tags = ["rwgm", "greedy", "optimal"]
+    calls = []
+    solve = harness.optimal_matching
+    monkeypatch.setattr(harness, "optimal_matching", lambda inst: calls.append(inst) or solve(inst))
+    rows = sweep("line", [3, 5], tags, **kwargs)
+    assert len(calls) == 2
+    # The same rows as one run_algorithm call, with its own solve, per tag.
+    want = []
+    for si, n in enumerate([3, 5]):
+        inst = generate_instance(GeneratorSpec("line", n, seed=derive_seed(5, 0, si)))
+        for ai, tag in enumerate(tags):
+            report, _ = run_algorithm(inst, tag, derive_seed(5, 1, si, ai), 4)
+            want.append((n, tag, report.mean, report.std_error))
+    assert sweep_csv(rows) == sweep_csv(want)
+
+
 def test_sweep_rejects_unknown_tag_before_generating(monkeypatch):
     generated = []
     monkeypatch.setattr(harness, "generate_instance", generated.append)
@@ -156,3 +175,30 @@ def test_trace_csv_format():
     assert len(lines) == 1 + 2 * 3
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "0" and first[2] == "0"
+
+
+def reference_trace_csv(traces) -> str:
+    """Every row formatted on its own."""
+    rows = [
+        f"{e},{step},{r},{s},{cost!r}\n" for e, t in enumerate(traces) for step, (r, s, cost) in enumerate(t.decisions)
+    ]
+    return "episode,step,request_point,server_point,cost\n" + "".join(rows)
+
+
+def test_trace_csv_keeps_signed_zero_costs_apart():
+    decisions = [(1, 2, 0.0), (1, 2, -0.0), (1, 2, 0.0), (1, 2, 0.5), (2, 1, -0.0)]
+    traces = [MatchingTrace("rwgm", 0, decisions), MatchingTrace("rwgm", 1, decisions[::-1])]
+    text = trace_csv(traces)
+    assert text.split("\n")[1:6] == ["0,0,1,2,0.0", "0,1,1,2,-0.0", "0,2,1,2,0.0", "0,3,1,2,0.5", "0,4,2,1,-0.0"]
+    assert text == reference_trace_csv(traces)
+
+
+def test_trace_csv_matches_row_by_row_formatting():
+    # Repeated decisions across episodes of different lengths, as a depot instance gives.
+    dist = np.array([[0.0, 1.0, 0.1 + 0.2], [1.0, 0.0, 1.0], [0.1 + 0.2, 1.0, 0.0]])
+    inst = Instance(metric=FiniteMetric.from_matrix(dist), servers=(0, 0, 1, 2), requests=(2, 1, 1, 0))
+    _, traces = run_algorithm(inst, "rwgm", master_seed=3, episodes=40)
+    traces.append(MatchingTrace("rwgm", None, traces[0].decisions[:2]))
+    traces.append(MatchingTrace("rwgm", None, []))
+    assert trace_csv(traces) == reference_trace_csv(traces)
+    assert trace_csv([]) == reference_trace_csv([])

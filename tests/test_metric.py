@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_tree, tree_metric
+from hstmatch import metric
 from hstmatch.generators import euclidean_metric, line_metric, star_metric, uniform_metric
 from hstmatch.metric import (
+    TRIANGLE_SLACK,
     FiniteMetric,
     Instance,
     MetricStructureError,
@@ -128,6 +132,89 @@ def test_euclidean_metric_is_valid_by_construction(coords):
         assert (gaps[gaps > 0] < 2.0**-511).any() and str(exc).startswith("invalid metric: ")
         return
     assert_trusted_and_valid(m)
+
+
+@st.composite
+def triangle_cases(draw):
+    """Symmetric zero-diagonal matrices on both sides of the triangle check.
+
+    A valid metric of one of five kinds, optionally collapsed onto zero-distance
+    classes, rescaled so its sums overflow, and pushed to an excess of tol and
+    one ulp either side of it on one triple.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["euclidean", "line", "uniform", "star", "tree"]))
+    size = draw(st.integers(1, 40))
+    if kind == "euclidean":
+        d = euclidean_metric(rng.random((size, draw(st.integers(1, 4)))) * 10.0 ** rng.integers(-3, 4)).dist
+    elif kind == "line":
+        d = line_metric(rng.uniform(-50.0, 50.0, size)).dist
+    elif kind == "uniform":
+        d = uniform_metric(size).dist
+    elif kind == "star":
+        d = star_metric(size).dist
+    else:
+        d = tree_metric(random_tree(rng, draw(st.integers(1, 4)), lam=draw(st.floats(1.5, 6.0)))).dist
+    d = np.array(d)
+    if draw(st.booleans()):  # zero-distance classes: several points per base point
+        cls = rng.integers(0, len(d), draw(st.integers(1, 48)))
+        d = d[np.ix_(cls, cls)]
+    if draw(st.booleans()) and d.max() > 0:  # entries near the float maximum: detours overflow
+        d = d / d.max() * (np.finfo(float).max * draw(st.floats(0.5, 1.0)))
+    n = len(d)
+    if n >= 3 and draw(st.booleans()):
+        i, j, k = (int(x) for x in rng.choice(n, 3, replace=False))
+        tol = TRIANGLE_SLACK * float(d.max())
+        with np.errstate(over="ignore"):
+            edge = (d[i, k] + d[k, j]) + tol
+        if np.isfinite(edge):
+            ulps = draw(st.sampled_from([-1, 0, 1]))
+            d[i, j] = d[j, i] = {-1: np.nextafter(edge, 0.0), 0: edge, 1: np.nextafter(edge, np.inf)}[ulps]
+    return d
+
+
+def reference_verdict(d):
+    """The k-major loop alone, over a symmetric zero-diagonal matrix."""
+    return metric._first_triangle_violation(d, TRIANGLE_SLACK * float(d.max()) if len(d) else 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=triangle_cases())
+def test_row_scan_agrees_with_the_k_major_loop(d):
+    want = reference_verdict(d)
+    assert validate_metric(d) == want
+    with pytest.MonkeyPatch.context() as mp:  # blocks of one row or a few, splitting every row range
+        mp.setattr(metric, "_CHUNK_ENTRIES", 64)
+        assert validate_metric(d) == want
+
+
+def test_row_scan_sees_tol_to_the_ulp():
+    # The far point fixes the max entry, so tol stays TRIANGLE_SLACK * 10
+    # while dist[0][2] moves across the excess tol over the detour through 1.
+    d = line_metric([0.0, 1.0, 3.0, 10.0]).dist.copy()
+    tol = TRIANGLE_SLACK * 10.0
+    edge = 3.0 + tol
+    verdicts = []
+    for e in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 4.0)):
+        d[0, 2] = d[2, 0] = e
+        want = reference_verdict(d)
+        assert validate_metric(d) == want
+        assert metric._triangle_holds(d, tol) == (want is None)
+        verdicts.append(want)
+    assert verdicts[0] is None and verdicts[-1] is not None and verdicts[-1].where == (0, 2, 1)
+
+
+def test_row_scan_temporaries_stay_under_the_cap(monkeypatch):
+    d = line_metric(np.arange(400.0)).dist
+    monkeypatch.setattr(metric, "_CHUNK_ENTRIES", 4096)
+    tracemalloc.start()
+    try:
+        assert metric._triangle_holds(d, 0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The block of sums plus numpy's 8192-element ufunc buffer, not a 400x400 matrix (1.28 MB).
+    assert peak <= 8 * 4096 + 8 * 8192
 
 
 def test_generated_matrix_loaded_again_is_checked():

@@ -88,6 +88,34 @@ def test_init_takes_any_generator_or_bit_generator():
         assert sorted(rwgm_serve(st, 1)[0] for _ in range(2)) == [1, 2]
 
 
+@pytest.mark.parametrize("kind", [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64, np.random.MT19937])
+@pytest.mark.parametrize("wrap", [np.random.Generator, lambda bits: bits], ids=["generator", "bit-generator"])
+def test_init_from_each_bit_generator_kind_draws_uniformly(kind, wrap):
+    # Four leaves of two servers each and a serverless leaf under one root:
+    # each request at the empty leaf climbs to the root and takes one uniform
+    # draw among four, and two requests per episode read two 32-bit words.
+    t = with_multiplicity(height1_tree(5), {0: 2, 1: 2, 2: 2, 3: 2, 4: 0})
+    point_of = {leaf: p for p, leaf in t.point_leaf.items()}
+    bits = kind(derive_seed(2024, 12))
+    seed = wrap(bits)
+    episodes = 3000
+    counts = [[0] * 4, [0] * 4]
+    for _ in range(episodes):
+        st = rwgm_init(t, seed)
+        for draw in counts:
+            draw[point_of[rwgm_serve(st, t.point_leaf[4])[0]]] += 1
+    # 64-bit streams are read in place; MT19937's 32-bit outputs seed a fresh PCG64.
+    assert (st.bits is bits) == (kind is not np.random.MT19937)
+    for draw in counts:
+        chi2 = sum((c - episodes / 4) ** 2 / (episodes / 4) for c in draw)
+        assert chi2 < 16.27  # chi-square, 3 degrees of freedom, p = 0.001
+
+
+def test_int_seeded_draws_do_not_touch_a_generator():
+    st = rwgm_init(with_multiplicity(height1_tree(2), {0: 1, 1: 1}), 5)
+    assert type(st.bits) is np.random.PCG64 and st.bits.state == np.random.PCG64(5).state
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(
     tree_seed=strat.integers(0, 2**32 - 1),
