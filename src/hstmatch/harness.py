@@ -219,13 +219,20 @@ def run_algorithm(
     requested count.
     """
     _check_algorithms([tag])
-    _check_episodes(episodes)
+    _check_counts(episodes, master_seed)
     return _run_tag(inst, tag, master_seed, episodes, optimal_matching(inst), check)
 
 
-def _check_episodes(episodes: int) -> None:
-    if episodes < 1:
-        raise ValueError("episodes must be a positive integer")
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_counts(episodes, master_seed) -> None:
+    """Refuse what ``range`` and the seed derivation would coerce or choke on."""
+    if not (_is_int(episodes) and episodes >= 1):
+        raise ValueError(f"episodes must be a positive integer, got {episodes!r}")
+    if not (_is_int(master_seed) and master_seed >= 0):
+        raise ValueError(f"master_seed must be a non-negative integer, got {master_seed!r}")
 
 
 def _run_tag(inst: Instance, tag: str, master_seed: int, episodes: int, om, check: bool = False):
@@ -276,7 +283,7 @@ def sweep(
         raise ValueError("sizes must be nonempty")
     if not algorithms:
         raise ValueError("algorithms must be nonempty")
-    _check_episodes(episodes)
+    _check_counts(episodes, master_seed)
     specs = [  # every size is checked before any instance is built
         GeneratorSpec(
             family=family,

@@ -152,22 +152,27 @@ def _zero_distance_classes(dist: np.ndarray) -> tuple[list, list]:
     triangle slack can make distance zero non-transitive (d(a, b) = d(b, c) = 0
     while d(a, c) is tiny and positive), so a class is what its first point
     claims: a new representative takes every unclaimed point at distance zero
-    from it, one row operation per class (the matrix is symmetric).
+    from it, one row operation per class (the matrix is symmetric). Only rows
+    with an off-diagonal zero can claim or be claimed, so only they are
+    scanned; every other point is its own class.
     """
-    reps: list = []
-    rep_of = np.full(dist.shape[0], -1)
-    for i in range(dist.shape[0]):
-        if rep_of[i] < 0:
-            rep_of[(rep_of < 0) & (dist[i] == 0.0)] = len(reps)
-            reps.append(i)
-    return reps, rep_of.tolist()
+    points = np.arange(dist.shape[0])
+    rep = points.copy()  # each point's representative
+    claimed = np.zeros(dist.shape[0], dtype=bool)
+    for i in np.flatnonzero(np.count_nonzero(dist == 0.0, axis=1) > 1).tolist():
+        if not claimed[i]:
+            grab = ~claimed & (dist[i] == 0.0)
+            rep[grab] = i
+            claimed |= grab
+    is_rep = rep == points
+    return np.flatnonzero(is_rep).tolist(), (np.cumsum(is_rep) - 1)[rep].tolist()
 
 
 class _Classes(NamedTuple):
     """The seed-independent part of an embedding, computed once per metric object."""
 
     reps: list  # first point of each zero-distance class, ascending
-    rep_of: list  # class index of every point
+    rep_of: np.ndarray  # class index of every point
     dn: np.ndarray  # distances between representatives, in units of d_min
     d_min: float | None  # smallest positive distance; None for a single class
     log_diameter: float  # log of dn's largest entry; 0 for a single class
@@ -182,7 +187,7 @@ def _metric_classes(metric: FiniteMetric) -> _Classes:
     if len(reps) == 1:
         dn, d_min, diameter = np.zeros((1, 1)), None, 1.0
     else:
-        d = metric.dist[np.ix_(reps, reps)]
+        d = metric.dist if len(reps) == len(metric) else metric.dist[np.ix_(reps, reps)]
         d_min = float(d[d > 0.0].min())
         diameter = float(d.max()) / d_min
         if not math.isfinite(diameter):
@@ -191,7 +196,7 @@ def _metric_classes(metric: FiniteMetric) -> _Classes:
             )
         dn = d / d_min
     dn.flags.writeable = False
-    cached = _Classes(reps, rep_of, dn, d_min, math.log(diameter))
+    cached = _Classes(reps, np.array(rep_of, dtype=np.intp), dn, d_min, math.log(diameter))
     object.__setattr__(metric, "_classes", cached)
     return cached
 
@@ -231,38 +236,53 @@ def frt_embed(metric: FiniteMetric, params: EmbeddingParams) -> HstTree:
 
     rng = np.random.default_rng(params.seed)
     beta = lam ** rng.random()  # density proportional to 1/beta on [1, lam)
-    dp = c.dn[rng.permutation(k)]  # row r holds distances from the r-th center in permutation order
+    perm = rng.permutation(k)
+    # Row c holds class c's distances to the centers in permutation order
+    # (dn is symmetric, as every valid metric is), so each level's argmax
+    # runs along contiguous rows.
+    dp = c.dn.take(perm, axis=1)
 
     # One pass per level. A class joins the first center in permutation order
     # that covers it, whatever its cluster, so the children of every cluster
     # come out of one argmax over all classes; sorting them by (parent,
-    # center) numbers the nodes breadth-first.
-    parent: list = [None]
+    # center) numbers the nodes breadth-first, with every node's children
+    # consecutive.
+    ups: list = []  # parent of every node below the root, level by level
     level: list = [height]
     node = np.zeros(k, dtype=np.intp)  # each class's node at the level just built
+    first = 1
     for lv in range(height - 1, -1, -1):
-        first = len(parent)
-        winner = (dp <= beta * lam ** (lv - 1)).argmax(axis=0)
+        radius = beta * lam ** (lv - 1)
+        if radius < 1.0:
+            # dn is at least 1 off the diagonal (x / d_min >= 1 for x >= d_min),
+            # so each class covers only itself: its own permutation position wins.
+            winner = np.empty(k, dtype=np.intp)
+            winner[perm] = np.arange(k)
+        else:
+            winner = (dp <= radius).argmax(axis=1)
         keys, node = np.unique(node * k + winner, return_inverse=True)
-        parent.extend((keys // k).tolist())
+        ups.append(keys // k)
         level.extend([lv] * len(keys))
         node += first
+        first += len(keys)
     if len(keys) < k:  # radius beta/lam < 1 forces singletons at level 0
         raise AssertionError("partition did not reach singletons")
 
-    children: list = [[] for _ in parent]
-    for v in range(1, len(parent)):
-        children[parent[v]].append(v)
+    # The last k nodes are the leaves; every other node's children are the
+    # id range that ends one past its last child.
+    up = np.concatenate(ups)
+    ends = (np.bincount(up, minlength=first - k).cumsum() + 1).tolist()
+    ids = tuple(range(first))
     leaves = node.tolist()
     return HstTree(
         lam=lam,
         scale=scale,
         height=height,
-        parent=tuple(parent),
-        children=tuple(map(tuple, children)),
+        parent=(None, *up.tolist()),
+        children=tuple([ids[a:b] for a, b in zip([1, *ends], ends)]) + ((),) * k,
         level=tuple(level),
         leaf_point=dict(zip(leaves, c.reps)),
-        point_leaf={p: leaves[ci] for p, ci in enumerate(c.rep_of)},
+        point_leaf=dict(enumerate(node[c.rep_of].tolist())),
         leaf_multiplicity=dict.fromkeys(leaves, 0),
     )
 

@@ -64,18 +64,21 @@ class RwgmState:
 
     ``subtree_remaining`` counts the unassigned servers in each node's
     subtree, so a leaf's entry is its own count and a node is green exactly
-    when its entry is positive. The descent draws come from a 32-bit stream
-    read off a bit generator with 64-bit outputs, the low half of each
-    output first, as numpy's ``next_uint32`` splits them. One state serves one
-    request sequence; episodes that run concurrently need their own states
-    and random streams.
+    when its entry is positive. ``green[u]`` lists u's green children in
+    child order once a uniform descent has passed through u, and is None
+    before. The descent draws come from a 32-bit stream read off a bit
+    generator with 64-bit outputs, the low half of each output first, as
+    numpy's ``next_uint32`` splits them. One state serves one request
+    sequence; episodes that run concurrently need their own states and
+    random streams.
     """
 
-    __slots__ = ("tree", "subtree_remaining", "policy", "bits", "u32")
+    __slots__ = ("tree", "subtree_remaining", "green", "policy", "bits", "u32")
 
     def __init__(self, tree: HstTree, bits: np.random.BitGenerator, policy: str) -> None:
         self.tree = tree
         self.subtree_remaining = tree.subtree_sums(tree.leaf_multiplicity)
+        self.green = [None] * len(self.subtree_remaining)
         self.policy = policy
         self.bits = bits
         self.u32 = iter(())
@@ -150,8 +153,11 @@ def pick_a_leaf(state: RwgmState, u: int) -> int:
         raise ValueError(f"node {u} is not green")
     children = state.tree.children
     if state.policy == "uniform":
+        green = state.green
         while children[u]:
-            kids = [c for c in children[u] if counts[c]]
+            kids = green[u]
+            if kids is None:
+                kids = green[u] = [c for c in children[u] if counts[c]]
             u = kids[_below(state, len(kids))]
     else:
         while children[u]:
@@ -171,7 +177,9 @@ def rwgm_serve(state: RwgmState, request_leaf: int):
     drops by one. Raises when the request is not a leaf of the tree or when
     every server has been assigned. The lowest green ancestor the climb
     stops at is the meet of the request and the chosen leaf, since descent
-    only enters green children, so its level gives the cost.
+    only enters green children, so its level gives the cost. Every node
+    whose count reaches zero leaves its parent's green-child list, if that
+    list has been built.
     """
     tree = state.tree
     parent = tree.parent
@@ -187,6 +195,14 @@ def rwgm_serve(state: RwgmState, request_leaf: int):
     w = chosen
     while w is not None:
         counts[w] -= 1
+        w = parent[w]
+    # Counts never shrink going up, so the nodes that just turned red are
+    # the chosen leaf and its ancestors up to the first one still green.
+    w = chosen
+    while not counts[w] and parent[w] is not None:
+        kids = state.green[parent[w]]
+        if kids is not None:
+            kids.remove(w)
         w = parent[w]
     return chosen, tree.level_distance[tree.level[v]]
 

@@ -23,6 +23,17 @@ COINCIDENT = {
     "requests": [2, 2, 1],
 }
 
+# Points on a line, the first two at the same spot: four server points hold
+# three or more servers each and the coincident pair shares a leaf, so
+# serving empties leaves that other requests then climb past.
+_MULTI_X = [0.0, 0.0, 1.0, 3.0, 7.0, 8.0, 12.0, 20.0, 21.0]
+MULTI = {
+    "points": [f"x{i}" for i in range(len(_MULTI_X))],
+    "dist": [[abs(a - b) for b in _MULTI_X] for a in _MULTI_X],
+    "servers": [0, 0, 0, 1, 3, 3, 3, 3, 6, 6, 6, 7, 4, 4, 4, 4],
+    "requests": [2, 8, 8, 5, 2, 1, 7, 8, 5, 5, 0, 2, 8, 6, 5, 2],
+}
+
 # (output file, CLI arguments); "{name}" expands to the path of an earlier
 # output file, so later commands read the instances written before them. The
 # last command writes no file and is named after what it prints.
@@ -41,6 +52,11 @@ INVOCATIONS = (
     ("coincident.csv", ["run", "--instance", "{coincident.json}", "--algorithm", "rwgm",
                         "--episodes", "5", "--seed", "8", "-o", "{coincident.csv}",
                         "--report", "{coincident.report.json}"]),
+    ("multi.csv", ["run", "--instance", "{multi.json}", "--algorithm", "rwgm", "--episodes", "25",
+                   "--seed", "14", "-o", "{multi.csv}", "--report", "{multi.report.json}"]),
+    ("multi-prop.csv", ["run", "--instance", "{multi.json}", "--algorithm", "rwgm-proportional",
+                        "--episodes", "25", "--seed", "15", "-o", "{multi-prop.csv}",
+                        "--report", "{multi-prop.report.json}"]),
     ("sweep.csv", ["sweep", "--family", "nested-uniform", "--sizes", "2,4",
                    "--algorithms", "rwgm,rwgm-proportional,greedy,optimal",
                    "--episodes", "15", "--seed", "9", "-o", "{sweep.csv}"]),
@@ -59,6 +75,10 @@ DIGESTS = {
     "greedy.csv": "5f86d5703856bfef87c12277fccf6dd02ab90a0b72154d1eae89f63098937fd7",
     "greedy.report.json": "ef416e746a43e180bcb07e1248e157b9fca9c0400dc5a8bc42180c0a8368e668",
     "line.json": "412d09f66dce5e9752159ddcc14043b0fc0284720fc8b338847b45f49838b2d7",
+    "multi-prop.csv": "1ce635cd39c46b2afee1616d7906b49f53fecd82238444784e3a9266c578de10",
+    "multi-prop.report.json": "8f5ccab356a25f56dbd2e5f42fd67b7abcb9b8e10a10caf27b09cea7e5eb41ff",
+    "multi.csv": "42241c2eee04c896ada81f6d2bb52c4962b5116d17eab2a7549b594aee3bf921",
+    "multi.report.json": "f8b92a06c5404630e49c6e516f5104c9e308ca37b0c1b436641f4ec924e0281c",
     "optimal.csv": "d293e83059db04e6a9941269a507e814eadd948f5c3a666e9fa9c6824b3fd366",
     "optimal.report.json": "59b933b5d479e72e5dd854b88d6ebfd18817a47ecbb58a07a55682232b7355d7",
     "prop.csv": "3761b7a6bdb40c43cfa5af81c0ed9aa63889191c3bc4e019c3f43067cc08b79f",
@@ -78,6 +98,8 @@ DIGESTS = {
 STDOUT_DIGESTS = {
     "coincident.csv": "cdc482fe9984e3c06b7e73f0fe9d6d6464bf0cf56c3c57dfa0d8c95bbbb3796f",
     "greedy.csv": "8c95580fbdc9dae814a36016ca6be958e821715c8582c51ca2bd3bdd5b1fc62b",
+    "multi-prop.csv": "7d66fcfc49fb6ab15575a1c2dea6bd424c8592e808c6d635d13edec8f309d769",
+    "multi.csv": "be7ec622604babc2d90c38736f3eda16a47f8ef2ba10960394af3136bd0e88c1",
     "optimal.csv": "0cd69d31b5c3c2822b7003ef5d0a5aeb1985c9c0536189a6ba6684efb8eec6d7",
     "prop.csv": "1d61c1cd8a585fbe3b4a1fe08585622c618d2b856b46ac95a8d1764a7e11e60d",
     "rwgm.csv": "a3c32ae53be9f941189b52817e0251f1ba64dad52dff13672ca6e31a8bbf18c6",
@@ -92,13 +114,15 @@ def _expand(arg: str, tmp_path) -> str:
 
 
 def test_cli_outputs_match_pinned_digests(tmp_path, capsys):
-    (tmp_path / "coincident.json").write_text(json.dumps(COINCIDENT) + "\n", encoding="utf-8")
+    inputs = {"coincident.json": COINCIDENT, "multi.json": MULTI}
+    for name, data in inputs.items():
+        (tmp_path / name).write_text(json.dumps(data) + "\n", encoding="utf-8")
     printed = {}
     for name, argv in INVOCATIONS:
         assert main([_expand(a, tmp_path) for a in argv]) == 0, argv
         printed[name] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert {name: printed[name] for name in STDOUT_DIGESTS} == STDOUT_DIGESTS
-    written = sorted(p.name for p in tmp_path.iterdir() if p.name != "coincident.json")
+    written = sorted(p.name for p in tmp_path.iterdir() if p.name not in inputs)
     assert written == sorted(DIGESTS)
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in written}
     assert got == DIGESTS

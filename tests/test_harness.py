@@ -7,6 +7,7 @@ from helpers import harmonic
 from hstmatch import harness
 from hstmatch.generators import GeneratorSpec, generate_instance, uniform_metric
 from hstmatch.harness import (
+    ALGORITHMS,
     derive_seed,
     pipeline_setup,
     run_algorithm,
@@ -109,6 +110,51 @@ def test_run_algorithm_rejects_unknown_tag():
     inst = generate_instance(GeneratorSpec("star", 2, seed=0))
     with pytest.raises(ValueError):
         run_algorithm(inst, "annealing", master_seed=0, episodes=1)
+
+
+def _one_line_value_error(call, match):
+    with pytest.raises(ValueError, match=match) as err:
+        call()
+    assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("episodes", [2.5, 3.0, True, False, 0, -2, "4", None])
+@pytest.mark.parametrize("tag", ALGORITHMS)
+def test_run_algorithm_refuses_episodes_that_are_not_positive_integers(tag, episodes):
+    inst = generate_instance(GeneratorSpec("star", 2, seed=0))
+    _one_line_value_error(
+        lambda: run_algorithm(inst, tag, master_seed=0, episodes=episodes), "episodes must be a positive integer"
+    )
+
+
+@pytest.mark.parametrize("master_seed", [2.7, 2.0, True, False, -1, "3", None])
+@pytest.mark.parametrize("tag", ALGORITHMS)
+def test_run_algorithm_refuses_seeds_that_are_not_non_negative_integers(tag, master_seed):
+    inst = generate_instance(GeneratorSpec("star", 2, seed=0))
+    _one_line_value_error(
+        lambda: run_algorithm(inst, tag, master_seed=master_seed, episodes=2),
+        "master_seed must be a non-negative integer",
+    )
+
+
+def test_run_pipeline_and_sweep_refuse_bad_episodes_and_seeds():
+    inst = generate_instance(GeneratorSpec("star", 2, seed=0))
+    for kwargs, match in (
+        (dict(episodes=2.5, master_seed=0), "episodes"),
+        (dict(episodes=True, master_seed=0), "episodes"),
+        (dict(episodes=2, master_seed=2.7), "master_seed"),
+        (dict(episodes=2, master_seed=True), "master_seed"),
+        (dict(episodes=2, master_seed=-1), "master_seed"),
+    ):
+        _one_line_value_error(lambda: run_pipeline(inst, **kwargs), match)
+        _one_line_value_error(lambda: sweep("star", [2], ["greedy", "optimal"], **kwargs), match)
+
+
+def test_numpy_integer_episodes_and_seeds_run_like_ints():
+    inst = generate_instance(GeneratorSpec("line", 4, seed=1))
+    want = run_pipeline(inst, master_seed=3, episodes=5)
+    assert run_pipeline(inst, master_seed=np.uint32(3), episodes=np.int64(5)) == want
+    assert sweep("line", [3], ["rwgm"], np.int16(4), np.int64(2)) == sweep("line", [3], ["rwgm"], 4, 2)
 
 
 def test_star_pipeline_mean_within_harmonic_envelope():

@@ -20,6 +20,7 @@ from helpers import (
 )
 from hstmatch.generators import line_metric, star_metric, uniform_metric
 from hstmatch.harness import derive_seed, pipeline_setup, run_episode
+from hstmatch.hst import EmbeddingParams, attach_servers, frt_embed
 from hstmatch.metric import Instance
 from hstmatch.online import (
     POLICIES,
@@ -263,6 +264,35 @@ def test_green_invariant_after_every_serve():
             rwgm_serve(st, tree.point_leaf[r])
             assert green(st) == recompute_green(st)
         assert st.subtree_remaining[tree.root] == 0
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    coords=strat.lists(strat.integers(0, 40), min_size=1, max_size=10),
+    picks=strat.lists(strat.integers(0, 2**16), min_size=2, max_size=30),
+    play_seed=strat.integers(0, 2**64 - 1),
+    embed_seed=strat.integers(0, 2**32 - 1),
+    policy=strat.sampled_from(POLICIES),
+)
+def test_built_green_lists_hold_the_green_children_after_every_serve(coords, picks, play_seed, embed_seed, policy):
+    # Servers pile up on few points (and on repeated coordinates, which share a
+    # leaf), so leaves hold several servers and empty only after several serves.
+    metric = line_metric(coords)
+    n = len(picks) // 2
+    servers = tuple(picks[i] % len(coords) % 3 for i in range(n))
+    requests = tuple(picks[i] % len(coords) for i in range(n, 2 * n))
+    tree = frt_embed(metric, EmbeddingParams(lam=2.0, seed=embed_seed))
+    tree = attach_servers(tree, Instance(metric, servers, requests))
+    got = rwgm_init(tree, play_seed, policy=policy)
+    want = reference_rwgm_init(tree, play_seed, policy=policy)
+    counts = got.subtree_remaining
+    for r in requests:
+        assert rwgm_serve(got, tree.point_leaf[r]) == reference_rwgm_serve(want, tree.point_leaf[r])
+        for u, kids in enumerate(got.green):
+            if kids is not None:
+                assert kids == [c for c in tree.children[u] if counts[c]], u
+    if policy == "proportional":
+        assert got.green == [None] * tree.n_nodes
 
 
 def test_each_serve_is_tree_greedy():
