@@ -143,7 +143,7 @@ class HstTree:
         return sums
 
 
-def _zero_distance_classes(dist: np.ndarray) -> tuple[list, list]:
+def _zero_distance_classes(dist: np.ndarray) -> tuple[list, np.ndarray]:
     """Group points into classes of pairwise distance zero.
 
     Returns the sorted class representatives and, for every point, the index
@@ -165,7 +165,7 @@ def _zero_distance_classes(dist: np.ndarray) -> tuple[list, list]:
             rep[grab] = i
             claimed |= grab
     is_rep = rep == points
-    return np.flatnonzero(is_rep).tolist(), (np.cumsum(is_rep) - 1)[rep].tolist()
+    return np.flatnonzero(is_rep).tolist(), (np.cumsum(is_rep, dtype=np.intp) - 1)[rep]
 
 
 class _Classes(NamedTuple):
@@ -196,7 +196,7 @@ def _metric_classes(metric: FiniteMetric) -> _Classes:
             )
         dn = d / d_min
     dn.flags.writeable = False
-    cached = _Classes(reps, np.array(rep_of, dtype=np.intp), dn, d_min, math.log(diameter))
+    cached = _Classes(reps, rep_of, dn, d_min, math.log(diameter))
     object.__setattr__(metric, "_classes", cached)
     return cached
 
@@ -252,14 +252,7 @@ def frt_embed(metric: FiniteMetric, params: EmbeddingParams) -> HstTree:
     node = np.zeros(k, dtype=np.intp)  # each class's node at the level just built
     first = 1
     for lv in range(height - 1, -1, -1):
-        radius = beta * lam ** (lv - 1)
-        if radius < 1.0:
-            # dn is at least 1 off the diagonal (x / d_min >= 1 for x >= d_min),
-            # so each class covers only itself: its own permutation position wins.
-            winner = np.empty(k, dtype=np.intp)
-            winner[perm] = np.arange(k)
-        else:
-            winner = (dp <= radius).argmax(axis=1)
+        winner = (dp <= beta * lam ** (lv - 1)).argmax(axis=1)
         keys, node = np.unique(node * k + winner, return_inverse=True)
         ups.append(keys // k)
         level.extend([lv] * len(keys))

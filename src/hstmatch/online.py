@@ -177,9 +177,9 @@ def rwgm_serve(state: RwgmState, request_leaf: int):
     drops by one. Raises when the request is not a leaf of the tree or when
     every server has been assigned. The lowest green ancestor the climb
     stops at is the meet of the request and the chosen leaf, since descent
-    only enters green children, so its level gives the cost. Every node
-    whose count reaches zero leaves its parent's green-child list, if that
-    list has been built.
+    only enters green children, so its level gives the cost. Under the
+    uniform policy every node whose count reaches zero leaves its parent's
+    green-child list, if that list has been built.
     """
     tree = state.tree
     parent = tree.parent
@@ -196,14 +196,15 @@ def rwgm_serve(state: RwgmState, request_leaf: int):
     while w is not None:
         counts[w] -= 1
         w = parent[w]
-    # Counts never shrink going up, so the nodes that just turned red are
-    # the chosen leaf and its ancestors up to the first one still green.
-    w = chosen
-    while not counts[w] and parent[w] is not None:
-        kids = state.green[parent[w]]
-        if kids is not None:
-            kids.remove(w)
-        w = parent[w]
+    if state.policy == "uniform":
+        # Counts never shrink going up, so the nodes that just turned red are
+        # the chosen leaf and its ancestors up to the first one still green.
+        w = chosen
+        while not counts[w] and parent[w] is not None:
+            kids = state.green[parent[w]]
+            if kids is not None:
+                kids.remove(w)
+            w = parent[w]
     return chosen, tree.level_distance[tree.level[v]]
 
 

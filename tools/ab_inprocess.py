@@ -46,14 +46,13 @@ def main(argv=None) -> int:
     p.add_argument("--workload", default="euclid-embed", choices=sorted(perfbench_run.workloads()))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pairs", type=int, default=30)
-    p.add_argument("--episodes", type=int, default=None, help="episodes per call (default: the workload's)")
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be at least 2")
 
     wl = perfbench_run.workloads()[args.workload]
     data = (wl.throughput_instance or wl.instance)(args.seed)
-    episodes = args.episodes or wl.throughput_episodes
+    episodes = wl.throughput_episodes
     sides = []
     for name, src in (("a", args.a), ("b", args.b)):
         pkg = load_package(src.resolve(), f"hstmatch_{name}")
