@@ -82,7 +82,7 @@ def _cmd_embed(args) -> int:
     setup = pipeline_setup(inst)
     lam = args.lam if args.lam is not None else setup.lam
     tree = frt_embed(setup.sub, EmbeddingParams(lam=lam, seed=args.seed))
-    tree = attach_servers(tree, inst, setup.mapping)
+    tree, _ = attach_servers(tree, setup.stock)
     dump = tree_to_dict(tree)
     if args.dump_tree:
         _write_json(args.dump_tree, dump)

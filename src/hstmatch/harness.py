@@ -1,9 +1,10 @@
 """End-to-end pipeline, Monte Carlo reports, and the sweep table.
 
-A pipeline episode embeds the server submetric into one random tree, then
-serves every request through discretization onto the tree matcher. The
-embedding is resampled per episode: the randomized strategy draws both the
-tree and the descent choices, so the reported mean averages over both.
+A pipeline episode embeds the server submetric into one random tree, places
+the servers on its leaves and serves each request's discretized image (found
+once per run by ``pipeline_setup``) on the tree matcher. The embedding is
+resampled per episode: the randomized strategy draws both the tree and the
+descent choices, so the reported mean averages over both.
 
 Randomness contract: every episode owns two integer seeds derived from
 (master_seed, episode_index, slot) through numpy's SeedSequence, one for
@@ -28,7 +29,6 @@ __all__ = [
     "ALGORITHMS",
     "RatioReport",
     "PipelineSetup",
-    "EpisodeResult",
     "derive_seed",
     "pipeline_setup",
     "run_episode",
@@ -110,10 +110,9 @@ class PipelineSetup:
 
     inst: Instance
     sub: object
-    mapping: dict
     g: tuple  # nearest-server image of each request, in request order
     g_sub: tuple  # submetric index of each request's image
-    stock: tuple  # (submetric point, its server instances) pairs, highest point first
+    stock: tuple  # (submetric point, its server instances) pairs, highest point first, for attach_servers
     requests: np.ndarray  # the request points, for one cost gather per episode
     lam: float
 
@@ -125,19 +124,12 @@ def pipeline_setup(inst: Instance) -> PipelineSetup:
     return PipelineSetup(
         inst=inst,
         sub=sub,
-        mapping=mapping,
         g=g,
         g_sub=tuple(mapping[p] for p in g),
-        stock=tuple((mapping[p], [p] * servers[p]) for p in sorted(servers, reverse=True)),
+        stock=tuple((mapping[p], (p,) * servers[p]) for p in sorted(servers, reverse=True)),
         requests=np.asarray(inst.requests),
         lam=lambda_for_n(inst.n),
     )
-
-
-@dataclass(frozen=True)
-class EpisodeResult:
-    trace: MatchingTrace
-    moves: int  # requests served away from their own leaf
 
 
 def run_episode(
@@ -147,7 +139,7 @@ def run_episode(
     *,
     algorithm: str = "rwgm",
     check: bool = False,
-) -> EpisodeResult:
+) -> MatchingTrace:
     """Play one full episode of a randomized tag: embed, attach servers, serve every request.
 
     With ``check`` set, every decision is verified against the per-request
@@ -158,26 +150,15 @@ def run_episode(
     inst = setup.inst
     dist = inst.metric.dist
     tree = frt_embed(setup.sub, EmbeddingParams(lam=setup.lam, seed=embed_seed))
-    tree = attach_servers(tree, inst, setup.mapping)
+    tree, stock = attach_servers(tree, setup.stock)
     state = rwgm_init(tree, play_seed, policy=_TREE_POLICY[algorithm])
     point_leaf = tree.point_leaf
 
-    # The server instances waiting at each leaf, highest point index first,
-    # so pop() consumes the lowest index. Points of one zero-distance class
-    # share a leaf and arrive highest first, so appending keeps the order.
-    stock: dict = {}
-    for q, servers in setup.stock:
-        stock.setdefault(point_leaf[q], []).extend(servers)
-
     served = []
     tree_costs = []
-    moves = 0
     for q in setup.g_sub:
-        g_leaf = point_leaf[q]
-        server_leaf, tree_cost = rwgm_serve(state, g_leaf)
+        server_leaf, tree_cost = rwgm_serve(state, point_leaf[q])
         served.append(stock[server_leaf].pop())
-        if server_leaf != g_leaf:
-            moves += 1
         if check:
             tree_costs.append(tree_cost)
     costs = dist[setup.requests, served].tolist()
@@ -191,12 +172,7 @@ def run_episode(
             if inner_cost > tree_cost * (1.0 + 1e-12) + tol:
                 raise AssertionError(f"request {i}: tree cost fails to dominate the metric cost")
 
-    trace = MatchingTrace(
-        algorithm=algorithm,
-        seed=int(play_seed),
-        decisions=list(zip(inst.requests, served, costs)),
-    )
-    return EpisodeResult(trace=trace, moves=moves)
+    return MatchingTrace(list(zip(inst.requests, served, costs)))
 
 
 def run_pipeline(inst: Instance, master_seed: int, episodes: int, *, check: bool = False) -> RatioReport:
@@ -247,22 +223,22 @@ def _run_tag(inst: Instance, tag: str, master_seed: int, episodes: int, om, chec
             r = inst.requests[req_idx]
             s = inst.servers[srv_idx]
             decisions.append((r, s, float(inst.metric.dist[r, s])))
-        trace = MatchingTrace(algorithm="optimal", seed=None, decisions=decisions)
+        trace = MatchingTrace(decisions)
         return _make_report("optimal", [trace.total_cost], om.cost, master_seed), [trace]
 
     setup = pipeline_setup(inst)
     costs = []
     traces = []
     for e in range(episodes):
-        result = run_episode(
+        trace = run_episode(
             setup,
             derive_seed(master_seed, e, 0),
             derive_seed(master_seed, e, 1),
             algorithm=tag,
             check=check,
         )
-        costs.append(result.trace.total_cost)
-        traces.append(result.trace)
+        costs.append(trace.total_cost)
+        traces.append(trace)
     return _make_report(tag, costs, om.cost, master_seed), traces
 
 

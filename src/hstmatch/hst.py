@@ -37,14 +37,13 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .metric import FiniteMetric, Instance, ensure_valid_metric
+from .metric import FiniteMetric, ensure_valid_metric
 
 __all__ = [
     "MAX_TREE_NODES",
@@ -105,7 +104,7 @@ class HstTree:
     point_leaf: dict
     leaf_multiplicity: dict
 
-    root: int = 0
+    root = 0  # not a field: breadth-first numbering always puts the root first
 
     @property
     def n_nodes(self) -> int:
@@ -280,25 +279,33 @@ def frt_embed(metric: FiniteMetric, params: EmbeddingParams) -> HstTree:
     )
 
 
-def attach_servers(t: HstTree, inst: Instance, mapping: dict | None = None) -> HstTree:
-    """Return a copy of the tree with server multiplicities filled in.
+def attach_servers(t: HstTree, stock) -> tuple[HstTree, dict]:
+    """Place the server instances on the tree's leaves.
 
-    ``mapping`` translates instance point indices to the tree's point
-    indices (as produced by submetric extraction); omit it when the tree was
-    built directly on the instance's metric.
+    ``stock`` holds (tree point, that point's server instances) pairs, highest
+    point first, as ``pipeline_setup`` builds them. Returns the tree with its
+    server multiplicities and each leaf's instances in a fresh list, highest
+    first, so ``pop()`` takes the lowest.
     """
-    return replace(t, leaf_multiplicity=leaf_counts(t, inst.servers, mapping))
-
-
-def leaf_counts(t: HstTree, points, mapping: dict | None = None) -> dict:
-    """Tally a multiset of point indices by the leaf that hosts each point."""
     counts = dict.fromkeys(t.leaf_multiplicity, 0)  # its keys are exactly the leaves
-    for p, m in Counter(points).items():  # first-occurrence order, so the first bad point is named
-        q = p if mapping is None else mapping[p]
+    at_leaf: dict = {}
+    for q, servers in stock:
         leaf = t.point_leaf.get(q)
         if leaf is None:
+            raise ValueError(f"point {q} does not appear among the tree leaves")
+        counts[leaf] += len(servers)
+        at_leaf.setdefault(leaf, []).extend(servers)
+    return replace(t, leaf_multiplicity=counts), at_leaf
+
+
+def leaf_counts(t: HstTree, points) -> dict:
+    """Tally a multiset of tree point indices by the leaf that hosts each point."""
+    counts = dict.fromkeys(t.leaf_multiplicity, 0)
+    for p in points:
+        leaf = t.point_leaf.get(p)
+        if leaf is None:
             raise ValueError(f"point {p} does not appear among the tree leaves")
-        counts[leaf] += m
+        counts[leaf] += 1
     return counts
 
 

@@ -266,6 +266,11 @@ def _check_numeric_rows(dist) -> None:
 
 
 def instance_from_dict(data: dict) -> Instance:
+    if not isinstance(data, dict):
+        raise ValueError(f"instance JSON must be an object, got {type(data).__name__}")
+    for name in ("servers", "requests"):
+        if not isinstance(data.get(name, []), list):
+            raise ValueError(f"{name} must be a list of point indices, got {type(data[name]).__name__}")
     try:
         _check_labels(data["points"])
         _check_numeric_rows(data["dist"])

@@ -35,8 +35,6 @@ POLICIES = ("uniform", "proportional")
 class MatchingTrace:
     """Per-request decisions of one episode: (request point, server point, cost)."""
 
-    algorithm: str
-    seed: int | None
     decisions: list
 
     @property
@@ -246,4 +244,4 @@ def run_greedy(inst: Instance) -> MatchingTrace:
     for s in inst.servers:
         remaining[s] = remaining.get(s, 0) + 1
     decisions = [(r, *greedy_serve(inst, remaining, r)) for r in inst.requests]
-    return MatchingTrace(algorithm="greedy", seed=None, decisions=decisions)
+    return MatchingTrace(decisions)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -437,6 +438,17 @@ def tree_metric(t: HstTree) -> FiniteMetric:
     return FiniteMetric.from_matrix(d)
 
 
+def server_stock(servers) -> tuple:
+    """attach_servers' stock for a tree built on the servers' own metric: highest point first."""
+    counts = Counter(servers)
+    return tuple((p, (p,) * counts[p]) for p in sorted(counts, reverse=True))
+
+
+def attach(t: HstTree, servers) -> HstTree:
+    """The tree with the server multiset's multiplicities filled in."""
+    return attach_servers(t, server_stock(servers))[0]
+
+
 def random_tree_instance(rng, height: int, n: int, lam: float, scale: float = 1.0):
     """A random tree plus a random balanced instance living on its leaves."""
     t = random_tree(rng, height, lam, scale)
@@ -446,7 +458,7 @@ def random_tree_instance(rng, height: int, n: int, lam: float, scale: float = 1.
     requests = [p for p, c in enumerate(rng.multinomial(n, probs)) for _ in range(c)]
     requests = [requests[i] for i in rng.permutation(n)]
     inst = Instance(metric=tree_metric(t), servers=tuple(servers), requests=tuple(requests))
-    return attach_servers(t, inst), inst
+    return attach(t, inst.servers), inst
 
 
 def play_on_tree(tree: HstTree, request_points, rng, policy: str = "uniform"):

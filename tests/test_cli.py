@@ -199,6 +199,26 @@ def test_run_rejects_non_string_labels(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "document, message",
+    [
+        ([], "instance JSON must be an object, got list"),
+        (None, "instance JSON must be an object, got NoneType"),
+        ({"servers": 5}, "servers must be a list of point indices, got int"),
+        ({"requests": 5}, "requests must be a list of point indices, got int"),
+    ],
+)
+def test_run_rejects_misshapen_instance_json(tmp_path, capsys, document, message):
+    if isinstance(document, dict):
+        document = {"points": ["a", "b"], "dist": [[0.0, 1.0], [1.0, 0.0]], "servers": [0], "requests": [1], **document}
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(document))
+    report = tmp_path / "report.json"
+    assert run_cli("run", "--instance", inst_path, "--algorithm", "optimal", "--report", report) == 1
+    assert one_error_line(capsys) == f"ValueError: {message}"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["generate", "--family", "line", "--n", 15000], "line n=15000 needs 30000 points"),

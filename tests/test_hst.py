@@ -13,6 +13,7 @@ from helpers import (
     random_tree,
     reference_frt_embed,
     reference_zero_distance_classes,
+    server_stock,
     tree_distance,
     validate_hst,
 )
@@ -347,19 +348,21 @@ def test_attach_servers_counts():
     m = uniform_metric(3)
     t = frt_embed(m, EmbeddingParams(lam=2.0, seed=1))
     inst = Instance(metric=m, servers=(0, 0, 1), requests=(2, 0, 1))
-    t = attach_servers(t, inst)
+    t, at_leaf = attach_servers(t, server_stock(inst.servers))
     assert t.leaf_multiplicity[t.point_leaf[0]] == 2
     assert t.leaf_multiplicity[t.point_leaf[1]] == 1
     assert t.leaf_multiplicity[t.point_leaf[2]] == 0
     assert sum(t.leaf_multiplicity.values()) == 3
+    assert at_leaf == {t.point_leaf[0]: [0, 0], t.point_leaf[1]: [1]}
 
 
 def test_attach_servers_all_on_one_leaf():
     m = uniform_metric(2)
     t = frt_embed(m, EmbeddingParams(lam=2.0, seed=1))
     inst = Instance(metric=m, servers=(1, 1, 1, 1), requests=(0, 0, 0, 0))
-    t = attach_servers(t, inst)
+    t, at_leaf = attach_servers(t, server_stock(inst.servers))
     assert t.leaf_multiplicity[t.point_leaf[1]] == 4
+    assert at_leaf == {t.point_leaf[1]: [1, 1, 1, 1]}
 
 
 def test_attach_servers_missing_point_errors():
@@ -367,16 +370,28 @@ def test_attach_servers_missing_point_errors():
     m2 = uniform_metric(2)
     t = frt_embed(m2, EmbeddingParams(lam=2.0, seed=0))  # leaves carry points 0 and 1 only
     inst = Instance(metric=m3, servers=(0, 2), requests=(1, 1))
-    with pytest.raises(ValueError):
-        attach_servers(t, inst)
+    with pytest.raises(ValueError, match="point 2 does not appear among the tree leaves"):
+        attach_servers(t, server_stock(inst.servers))
+
+
+def test_attach_servers_stacks_a_shared_leaf_highest_first_in_fresh_lists():
+    # Points 1 and 2 sit at distance zero, so they share a leaf.
+    m = line_metric([0.0, 5.0, 5.0])
+    t = frt_embed(m, EmbeddingParams(lam=2.0, seed=3))
+    stock = ((2, [2]), (1, [1, 1]), (0, [0]))
+    t2, at_leaf = attach_servers(t, stock)
+    shared = t.point_leaf[1]
+    assert t.point_leaf[2] == shared
+    assert at_leaf == {shared: [2, 1, 1], t.point_leaf[0]: [0]}
+    assert t2.leaf_multiplicity == {shared: 3, t.point_leaf[0]: 1}
+    at_leaf[shared].pop()
+    assert stock[1][1] == [1, 1]  # the caller's lists are never handed out
+    assert attach_servers(t, stock)[1][shared] == [2, 1, 1]
 
 
 def test_tree_dump_schema():
     m = uniform_metric(3)
-    t = attach_servers(
-        frt_embed(m, EmbeddingParams(lam=2.0, seed=2)),
-        Instance(metric=m, servers=(0, 1, 2), requests=(0, 1, 2)),
-    )
+    t, _ = attach_servers(frt_embed(m, EmbeddingParams(lam=2.0, seed=2)), server_stock((0, 1, 2)))
     dump = tree_to_dict(t)
     assert set(dump) == {"lambda", "scale", "height", "nodes"}
     assert dump["nodes"][0]["parent"] is None

@@ -108,20 +108,20 @@ def assert_trusted_and_valid(m):
     assert validate_metric(m) is None
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(size=st.integers(1, 128))
 def test_star_and_uniform_are_valid_by_construction(size):
     assert_trusted_and_valid(star_metric(size))
     assert_trusted_and_valid(uniform_metric(size))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(coords=coordinate_arrays(max_dim=1))
 def test_line_metric_is_valid_by_construction(coords):
     assert_trusted_and_valid(line_metric(coords[:, 0]))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(coords=coordinate_arrays(max_dim=12))
 def test_euclidean_metric_is_valid_by_construction(coords):
     try:
@@ -178,7 +178,7 @@ def reference_verdict(d):
     return metric._first_triangle_violation(d, TRIANGLE_SLACK * float(d.max()) if len(d) else 0.0)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(d=triangle_cases())
 def test_row_scan_agrees_with_the_k_major_loop(d):
     want = reference_verdict(d)

@@ -7,6 +7,7 @@ from hypothesis import strategies as strat
 
 from helpers import (
     RawTree,
+    attach,
     height1_tree,
     normalize_hst,
     play_on_tree,
@@ -20,7 +21,7 @@ from helpers import (
 )
 from hstmatch.generators import line_metric, star_metric, uniform_metric
 from hstmatch.harness import derive_seed, pipeline_setup, run_episode
-from hstmatch.hst import EmbeddingParams, attach_servers, frt_embed
+from hstmatch.hst import EmbeddingParams, frt_embed
 from hstmatch.metric import Instance
 from hstmatch.online import (
     POLICIES,
@@ -282,7 +283,7 @@ def test_built_green_lists_hold_the_green_children_after_every_serve(coords, pic
     servers = tuple(picks[i] % len(coords) % 3 for i in range(n))
     requests = tuple(picks[i] % len(coords) for i in range(n, 2 * n))
     tree = frt_embed(metric, EmbeddingParams(lam=2.0, seed=embed_seed))
-    tree = attach_servers(tree, Instance(metric, servers, requests))
+    tree = attach(tree, servers)
     got = rwgm_init(tree, play_seed, policy=policy)
     want = reference_rwgm_init(tree, play_seed, policy=policy)
     counts = got.subtree_remaining
@@ -370,8 +371,9 @@ def test_mai_serve_wrapper():
     ):
         setup = pipeline_setup(Instance(metric=m, servers=(0, 3), requests=requests))
         assert setup.g == images
-        result = run_episode(setup, 1, 2, check=True)
-        assert result.trace.decisions == decisions and result.moves == 0
+        trace = run_episode(setup, 1, 2, check=True)
+        assert trace.decisions == decisions
+        assert [s for _, s, _ in trace.decisions] == list(images)  # no moves: each image's server serves it
 
 
 def test_mai_per_request_inequality():
@@ -384,7 +386,7 @@ def test_mai_per_request_inequality():
         for e in range(20):
             trace = run_episode(
                 setup, derive_seed(50, e, 0), derive_seed(50, e, 1), algorithm=algorithm, check=True
-            ).trace
+            )
             for (r, s, cost), g in zip(trace.decisions, setup.g):
                 assert cost == m.dist[r, s]
                 assert cost <= m.dist[g, s] + m.dist[g, r] + 1e-12
@@ -410,7 +412,7 @@ def test_total_cost_adds_left_to_right():
     # 1e16 + 1.0 rounds back to 1e16, so the plain float sum loses the 1.0
     # that math.fsum (and sum() from Python 3.12) keeps; reports use the plain sum.
     for costs, total in (([1e16, 1.0, -1e16], 0.0), ([1e16, 1.0, -1e16, 0.5], 0.5)):
-        trace = MatchingTrace(algorithm="rwgm", seed=0, decisions=[(0, 0, c) for c in costs])
+        trace = MatchingTrace([(0, 0, c) for c in costs])
         assert trace.total_cost == total
         assert math.fsum(costs) == total + 1.0
 
