@@ -26,7 +26,6 @@ from .hst import (
     attach_servers,
     frt_embed,
     lambda_for_n,
-    leaf_counts,
     tree_to_dict,
 )
 from .metric import (

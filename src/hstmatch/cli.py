@@ -21,7 +21,7 @@ from .harness import (
     sweep_csv,
     trace_csv,
 )
-from .hst import EmbeddingParams, attach_servers, frt_embed, tree_to_dict
+from .hst import EmbeddingParams, frt_embed, tree_to_dict
 from .metric import load_instance, save_instance
 
 __all__ = ["main"]
@@ -81,8 +81,7 @@ def _cmd_embed(args) -> int:
     inst = load_instance(args.instance)
     setup = pipeline_setup(inst)
     lam = args.lam if args.lam is not None else setup.lam
-    tree = frt_embed(setup.sub, EmbeddingParams(lam=lam, seed=args.seed))
-    tree, _ = attach_servers(tree, setup.stock)
+    tree = frt_embed(setup.sub, EmbeddingParams(lam=lam, seed=args.seed), setup.servers)
     dump = tree_to_dict(tree)
     if args.dump_tree:
         _write_json(args.dump_tree, dump)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import _CHUNK_ENTRIES, FiniteMetric, Instance, _mark_validated, ensure_valid_metric
+from .metric import _CHUNK_ENTRIES, FiniteMetric, Instance, _is_int, _mark_validated, ensure_valid_metric
 
 __all__ = [
     "FAMILIES",
@@ -54,13 +54,14 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
+        for name, value in (("n", self.n), ("dim", self.dim)):
+            if not (_is_int(value) and value >= 1):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         points = 2 * self.n if self.family in ("euclidean", "line") else self.n + 1
         if points > MAX_POINTS:
             raise ValueError(f"{self.family} n={self.n} needs {points} points, above MAX_POINTS = {MAX_POINTS}")
-        if self.dim < 1:
-            raise ValueError("dim must be a positive integer")
         if self.family == "euclidean" and points * self.dim > MAX_COORDINATES:
             raise ValueError(
                 f"euclidean n={self.n} dim={self.dim} needs {points * self.dim} coordinates,"

@@ -21,7 +21,7 @@ import numpy as np
 
 from .generators import GeneratorSpec, generate_instance
 from .hst import EmbeddingParams, attach_servers, frt_embed, lambda_for_n
-from .metric import Instance, submetric_of_servers
+from .metric import Instance, _is_int, submetric_of_servers
 from .online import MatchingTrace, discretize_all, rwgm_init, rwgm_serve, run_greedy
 from .oracle import optimal_matching
 
@@ -112,6 +112,7 @@ class PipelineSetup:
     sub: object
     g: tuple  # nearest-server image of each request, in request order
     g_sub: tuple  # submetric index of each request's image
+    servers: np.ndarray  # submetric index of each server instance, for frt_embed
     stock: tuple  # (submetric point, its server instances) pairs, highest point first, for attach_servers
     requests: np.ndarray  # the request points, for one cost gather per episode
     lam: float
@@ -120,13 +121,14 @@ class PipelineSetup:
 def pipeline_setup(inst: Instance) -> PipelineSetup:
     sub, mapping = submetric_of_servers(inst)
     g = discretize_all(inst)
-    servers = Counter(inst.servers)
+    counts = Counter(inst.servers)
     return PipelineSetup(
         inst=inst,
         sub=sub,
         g=g,
         g_sub=tuple(mapping[p] for p in g),
-        stock=tuple((mapping[p], (p,) * servers[p]) for p in sorted(servers, reverse=True)),
+        servers=np.array([mapping[p] for p in inst.servers], dtype=np.intp),
+        stock=tuple((mapping[p], (p,) * counts[p]) for p in sorted(counts, reverse=True)),
         requests=np.asarray(inst.requests),
         lam=lambda_for_n(inst.n),
     )
@@ -149,8 +151,8 @@ def run_episode(
     """
     inst = setup.inst
     dist = inst.metric.dist
-    tree = frt_embed(setup.sub, EmbeddingParams(lam=setup.lam, seed=embed_seed))
-    tree, stock = attach_servers(tree, setup.stock)
+    tree = frt_embed(setup.sub, EmbeddingParams(lam=setup.lam, seed=embed_seed), setup.servers)
+    stock = attach_servers(tree, setup.stock)
     state = rwgm_init(tree, play_seed, policy=_TREE_POLICY[algorithm])
     point_leaf = tree.point_leaf
 
@@ -197,10 +199,6 @@ def run_algorithm(
     _check_algorithms([tag])
     _check_counts(episodes, master_seed)
     return _run_tag(inst, tag, master_seed, episodes, optimal_matching(inst), check)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _check_counts(episodes, master_seed) -> None:
@@ -263,7 +261,7 @@ def sweep(
     specs = [  # every size is checked before any instance is built
         GeneratorSpec(
             family=family,
-            n=int(n),
+            n=n,
             seed=derive_seed(master_seed, 0, si),
             dim=dim,
             coord_range=coord_range,

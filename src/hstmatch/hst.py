@@ -29,7 +29,8 @@ builds the tree top-down in one vectorized pass per level: every class joins
 the first center in permutation order within the level's radius, and the
 level's nodes are the distinct (parent node, center) pairs in sorted order.
 Nodes therefore come out numbered breadth-first with every leaf at level 0,
-a class that is split off early continuing as a chain of single-child nodes.
+a class that is split off early continuing as a chain of single-child nodes,
+and one count weighted by the classes' servers gives the level's server counts.
 A draw whose node bound height * k + 1 over k classes exceeds
 MAX_TREE_NODES, or whose distances would overflow a float, is refused.
 """
@@ -37,13 +38,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .metric import FiniteMetric, ensure_valid_metric
+from .metric import FiniteMetric, _is_int, ensure_valid_metric
 
 __all__ = [
     "MAX_TREE_NODES",
@@ -52,7 +53,6 @@ __all__ = [
     "HstTree",
     "frt_embed",
     "attach_servers",
-    "leaf_counts",
     "tree_to_dict",
 ]
 
@@ -91,7 +91,7 @@ class HstTree:
     parent index is smaller than its children's. ``leaf_point`` maps a leaf
     to the representative source point it carries; ``point_leaf`` maps every
     source point (including points at distance zero from a representative)
-    to its leaf. ``leaf_multiplicity`` holds attached server counts.
+    to its leaf. ``servers[v]`` counts the servers in node v's subtree.
     """
 
     lam: float
@@ -102,7 +102,7 @@ class HstTree:
     level: tuple
     leaf_point: dict
     point_leaf: dict
-    leaf_multiplicity: dict
+    servers: tuple
 
     root = 0  # not a field: breadth-first numbering always puts the root first
 
@@ -216,12 +216,27 @@ def _check_budget(height: int, k: int, lam: float, scale: float) -> None:
         )
 
 
-def frt_embed(metric: FiniteMetric, params: EmbeddingParams) -> HstTree:
-    """Sample one random tree over the metric's points.
+def _server_points(servers, npts: int) -> np.ndarray:
+    """The server multiset as an integer array of point indices, refusing any entry that is not one."""
+    idx = np.asarray(servers)
+    if idx.dtype.kind not in "iu":  # floats, bools, strings, or an empty multiset read as floats
+        for i, p in enumerate(servers):
+            if not _is_int(p):
+                raise ValueError(f"servers[{i}] = {p!r} is not an integer point index")
+        idx = idx.astype(np.intp)
+    outside = np.flatnonzero((idx < 0) | (idx >= npts))
+    if outside.size:
+        raise ValueError(f"servers[{outside[0]}] = {idx[outside[0]]} outside 0..{npts - 1}")
+    return idx
 
-    Deterministic in (metric, lam, seed). Points at distance zero share a
-    leaf; all other points get their own leaf. See the module docstring for
-    the construction and its guarantees.
+
+def frt_embed(metric: FiniteMetric, params: EmbeddingParams, servers) -> HstTree:
+    """Sample one random tree over the metric's points, with the servers below every node.
+
+    Deterministic in (metric, lam, seed); ``servers`` holds one metric point
+    index per server instance (``()`` for none) and sets only the counts.
+    Points at distance zero share a leaf; all other points get their own
+    leaf. See the module docstring for the construction and its guarantees.
     """
     ensure_valid_metric(metric)
     lam = float(params.lam)
@@ -229,6 +244,7 @@ def frt_embed(metric: FiniteMetric, params: EmbeddingParams) -> HstTree:
         raise ValueError("cannot embed an empty metric")
     c = _metric_classes(metric)
     k = len(c.reps)
+    w = np.bincount(c.rep_of[_server_points(servers, len(metric))], minlength=k)  # servers per class
     height = math.ceil(c.log_diameter / math.log(lam)) + 1 if c.log_diameter > 0.0 else 1
     scale = lam * c.d_min if k > 1 else 1.0
     _check_budget(height, k, lam, scale)
@@ -248,6 +264,7 @@ def frt_embed(metric: FiniteMetric, params: EmbeddingParams) -> HstTree:
     # consecutive.
     ups: list = []  # parent of every node below the root, level by level
     level: list = [height]
+    counts: list = [w.sum(keepdims=True)]  # servers below every node, level by level
     node = np.zeros(k, dtype=np.intp)  # each class's node at the level just built
     first = 1
     for lv in range(height - 1, -1, -1):
@@ -255,6 +272,7 @@ def frt_embed(metric: FiniteMetric, params: EmbeddingParams) -> HstTree:
         keys, node = np.unique(node * k + winner, return_inverse=True)
         ups.append(keys // k)
         level.extend([lv] * len(keys))
+        counts.append(np.bincount(node, weights=w, minlength=len(keys)))
         node += first
         first += len(keys)
     if len(keys) < k:  # radius beta/lam < 1 forces singletons at level 0
@@ -275,51 +293,30 @@ def frt_embed(metric: FiniteMetric, params: EmbeddingParams) -> HstTree:
         level=tuple(level),
         leaf_point=dict(zip(leaves, c.reps)),
         point_leaf=dict(enumerate(node[c.rep_of].tolist())),
-        leaf_multiplicity=dict.fromkeys(leaves, 0),
+        servers=tuple(np.concatenate(counts).astype(np.intp).tolist()),
     )
 
 
-def attach_servers(t: HstTree, stock) -> tuple[HstTree, dict]:
-    """Place the server instances on the tree's leaves.
+def attach_servers(t: HstTree, stock) -> dict:
+    """Each leaf's server instances in a fresh list, highest first, so ``pop()`` takes the lowest.
 
     ``stock`` holds (tree point, that point's server instances) pairs, highest
-    point first, as ``pipeline_setup`` builds them. Returns the tree with its
-    server multiplicities and each leaf's instances in a fresh list, highest
-    first, so ``pop()`` takes the lowest.
+    point first, as ``pipeline_setup`` builds them.
     """
-    counts = dict.fromkeys(t.leaf_multiplicity, 0)  # its keys are exactly the leaves
     at_leaf: dict = {}
     for q, servers in stock:
         leaf = t.point_leaf.get(q)
         if leaf is None:
             raise ValueError(f"point {q} does not appear among the tree leaves")
-        counts[leaf] += len(servers)
         at_leaf.setdefault(leaf, []).extend(servers)
-    return replace(t, leaf_multiplicity=counts), at_leaf
-
-
-def leaf_counts(t: HstTree, points) -> dict:
-    """Tally a multiset of tree point indices by the leaf that hosts each point."""
-    counts = dict.fromkeys(t.leaf_multiplicity, 0)
-    for p in points:
-        leaf = t.point_leaf.get(p)
-        if leaf is None:
-            raise ValueError(f"point {p} does not appear among the tree leaves")
-        counts[leaf] += 1
-    return counts
+    return at_leaf
 
 
 def tree_to_dict(t: HstTree) -> dict:
     """JSON-friendly dump used by the CLI's --dump-tree."""
-    nodes = []
-    for v in range(t.n_nodes):
-        nodes.append(
-            {
-                "id": v,
-                "parent": t.parent[v],
-                "level": t.level[v],
-                "leaf_point": t.leaf_point.get(v),
-                "multiplicity": t.leaf_multiplicity.get(v) if t.is_leaf(v) else None,
-            }
-        )
+    nodes = [
+        {"id": v, "parent": t.parent[v], "level": t.level[v], "leaf_point": t.leaf_point.get(v),
+         "multiplicity": t.servers[v] if t.is_leaf(v) else None}
+        for v in range(t.n_nodes)
+    ]
     return {"lambda": t.lam, "scale": t.scale, "height": t.height, "nodes": nodes}

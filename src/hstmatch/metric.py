@@ -36,6 +36,11 @@ TRIANGLE_SLACK = 1e-9
 _CHUNK_ENTRIES = 1 << 20
 
 
+def _is_int(x) -> bool:
+    """An int or numpy integer; bool is an int subclass, and floats and strings are never coerced."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 class MetricStructureError(ValueError):
     """Distance data is malformed: non-square, negative, or non-finite."""
 
@@ -200,8 +205,7 @@ class Instance:
         for name in ("servers", "requests"):
             entries = tuple(getattr(self, name))
             for i, idx in enumerate(entries):
-                # bool is an int subclass; floats and strings are never coerced.
-                if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
+                if not _is_int(idx):
                     raise ValueError(f"{name}[{i}] = {idx!r} is not an integer point index")
                 if not 0 <= idx < npts:
                     raise ValueError(f"point index {idx} outside 0..{npts - 1}")

@@ -75,7 +75,7 @@ class RwgmState:
 
     def __init__(self, tree: HstTree, bits: np.random.BitGenerator, policy: str) -> None:
         self.tree = tree
-        self.subtree_remaining = tree.subtree_sums(tree.leaf_multiplicity)
+        self.subtree_remaining = list(tree.servers)
         self.green = [None] * len(self.subtree_remaining)
         self.policy = policy
         self.bits = bits

@@ -134,7 +134,7 @@ def turning_point_tau(
     so tau(u) = (sum of |b(child)| - |b(u)|) / 2 at every internal node.
     """
     if server_count is None:
-        server_count = t.leaf_multiplicity
+        server_count = dict(enumerate(t.servers))
     excess = {leaf: int(request_count.get(leaf, 0)) - int(server_count.get(leaf, 0)) for leaf in t.leaves}
     b = t.subtree_sums(excess)
     if b[t.root] != 0:

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from hstmatch.hst import EmbeddingParams, HstTree, attach_servers
+from hstmatch.hst import EmbeddingParams, HstTree
 from hstmatch.metric import FiniteMetric, Instance, ensure_valid_metric
 from hstmatch.online import POLICIES, RwgmState, rwgm_init, rwgm_serve
 
@@ -138,7 +138,7 @@ def normalize_hst(raw: RawTree) -> HstTree:
         level=new_level,
         leaf_point=new_leaf_point,
         point_leaf={pt: leaf for leaf, pt in new_leaf_point.items()},
-        leaf_multiplicity={new_id[old]: 0 for old in leaf_point},
+        servers=(0,) * n,
     )
 
 
@@ -185,14 +185,16 @@ def validate_hst(t: HstTree) -> None:
     leaves = set(t.leaves)
     if set(t.leaf_point) != leaves:
         raise ValueError("leaf_point keys must be exactly the leaves")
-    if set(t.leaf_multiplicity) != leaves:
-        raise ValueError("leaf_multiplicity keys must be exactly the leaves")
+    if len(t.servers) != n:
+        raise ValueError("servers must hold one count per node")
     for pt, leaf in t.point_leaf.items():
         if leaf not in leaves:
             raise ValueError(f"point {pt} mapped to non-leaf {leaf}")
-    for leaf, m in t.leaf_multiplicity.items():
-        if m < 0:
-            raise ValueError(f"negative multiplicity at leaf {leaf}")
+    for v in range(n):
+        if t.servers[v] < 0:
+            raise ValueError(f"negative server count at node {v}")
+        if t.children[v] and t.servers[v] != sum(t.servers[c] for c in t.children[v]):
+            raise ValueError(f"node {v}'s server count is not the sum of its children's")
 
 
 def brute_force_cost(inst: Instance) -> float:
@@ -251,13 +253,14 @@ def reference_zero_distance_classes(dist) -> tuple[list, list]:
     return reps, rep_of
 
 
-def reference_frt_embed(metric: FiniteMetric, params: EmbeddingParams) -> HstTree:
+def reference_frt_embed(metric: FiniteMetric, params: EmbeddingParams, servers) -> HstTree:
     """The embedding built cluster by cluster, the slow oracle for ``frt_embed``.
 
     Zero-distance classes come from a greedy scan, each level splits every
     cluster by its members' first covering centers, singleton clusters stop
-    as shallow leaves, and ``normalize_hst`` extends them with dummy chains
-    and numbers the nodes breadth-first.
+    as shallow leaves, ``normalize_hst`` extends them with dummy chains and
+    numbers the nodes breadth-first, and the server counts are added up
+    each server's path to the root.
     """
     ensure_valid_metric(metric)
     lam = float(params.lam)
@@ -305,7 +308,7 @@ def reference_frt_embed(metric: FiniteMetric, params: EmbeddingParams) -> HstTre
     t = normalize_hst(raw)
     rep_leaf = {pt: leaf for leaf, pt in t.leaf_point.items()}
     point_leaf = {p: rep_leaf[reps[rep_of[p]]] for p in range(npts)}
-    return dataclasses.replace(t, point_leaf=point_leaf)
+    return attach(dataclasses.replace(t, point_leaf=point_leaf), servers)
 
 
 class ReferenceRwgmState:
@@ -316,9 +319,7 @@ class ReferenceRwgmState:
     def __init__(self, tree: HstTree, rng: np.random.Generator, policy: str) -> None:
         n = tree.n_nodes
         self.tree = tree
-        self.remaining = [0] * n
-        for leaf, m in tree.leaf_multiplicity.items():
-            self.remaining[leaf] = int(m)
+        self.remaining = [tree.servers[v] if tree.is_leaf(v) else 0 for v in range(n)]
         counts = list(self.remaining)
         for v in range(n - 1, 0, -1):
             counts[tree.parent[v]] += counts[v]
@@ -401,12 +402,20 @@ def height1_tree(n_leaves: int, lam: float = 3.0, scale: float = 1.0) -> HstTree
     return normalize_hst(RawTree(parent, level, leaf_point, lam=lam, scale=scale))
 
 
+def subtree_server_counts(t: HstTree, mult_by_point: dict) -> tuple:
+    """Servers below every node, each point's multiplicity added along its leaf's path to the root."""
+    sums = [0] * t.n_nodes
+    for p, m in mult_by_point.items():
+        v = t.point_leaf[p]
+        while v is not None:
+            sums[v] += m
+            v = t.parent[v]
+    return tuple(sums)
+
+
 def with_multiplicity(t: HstTree, mult_by_point: dict) -> HstTree:
     """Attach server counts given per-point (not per-leaf) multiplicities."""
-    full = {leaf: 0 for leaf in t.leaves}
-    for p, m in mult_by_point.items():
-        full[t.point_leaf[p]] = m
-    return dataclasses.replace(t, leaf_multiplicity=full)
+    return dataclasses.replace(t, servers=subtree_server_counts(t, mult_by_point))
 
 
 def random_tree(rng, height: int, lam: float, scale: float = 1.0, max_children: int = 3) -> HstTree:
@@ -445,8 +454,19 @@ def server_stock(servers) -> tuple:
 
 
 def attach(t: HstTree, servers) -> HstTree:
-    """The tree with the server multiset's multiplicities filled in."""
-    return attach_servers(t, server_stock(servers))[0]
+    """The tree with the server multiset's counts filled in."""
+    return with_multiplicity(t, Counter(servers))
+
+
+def leaf_counts(t: HstTree, points) -> dict:
+    """Tally a multiset of tree point indices by the leaf that hosts each point."""
+    counts = dict.fromkeys(t.leaves, 0)
+    for p in points:
+        leaf = t.point_leaf.get(p)
+        if leaf is None:
+            raise ValueError(f"point {p} does not appear among the tree leaves")
+        counts[leaf] += 1
+    return counts
 
 
 def random_tree_instance(rng, height: int, n: int, lam: float, scale: float = 1.0):

@@ -12,6 +12,7 @@ from helpers import (
     brute_force_cost,
     harmonic,
     height1_tree,
+    leaf_counts,
     play_on_tree,
     random_tree_instance,
     tree_distance,
@@ -30,7 +31,6 @@ from hstmatch.hst import (
     EmbeddingParams,
     frt_embed,
     lambda_for_n,
-    leaf_counts,
 )
 from hstmatch.metric import Instance
 from hstmatch.online import discretize_all
@@ -122,7 +122,7 @@ def test_criterion_04_domination_exact():
     for metric_idx in range(50):
         m = _random_16pt_metric(rng, metric_idx % 3)
         for s in range(20):
-            t = frt_embed(m, EmbeddingParams(lam=lams[(metric_idx + s) % 3], seed=int(rng.integers(2**63))))
+            t = frt_embed(m, EmbeddingParams(lam=lams[(metric_idx + s) % 3], seed=int(rng.integers(2**63))), ())
             embeddings += 1
             for i in range(16):
                 li = t.point_leaf[i]
@@ -140,7 +140,7 @@ def _mean_stretch(metric, trials: int, seed_key: int) -> float:
     pairs = [(i, j) for i in range(len(metric)) for j in range(len(metric)) if i < j]
     sums = np.zeros(len(pairs))
     for _ in range(trials):
-        t = frt_embed(metric, EmbeddingParams(lam=2.0, seed=int(rng.integers(2**63))))
+        t = frt_embed(metric, EmbeddingParams(lam=2.0, seed=int(rng.integers(2**63))), ())
         for pi, (i, j) in enumerate(pairs):
             sums[pi] += tree_distance(t, t.point_leaf[i], t.point_leaf[j]) / metric.dist[i, j]
     return float(sums.max()) / trials

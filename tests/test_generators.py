@@ -33,6 +33,25 @@ def test_spec_validation():
             GeneratorSpec("euclidean", n, seed=0, dim=dim)
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [("n", 2.7), ("n", 3.0), ("n", True), ("n", "3"), ("dim", 2.0), ("dim", False), ("dim", None),
+     ("seed", 1.5), ("seed", True), ("seed", "0"), ("seed", -5)],
+)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_spec_refuses_fields_that_are_not_integers_in_range(family, field, bad):
+    kwargs = {"n": 3, "seed": 0, "dim": 2, field: bad}
+    expect = "a non-negative" if field == "seed" else "a positive"
+    with pytest.raises(ValueError, match=f"^{field} must be {expect} integer, got {bad!r}$") as err:
+        GeneratorSpec(family, **kwargs)
+    assert "\n" not in str(err.value)
+
+
+def test_spec_takes_numpy_integers_like_ints():
+    spec = GeneratorSpec("euclidean", np.int32(3), seed=np.uint64(7), dim=np.int64(2))
+    assert generate_instance(spec).servers == generate_instance(GeneratorSpec("euclidean", 3, seed=7)).servers
+
+
 def test_star_instance_structure_and_opt():
     inst = generate_instance(GeneratorSpec("star", 3, seed=0))
     assert inst.servers == (1, 2, 3)

@@ -65,6 +65,8 @@ INVOCATIONS = (
                        "--dump-tree", "{tree-lam.json}"]),
     ("tree-k1.json", ["embed", "--instance", "{coincident.json}", "--seed", "12",
                       "--dump-tree", "{tree-k1.json}"]),
+    ("tree-multi.json", ["embed", "--instance", "{multi.json}", "--seed", "16", "--lambda", "2",
+                         "--dump-tree", "{tree-multi.json}"]),
     ("tree.stdout", ["embed", "--instance", "{line.json}", "--seed", "13"]),
 )
 
@@ -88,6 +90,7 @@ DIGESTS = {
     "star.json": "89ba232940e75c5ed36ebaf4564f0ef576ae615f1b35adaffeeb4cc201d0ebe2",
     "sweep.csv": "712d5a1dd4dfb66bca43aa7ad41fb43b47e83c7b710f6b5bc6d4af781310e1a9",
     "tree-k1.json": "a1fe0999eed30d8605b73dd111624a51ed8bf1010032848499aaa7bed426428b",
+    "tree-multi.json": "7bcf9ea0e48adfea6ea1366fa19bd95a8de1e3f3ce8a6a107df631b5572fc754",
     "tree-lam.json": "23f181c52eb586b60c7d0218c102cec0c17b030b9111679b4b071f13e6d0761b",
     "tree.json": "81737fbd546b0ff7510816eaf16d5d906dbe59e30580d9adaa054c5a30797645",
 }

@@ -86,7 +86,7 @@ def test_episodes_serve_every_server_instance_once_lowest_index_first_per_leaf(c
 
     # The episode's tree, drawn again: server points at distance zero share a leaf.
     _, mapping = submetric_of_servers(setup.inst)
-    tree = frt_embed(setup.sub, EmbeddingParams(lam=setup.lam, seed=embed_seed))
+    tree = frt_embed(setup.sub, EmbeddingParams(lam=setup.lam, seed=embed_seed), setup.servers)
     used_at: dict = {}
     for s in served:
         used_at.setdefault(tree.point_leaf[mapping[s]], []).append(s)
@@ -196,6 +196,13 @@ def test_run_pipeline_and_sweep_refuse_bad_episodes_and_seeds():
     ):
         _one_line_value_error(lambda: run_pipeline(inst, **kwargs), match)
         _one_line_value_error(lambda: sweep("star", [2], ["greedy", "optimal"], **kwargs), match)
+
+
+@pytest.mark.parametrize("size", [2.7, 2.0, True, "3", 0])
+def test_sweep_refuses_sizes_that_are_not_positive_integers(size):
+    _one_line_value_error(
+        lambda: sweep("line", [3, size], ["greedy"], episodes=1, master_seed=0), "^n must be a positive integer, got "
+    )
 
 
 def test_numpy_integer_episodes_and_seeds_run_like_ints():

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from helpers import (
     reference_frt_embed,
     reference_zero_distance_classes,
     server_stock,
+    subtree_server_counts,
     tree_distance,
     validate_hst,
 )
@@ -145,7 +147,7 @@ def test_validate_hst_catches_tampering():
 
 
 def test_frt_single_point_metric():
-    t = frt_embed(FiniteMetric.from_matrix([[0.0]]), EmbeddingParams(lam=2.0, seed=5))
+    t = frt_embed(FiniteMetric.from_matrix([[0.0]]), EmbeddingParams(lam=2.0, seed=5), ())
     validate_hst(t)
     assert t.height == 1 and len(t.leaves) == 1
     assert t.point_leaf[0] in t.leaves
@@ -155,7 +157,7 @@ def test_frt_two_point_domination_all_seeds():
     m = FiniteMetric.from_matrix([[0, 5], [5, 0]])
     for lam in (1.5, 2.0, 7.3):
         for seed in range(25):
-            t = frt_embed(m, EmbeddingParams(lam=lam, seed=seed))
+            t = frt_embed(m, EmbeddingParams(lam=lam, seed=seed), ())
             validate_hst(t)
             assert tree_distance(t, t.point_leaf[0], t.point_leaf[1]) >= 5.0
 
@@ -167,7 +169,7 @@ def test_frt_uniform_eight_points_mean_stretch():
     total = 0.0
     trials = 10_000
     for seed in range(trials):
-        t = frt_embed(m, EmbeddingParams(lam=2.0, seed=seed))
+        t = frt_embed(m, EmbeddingParams(lam=2.0, seed=seed), ())
         total += tree_distance(t, t.point_leaf[0], t.point_leaf[1])
     envelope = 16 * 2.0 * math.log(8) / math.log(2.0)
     assert total / trials <= envelope
@@ -177,7 +179,7 @@ def test_frt_domination_on_random_metrics():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         m = euclidean_metric(rng.random((12, 2)))
-        t = frt_embed(m, EmbeddingParams(lam=2.0, seed=seed + 1000))
+        t = frt_embed(m, EmbeddingParams(lam=2.0, seed=seed + 1000), ())
         validate_hst(t)
         for i in range(12):
             for j in range(i + 1, 12):
@@ -189,16 +191,16 @@ def test_frt_reproducible_and_seed_sensitive():
     rng = np.random.default_rng(123)
     m = euclidean_metric(rng.random((10, 2)))
     p = EmbeddingParams(lam=2.0, seed=77)
-    a = frt_embed(m, p)
-    b = frt_embed(m, p)
+    a = frt_embed(m, p, ())
+    b = frt_embed(m, p, ())
     assert (a.parent, a.level, a.leaf_point, a.scale) == (b.parent, b.level, b.leaf_point, b.scale)
-    structures = {frt_embed(m, EmbeddingParams(lam=2.0, seed=s)).parent for s in range(10)}
+    structures = {frt_embed(m, EmbeddingParams(lam=2.0, seed=s), ()).parent for s in range(10)}
     assert len(structures) > 1
 
 
 def test_frt_coincident_points_share_a_leaf():
     d = [[0, 0, 3], [0, 0, 3], [3, 3, 0]]
-    t = frt_embed(FiniteMetric.from_matrix(d), EmbeddingParams(lam=2.0, seed=0))
+    t = frt_embed(FiniteMetric.from_matrix(d), EmbeddingParams(lam=2.0, seed=0), ())
     assert t.point_leaf[0] == t.point_leaf[1] != t.point_leaf[2]
     assert tree_distance(t, t.point_leaf[0], t.point_leaf[2]) >= 3.0
 
@@ -227,16 +229,18 @@ def slack_metrics():
     metric=st.one_of(euclidean_metrics(), line_metrics(), slack_metrics()),
     lam=st.sampled_from([1.05, 1.3, 2.0, 2.5, 4.2, 11.2]),
     seed=st.integers(0, 2**32 - 1),
+    picks=st.lists(st.integers(0, 2**16), max_size=30),
 )
-@example(metric=line_metric([7.0]), lam=2.0, seed=0)  # k = 1
-@example(metric=line_metric([7.0, 7.0]), lam=2.0, seed=0)  # k = 1 from two points
-@example(metric=line_metric([0.0, 3.0]), lam=2.0, seed=1)  # k = 2
-@example(metric=line_metric([0.0, 0.0, 3.0, 3.0, 24.0]), lam=2.0, seed=2)  # diameter a power of lam
-def test_frt_embed_matches_cluster_by_cluster_reference(metric, lam, seed):
+@example(metric=line_metric([7.0]), lam=2.0, seed=0, picks=[])  # k = 1
+@example(metric=line_metric([7.0, 7.0]), lam=2.0, seed=0, picks=[0, 1, 1])  # k = 1 from two points
+@example(metric=line_metric([0.0, 3.0]), lam=2.0, seed=1, picks=[1])  # k = 2
+@example(metric=line_metric([0.0, 0.0, 3.0, 3.0, 24.0]), lam=2.0, seed=2, picks=[0, 1, 4, 4])  # diameter a power of lam
+def test_frt_embed_matches_cluster_by_cluster_reference(metric, lam, seed, picks):
     params = EmbeddingParams(lam=lam, seed=seed)
-    got = frt_embed(metric, params)
-    want = reference_frt_embed(metric, params)
-    for field in ("parent", "children", "level", "leaf_point", "point_leaf", "scale", "height"):
+    servers = [p % len(metric) for p in picks]
+    got = frt_embed(metric, params, servers)
+    want = reference_frt_embed(metric, params, servers)
+    for field in ("parent", "children", "level", "leaf_point", "point_leaf", "servers", "scale", "height"):
         assert getattr(got, field) == getattr(want, field), field
     validate_hst(got)
     # Parents never decrease along the ids, so every node's children are one id range.
@@ -247,14 +251,47 @@ def test_frt_embed_matches_cluster_by_cluster_reference(metric, lam, seed):
         first += len(kids)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    coords=st.lists(st.integers(0, 12), min_size=1, max_size=16),
+    lam=st.sampled_from([1.3, 2.0, 4.2]),
+    seed=st.integers(0, 2**32 - 1),
+    picks=st.lists(st.integers(0, 2**16), max_size=40),
+)
+@example(coords=[3, 3, 3], lam=2.0, seed=0, picks=[])  # no servers on a one-class metric
+@example(coords=[0, 5, 0, 5, 9], lam=2.0, seed=4, picks=[0, 2, 2, 1, 3, 3, 4])  # coincident points pool
+def test_frt_server_counts_add_up_every_leaf_below_each_node(coords, lam, seed, picks):
+    # Small integer coordinates repeat, so coincident points pool their servers on one leaf.
+    metric = line_metric(coords)
+    servers = tuple(p % len(coords) for p in picks)
+    t = frt_embed(metric, EmbeddingParams(lam=lam, seed=seed), servers)
+    assert t.servers == subtree_server_counts(t, Counter(servers))
+    assert all(type(x) is int for x in t.servers)
+    assert t.servers[t.root] == len(servers)
+    validate_hst(t)
+
+
+@pytest.mark.parametrize(
+    "servers, message",
+    [
+        ((0, 3), r"^servers\[1\] = 3 outside 0\.\.2$"),
+        ((1, -1, 0), r"^servers\[1\] = -1 outside 0\.\.2$"),
+        ((0, 1.5), r"^servers\[1\] = 1\.5 is not an integer point index$"),
+    ],
+)
+def test_frt_refuses_server_entries_that_are_not_point_indices(servers, message):
+    with pytest.raises(ValueError, match=message):
+        frt_embed(uniform_metric(3), EmbeddingParams(lam=2.0, seed=0), servers)
+
+
 def test_frt_zero_distance_classes_computed_once_per_metric(monkeypatch):
     calls = []
     original = hst._zero_distance_classes
     monkeypatch.setattr(hst, "_zero_distance_classes", lambda d: calls.append(d.shape) or original(d))
     m = line_metric([0.0, 1.0, 1.0, 4.0])
-    first = frt_embed(m, EmbeddingParams(lam=2.0, seed=1))
-    frt_embed(m, EmbeddingParams(lam=3.0, seed=2))
-    assert frt_embed(m, EmbeddingParams(lam=2.0, seed=1)).parent == first.parent
+    first = frt_embed(m, EmbeddingParams(lam=2.0, seed=1), ())
+    frt_embed(m, EmbeddingParams(lam=3.0, seed=2), ())
+    assert frt_embed(m, EmbeddingParams(lam=2.0, seed=1), ()).parent == first.parent
     assert calls == [(4, 4)]
 
 
@@ -293,7 +330,7 @@ def test_frt_refuses_trees_beyond_the_node_budget():
     m = line_metric(np.arange(8.0))
     # lam barely above 1 asks for about ln(7) / 1e-7 levels.
     with pytest.raises(ValueError, match="MAX_TREE_NODES"):
-        frt_embed(m, EmbeddingParams(lam=1.0000001, seed=0))
+        frt_embed(m, EmbeddingParams(lam=1.0000001, seed=0), ())
 
 
 @pytest.mark.parametrize(
@@ -306,7 +343,7 @@ def test_frt_refuses_trees_beyond_the_node_budget():
 )
 def test_frt_refuses_spreads_beyond_the_float_range(coords):
     with pytest.raises(ValueError, match="floating-point range"):
-        frt_embed(line_metric(coords), EmbeddingParams(lam=2.0, seed=0))
+        frt_embed(line_metric(coords), EmbeddingParams(lam=2.0, seed=0), ())
 
 
 def test_tree_distance_is_a_metric_on_leaves():
@@ -346,29 +383,29 @@ def test_tree_distance_matches_closed_form():
 
 def test_attach_servers_counts():
     m = uniform_metric(3)
-    t = frt_embed(m, EmbeddingParams(lam=2.0, seed=1))
     inst = Instance(metric=m, servers=(0, 0, 1), requests=(2, 0, 1))
-    t, at_leaf = attach_servers(t, server_stock(inst.servers))
-    assert t.leaf_multiplicity[t.point_leaf[0]] == 2
-    assert t.leaf_multiplicity[t.point_leaf[1]] == 1
-    assert t.leaf_multiplicity[t.point_leaf[2]] == 0
-    assert sum(t.leaf_multiplicity.values()) == 3
+    t = frt_embed(m, EmbeddingParams(lam=2.0, seed=1), inst.servers)
+    at_leaf = attach_servers(t, server_stock(inst.servers))
+    assert t.servers[t.point_leaf[0]] == 2
+    assert t.servers[t.point_leaf[1]] == 1
+    assert t.servers[t.point_leaf[2]] == 0
+    assert sum(t.servers[leaf] for leaf in t.leaves) == 3
     assert at_leaf == {t.point_leaf[0]: [0, 0], t.point_leaf[1]: [1]}
 
 
 def test_attach_servers_all_on_one_leaf():
     m = uniform_metric(2)
-    t = frt_embed(m, EmbeddingParams(lam=2.0, seed=1))
     inst = Instance(metric=m, servers=(1, 1, 1, 1), requests=(0, 0, 0, 0))
-    t, at_leaf = attach_servers(t, server_stock(inst.servers))
-    assert t.leaf_multiplicity[t.point_leaf[1]] == 4
+    t = frt_embed(m, EmbeddingParams(lam=2.0, seed=1), inst.servers)
+    at_leaf = attach_servers(t, server_stock(inst.servers))
+    assert t.servers[t.point_leaf[1]] == 4
     assert at_leaf == {t.point_leaf[1]: [1, 1, 1, 1]}
 
 
 def test_attach_servers_missing_point_errors():
     m3 = uniform_metric(3)
     m2 = uniform_metric(2)
-    t = frt_embed(m2, EmbeddingParams(lam=2.0, seed=0))  # leaves carry points 0 and 1 only
+    t = frt_embed(m2, EmbeddingParams(lam=2.0, seed=0), ())  # leaves carry points 0 and 1 only
     inst = Instance(metric=m3, servers=(0, 2), requests=(1, 1))
     with pytest.raises(ValueError, match="point 2 does not appear among the tree leaves"):
         attach_servers(t, server_stock(inst.servers))
@@ -377,21 +414,21 @@ def test_attach_servers_missing_point_errors():
 def test_attach_servers_stacks_a_shared_leaf_highest_first_in_fresh_lists():
     # Points 1 and 2 sit at distance zero, so they share a leaf.
     m = line_metric([0.0, 5.0, 5.0])
-    t = frt_embed(m, EmbeddingParams(lam=2.0, seed=3))
+    t = frt_embed(m, EmbeddingParams(lam=2.0, seed=3), (2, 1, 1, 0))
     stock = ((2, [2]), (1, [1, 1]), (0, [0]))
-    t2, at_leaf = attach_servers(t, stock)
+    at_leaf = attach_servers(t, stock)
     shared = t.point_leaf[1]
     assert t.point_leaf[2] == shared
     assert at_leaf == {shared: [2, 1, 1], t.point_leaf[0]: [0]}
-    assert t2.leaf_multiplicity == {shared: 3, t.point_leaf[0]: 1}
+    assert {leaf: t.servers[leaf] for leaf in t.leaves} == {shared: 3, t.point_leaf[0]: 1}
     at_leaf[shared].pop()
     assert stock[1][1] == [1, 1]  # the caller's lists are never handed out
-    assert attach_servers(t, stock)[1][shared] == [2, 1, 1]
+    assert attach_servers(t, stock)[shared] == [2, 1, 1]
 
 
 def test_tree_dump_schema():
     m = uniform_metric(3)
-    t, _ = attach_servers(frt_embed(m, EmbeddingParams(lam=2.0, seed=2)), server_stock((0, 1, 2)))
+    t = frt_embed(m, EmbeddingParams(lam=2.0, seed=2), (0, 1, 2))
     dump = tree_to_dict(t)
     assert set(dump) == {"lambda", "scale", "height", "nodes"}
     assert dump["nodes"][0]["parent"] is None

@@ -7,7 +7,6 @@ from hypothesis import strategies as strat
 
 from helpers import (
     RawTree,
-    attach,
     height1_tree,
     normalize_hst,
     play_on_tree,
@@ -282,8 +281,7 @@ def test_built_green_lists_hold_the_green_children_after_every_serve(coords, pic
     n = len(picks) // 2
     servers = tuple(picks[i] % len(coords) % 3 for i in range(n))
     requests = tuple(picks[i] % len(coords) for i in range(n, 2 * n))
-    tree = frt_embed(metric, EmbeddingParams(lam=2.0, seed=embed_seed))
-    tree = attach(tree, servers)
+    tree = frt_embed(metric, EmbeddingParams(lam=2.0, seed=embed_seed), servers)
     got = rwgm_init(tree, play_seed, policy=policy)
     want = reference_rwgm_init(tree, play_seed, policy=policy)
     counts = got.subtree_remaining
@@ -323,7 +321,7 @@ def test_conservation_every_server_used_once():
     for r in inst.requests:
         leaf, _ = rwgm_serve(st, tree.point_leaf[r])
         used[leaf] += 1
-    assert used == dict(tree.leaf_multiplicity)
+    assert used == {leaf: tree.servers[leaf] for leaf in tree.leaves}
     with pytest.raises(RuntimeError):
         rwgm_serve(st, tree.point_leaf[inst.requests[0]])
 

@@ -13,6 +13,7 @@ from helpers import (
     brute_force_cost,
     harmonic,
     height1_tree,
+    leaf_counts,
     normalize_hst,
     random_tree_instance,
     tree_distance,
@@ -20,7 +21,6 @@ from helpers import (
     with_multiplicity,
 )
 from hstmatch.generators import GeneratorSpec, generate_instance, line_metric, uniform_metric
-from hstmatch.hst import leaf_counts
 from hstmatch.metric import FiniteMetric, Instance
 from hstmatch import oracle
 from hstmatch.online import discretize_all
@@ -126,7 +126,7 @@ def test_tau_cost_matches_oracle_on_random_trees():
         cost = hst_cost_from_tau(profile)
         assert cost == pytest.approx(optimal_matching(inst).cost, rel=1e-9, abs=1e-12)
         # Total tau counts exactly the pairs no leaf can absorb locally.
-        cross = n - sum(min(req[leaf], tree.leaf_multiplicity[leaf]) for leaf in tree.leaves)
+        cross = n - sum(min(req[leaf], tree.servers[leaf]) for leaf in tree.leaves)
         assert sum(profile.tau.values()) == cross
         assert all(profile.tau[leaf] == 0 for leaf in tree.leaves)
 
