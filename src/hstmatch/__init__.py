@@ -42,7 +42,6 @@ from .online import (
     MatchingTrace,
     RwgmState,
     discretize_all,
-    greedy_serve,
     pick_a_leaf,
     run_greedy,
     rwgm_init,

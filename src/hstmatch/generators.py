@@ -8,6 +8,7 @@ Euclidean point clouds, and random points on a line.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +68,9 @@ class GeneratorSpec:
                 f"euclidean n={self.n} dim={self.dim} needs {points * self.dim} coordinates,"
                 f" above MAX_COORDINATES = {MAX_COORDINATES}"
             )
-        if not (math.isfinite(self.coord_range) and self.coord_range > 0):
-            raise ValueError(f"coord_range must be finite and positive, got {self.coord_range}")
+        cr = self.coord_range
+        if not (isinstance(cr, numbers.Real) and not isinstance(cr, bool) and math.isfinite(cr) and cr > 0):
+            raise ValueError(f"coord_range must be finite and positive, got {cr!r}")
 
 
 # The constructors below build metrics that are valid by construction, so they

@@ -6,10 +6,12 @@ once per run by ``pipeline_setup``) on the tree matcher. The embedding is
 resampled per episode: the randomized strategy draws both the tree and the
 descent choices, so the reported mean averages over both.
 
-Randomness contract: every episode owns two integer seeds derived from
-(master_seed, episode_index, slot) through numpy's SeedSequence, one for
-the embedding and one for play. Streams are PCG64; identical seeds replay
-identical traces on any platform.
+Randomness contract: episode e owns two integer seeds, slot 0 for the
+embedding and slot 1 for play, each the 64-bit state word that
+``SeedSequence(entropy=master_seed, spawn_key=(e, slot))`` generates. A run
+computes them with SeedSequence's algorithm in one numpy pass per block of
+episodes, and the tests check them against numpy's own. Streams are PCG64;
+identical seeds replay identical traces on any platform.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .generators import GeneratorSpec, generate_instance
-from .hst import EmbeddingParams, attach_servers, frt_embed, lambda_for_n
+from .hst import EmbeddingParams, ServerCounts, attach_servers, count_servers, frt_embed, lambda_for_n
 from .metric import Instance, _is_int, submetric_of_servers
 from .online import MatchingTrace, discretize_all, rwgm_init, rwgm_serve, run_greedy
 from .oracle import optimal_matching
@@ -58,6 +60,44 @@ def derive_seed(master_seed: int, *key: int) -> int:
     """Stable 64-bit child seed for a (master, key...) slot."""
     ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(k) for k in key))
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+# SeedSequence's hash and mix constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_SEED_BLOCK = 1024  # episodes whose seeds are derived in one numpy pass
+
+
+def _hashmix(value: np.ndarray, init: int, mult: int, first: int, n: int) -> np.ndarray:
+    """SeedSequence's hashes number first .. first + n - 1, the i-th on entry i of the last axis."""
+    c = np.array([init * pow(mult, first + i, 2**32) % 2**32 for i in range(n + 1)], dtype=np.uint32)
+    value = (value ^ c[:-1]) * c[1:]
+    return value ^ value >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ r >> 16
+
+
+def _episode_seeds(master_seed: int, start: int, stop: int):
+    """Yield ``(derive_seed(master_seed, e, 0), derive_seed(master_seed, e, 1))`` for e in [start, stop).
+
+    A child's entropy is the master's words, zero-padded to the four-word pool
+    (zeros hash as the pool's own fill does), then the spawn words e and slot.
+    So the pool is ``SeedSequence(master_seed).pool``, computed once, until each
+    block of ``_SEED_BLOCK`` episodes mixes in its spawn words. Needs
+    ``stop <= 2**32``: a larger episode index is two spawn words.
+    """
+    pool = np.random.SeedSequence(int(master_seed)).pool
+    # The master took 4 hashes to fill the pool, 12 to mix it, and 4 per word past the pool.
+    done = 16 + 4 * max(0, -(-int(master_seed).bit_length() // 32) - 4)
+    slots = _hashmix(np.array([0, 1], dtype=np.uint32).reshape(2, 1, 1), _INIT_A, _MULT_A, done + 4, 4)
+    for lo in range(start, stop, _SEED_BLOCK):
+        e = np.arange(lo, min(lo + _SEED_BLOCK, stop), dtype=np.uint32)[:, None]
+        mixed = _mix(_mix(pool, _hashmix(e, _INIT_A, _MULT_A, done, 4)), slots)  # [slot, episode, word]
+        words = _hashmix(mixed[..., :2], _INIT_B, _MULT_B, 0, 2).astype(np.uint64)  # generate_state
+        yield from zip(*(words[..., 0] | words[..., 1] << np.uint64(32)).tolist())
 
 
 @dataclass(frozen=True)
@@ -112,7 +152,7 @@ class PipelineSetup:
     sub: object
     g: tuple  # nearest-server image of each request, in request order
     g_sub: tuple  # submetric index of each request's image
-    servers: np.ndarray  # submetric index of each server instance, for frt_embed
+    servers: ServerCounts  # the server instances counted per class of sub, for frt_embed
     stock: tuple  # (submetric point, its server instances) pairs, highest point first, for attach_servers
     requests: np.ndarray  # the request points, for one cost gather per episode
     lam: float
@@ -127,7 +167,7 @@ def pipeline_setup(inst: Instance) -> PipelineSetup:
         sub=sub,
         g=g,
         g_sub=tuple(mapping[p] for p in g),
-        servers=np.array([mapping[p] for p in inst.servers], dtype=np.intp),
+        servers=count_servers(sub, [mapping[p] for p in inst.servers]),
         stock=tuple((mapping[p], (p,) * counts[p]) for p in sorted(counts, reverse=True)),
         requests=np.asarray(inst.requests),
         lam=lambda_for_n(inst.n),
@@ -183,14 +223,7 @@ def run_pipeline(inst: Instance, master_seed: int, episodes: int, *, check: bool
     return report
 
 
-def run_algorithm(
-    inst: Instance,
-    tag: str,
-    master_seed: int,
-    episodes: int,
-    *,
-    check: bool = False,
-):
+def run_algorithm(inst: Instance, tag: str, master_seed: int, episodes: int, *, check: bool = False):
     """Run one algorithm tag; returns (report, traces).
 
     Deterministic tags collapse to a single episode regardless of the
@@ -203,8 +236,8 @@ def run_algorithm(
 
 def _check_counts(episodes, master_seed) -> None:
     """Refuse what ``range`` and the seed derivation would coerce or choke on."""
-    if not (_is_int(episodes) and episodes >= 1):
-        raise ValueError(f"episodes must be a positive integer, got {episodes!r}")
+    if not (_is_int(episodes) and 1 <= episodes <= 2**32):  # one 32-bit spawn word per episode index
+        raise ValueError(f"episodes must be a positive integer at most 2**32, got {episodes!r}")
     if not (_is_int(master_seed) and master_seed >= 0):
         raise ValueError(f"master_seed must be a non-negative integer, got {master_seed!r}")
 
@@ -216,28 +249,14 @@ def _run_tag(inst: Instance, tag: str, master_seed: int, episodes: int, om, chec
         return _make_report("greedy", [trace.total_cost], om.cost, master_seed), [trace]
 
     if tag == "optimal":
-        decisions = []
-        for srv_idx, req_idx in om.pairs:
-            r = inst.requests[req_idx]
-            s = inst.servers[srv_idx]
-            decisions.append((r, s, float(inst.metric.dist[r, s])))
-        trace = MatchingTrace(decisions)
+        pairs = [(inst.requests[req_idx], inst.servers[srv_idx]) for srv_idx, req_idx in om.pairs]
+        trace = MatchingTrace([(r, s, float(inst.metric.dist[r, s])) for r, s in pairs])
         return _make_report("optimal", [trace.total_cost], om.cost, master_seed), [trace]
 
     setup = pipeline_setup(inst)
-    costs = []
-    traces = []
-    for e in range(episodes):
-        trace = run_episode(
-            setup,
-            derive_seed(master_seed, e, 0),
-            derive_seed(master_seed, e, 1),
-            algorithm=tag,
-            check=check,
-        )
-        costs.append(trace.total_cost)
-        traces.append(trace)
-    return _make_report(tag, costs, om.cost, master_seed), traces
+    seeds = _episode_seeds(master_seed, 0, episodes)
+    traces = [run_episode(setup, embed, play, algorithm=tag, check=check) for embed, play in seeds]
+    return _make_report(tag, [trace.total_cost for trace in traces], om.cost, master_seed), traces
 
 
 def sweep(

@@ -51,6 +51,8 @@ __all__ = [
     "lambda_for_n",
     "EmbeddingParams",
     "HstTree",
+    "ServerCounts",
+    "count_servers",
     "frt_embed",
     "attach_servers",
     "tree_to_dict",
@@ -216,35 +218,48 @@ def _check_budget(height: int, k: int, lam: float, scale: float) -> None:
         )
 
 
-def _server_points(servers, npts: int) -> np.ndarray:
-    """The server multiset as an integer array of point indices, refusing any entry that is not one."""
+class ServerCounts(NamedTuple):
+    """A server multiset counted per zero-distance class of one metric, for every draw over it."""
+
+    metric: FiniteMetric
+    per_class: np.ndarray
+
+
+def count_servers(metric: FiniteMetric, servers) -> ServerCounts:
+    """Check the metric and a multiset of its point indices, refusing any other entry; count it per class."""
+    ensure_valid_metric(metric)
+    if len(metric) == 0:
+        raise ValueError("cannot embed an empty metric")
     idx = np.asarray(servers)
     if idx.dtype.kind not in "iu":  # floats, bools, strings, or an empty multiset read as floats
         for i, p in enumerate(servers):
             if not _is_int(p):
                 raise ValueError(f"servers[{i}] = {p!r} is not an integer point index")
         idx = idx.astype(np.intp)
-    outside = np.flatnonzero((idx < 0) | (idx >= npts))
+    outside = np.flatnonzero((idx < 0) | (idx >= len(metric)))
     if outside.size:
-        raise ValueError(f"servers[{outside[0]}] = {idx[outside[0]]} outside 0..{npts - 1}")
-    return idx
+        raise ValueError(f"servers[{outside[0]}] = {idx[outside[0]]} outside 0..{len(metric) - 1}")
+    c = _metric_classes(metric)
+    return ServerCounts(metric, np.bincount(c.rep_of[idx], minlength=len(c.reps)))
 
 
 def frt_embed(metric: FiniteMetric, params: EmbeddingParams, servers) -> HstTree:
     """Sample one random tree over the metric's points, with the servers below every node.
 
     Deterministic in (metric, lam, seed); ``servers`` holds one metric point
-    index per server instance (``()`` for none) and sets only the counts.
+    index per server instance (``()`` for none), or their ``count_servers``
+    over this metric when many draws share them, and sets only the counts.
     Points at distance zero share a leaf; all other points get their own
     leaf. See the module docstring for the construction and its guarantees.
     """
-    ensure_valid_metric(metric)
+    if not isinstance(servers, ServerCounts):
+        servers = count_servers(metric, servers)
+    elif servers.metric is not metric:
+        raise ValueError("server counts were taken on another metric")
     lam = float(params.lam)
-    if len(metric) == 0:
-        raise ValueError("cannot embed an empty metric")
     c = _metric_classes(metric)
     k = len(c.reps)
-    w = np.bincount(c.rep_of[_server_points(servers, len(metric))], minlength=k)  # servers per class
+    w = servers.per_class
     height = math.ceil(c.log_diameter / math.log(lam)) + 1 if c.log_diameter > 0.0 else 1
     scale = lam * c.d_min if k > 1 else 1.0
     _check_budget(height, k, lam, scale)

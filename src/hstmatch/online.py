@@ -24,7 +24,6 @@ __all__ = [
     "rwgm_serve",
     "pick_a_leaf",
     "discretize_all",
-    "greedy_serve",
     "run_greedy",
 ]
 
@@ -64,17 +63,23 @@ class RwgmState:
     subtree, so a leaf's entry is its own count and a node is green exactly
     when its entry is positive. ``green[u]`` lists u's green children in
     child order once a uniform descent has passed through u, and is None
-    before. The descent draws come from a 32-bit stream read off a bit
-    generator with 64-bit outputs, the low half of each output first, as
-    numpy's ``next_uint32`` splits them. One state serves one request
-    sequence; episodes that run concurrently need their own states and
-    random streams.
+    before. ``parent``, ``children``, ``level`` and ``level_distance`` are
+    the tree's own tuples, bound once so that serving reads them directly.
+    The descent draws come from a 32-bit stream read off a bit generator
+    with 64-bit outputs, the low half of each output first, as numpy's
+    ``next_uint32`` splits them. One state serves one request sequence;
+    episodes that run concurrently need their own states and random streams.
     """
 
-    __slots__ = ("tree", "subtree_remaining", "green", "policy", "bits", "u32")
+    __slots__ = ("tree", "parent", "children", "level", "level_distance",
+                 "subtree_remaining", "green", "policy", "bits", "u32")
 
     def __init__(self, tree: HstTree, bits: np.random.BitGenerator, policy: str) -> None:
         self.tree = tree
+        self.parent = tree.parent
+        self.children = tree.children
+        self.level = tree.level
+        self.level_distance = tree.level_distance
         self.subtree_remaining = list(tree.servers)
         self.green = [None] * len(self.subtree_remaining)
         self.policy = policy
@@ -149,7 +154,7 @@ def pick_a_leaf(state: RwgmState, u: int) -> int:
     counts = state.subtree_remaining
     if not counts[u]:
         raise ValueError(f"node {u} is not green")
-    children = state.tree.children
+    children = state.children
     if state.policy == "uniform":
         green = state.green
         while children[u]:
@@ -171,39 +176,40 @@ def pick_a_leaf(state: RwgmState, u: int) -> int:
 def rwgm_serve(state: RwgmState, request_leaf: int):
     """Serve one request at a leaf; return (server leaf, metric-unit cost).
 
-    The unassigned-server count of the chosen leaf and of every ancestor
-    drops by one. Raises when the request is not a leaf of the tree or when
-    every server has been assigned. The lowest green ancestor the climb
-    stops at is the meet of the request and the chosen leaf, since descent
-    only enters green children, so its level gives the cost. Under the
-    uniform policy every node whose count reaches zero leaves its parent's
-    green-child list, if that list has been built.
+    A request leaf that still holds a server serves itself. Otherwise the
+    climb stops at the lowest green ancestor, which is the meet of the
+    request and the chosen leaf since descent only enters green children,
+    so its level gives the cost. Raises when the request is not a leaf of
+    the tree or when every server has been assigned. One walk up from the
+    chosen leaf drops its count and every ancestor's by one; under the
+    uniform policy it also takes every node whose count reaches zero out of
+    its parent's green-child list, if that list has been built.
     """
-    tree = state.tree
-    parent = tree.parent
-    if not 0 <= request_leaf < len(parent) or tree.children[request_leaf]:
+    parent = state.parent
+    if not 0 <= request_leaf < len(parent) or state.children[request_leaf]:
         raise ValueError(f"request node {request_leaf} is not a leaf of the tree")
     counts = state.subtree_remaining
-    v = request_leaf
-    while v is not None and not counts[v]:
+    v = chosen = request_leaf
+    if not counts[v]:
         v = parent[v]
-    if v is None:
-        raise RuntimeError("all servers have been assigned")
-    chosen = v if v == request_leaf else pick_a_leaf(state, v)  # a green leaf serves itself
-    w = chosen
+        while v is not None and not counts[v]:
+            v = parent[v]
+        if v is None:
+            raise RuntimeError("all servers have been assigned")
+        chosen = pick_a_leaf(state, v)
+    # Counts never shrink going up, so the nodes that turn red are the chosen leaf
+    # and its ancestors below the first that stays green; only uniform descents build lists.
+    green = state.green
+    w, up = chosen, parent[chosen]
+    while counts[w] == 1 and up is not None:
+        counts[w] = 0
+        if green[up] is not None:
+            green[up].remove(w)
+        w, up = up, parent[up]
     while w is not None:
         counts[w] -= 1
         w = parent[w]
-    if state.policy == "uniform":
-        # Counts never shrink going up, so the nodes that just turned red are
-        # the chosen leaf and its ancestors up to the first one still green.
-        w = chosen
-        while not counts[w] and parent[w] is not None:
-            kids = state.green[parent[w]]
-            if kids is not None:
-                kids.remove(w)
-            w = parent[w]
-    return chosen, tree.level_distance[tree.level[v]]
+    return chosen, state.level_distance[state.level[v]]
 
 
 def discretize_all(inst: Instance) -> tuple:
@@ -217,31 +223,21 @@ def discretize_all(inst: Instance) -> tuple:
     return tuple(pts[nearest].tolist())
 
 
-def greedy_serve(inst: Instance, remaining: dict, r: int):
-    """Assign r to the nearest still-unused server instance; consume it.
+def run_greedy(inst: Instance) -> MatchingTrace:
+    """Play the whole request sequence greedily on the original metric.
 
-    ``remaining`` maps server point to unused count and is updated in place.
-    Ties go to the lowest point index, so the run is deterministic.
+    Each request takes the nearest server point with an unused instance.
+    ``argmin`` returns the first minimum over the sorted points, so ties go
+    to the lowest point index and the run is deterministic.
     """
     dist = inst.metric.dist
-    best = -1
-    best_d = float("inf")
-    for s in sorted(remaining):
-        if remaining[s] <= 0:
-            continue
-        d = dist[r, s]
-        if d < best_d:
-            best, best_d = s, d
-    if best < 0:
-        raise RuntimeError("all servers have been assigned")
-    remaining[best] -= 1
-    return best, float(best_d)
-
-
-def run_greedy(inst: Instance) -> MatchingTrace:
-    """Play the whole request sequence greedily on the original metric."""
-    remaining: dict = {}
-    for s in inst.servers:
-        remaining[s] = remaining.get(s, 0) + 1
-    decisions = [(r, *greedy_serve(inst, remaining, r)) for r in inst.requests]
+    pts, left = np.unique(inst.servers, return_counts=True)
+    used_up = np.zeros(len(pts))  # +inf at every point with no instance left
+    decisions = []
+    for r in inst.requests:
+        i = int((dist[r, pts] + used_up).argmin())
+        left[i] -= 1
+        used_up[i] = 0.0 if left[i] else np.inf
+        s = int(pts[i])
+        decisions.append((r, s, float(dist[r, s])))
     return MatchingTrace(decisions)

@@ -93,8 +93,6 @@ def optimal_matching(inst: Instance) -> OptimalMatching:
     distance matrix is solved exactly; the cost is the offline optimum used
     as the competitive-ratio denominator.
     """
-    if len(inst.servers) != len(inst.requests):
-        raise ValueError("server and request multisets must have equal size")
     srv = np.asarray(inst.servers, dtype=int)
     req = np.asarray(inst.requests, dtype=int)
     cost = inst.metric.dist[np.ix_(srv, req)]

@@ -383,6 +383,33 @@ def reference_rwgm_serve(state: ReferenceRwgmState, request_leaf: int):
     return chosen, tree.level_distance[tree.level[v]]
 
 
+def greedy_serve(inst: Instance, remaining: dict, r: int):
+    """Assign r to the nearest still-unused server instance; consume it. The oracle for ``run_greedy``.
+
+    ``remaining`` maps server point to unused count and is updated in place.
+    Ties go to the lowest point index, so the run is deterministic.
+    """
+    dist = inst.metric.dist
+    best = -1
+    best_d = float("inf")
+    for s in sorted(remaining):
+        if remaining[s] <= 0:
+            continue
+        d = dist[r, s]
+        if d < best_d:
+            best, best_d = s, d
+    if best < 0:
+        raise RuntimeError("all servers have been assigned")
+    remaining[best] -= 1
+    return best, float(best_d)
+
+
+def reference_greedy(inst: Instance) -> list:
+    """Every decision of the greedy run, one dict scan per request."""
+    remaining = dict(Counter(inst.servers))
+    return [(r, *greedy_serve(inst, remaining, r)) for r in inst.requests]
+
+
 def recompute_green(state: RwgmState) -> list:
     """Green flags rebuilt from scratch out of the leaves' unassigned-server counts."""
     t = state.tree

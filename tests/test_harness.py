@@ -32,6 +32,40 @@ def test_derive_seed_is_stable_and_keyed():
     assert derive_seed(7, 1, 2) != derive_seed(8, 1, 2)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    words=st.integers(1, 5),
+    master=st.integers(0, 2**160 - 1),
+    numpy_type=st.sampled_from((None, np.uint8, np.int32, np.uint64)),
+    start=st.one_of(st.integers(0, 3000), st.integers(2**32 - 2100, 2**32 - 1)),
+    count=st.integers(1, 2100),
+)
+@example(words=1, master=0, numpy_type=None, start=0, count=3)
+@example(words=1, master=2**32 - 1, numpy_type=None, start=harness._SEED_BLOCK - 2, count=4)
+@example(words=2, master=2**32, numpy_type=None, start=2**32 - 3, count=3)
+@example(words=5, master=2**128, numpy_type=None, start=0, count=harness._SEED_BLOCK + 1)
+def test_episode_seed_blocks_equal_derive_seed(words, master, numpy_type, start, count):
+    # Masters of 1 to 5 uint32 words, some as numpy integers, and episode
+    # ranges that cross a block boundary or end at the last index, 2**32 - 1.
+    master %= 2 ** (32 * words)
+    if numpy_type is not None:
+        master = numpy_type(master % (np.iinfo(numpy_type).max + 1))
+    stop = min(start + count, 2**32)
+    got = list(harness._episode_seeds(master, start, stop))
+    assert got == [(derive_seed(master, e, 0), derive_seed(master, e, 1)) for e in range(start, stop)]
+    assert all(type(seed) is int for pair in got for seed in pair)
+
+
+def test_run_algorithm_refuses_more_episodes_than_32_bit_indices():
+    inst = generate_instance(GeneratorSpec("star", 2, seed=0))
+    for tag in ALGORITHMS:
+        _one_line_value_error(
+            lambda: run_algorithm(inst, tag, master_seed=0, episodes=2**32 + 1),
+            r"^episodes must be a positive integer at most 2\*\*32, got 4294967297$",
+        )
+    _one_line_value_error(lambda: sweep("star", [2], ["rwgm"], episodes=2**32 + 1, master_seed=0), "at most 2")
+
+
 def test_zero_opt_instances_report_absolute_cost():
     m = uniform_metric(3)
     inst = Instance(metric=m, servers=(0, 0, 1), requests=(0, 1, 0))

@@ -23,6 +23,7 @@ from hstmatch.generators import euclidean_metric, line_metric, uniform_metric
 from hstmatch.hst import (
     EmbeddingParams,
     attach_servers,
+    count_servers,
     frt_embed,
     lambda_for_n,
     tree_to_dict,
@@ -282,6 +283,20 @@ def test_frt_server_counts_add_up_every_leaf_below_each_node(coords, lam, seed, 
 def test_frt_refuses_server_entries_that_are_not_point_indices(servers, message):
     with pytest.raises(ValueError, match=message):
         frt_embed(uniform_metric(3), EmbeddingParams(lam=2.0, seed=0), servers)
+
+
+def test_frt_reads_counted_servers_of_its_own_metric_only():
+    m = line_metric([0.0, 1.0, 1.0, 4.0])
+    servers = (3, 1, 2, 2, 0)
+    counted = count_servers(m, servers)
+    assert counted.per_class.tolist() == [1, 3, 1]  # points 1 and 2 share a class
+    for seed in range(5):
+        p = EmbeddingParams(lam=2.0, seed=seed)
+        assert frt_embed(m, p, counted).servers == frt_embed(m, p, servers).servers
+    with pytest.raises(ValueError, match="^server counts were taken on another metric$"):
+        frt_embed(line_metric([0.0, 1.0, 1.0, 4.0]), EmbeddingParams(lam=2.0, seed=0), counted)
+    with pytest.raises(ValueError, match=r"^servers\[0\] = 4 outside 0\.\.3$"):
+        count_servers(m, (4,))
 
 
 def test_frt_zero_distance_classes_computed_once_per_metric(monkeypatch):

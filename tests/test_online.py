@@ -7,12 +7,14 @@ from hypothesis import strategies as strat
 
 from helpers import (
     RawTree,
+    greedy_serve,
     height1_tree,
     normalize_hst,
     play_on_tree,
     random_tree,
     random_tree_instance,
     recompute_green,
+    reference_greedy,
     reference_rwgm_init,
     reference_rwgm_serve,
     tree_distance,
@@ -27,7 +29,6 @@ from hstmatch.online import (
     MatchingTrace,
     _below,
     discretize_all,
-    greedy_serve,
     pick_a_leaf,
     run_greedy,
     rwgm_init,
@@ -421,3 +422,23 @@ def test_greedy_star_cascade(k):
     inst = Instance(metric=metric, servers=tuple(range(1, k + 1)), requests=(0,) + tuple(range(1, k)))
     trace = run_greedy(inst)
     assert trace.total_cost == pytest.approx(2 * k - 1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    coords=strat.lists(strat.integers(0, 6), min_size=1, max_size=10),  # repeats and equal gaps: ties
+    pairs=strat.lists(strat.tuples(strat.integers(0, 9), strat.integers(0, 9)), min_size=1, max_size=14),
+)
+def test_run_greedy_matches_the_dict_scan(coords, pairs):
+    metric = line_metric(coords)
+    servers = tuple(a % len(coords) for a, _ in pairs)
+    requests = tuple(b % len(coords) for _, b in pairs)
+    inst = Instance(metric, servers, requests)
+    decisions = run_greedy(inst).decisions
+    assert decisions == reference_greedy(inst)
+    assert all(type(s) is int and type(cost) is float for _, s, cost in decisions)
+
+
+def test_run_greedy_breaks_ties_toward_the_lowest_point():
+    inst = Instance(uniform_metric(4), servers=(3, 1, 2, 1), requests=(0, 0, 0, 0))
+    assert [s for _, s, _ in run_greedy(inst).decisions] == [1, 1, 2, 3]

@@ -35,3 +35,10 @@ def test_every_traced_target_resolves():
     assert targets
     missing = [(m, a) for m, a in targets if not callable(getattr(importlib.import_module(m), a, None))]
     assert not missing, f"perfbench/traced.py TARGETS that no longer resolve: {missing}"
+
+
+
+def test_the_greedy_dict_scan_is_a_test_oracle_only():
+    # run_greedy no longer calls it; tests/helpers.py keeps it as run_greedy's reference.
+    assert not hasattr(importlib.import_module("hstmatch.online"), "greedy_serve")
+    assert not hasattr(hstmatch, "greedy_serve")
