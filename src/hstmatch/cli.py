@@ -81,7 +81,7 @@ def _cmd_embed(args) -> int:
     inst = load_instance(args.instance)
     setup = pipeline_setup(inst)
     lam = args.lam if args.lam is not None else setup.lam
-    tree = frt_embed(setup.sub, EmbeddingParams(lam=lam, seed=args.seed), setup.servers)
+    tree = frt_embed(setup.servers, EmbeddingParams(lam=lam, seed=args.seed))
     dump = tree_to_dict(tree)
     if args.dump_tree:
         _write_json(args.dump_tree, dump)

@@ -16,7 +16,6 @@ identical seeds replay identical traces on any platform.
 from __future__ import annotations
 
 import io
-from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -149,11 +148,10 @@ class PipelineSetup:
     """Episode-independent preprocessing shared by all episodes of a run."""
 
     inst: Instance
-    sub: object
     g: tuple  # nearest-server image of each request, in request order
     g_sub: tuple  # submetric index of each request's image
-    servers: ServerCounts  # the server instances counted per class of sub, for frt_embed
-    stock: tuple  # (submetric point, its server instances) pairs, highest point first, for attach_servers
+    servers: ServerCounts  # the server submetric's classes and per-class server counts, for frt_embed
+    stock: dict  # each class representative's server instances, highest first, for attach_servers
     requests: np.ndarray  # the request points, for one cost gather per episode
     lam: float
 
@@ -161,14 +159,17 @@ class PipelineSetup:
 def pipeline_setup(inst: Instance) -> PipelineSetup:
     sub, mapping = submetric_of_servers(inst)
     g = discretize_all(inst)
-    counts = Counter(inst.servers)
+    counts = count_servers(sub, [mapping[p] for p in inst.servers])
+    rep_of = counts.rep_of.tolist()
+    stock: dict = {}
+    for p in sorted(inst.servers, reverse=True):
+        stock.setdefault(counts.reps[rep_of[mapping[p]]], []).append(p)
     return PipelineSetup(
         inst=inst,
-        sub=sub,
         g=g,
         g_sub=tuple(mapping[p] for p in g),
-        servers=count_servers(sub, [mapping[p] for p in inst.servers]),
-        stock=tuple((mapping[p], (p,) * counts[p]) for p in sorted(counts, reverse=True)),
+        servers=counts,
+        stock=stock,
         requests=np.asarray(inst.requests),
         lam=lambda_for_n(inst.n),
     )
@@ -191,7 +192,7 @@ def run_episode(
     """
     inst = setup.inst
     dist = inst.metric.dist
-    tree = frt_embed(setup.sub, EmbeddingParams(lam=setup.lam, seed=embed_seed), setup.servers)
+    tree = frt_embed(setup.servers, EmbeddingParams(lam=setup.lam, seed=embed_seed))
     stock = attach_servers(tree, setup.stock)
     state = rwgm_init(tree, play_seed, policy=_TREE_POLICY[algorithm])
     point_leaf = tree.point_leaf

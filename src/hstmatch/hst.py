@@ -21,14 +21,14 @@ strictly below its tree distance 2*lam*d_min*(lam**L - 1)/(lam - 1), so
 domination holds deterministically. The smallest tree edge then measures
 lam * d_min in metric units.
 
-Construction: the part of a draw that depends only on the metric (the
-classes of points at distance zero, the distances between class
-representatives in units of d_min, and the log of the diameter) is computed
-on the first embedding of a metric object and cached on it. A draw then
-builds the tree top-down in one vectorized pass per level: every class joins
-the first center in permutation order within the level's radius, and the
-level's nodes are the distinct (parent node, center) pairs in sorted order.
-Nodes therefore come out numbered breadth-first with every leaf at level 0,
+Construction: ``count_servers`` computes the part of a draw that depends
+only on the metric and the servers (the classes of points at distance zero,
+the distances between class representatives in units of d_min, the log of
+the diameter, and the servers counted per class) once for all draws over
+them. A draw then builds the tree top-down in one vectorized pass per
+level: every class joins the first center in permutation order within the
+level's radius, and the level's nodes are the distinct (parent node,
+center) pairs in sorted order. Nodes therefore come out numbered breadth-first with every leaf at level 0,
 a class that is split off early continuing as a chain of single-child nodes,
 and one count weighted by the classes' servers gives the level's server counts.
 A draw whose node bound height * k + 1 over k classes exceeds
@@ -37,6 +37,7 @@ MAX_TREE_NODES, or whose distances would overflow a float, is refused.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -81,8 +82,10 @@ class EmbeddingParams:
     seed: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lam) and self.lam > 1.0):
-            raise ValueError(f"lam must be finite and exceed 1, got {self.lam}")
+        if not (isinstance(self.lam, numbers.Real) and math.isfinite(self.lam) and self.lam > 1.0):
+            raise ValueError(f"lam must be finite and exceed 1, got {self.lam!r}")
+        if not (_is_int(self.seed) and self.seed >= 0):  # None would draw from OS entropy
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,39 +172,6 @@ def _zero_distance_classes(dist: np.ndarray) -> tuple[list, np.ndarray]:
     return np.flatnonzero(is_rep).tolist(), (np.cumsum(is_rep, dtype=np.intp) - 1)[rep]
 
 
-class _Classes(NamedTuple):
-    """The seed-independent part of an embedding, computed once per metric object."""
-
-    reps: list  # first point of each zero-distance class, ascending
-    rep_of: np.ndarray  # class index of every point
-    dn: np.ndarray  # distances between representatives, in units of d_min
-    d_min: float | None  # smallest positive distance; None for a single class
-    log_diameter: float  # log of dn's largest entry; 0 for a single class
-
-
-def _metric_classes(metric: FiniteMetric) -> _Classes:
-    """Zero-distance classes and normalized distances, cached on the metric."""
-    cached = getattr(metric, "_classes", None)
-    if cached is not None:
-        return cached
-    reps, rep_of = _zero_distance_classes(metric.dist)
-    if len(reps) == 1:
-        dn, d_min, diameter = np.zeros((1, 1)), None, 1.0
-    else:
-        d = metric.dist if len(reps) == len(metric) else metric.dist[np.ix_(reps, reps)]
-        d_min = float(d[d > 0.0].min())
-        diameter = float(d.max()) / d_min
-        if not math.isfinite(diameter):
-            raise ValueError(
-                f"distance spread {float(d.max())!r} / {d_min!r} exceeds the floating-point range"
-            )
-        dn = d / d_min
-    dn.flags.writeable = False
-    cached = _Classes(reps, rep_of, dn, d_min, math.log(diameter))
-    object.__setattr__(metric, "_classes", cached)
-    return cached
-
-
 def _check_budget(height: int, k: int, lam: float, scale: float) -> None:
     """Refuse a draw whose tree could exceed MAX_TREE_NODES or overflow a float."""
     if height * k + 1 > MAX_TREE_NODES:
@@ -219,14 +189,18 @@ def _check_budget(height: int, k: int, lam: float, scale: float) -> None:
 
 
 class ServerCounts(NamedTuple):
-    """A server multiset counted per zero-distance class of one metric, for every draw over it."""
+    """A metric's zero-distance classes and its servers counted per class: what a draw reads besides its seed."""
 
-    metric: FiniteMetric
-    per_class: np.ndarray
+    reps: list  # first point of each zero-distance class, ascending
+    rep_of: np.ndarray  # class index of every point
+    dn: np.ndarray  # distances between representatives, in units of d_min
+    d_min: float | None  # smallest positive distance; None for a single class
+    log_diameter: float  # log of dn's largest entry; 0 for a single class
+    per_class: np.ndarray  # servers in each class
 
 
 def count_servers(metric: FiniteMetric, servers) -> ServerCounts:
-    """Check the metric and a multiset of its point indices, refusing any other entry; count it per class."""
+    """Check the metric and a multiset of its point indices, refusing any other entry; class and count them."""
     ensure_valid_metric(metric)
     if len(metric) == 0:
         raise ValueError("cannot embed an empty metric")
@@ -239,29 +213,37 @@ def count_servers(metric: FiniteMetric, servers) -> ServerCounts:
     outside = np.flatnonzero((idx < 0) | (idx >= len(metric)))
     if outside.size:
         raise ValueError(f"servers[{outside[0]}] = {idx[outside[0]]} outside 0..{len(metric) - 1}")
-    c = _metric_classes(metric)
-    return ServerCounts(metric, np.bincount(c.rep_of[idx], minlength=len(c.reps)))
+    reps, rep_of = _zero_distance_classes(metric.dist)
+    if len(reps) == 1:
+        dn, d_min, diameter = np.zeros((1, 1)), None, 1.0
+    else:
+        d = metric.dist if len(reps) == len(metric) else metric.dist[np.ix_(reps, reps)]
+        d_min = float(d[d > 0.0].min())
+        diameter = float(d.max()) / d_min
+        if not math.isfinite(diameter):
+            raise ValueError(
+                f"distance spread {float(d.max())!r} / {d_min!r} exceeds the floating-point range"
+            )
+        dn = d / d_min
+    dn.flags.writeable = False  # every draw over the counts shares it
+    per_class = np.bincount(rep_of[idx], minlength=len(reps))
+    return ServerCounts(reps, rep_of, dn, d_min, math.log(diameter), per_class)
 
 
-def frt_embed(metric: FiniteMetric, params: EmbeddingParams, servers) -> HstTree:
-    """Sample one random tree over the metric's points, with the servers below every node.
+def frt_embed(counts: ServerCounts, params: EmbeddingParams) -> HstTree:
+    """Sample one random tree over a metric's points, with the servers below every node.
 
-    Deterministic in (metric, lam, seed); ``servers`` holds one metric point
-    index per server instance (``()`` for none), or their ``count_servers``
-    over this metric when many draws share them, and sets only the counts.
-    Points at distance zero share a leaf; all other points get their own
-    leaf. See the module docstring for the construction and its guarantees.
+    ``counts`` is ``count_servers(metric, servers)``, which every draw over
+    the same metric and servers shares; the tree is deterministic in
+    (metric, lam, seed), and the servers set only its counts. Points at
+    distance zero share a leaf; all other points get their own leaf. See
+    the module docstring for the construction and its guarantees.
     """
-    if not isinstance(servers, ServerCounts):
-        servers = count_servers(metric, servers)
-    elif servers.metric is not metric:
-        raise ValueError("server counts were taken on another metric")
     lam = float(params.lam)
-    c = _metric_classes(metric)
-    k = len(c.reps)
-    w = servers.per_class
-    height = math.ceil(c.log_diameter / math.log(lam)) + 1 if c.log_diameter > 0.0 else 1
-    scale = lam * c.d_min if k > 1 else 1.0
+    k = len(counts.reps)
+    w = counts.per_class
+    height = math.ceil(counts.log_diameter / math.log(lam)) + 1 if counts.log_diameter > 0.0 else 1
+    scale = lam * counts.d_min if k > 1 else 1.0
     _check_budget(height, k, lam, scale)
 
     rng = np.random.default_rng(params.seed)
@@ -270,7 +252,7 @@ def frt_embed(metric: FiniteMetric, params: EmbeddingParams, servers) -> HstTree
     # Row c holds class c's distances to the centers in permutation order
     # (dn is symmetric, as every valid metric is), so each level's argmax
     # runs along contiguous rows.
-    dp = c.dn.take(perm, axis=1)
+    dp = counts.dn.take(perm, axis=1)
 
     # One pass per level. A class joins the first center in permutation order
     # that covers it, whatever its cluster, so the children of every cluster
@@ -279,7 +261,7 @@ def frt_embed(metric: FiniteMetric, params: EmbeddingParams, servers) -> HstTree
     # consecutive.
     ups: list = []  # parent of every node below the root, level by level
     level: list = [height]
-    counts: list = [w.sum(keepdims=True)]  # servers below every node, level by level
+    below: list = [w.sum(keepdims=True)]  # servers below every node, level by level
     node = np.zeros(k, dtype=np.intp)  # each class's node at the level just built
     first = 1
     for lv in range(height - 1, -1, -1):
@@ -287,7 +269,7 @@ def frt_embed(metric: FiniteMetric, params: EmbeddingParams, servers) -> HstTree
         keys, node = np.unique(node * k + winner, return_inverse=True)
         ups.append(keys // k)
         level.extend([lv] * len(keys))
-        counts.append(np.bincount(node, weights=w, minlength=len(keys)))
+        below.append(np.bincount(node, weights=w, minlength=len(keys)))
         node += first
         first += len(keys)
     if len(keys) < k:  # radius beta/lam < 1 forces singletons at level 0
@@ -306,25 +288,22 @@ def frt_embed(metric: FiniteMetric, params: EmbeddingParams, servers) -> HstTree
         parent=(None, *up.tolist()),
         children=tuple([ids[a:b] for a, b in zip([1, *ends], ends)]) + ((),) * k,
         level=tuple(level),
-        leaf_point=dict(zip(leaves, c.reps)),
-        point_leaf=dict(enumerate(node[c.rep_of].tolist())),
-        servers=tuple(np.concatenate(counts).astype(np.intp).tolist()),
+        leaf_point=dict(zip(leaves, counts.reps)),
+        point_leaf=dict(enumerate(node[counts.rep_of].tolist())),
+        servers=tuple(np.concatenate(below).astype(np.intp).tolist()),
     )
 
 
 def attach_servers(t: HstTree, stock) -> dict:
     """Each leaf's server instances in a fresh list, highest first, so ``pop()`` takes the lowest.
 
-    ``stock`` holds (tree point, that point's server instances) pairs, highest
-    point first, as ``pipeline_setup`` builds them.
+    ``stock`` maps every class representative on the tree to the server
+    instances of its class, highest first, as ``pipeline_setup`` builds it.
     """
-    at_leaf: dict = {}
-    for q, servers in stock:
-        leaf = t.point_leaf.get(q)
-        if leaf is None:
-            raise ValueError(f"point {q} does not appear among the tree leaves")
-        at_leaf.setdefault(leaf, []).extend(servers)
-    return at_leaf
+    try:
+        return {leaf: list(stock[q]) for leaf, q in t.leaf_point.items()}
+    except KeyError as missing:
+        raise ValueError(f"point {missing} has no entry in the server stock") from None
 
 
 def tree_to_dict(t: HstTree) -> dict:

@@ -208,7 +208,7 @@ class Instance:
                 if not _is_int(idx):
                     raise ValueError(f"{name}[{i}] = {idx!r} is not an integer point index")
                 if not 0 <= idx < npts:
-                    raise ValueError(f"point index {idx} outside 0..{npts - 1}")
+                    raise ValueError(f"{name}[{i}] = {idx} outside 0..{npts - 1}")
             object.__setattr__(self, name, tuple(int(idx) for idx in entries))
         if len(self.servers) != len(self.requests):
             raise ValueError(f"{len(self.servers)} servers but {len(self.requests)} requests")

@@ -474,12 +474,6 @@ def tree_metric(t: HstTree) -> FiniteMetric:
     return FiniteMetric.from_matrix(d)
 
 
-def server_stock(servers) -> tuple:
-    """attach_servers' stock for a tree built on the servers' own metric: highest point first."""
-    counts = Counter(servers)
-    return tuple((p, (p,) * counts[p]) for p in sorted(counts, reverse=True))
-
-
 def attach(t: HstTree, servers) -> HstTree:
     """The tree with the server multiset's counts filled in."""
     return with_multiplicity(t, Counter(servers))

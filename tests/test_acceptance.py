@@ -29,6 +29,7 @@ from hstmatch.generators import (
 from hstmatch.harness import derive_seed, run_pipeline, sweep, sweep_csv
 from hstmatch.hst import (
     EmbeddingParams,
+    count_servers,
     frt_embed,
     lambda_for_n,
 )
@@ -121,8 +122,9 @@ def test_criterion_04_domination_exact():
     ok = True
     for metric_idx in range(50):
         m = _random_16pt_metric(rng, metric_idx % 3)
+        counts = count_servers(m, ())
         for s in range(20):
-            t = frt_embed(m, EmbeddingParams(lam=lams[(metric_idx + s) % 3], seed=int(rng.integers(2**63))), ())
+            t = frt_embed(counts, EmbeddingParams(lam=lams[(metric_idx + s) % 3], seed=int(rng.integers(2**63))))
             embeddings += 1
             for i in range(16):
                 li = t.point_leaf[i]
@@ -139,8 +141,9 @@ def _mean_stretch(metric, trials: int, seed_key: int) -> float:
     rng = np.random.default_rng(derive_seed(2024, 5, seed_key))
     pairs = [(i, j) for i in range(len(metric)) for j in range(len(metric)) if i < j]
     sums = np.zeros(len(pairs))
+    counts = count_servers(metric, ())
     for _ in range(trials):
-        t = frt_embed(metric, EmbeddingParams(lam=2.0, seed=int(rng.integers(2**63))), ())
+        t = frt_embed(counts, EmbeddingParams(lam=2.0, seed=int(rng.integers(2**63))))
         for pi, (i, j) in enumerate(pairs):
             sums[pi] += tree_distance(t, t.point_leaf[i], t.point_leaf[j]) / metric.dist[i, j]
     return float(sums.max()) / trials

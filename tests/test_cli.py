@@ -187,6 +187,16 @@ def test_run_rejects_non_numeric_distances(tmp_path, capsys, entry):
     assert not report.exists()
 
 
+def test_run_locates_an_out_of_range_point(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    document = {"points": ["a", "b", "c"], "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "servers": [0, 1]}
+    inst_path.write_text(json.dumps({**document, "requests": [5, 2]}))
+    report = tmp_path / "report.json"
+    assert run_cli("run", "--instance", inst_path, "--algorithm", "greedy", "--report", report) == 1
+    assert one_error_line(capsys) == "ValueError: requests[0] = 5 outside 0..2"
+    assert not report.exists()
+
+
 def test_run_rejects_non_string_labels(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     inst_path.write_text(json.dumps(

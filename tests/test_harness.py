@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import harmonic
-from hstmatch import harness
+from hstmatch import harness, hst
 from hstmatch.generators import GeneratorSpec, generate_instance, line_metric, uniform_metric
 from hstmatch.harness import (
     ALGORITHMS,
@@ -120,7 +120,7 @@ def test_episodes_serve_every_server_instance_once_lowest_index_first_per_leaf(c
 
     # The episode's tree, drawn again: server points at distance zero share a leaf.
     _, mapping = submetric_of_servers(setup.inst)
-    tree = frt_embed(setup.sub, EmbeddingParams(lam=setup.lam, seed=embed_seed), setup.servers)
+    tree = frt_embed(setup.servers, EmbeddingParams(lam=setup.lam, seed=embed_seed))
     used_at: dict = {}
     for s in served:
         used_at.setdefault(tree.point_leaf[mapping[s]], []).append(s)
@@ -141,6 +141,15 @@ def test_episodes_call_the_embedding_and_matcher_through_harness_names(monkeypat
     inst = generate_instance(GeneratorSpec("line", 6, seed=3))
     run_pipeline(inst, master_seed=2, episodes=5)
     assert calls == {"frt_embed": 5, "attach_servers": 5, "rwgm_init": 5, "rwgm_serve": 5 * inst.n}
+
+
+def test_a_run_computes_the_zero_distance_classes_once(monkeypatch):
+    calls = []
+    original = hst._zero_distance_classes
+    monkeypatch.setattr(hst, "_zero_distance_classes", lambda d: calls.append(d.shape) or original(d))
+    inst = generate_instance(GeneratorSpec("line", 6, seed=3))
+    run_pipeline(inst, master_seed=2, episodes=5)
+    assert calls == [(6, 6)]  # the server submetric's, in pipeline_setup
 
 
 def test_pipeline_is_reproducible():

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -14,12 +15,12 @@ from helpers import (
     random_tree,
     reference_frt_embed,
     reference_zero_distance_classes,
-    server_stock,
     subtree_server_counts,
     tree_distance,
     validate_hst,
 )
 from hstmatch.generators import euclidean_metric, line_metric, uniform_metric
+from hstmatch.harness import pipeline_setup
 from hstmatch.hst import (
     EmbeddingParams,
     attach_servers,
@@ -44,6 +45,24 @@ def test_embedding_params_requires_lam_above_one():
     for lam in (1.0, 0.5, math.inf, math.nan):
         with pytest.raises(ValueError):
             EmbeddingParams(lam=lam, seed=0)
+    assert EmbeddingParams(lam=np.float64(2.5), seed=np.uint64(2**63)).seed == 2**63  # numpy scalars pass
+
+
+@pytest.mark.parametrize(
+    "lam, seed, message",
+    [
+        (2.0, None, "seed must be a non-negative integer, got None"),  # would draw from OS entropy
+        (2.0, True, "seed must be a non-negative integer, got True"),
+        (2.0, 1.5, "seed must be a non-negative integer, got 1.5"),
+        (2.0, "3", "seed must be a non-negative integer, got '3'"),
+        (2.0, -1, "seed must be a non-negative integer, got -1"),
+        ("2", 0, "lam must be finite and exceed 1, got '2'"),
+        (None, 0, "lam must be finite and exceed 1, got None"),
+    ],
+)
+def test_embedding_params_refuse_seeds_and_lams_of_the_wrong_type(lam, seed, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        EmbeddingParams(lam=lam, seed=seed)
 
 
 def test_tree_distance_basics():
@@ -148,7 +167,7 @@ def test_validate_hst_catches_tampering():
 
 
 def test_frt_single_point_metric():
-    t = frt_embed(FiniteMetric.from_matrix([[0.0]]), EmbeddingParams(lam=2.0, seed=5), ())
+    t = frt_embed(count_servers(FiniteMetric.from_matrix([[0.0]]), ()), EmbeddingParams(lam=2.0, seed=5))
     validate_hst(t)
     assert t.height == 1 and len(t.leaves) == 1
     assert t.point_leaf[0] in t.leaves
@@ -156,9 +175,10 @@ def test_frt_single_point_metric():
 
 def test_frt_two_point_domination_all_seeds():
     m = FiniteMetric.from_matrix([[0, 5], [5, 0]])
+    counts = count_servers(m, ())
     for lam in (1.5, 2.0, 7.3):
         for seed in range(25):
-            t = frt_embed(m, EmbeddingParams(lam=lam, seed=seed), ())
+            t = frt_embed(counts, EmbeddingParams(lam=lam, seed=seed))
             validate_hst(t)
             assert tree_distance(t, t.point_leaf[0], t.point_leaf[1]) >= 5.0
 
@@ -166,11 +186,11 @@ def test_frt_two_point_domination_all_seeds():
 def test_frt_uniform_eight_points_mean_stretch():
     # All distances one; the embedded tree pays 2 * lam deterministically,
     # far inside the Monte Carlo envelope.
-    m = uniform_metric(8)
+    counts = count_servers(uniform_metric(8), ())
     total = 0.0
     trials = 10_000
     for seed in range(trials):
-        t = frt_embed(m, EmbeddingParams(lam=2.0, seed=seed), ())
+        t = frt_embed(counts, EmbeddingParams(lam=2.0, seed=seed))
         total += tree_distance(t, t.point_leaf[0], t.point_leaf[1])
     envelope = 16 * 2.0 * math.log(8) / math.log(2.0)
     assert total / trials <= envelope
@@ -180,7 +200,7 @@ def test_frt_domination_on_random_metrics():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         m = euclidean_metric(rng.random((12, 2)))
-        t = frt_embed(m, EmbeddingParams(lam=2.0, seed=seed + 1000), ())
+        t = frt_embed(count_servers(m, ()), EmbeddingParams(lam=2.0, seed=seed + 1000))
         validate_hst(t)
         for i in range(12):
             for j in range(i + 1, 12):
@@ -192,16 +212,17 @@ def test_frt_reproducible_and_seed_sensitive():
     rng = np.random.default_rng(123)
     m = euclidean_metric(rng.random((10, 2)))
     p = EmbeddingParams(lam=2.0, seed=77)
-    a = frt_embed(m, p, ())
-    b = frt_embed(m, p, ())
+    a = frt_embed(count_servers(m, ()), p)
+    b = frt_embed(count_servers(m, ()), p)
     assert (a.parent, a.level, a.leaf_point, a.scale) == (b.parent, b.level, b.leaf_point, b.scale)
-    structures = {frt_embed(m, EmbeddingParams(lam=2.0, seed=s), ()).parent for s in range(10)}
+    counts = count_servers(m, ())
+    structures = {frt_embed(counts, EmbeddingParams(lam=2.0, seed=s)).parent for s in range(10)}
     assert len(structures) > 1
 
 
 def test_frt_coincident_points_share_a_leaf():
     d = [[0, 0, 3], [0, 0, 3], [3, 3, 0]]
-    t = frt_embed(FiniteMetric.from_matrix(d), EmbeddingParams(lam=2.0, seed=0), ())
+    t = frt_embed(count_servers(FiniteMetric.from_matrix(d), ()), EmbeddingParams(lam=2.0, seed=0))
     assert t.point_leaf[0] == t.point_leaf[1] != t.point_leaf[2]
     assert tree_distance(t, t.point_leaf[0], t.point_leaf[2]) >= 3.0
 
@@ -239,7 +260,7 @@ def slack_metrics():
 def test_frt_embed_matches_cluster_by_cluster_reference(metric, lam, seed, picks):
     params = EmbeddingParams(lam=lam, seed=seed)
     servers = [p % len(metric) for p in picks]
-    got = frt_embed(metric, params, servers)
+    got = frt_embed(count_servers(metric, servers), params)
     want = reference_frt_embed(metric, params, servers)
     for field in ("parent", "children", "level", "leaf_point", "point_leaf", "servers", "scale", "height"):
         assert getattr(got, field) == getattr(want, field), field
@@ -265,7 +286,7 @@ def test_frt_server_counts_add_up_every_leaf_below_each_node(coords, lam, seed, 
     # Small integer coordinates repeat, so coincident points pool their servers on one leaf.
     metric = line_metric(coords)
     servers = tuple(p % len(coords) for p in picks)
-    t = frt_embed(metric, EmbeddingParams(lam=lam, seed=seed), servers)
+    t = frt_embed(count_servers(metric, servers), EmbeddingParams(lam=lam, seed=seed))
     assert t.servers == subtree_server_counts(t, Counter(servers))
     assert all(type(x) is int for x in t.servers)
     assert t.servers[t.root] == len(servers)
@@ -282,7 +303,7 @@ def test_frt_server_counts_add_up_every_leaf_below_each_node(coords, lam, seed, 
 )
 def test_frt_refuses_server_entries_that_are_not_point_indices(servers, message):
     with pytest.raises(ValueError, match=message):
-        frt_embed(uniform_metric(3), EmbeddingParams(lam=2.0, seed=0), servers)
+        count_servers(uniform_metric(3), servers)
 
 
 def test_frt_reads_counted_servers_of_its_own_metric_only():
@@ -292,22 +313,9 @@ def test_frt_reads_counted_servers_of_its_own_metric_only():
     assert counted.per_class.tolist() == [1, 3, 1]  # points 1 and 2 share a class
     for seed in range(5):
         p = EmbeddingParams(lam=2.0, seed=seed)
-        assert frt_embed(m, p, counted).servers == frt_embed(m, p, servers).servers
-    with pytest.raises(ValueError, match="^server counts were taken on another metric$"):
-        frt_embed(line_metric([0.0, 1.0, 1.0, 4.0]), EmbeddingParams(lam=2.0, seed=0), counted)
+        assert frt_embed(counted, p).servers == reference_frt_embed(m, p, servers).servers
     with pytest.raises(ValueError, match=r"^servers\[0\] = 4 outside 0\.\.3$"):
         count_servers(m, (4,))
-
-
-def test_frt_zero_distance_classes_computed_once_per_metric(monkeypatch):
-    calls = []
-    original = hst._zero_distance_classes
-    monkeypatch.setattr(hst, "_zero_distance_classes", lambda d: calls.append(d.shape) or original(d))
-    m = line_metric([0.0, 1.0, 1.0, 4.0])
-    first = frt_embed(m, EmbeddingParams(lam=2.0, seed=1), ())
-    frt_embed(m, EmbeddingParams(lam=3.0, seed=2), ())
-    assert frt_embed(m, EmbeddingParams(lam=2.0, seed=1), ()).parent == first.parent
-    assert calls == [(4, 4)]
 
 
 def slack_dist(points) -> np.ndarray:
@@ -345,7 +353,7 @@ def test_frt_refuses_trees_beyond_the_node_budget():
     m = line_metric(np.arange(8.0))
     # lam barely above 1 asks for about ln(7) / 1e-7 levels.
     with pytest.raises(ValueError, match="MAX_TREE_NODES"):
-        frt_embed(m, EmbeddingParams(lam=1.0000001, seed=0), ())
+        frt_embed(count_servers(m, ()), EmbeddingParams(lam=1.0000001, seed=0))
 
 
 @pytest.mark.parametrize(
@@ -358,7 +366,7 @@ def test_frt_refuses_trees_beyond_the_node_budget():
 )
 def test_frt_refuses_spreads_beyond_the_float_range(coords):
     with pytest.raises(ValueError, match="floating-point range"):
-        frt_embed(line_metric(coords), EmbeddingParams(lam=2.0, seed=0), ())
+        frt_embed(count_servers(line_metric(coords), ()), EmbeddingParams(lam=2.0, seed=0))
 
 
 def test_tree_distance_is_a_metric_on_leaves():
@@ -398,52 +406,58 @@ def test_tree_distance_matches_closed_form():
 
 def test_attach_servers_counts():
     m = uniform_metric(3)
-    inst = Instance(metric=m, servers=(0, 0, 1), requests=(2, 0, 1))
-    t = frt_embed(m, EmbeddingParams(lam=2.0, seed=1), inst.servers)
-    at_leaf = attach_servers(t, server_stock(inst.servers))
+    setup = pipeline_setup(Instance(metric=m, servers=(0, 0, 1), requests=(2, 0, 1)))
+    t = frt_embed(setup.servers, EmbeddingParams(lam=2.0, seed=1))
+    at_leaf = attach_servers(t, setup.stock)
+    assert sorted(t.point_leaf) == [0, 1]  # the tree spans the server points only
     assert t.servers[t.point_leaf[0]] == 2
     assert t.servers[t.point_leaf[1]] == 1
-    assert t.servers[t.point_leaf[2]] == 0
     assert sum(t.servers[leaf] for leaf in t.leaves) == 3
     assert at_leaf == {t.point_leaf[0]: [0, 0], t.point_leaf[1]: [1]}
 
 
 def test_attach_servers_all_on_one_leaf():
     m = uniform_metric(2)
-    inst = Instance(metric=m, servers=(1, 1, 1, 1), requests=(0, 0, 0, 0))
-    t = frt_embed(m, EmbeddingParams(lam=2.0, seed=1), inst.servers)
-    at_leaf = attach_servers(t, server_stock(inst.servers))
-    assert t.servers[t.point_leaf[1]] == 4
-    assert at_leaf == {t.point_leaf[1]: [1, 1, 1, 1]}
+    setup = pipeline_setup(Instance(metric=m, servers=(1, 1, 1, 1), requests=(0, 0, 0, 0)))
+    t = frt_embed(setup.servers, EmbeddingParams(lam=2.0, seed=1))
+    at_leaf = attach_servers(t, setup.stock)
+    assert t.servers[t.point_leaf[0]] == 4  # instance point 1 is submetric point 0
+    assert at_leaf == {t.point_leaf[0]: [1, 1, 1, 1]}
 
 
 def test_attach_servers_missing_point_errors():
-    m3 = uniform_metric(3)
-    m2 = uniform_metric(2)
-    t = frt_embed(m2, EmbeddingParams(lam=2.0, seed=0), ())  # leaves carry points 0 and 1 only
-    inst = Instance(metric=m3, servers=(0, 2), requests=(1, 1))
-    with pytest.raises(ValueError, match="point 2 does not appear among the tree leaves"):
-        attach_servers(t, server_stock(inst.servers))
+    t = frt_embed(count_servers(uniform_metric(3), ()), EmbeddingParams(lam=2.0, seed=0))
+    stock = pipeline_setup(Instance(metric=uniform_metric(3), servers=(0, 2), requests=(1, 1))).stock
+    with pytest.raises(ValueError, match="^point 2 has no entry in the server stock$"):
+        attach_servers(t, stock)  # keyed by submetric points 0 and 1 only
 
 
 def test_attach_servers_stacks_a_shared_leaf_highest_first_in_fresh_lists():
-    # Points 1 and 2 sit at distance zero, so they share a leaf.
-    m = line_metric([0.0, 5.0, 5.0])
-    t = frt_embed(m, EmbeddingParams(lam=2.0, seed=3), (2, 1, 1, 0))
-    stock = ((2, [2]), (1, [1, 1]), (0, [0]))
+    # Points 1 and 2 sit at distance zero, so they share a leaf; point 3 holds no server.
+    m = line_metric([0.0, 5.0, 5.0, 9.0])
+    servers = (2, 1, 1, 0)
+    t = frt_embed(count_servers(m, servers), EmbeddingParams(lam=2.0, seed=3))
+    stock = {0: [0], 1: [2, 1, 1], 3: []}
     at_leaf = attach_servers(t, stock)
     shared = t.point_leaf[1]
     assert t.point_leaf[2] == shared
-    assert at_leaf == {shared: [2, 1, 1], t.point_leaf[0]: [0]}
-    assert {leaf: t.servers[leaf] for leaf in t.leaves} == {shared: 3, t.point_leaf[0]: 1}
+    assert at_leaf == {shared: [2, 1, 1], t.point_leaf[0]: [0], t.point_leaf[3]: []}
+    assert {leaf: t.servers[leaf] for leaf in t.leaves} == {shared: 3, t.point_leaf[0]: 1, t.point_leaf[3]: 0}
     at_leaf[shared].pop()
-    assert stock[1][1] == [1, 1]  # the caller's lists are never handed out
+    assert stock[1] == [2, 1, 1]  # the caller's lists are never handed out
     assert attach_servers(t, stock)[shared] == [2, 1, 1]
+
+
+def test_pipeline_setup_stocks_each_class_highest_first():
+    # Points 1 and 3 sit at distance zero; point 2 holds no server.
+    m = line_metric([0.0, 5.0, 7.0, 5.0])
+    setup = pipeline_setup(Instance(metric=m, servers=(1, 3, 0, 3), requests=(2, 2, 2, 2)))
+    assert setup.stock == {0: [0], 1: [3, 3, 1]}  # submetric points 0, 1, 2 are instance points 0, 1, 3
 
 
 def test_tree_dump_schema():
     m = uniform_metric(3)
-    t = frt_embed(m, EmbeddingParams(lam=2.0, seed=2), (0, 1, 2))
+    t = frt_embed(count_servers(m, (0, 1, 2)), EmbeddingParams(lam=2.0, seed=2))
     dump = tree_to_dict(t)
     assert set(dump) == {"lambda", "scale", "height", "nodes"}
     assert dump["nodes"][0]["parent"] is None

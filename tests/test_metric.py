@@ -254,8 +254,10 @@ def test_instance_invariants():
         make_instance(d, (0,), (0, 1))
     with pytest.raises(ValueError):
         make_instance(d, (), ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^servers\[1\] = 2 outside 0\.\.1$"):
         make_instance(d, (0, 2), (0, 1))
+    with pytest.raises(ValueError, match=r"^requests\[0\] = -1 outside 0\.\.1$"):
+        make_instance(d, (0, 1), (-1, 1))
 
 
 def test_submetric_deduplicates_and_maps():

@@ -22,7 +22,7 @@ from helpers import (
 )
 from hstmatch.generators import line_metric, star_metric, uniform_metric
 from hstmatch.harness import derive_seed, pipeline_setup, run_episode
-from hstmatch.hst import EmbeddingParams, frt_embed
+from hstmatch.hst import EmbeddingParams, count_servers, frt_embed
 from hstmatch.metric import Instance
 from hstmatch.online import (
     POLICIES,
@@ -282,7 +282,7 @@ def test_built_green_lists_hold_the_green_children_after_every_serve(coords, pic
     n = len(picks) // 2
     servers = tuple(picks[i] % len(coords) % 3 for i in range(n))
     requests = tuple(picks[i] % len(coords) for i in range(n, 2 * n))
-    tree = frt_embed(metric, EmbeddingParams(lam=2.0, seed=embed_seed), servers)
+    tree = frt_embed(count_servers(metric, servers), EmbeddingParams(lam=2.0, seed=embed_seed))
     got = rwgm_init(tree, play_seed, policy=policy)
     want = reference_rwgm_init(tree, play_seed, policy=policy)
     counts = got.subtree_remaining

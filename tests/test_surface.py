@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import hstmatch
+from hstmatch import harness
+from hstmatch.generators import GeneratorSpec, generate_instance
 
 TRACED = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
 MODULES = sorted(
@@ -42,3 +44,18 @@ def test_the_greedy_dict_scan_is_a_test_oracle_only():
     # run_greedy no longer calls it; tests/helpers.py keeps it as run_greedy's reference.
     assert not hasattr(importlib.import_module("hstmatch.online"), "greedy_serve")
     assert not hasattr(hstmatch, "greedy_serve")
+
+
+def test_a_run_leaves_no_cache_on_its_metrics(monkeypatch):
+    # A run's zero-distance classes live in PipelineSetup.servers, not on a metric object.
+    metrics = []
+
+    def submetric(inst, _fn=harness.submetric_of_servers):
+        sub, mapping = _fn(inst)
+        metrics.extend((inst.metric, sub))
+        return sub, mapping
+
+    monkeypatch.setattr(harness, "submetric_of_servers", submetric)
+    harness.run_pipeline(generate_instance(GeneratorSpec("euclidean", 6, seed=8)), master_seed=2, episodes=5)
+    assert len(metrics) == 2
+    assert [m for m in metrics if hasattr(m, "_classes")] == []
