@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import _CHUNK_ENTRIES, FiniteMetric, Instance, _is_int, _mark_validated, ensure_valid_metric
+from .metric import _CHUNK_ENTRIES, FiniteMetric, Instance, _is_int, ensure_valid_metric
 
 __all__ = [
     "FAMILIES",
@@ -73,8 +73,8 @@ class GeneratorSpec:
             raise ValueError(f"coord_range must be finite and positive, got {cr!r}")
 
 
-# The constructors below build metrics that are valid by construction, so they
-# skip the cubic check; tests/test_metric.py proves it by property test.
+# The constructors below build metrics that are valid by construction, so no
+# cubic check runs on them; tests/test_metric.py proves it by property test.
 
 
 def star_metric(k: int) -> FiniteMetric:
@@ -86,7 +86,7 @@ def star_metric(k: int) -> FiniteMetric:
     d[:, 0] = 1.0
     np.fill_diagonal(d, 0.0)
     labels = ("center",) + tuple(f"leaf{i}" for i in range(1, k + 1))
-    return _mark_validated(FiniteMetric(points=labels, dist=d))
+    return FiniteMetric(points=labels, dist=d)
 
 
 def uniform_metric(u: int) -> FiniteMetric:
@@ -94,7 +94,7 @@ def uniform_metric(u: int) -> FiniteMetric:
     if u < 1:
         raise ValueError("need at least one point")
     d = np.ones((u, u)) - np.eye(u)
-    return _mark_validated(FiniteMetric.from_matrix(d))
+    return FiniteMetric.from_matrix(d)
 
 
 def euclidean_metric(coords) -> FiniteMetric:
@@ -114,9 +114,7 @@ def euclidean_metric(coords) -> FiniteMetric:
     np.fill_diagonal(d, 0.0)
     metric = FiniteMetric.from_matrix(d)
     gaps = np.diff(np.sort(pts, axis=0), axis=0)
-    if (gaps[gaps > 0] >= _MIN_SAFE_GAP).all():
-        return _mark_validated(metric)
-    return ensure_valid_metric(metric)
+    return metric if (gaps[gaps > 0] >= _MIN_SAFE_GAP).all() else ensure_valid_metric(metric)
 
 
 def line_metric(coords) -> FiniteMetric:
@@ -124,7 +122,7 @@ def line_metric(coords) -> FiniteMetric:
     xs = np.asarray(coords, dtype=float).ravel()
     d = np.abs(xs[:, None] - xs[None, :])
     labels = tuple(repr(float(x)) for x in xs)
-    return _mark_validated(FiniteMetric(points=labels, dist=d))
+    return FiniteMetric(points=labels, dist=d)
 
 
 def generate_instance(spec: GeneratorSpec) -> Instance:

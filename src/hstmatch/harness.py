@@ -22,7 +22,7 @@ import numpy as np
 
 from .generators import GeneratorSpec, generate_instance
 from .hst import EmbeddingParams, ServerCounts, attach_servers, count_servers, frt_embed, lambda_for_n
-from .metric import Instance, _is_int, submetric_of_servers
+from .metric import Instance, _is_int, _request_triangle_violation, submetric_of_servers
 from .online import MatchingTrace, discretize_all, rwgm_init, rwgm_serve, run_greedy
 from .oracle import optimal_matching
 
@@ -159,6 +159,9 @@ class PipelineSetup:
 def pipeline_setup(inst: Instance) -> PipelineSetup:
     sub, mapping = submetric_of_servers(inst)
     g = discretize_all(inst)
+    violation = _request_triangle_violation(inst, g)
+    if violation is not None:
+        raise ValueError(f"invalid metric: {violation}")
     counts = count_servers(sub, [mapping[p] for p in inst.servers])
     rep_of = counts.rep_of.tolist()
     stock: dict = {}

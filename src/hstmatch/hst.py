@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .metric import FiniteMetric, _is_int, ensure_valid_metric
+from .metric import FiniteMetric, _is_int
 
 __all__ = [
     "MAX_TREE_NODES",
@@ -200,8 +200,7 @@ class ServerCounts(NamedTuple):
 
 
 def count_servers(metric: FiniteMetric, servers) -> ServerCounts:
-    """Check the metric and a multiset of its point indices, refusing any other entry; class and count them."""
-    ensure_valid_metric(metric)
+    """Class a metric's points and count its servers, a multiset of point indices, per class; refuse other entries."""
     if len(metric) == 0:
         raise ValueError("cannot embed an empty metric")
     idx = np.asarray(servers)

@@ -91,7 +91,6 @@ class FiniteMetric:
         arr.flags.writeable = False
         object.__setattr__(self, "dist", arr)
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "_validated", False)
 
     @classmethod
     def from_matrix(cls, dist, points=None) -> "FiniteMetric":
@@ -112,23 +111,28 @@ def validate_metric(m) -> MetricViolation | None:
     as a MetricViolation naming the offending pair or triple. The triangle
     inequality is checked with additive slack TRIANGLE_SLACK * max entry.
     """
-    metric = m if isinstance(m, FiniteMetric) else FiniteMetric.from_matrix(m)
-    d = metric.dist
-    n = d.shape[0]
-    for i in range(n):
-        if d[i, i] != 0.0:
-            return MetricViolation("diagonal", (i,), f"dist[{i}][{i}] = {d[i, i]} != 0")
-    if not np.array_equal(d, d.T):
-        bad = np.argwhere(d != d.T)
-        i, j = (int(x) for x in bad[0])
-        return MetricViolation(
-            "symmetry", (i, j), f"dist[{i}][{j}] = {d[i, j]} != dist[{j}][{i}] = {d[j, i]}"
-        )
-    tol = TRIANGLE_SLACK * float(d.max()) if n else 0.0
-    if _triangle_holds(d, tol):
-        _mark_validated(metric)
-        return None
-    return _first_triangle_violation(d, tol)
+    d = (m if isinstance(m, FiniteMetric) else FiniteMetric.from_matrix(m)).dist
+    tol = TRIANGLE_SLACK * float(d.max()) if d.size else 0.0
+    return _pair_violation(d) or (None if _triangle_holds(d, tol) else _first_triangle_violation(d, tol))
+
+
+def _pair_violation(d: np.ndarray) -> MetricViolation | None:
+    """The first nonzero diagonal entry of d, else its first asymmetric pair in row-major order."""
+    diagonal = np.flatnonzero(d.diagonal())
+    if diagonal.size:
+        i = int(diagonal[0])
+        return MetricViolation("diagonal", (i,), f"dist[{i}][{i}] = {d[i, i]} != 0")
+    bad = d != d.T
+    if bad.any():
+        i, j = (int(x) for x in np.argwhere(bad)[0])
+        return MetricViolation("symmetry", (i, j), f"dist[{i}][{j}] = {d[i, j]} != dist[{j}][{i}] = {d[j, i]}")
+    return None
+
+
+def _triangle_violation(d: np.ndarray, i: int, j: int, k: int) -> MetricViolation:
+    """Report dist[i][j] > dist[i][k] + dist[k][j] under the indices given."""
+    message = f"dist[{i}][{j}] = {d[i, j]} > dist[{i}][{k}] + dist[{k}][{j}] = {d[i, k] + d[k, j]}"
+    return MetricViolation("triangle", (i, j, k), message)
 
 
 def _triangle_holds(d: np.ndarray, tol: float) -> bool:
@@ -169,26 +173,15 @@ def _first_triangle_violation(d: np.ndarray, tol: float) -> MetricViolation | No
             np.subtract(d, excess, out=excess)
             if float(excess.max()) > tol:
                 i, j = np.unravel_index(int(excess.argmax()), excess.shape)
-                return MetricViolation(
-                    "triangle",
-                    (int(i), int(j), k),
-                    f"dist[{i}][{j}] = {d[i, j]} > dist[{i}][{k}] + dist[{k}][{j}] = {d[i, k] + d[k, j]}",
-                )
+                return _triangle_violation(d, int(i), int(j), k)
     return None
 
 
-def _mark_validated(m: FiniteMetric) -> FiniteMetric:
-    """Record that m is known to satisfy the metric axioms; ensure_valid_metric then skips it."""
-    object.__setattr__(m, "_validated", True)
-    return m
-
-
 def ensure_valid_metric(m: FiniteMetric) -> FiniteMetric:
-    """Validate once per object; subsequent calls are free."""
-    if not getattr(m, "_validated", False):
-        violation = validate_metric(m)
-        if violation is not None:
-            raise ValueError(f"invalid metric: {violation}")
+    """Return m if it satisfies the metric axioms; otherwise raise a ValueError naming the violation."""
+    violation = validate_metric(m)
+    if violation is not None:
+        raise ValueError(f"invalid metric: {violation}")
     return m
 
 
@@ -234,11 +227,34 @@ def submetric_of_servers(inst: Instance) -> tuple[FiniteMetric, dict[int, int]]:
         points=tuple(inst.metric.points[p] for p in pts),
         dist=inst.metric.dist[np.ix_(idx, idx)],
     )
-    if getattr(inst.metric, "_validated", False):
-        # A restriction of a valid metric is valid.
-        _mark_validated(sub)
     mapping = {p: i for i, p in enumerate(pts)}
     return sub, mapping
+
+
+def _request_triangle_violation(inst: Instance, images) -> MetricViolation | None:
+    """The first failing d(r, s) <= d(r, g) + d(g, s), else d(g, s) <= d(g, r) + d(r, s), or None.
+
+    r runs over the requests in order, g is r's image, and s runs over the
+    distinct server points ascending: the triangles that discretization relies
+    on, with validate_metric's slack. O(n * k), a block of requests at a time.
+    """
+    d = inst.metric.dist
+    pts = np.array(sorted(set(inst.servers)))
+    requests, images = np.asarray(inst.requests), np.asarray(images)
+    tol = TRIANGLE_SLACK * float(d.max())
+    step = max(1, _CHUNK_ENTRIES // len(d))  # d[r] copies whole rows
+    with np.errstate(over="ignore"):  # an overflowing detour is never shorter
+        for lo in range(0, inst.n, step):
+            r, g = requests[lo : lo + step], images[lo : lo + step]
+            rs, gs = d[r][:, pts], d[g][:, pts]
+            bad = (rs - (d[r, g][:, None] + gs) > tol) | (gs - (d[g, r][:, None] + rs) > tol)
+            if bad.any():
+                i, j = np.unravel_index(int(bad.argmax()), bad.shape)
+                r, g, s = int(r[i]), int(g[i]), int(pts[j])
+                if d[r, s] - (d[r, g] + d[g, s]) > tol:
+                    return _triangle_violation(d, r, s, g)
+                return _triangle_violation(d, g, s, r)
+    return None
 
 
 def instance_to_dict(inst: Instance) -> dict:
@@ -270,6 +286,12 @@ def _check_numeric_rows(dist) -> None:
 
 
 def instance_from_dict(data: dict) -> Instance:
+    """Build an instance from its JSON object, refusing what a file can get wrong.
+
+    Besides the field types, that is a nonzero diagonal entry or an asymmetric
+    pair anywhere in the matrix, and a failing triangle of the k distinct
+    server points (an exact Θ(k³) check). A violation names instance points.
+    """
     if not isinstance(data, dict):
         raise ValueError(f"instance JSON must be an object, got {type(data).__name__}")
     for name in ("servers", "requests"):
@@ -279,9 +301,17 @@ def instance_from_dict(data: dict) -> Instance:
         _check_labels(data["points"])
         _check_numeric_rows(data["dist"])
         metric = FiniteMetric(points=tuple(data["points"]), dist=data["dist"])
-        return Instance(metric=metric, servers=tuple(data["servers"]), requests=tuple(data["requests"]))
+        inst = Instance(metric=metric, servers=tuple(data["servers"]), requests=tuple(data["requests"]))
     except KeyError as missing:
         raise ValueError(f"instance JSON lacks required field {missing}") from None
+    sub, mapping = submetric_of_servers(inst)
+    violation = _pair_violation(metric.dist) or validate_metric(sub)
+    if violation is not None:
+        if violation.kind == "triangle":  # found in the server submetric: name instance points
+            pts = list(mapping)
+            violation = _triangle_violation(metric.dist, *(pts[x] for x in violation.where))
+        raise ValueError(f"invalid metric: {violation}")
+    return inst
 
 
 def load_instance(path) -> Instance:

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from hstmatch.hst import EmbeddingParams, HstTree
-from hstmatch.metric import FiniteMetric, Instance, ensure_valid_metric
+from hstmatch.metric import TRIANGLE_SLACK, FiniteMetric, Instance, ensure_valid_metric
 from hstmatch.online import POLICIES, RwgmState, rwgm_init, rwgm_serve
 
 
@@ -213,6 +213,24 @@ def brute_force_cost(inst: Instance) -> float:
         if c < best:
             best = c
     return best
+
+
+def reference_request_triangle(inst: Instance, images):
+    """The first failing request triangle as (i, j, k) with dist[i][j] > dist[i][k] + dist[k][j], or None.
+
+    One Python loop over the requests in order and the distinct server points
+    ascending, first d(r, s) <= d(r, g) + d(g, s), then d(g, s) <= d(g, r) + d(r, s),
+    each with slack TRIANGLE_SLACK times the largest entry.
+    """
+    d = inst.metric.dist.tolist()
+    tol = TRIANGLE_SLACK * max(map(max, d))
+    for r, g in zip(inst.requests, images):
+        for s in sorted(set(inst.servers)):
+            if d[r][s] - (d[r][g] + d[g][s]) > tol:
+                return (r, s, g)
+            if d[g][s] - (d[g][r] + d[r][s]) > tol:
+                return (g, s, r)
+    return None
 
 
 @lru_cache(maxsize=None)

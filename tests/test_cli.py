@@ -8,6 +8,7 @@ import pytest
 import hstmatch
 from hstmatch.cli import main
 from hstmatch.generators import GeneratorSpec, generate_instance
+from hstmatch.harness import ALGORITHMS
 from hstmatch.metric import load_instance
 
 
@@ -270,6 +271,51 @@ def test_sweep_rejects_empty_lists(tmp_path, capsys, sizes, algorithms, message)
     assert code == 1
     assert one_error_line(capsys) == f"ValueError: {message}"
     assert not out.exists()
+
+
+def _six_points_with_a_bad_server_triple() -> dict:
+    dist = [[0.0 if i == j else 50.0 for j in range(6)] for i in range(6)]
+    for (i, j), v in {(3, 4): 1.0, (4, 5): 0.1, (3, 5): 100.0}.items():
+        dist[i][j] = dist[j][i] = v
+    return {"points": list("abcdef"), "dist": dist, "servers": [3, 4, 5], "requests": [0, 1, 2]}
+
+
+BAD_INSTANCES = {
+    # Servers at points 3, 4, 5: the violation is named by instance points, not submetric positions.
+    "server-triple": (_six_points_with_a_bad_server_triple(), "dist[3][5] = 100.0 > dist[3][4] + dist[4][5] = 1.1"),
+    # dist[r][s] = 0 but dist[s][r] = 10: the oracle and the traces would read different rows.
+    "asymmetric-rows": (
+        {
+            "points": list("abcd"),
+            "dist": [[0, 10, 10, 10], [10, 0, 10, 10], [0, 10, 0, 10], [10, 0, 10, 0]],
+            "servers": [0, 1],
+            "requests": [2, 3],
+        },
+        "dist[0][2] = 10.0 != dist[2][0] = 0.0",
+    ),
+    # c is 0.1 from its image b, b is 1 from server a, yet c is 100 from a.
+    "request-triangle": (
+        {"points": list("abc"), "dist": [[0, 1, 100], [1, 0, 0.1], [100, 0.1, 0]], "servers": [0, 1],
+         "requests": [2, 2]},
+        "dist[2][0] = 100.0 > dist[2][1] + dist[1][0] = 1.1",
+    ),
+}
+# The load check covers every command; the request triangles are checked where requests are discretized.
+LOADED = [("run", "--algorithm", tag) for tag in ALGORITHMS] + [("embed",)]
+DISCRETIZED = [("run", "--algorithm", "rwgm"), ("run", "--algorithm", "rwgm-proportional"), ("embed",)]
+
+
+@pytest.mark.parametrize(
+    "name, command",
+    [(name, c) for name in ("server-triple", "asymmetric-rows") for c in LOADED]
+    + [("request-triangle", c) for c in DISCRETIZED],
+)
+def test_instances_that_break_a_checked_triangle_or_pair_fail_with_one_line(tmp_path, capsys, name, command):
+    document, message = BAD_INSTANCES[name]
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(document))
+    assert run_cli(command[0], "--instance", inst_path, *command[1:]) == 1
+    assert one_error_line(capsys) == f"ValueError: invalid metric: {message}"
 
 
 def test_runtime_failure_emits_json_error_line(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import harmonic
-from hstmatch import harness, hst
+from hstmatch import harness, hst, metric
 from hstmatch.generators import GeneratorSpec, generate_instance, line_metric, uniform_metric
 from hstmatch.harness import (
     ALGORITHMS,
@@ -22,7 +22,7 @@ from hstmatch.harness import (
     report_to_dict,
 )
 from hstmatch.hst import EmbeddingParams, frt_embed
-from hstmatch.metric import FiniteMetric, Instance, submetric_of_servers
+from hstmatch.metric import FiniteMetric, Instance, instance_from_dict, instance_to_dict, submetric_of_servers
 from hstmatch.online import MatchingTrace
 
 
@@ -150,6 +150,18 @@ def test_a_run_computes_the_zero_distance_classes_once(monkeypatch):
     inst = generate_instance(GeneratorSpec("line", 6, seed=3))
     run_pipeline(inst, master_seed=2, episodes=5)
     assert calls == [(6, 6)]  # the server submetric's, in pipeline_setup
+
+
+def test_a_loaded_instance_is_checked_at_load_and_not_by_its_runs(monkeypatch):
+    calls = []
+    original = metric.validate_metric
+    monkeypatch.setattr(metric, "validate_metric", lambda m: calls.append(len(m)) or original(m))
+    inst = instance_from_dict(instance_to_dict(generate_instance(GeneratorSpec("euclidean", 6, seed=8))))
+    assert calls == [6]  # once, on the server submetric
+    run_pipeline(inst, master_seed=2, episodes=5)
+    for tag in ALGORITHMS:
+        run_algorithm(inst, tag, master_seed=2, episodes=3)
+    assert calls == [6]
 
 
 def test_pipeline_is_reproducible():

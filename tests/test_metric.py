@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_tree, tree_metric
+from helpers import random_tree, reference_request_triangle, tree_metric
 from hstmatch import metric
 from hstmatch.generators import euclidean_metric, line_metric, star_metric, uniform_metric
 from hstmatch.metric import (
@@ -103,22 +103,17 @@ def coordinate_arrays(draw, max_dim):
     return np.where(rng.random((n, dim)) < draw(st.sampled_from([0.0, 0.5, 1.0])), repeated, spread)
 
 
-def assert_trusted_and_valid(m):
-    assert m._validated  # so ensure_valid_metric will not check it again
-    assert validate_metric(m) is None
-
-
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(size=st.integers(1, 128))
 def test_star_and_uniform_are_valid_by_construction(size):
-    assert_trusted_and_valid(star_metric(size))
-    assert_trusted_and_valid(uniform_metric(size))
+    assert validate_metric(star_metric(size)) is None
+    assert validate_metric(uniform_metric(size)) is None
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(coords=coordinate_arrays(max_dim=1))
 def test_line_metric_is_valid_by_construction(coords):
-    assert_trusted_and_valid(line_metric(coords[:, 0]))
+    assert validate_metric(line_metric(coords[:, 0])) is None
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -131,7 +126,7 @@ def test_euclidean_metric_is_valid_by_construction(coords):
         gaps = np.diff(np.sort(coords, axis=0), axis=0)
         assert (gaps[gaps > 0] < 2.0**-511).any() and str(exc).startswith("invalid metric: ")
         return
-    assert_trusted_and_valid(m)
+    assert validate_metric(m) is None
 
 
 @st.composite
@@ -218,16 +213,75 @@ def test_row_scan_temporaries_stay_under_the_cap(monkeypatch):
 
 
 def test_generated_matrix_loaded_again_is_checked():
+    # A generated metric is trusted by construction; the same matrix read from JSON is checked at load.
     rng = np.random.default_rng(4)
     m = euclidean_metric(rng.random((12, 3)))
-    assert m._validated
     inst = Instance(metric=m, servers=(0, 1, 2, 3, 4, 5), requests=(6, 7, 8, 9, 10, 11))
-    loaded = instance_from_dict(json.loads(json.dumps(instance_to_dict(inst))))
-    assert np.array_equal(loaded.metric.dist, m.dist)
-    assert not loaded.metric._validated
-    sub, _ = submetric_of_servers(loaded)
-    assert not sub._validated  # the pipeline checks what it embeds
-    assert ensure_valid_metric(loaded.metric)._validated
+    data = json.loads(json.dumps(instance_to_dict(inst)))
+    assert np.array_equal(instance_from_dict(data).metric.dist, m.dist)
+    # The whole matrix's diagonal and symmetry are checked, not only the servers'.
+    for i, j, message in [
+        (7, 7, r"dist\[7\]\[7\] = 10\.0 != 0$"),
+        (6, 7, r"dist\[6\]\[7\] = 10\.0 != dist\[7\]\[6\] = "),
+    ]:
+        request_points = json.loads(json.dumps(data))
+        request_points["dist"][i][j] = 10.0
+        with pytest.raises(ValueError, match="^invalid metric: " + message):
+            instance_from_dict(request_points)
+    data["dist"][1][4] = data["dist"][4][1] = 10.0  # the cloud's diameter is sqrt(3)
+    server_triangle = "invalid metric: dist[1][4] = 10.0 > dist[1][0] + dist[0][4] = "
+    with pytest.raises(ValueError, match="^" + re.escape(server_triangle)):
+        instance_from_dict(data)
+
+
+def test_ensure_valid_metric_checks_on_every_call_and_marks_nothing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(metric, "validate_metric", lambda m, _fn=validate_metric: calls.append(m) or _fn(m))
+    m = FiniteMetric.from_matrix([[0, 1], [1, 0]])
+    assert ensure_valid_metric(m) is m and ensure_valid_metric(m) is m
+    assert calls == [m, m] and set(vars(m)) == {"points", "dist"}
+    message = "invalid metric: dist[0][1] = 5.0 > dist[0][2] + dist[2][1] = 2.0"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ensure_valid_metric(FiniteMetric.from_matrix([[0, 5, 1], [5, 0, 1], [1, 1, 0]]))
+
+
+@st.composite
+def request_triangle_cases(draw):
+    """An instance and an image among its server points for each request.
+
+    The matrix is a line metric, the same with entries scaled up or down, or
+    small random integers (neither symmetric nor a metric); nonzero
+    diagonals are allowed too, since the check reads only the entries it names.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["line", "perturbed", "integers"]))
+    if kind == "integers":
+        d = rng.integers(0, 6, (size, size)).astype(float)
+    else:
+        d = np.array(line_metric(rng.uniform(0.0, 10.0, size)).dist)
+        if kind == "perturbed":
+            d[rng.random((size, size)) < 0.2] *= rng.choice([0.5, 1.0 + 1e-9, 2.0])
+    n = draw(st.integers(1, 2 * size))
+    servers = tuple(int(p) for p in rng.integers(0, size, n))
+    requests = tuple(int(p) for p in rng.integers(0, size, n))
+    images = tuple(int(p) for p in rng.choice(servers, n))
+    return Instance(metric=FiniteMetric.from_matrix(d), servers=servers, requests=requests), images
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=request_triangle_cases(), chunk=st.sampled_from([1, 24, 1 << 20]))
+def test_request_triangles_match_the_brute_force_loop(case, chunk):
+    inst, images = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metric, "_CHUNK_ENTRIES", chunk)  # one request per block, a few, or all at once
+        got = metric._request_triangle_violation(inst, images)
+    want = reference_request_triangle(inst, images)
+    assert (got and got.where) == want
+    if got:
+        i, j, k = want
+        d = inst.metric.dist
+        assert got.kind == "triangle" and str(got).startswith(f"dist[{i}][{j}] = {d[i, j]} > dist[{i}][{k}] + ")
 
 
 def test_euclidean_underflow_falls_back_to_the_exact_check():
@@ -235,7 +289,7 @@ def test_euclidean_underflow_falls_back_to_the_exact_check():
     # the computed distances 0, 0 and 2.2e-162 break the triangle inequality.
     with pytest.raises(ValueError, match="invalid metric: dist\\[0\\]\\[2\\]"):
         euclidean_metric([[0.0], [1e-162], [2e-162]])
-    assert euclidean_metric([[0.0], [1e-162]])._validated  # two points are a metric
+    assert validate_metric(euclidean_metric([[0.0], [1e-162]])) is None  # two points are a metric
 
 
 def test_metric_is_immutable():

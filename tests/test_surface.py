@@ -9,6 +9,7 @@ import pytest
 import hstmatch
 from hstmatch import harness
 from hstmatch.generators import GeneratorSpec, generate_instance
+from hstmatch.metric import instance_from_dict, instance_to_dict
 
 TRACED = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
 MODULES = sorted(
@@ -47,7 +48,8 @@ def test_the_greedy_dict_scan_is_a_test_oracle_only():
 
 
 def test_a_run_leaves_no_cache_on_its_metrics(monkeypatch):
-    # A run's zero-distance classes live in PipelineSetup.servers, not on a metric object.
+    # A run's zero-distance classes live in PipelineSetup.servers, and no check marks a metric
+    # as done: generated, loaded and submetric objects hold their points and distances only.
     metrics = []
 
     def submetric(inst, _fn=harness.submetric_of_servers):
@@ -56,6 +58,7 @@ def test_a_run_leaves_no_cache_on_its_metrics(monkeypatch):
         return sub, mapping
 
     monkeypatch.setattr(harness, "submetric_of_servers", submetric)
-    harness.run_pipeline(generate_instance(GeneratorSpec("euclidean", 6, seed=8)), master_seed=2, episodes=5)
-    assert len(metrics) == 2
-    assert [m for m in metrics if hasattr(m, "_classes")] == []
+    generated = generate_instance(GeneratorSpec("euclidean", 6, seed=8))
+    for inst in (generated, instance_from_dict(instance_to_dict(generated))):
+        harness.run_pipeline(inst, master_seed=2, episodes=5)
+    assert [sorted(vars(m)) for m in metrics] == [["dist", "points"]] * 4

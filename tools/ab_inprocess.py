@@ -7,9 +7,12 @@ Loads the ``hstmatch`` package of each ``src/`` directory into one process
 under its own module name, builds the workload's throughput instance from
 ``perfbench`` (the same seeded input and episode count the benchmark times),
 and times whole ``run_pipeline`` calls in alternating pairs: even pairs run A
-first, odd pairs B first. Both sides share the process, so a slow spell of a
-shared machine hits them alike; the per-pair ratio is what to read. Prints
-each side's median and quartiles in milliseconds, the median of B/A, how
+first, odd pairs B first. In each pair a side first loads the instance with
+its own ``instance_from_dict`` (timed apart) and then runs on what it loaded,
+so work moved between loading and a run shows on both clocks. Both sides
+share the process, so a slow spell of a shared machine hits them alike; the
+per-pair ratio is what to read. Prints each side's median and quartiles in
+milliseconds for the call and for the load, the median of B/A for both, how
 many pairs B won, and whether both sides returned the same reports; the last
 line is the same as JSON.
 """
@@ -53,45 +56,59 @@ def main(argv=None) -> int:
     wl = perfbench_run.workloads()[args.workload]
     data = (wl.throughput_instance or wl.instance)(args.seed)
     episodes = wl.throughput_episodes
-    sides = []
-    for name, src in (("a", args.a), ("b", args.b)):
-        pkg = load_package(src.resolve(), f"hstmatch_{name}")
-        sides.append((pkg, pkg.metric.instance_from_dict(data)))
+    sides = [load_package(src.resolve(), f"hstmatch_{name}") for name, src in (("a", args.a), ("b", args.b))]
 
-    def call(side) -> tuple:
-        pkg, inst = side
+    def load_and_call(pkg) -> tuple:
         t0 = time.perf_counter()
+        inst = pkg.metric.instance_from_dict(data)
+        t1 = time.perf_counter()
         report = pkg.run_pipeline(inst, args.seed, episodes)
-        return time.perf_counter() - t0, pkg.harness.report_to_dict(report)
+        return t1 - t0, time.perf_counter() - t1, pkg.harness.report_to_dict(report)
 
-    for side in sides:  # warm-up: imports, caches, first-call costs
-        call(side)
+    for pkg in sides:  # warm-up: imports, caches, first-call costs
+        load_and_call(pkg)
+    loads: tuple = ([], [])
     times: tuple = ([], [])
     same = True
     for i in range(args.pairs):
         order = (0, 1) if i % 2 == 0 else (1, 0)
         reports = {}
         for s in order:
-            seconds, reports[s] = call(sides[s])
-            times[s].append(seconds)
+            load_s, call_s, reports[s] = load_and_call(sides[s])
+            loads[s].append(load_s)
+            times[s].append(call_s)
         same = same and reports[0] == reports[1]
 
+    def quartiles_ms(xs) -> list:
+        return [round(1e3 * x, 3) for x in statistics.quantiles(xs, n=4)]
+
     ratios = [b / a for a, b in zip(*times)]
+    load_ratios = [b / a for a, b in zip(*loads)]
     result = {
         "workload": args.workload,
         "seed": args.seed,
         "episodes": episodes,
         "pairs": args.pairs,
-        "a_ms": [round(1e3 * x, 3) for x in statistics.quantiles(times[0], n=4)],
-        "b_ms": [round(1e3 * x, 3) for x in statistics.quantiles(times[1], n=4)],
+        "a_ms": quartiles_ms(times[0]),
+        "b_ms": quartiles_ms(times[1]),
         "median_b_over_a": round(statistics.median(ratios), 4),
         "b_wins": sum(r < 1.0 for r in ratios),
+        "a_load_ms": quartiles_ms(loads[0]),
+        "b_load_ms": quartiles_ms(loads[1]),
+        "load_median_b_over_a": round(statistics.median(load_ratios), 4),
         "same_reports": same,
     }
     for side in ("a", "b"):
         q1, q2, q3 = result[f"{side}_ms"]
-        print(f"{side}: median {q2:.3f} ms per call (quartiles {q1:.3f} .. {q3:.3f})")
-    print(f"b/a median {result['median_b_over_a']}, b won {result['b_wins']}/{args.pairs}, same reports: {same}")
+        l1, l2, l3 = result[f"{side}_load_ms"]
+        print(
+            f"{side}: median {q2:.3f} ms per call (quartiles {q1:.3f} .. {q3:.3f}),"
+            f" {l2:.3f} ms per load (quartiles {l1:.3f} .. {l3:.3f})"
+        )
+    print(
+        f"b/a median {result['median_b_over_a']} per call, {result['load_median_b_over_a']} per load,"
+        f" b won {result['b_wins']}/{args.pairs} calls, same reports: {same}"
+    )
     print(json.dumps(result))
     return 0 if same else 1
 
