@@ -11,6 +11,7 @@ from .generators import FAMILIES, GeneratorSpec, generate_instance
 from .harness import (
     ALGORITHMS,
     RatioReport,
+    RunRecord,
     derive_seed,
     run_algorithm,
     run_episode,
@@ -39,7 +40,6 @@ from .metric import (
     validate_metric,
 )
 from .online import (
-    MatchingTrace,
     RwgmState,
     discretize_all,
     pick_a_leaf,

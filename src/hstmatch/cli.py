@@ -51,9 +51,9 @@ def _cmd_generate(args) -> int:
 
 def _cmd_run(args) -> int:
     inst = load_instance(args.instance)
-    report, traces = run_algorithm(inst, args.algorithm, args.seed, args.episodes)
+    report, record = run_algorithm(inst, args.algorithm, args.seed, args.episodes, keep_rows=bool(args.output))
     if args.output:
-        _write_text(args.output, trace_csv(traces))
+        _write_text(args.output, trace_csv(record))
     if args.report:
         _write_json(args.report, report_to_dict(report))
     print(json.dumps(report_to_dict(report)))

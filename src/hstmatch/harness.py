@@ -2,7 +2,7 @@
 
 A pipeline episode embeds the server submetric into one random tree, places
 the servers on its leaves and serves each request's discretized image (found
-once per run by ``pipeline_setup``) on the tree matcher. The embedding is
+and checked once per run, before any episode) on the tree matcher. The embedding is
 resampled per episode: the randomized strategy draws both the tree and the
 descent choices, so the reported mean averages over both.
 
@@ -15,7 +15,6 @@ identical seeds replay identical traces on any platform.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -23,14 +22,16 @@ import numpy as np
 from .generators import GeneratorSpec, generate_instance
 from .hst import EmbeddingParams, ServerCounts, attach_servers, count_servers, frt_embed, lambda_for_n
 from .metric import Instance, _is_int, _request_triangle_violation, submetric_of_servers
-from .online import MatchingTrace, discretize_all, rwgm_init, rwgm_serve, run_greedy
+from .online import discretize_all, rwgm_init, rwgm_serve, run_greedy
 from .oracle import optimal_matching
 
 __all__ = [
     "ALGORITHMS",
     "RatioReport",
+    "RunRecord",
     "PipelineSetup",
     "derive_seed",
+    "episode_totals",
     "pipeline_setup",
     "run_episode",
     "run_pipeline",
@@ -80,7 +81,8 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _episode_seeds(master_seed: int, start: int, stop: int):
-    """Yield ``(derive_seed(master_seed, e, 0), derive_seed(master_seed, e, 1))`` for e in [start, stop).
+    """Each block of ``_SEED_BLOCK`` episodes e in [start, stop), as the list of their seed pairs
+    ``(derive_seed(master_seed, e, 0), derive_seed(master_seed, e, 1))``.
 
     A child's entropy is the master's words, zero-padded to the four-word pool
     (zeros hash as the pool's own fill does), then the spawn words e and slot.
@@ -96,7 +98,7 @@ def _episode_seeds(master_seed: int, start: int, stop: int):
         e = np.arange(lo, min(lo + _SEED_BLOCK, stop), dtype=np.uint32)[:, None]
         mixed = _mix(_mix(pool, _hashmix(e, _INIT_A, _MULT_A, done, 4)), slots)  # [slot, episode, word]
         words = _hashmix(mixed[..., :2], _INIT_B, _MULT_B, 0, 2).astype(np.uint64)  # generate_state
-        yield from zip(*(words[..., 0] | words[..., 1] << np.uint64(32)).tolist())
+        yield list(zip(*(words[..., 0] | words[..., 1] << np.uint64(32)).tolist()))
 
 
 @dataclass(frozen=True)
@@ -120,13 +122,46 @@ class RatioReport:
     master_seed: int
 
 
-def _make_report(algorithm, costs, opt, master_seed) -> RatioReport:
-    values = np.asarray(costs, dtype=float)
-    kind = "ratio"
-    if opt > 0.0:
-        values = values / opt
-    else:
-        kind = "absolute-cost"
+@dataclass(frozen=True, eq=False)
+class RunRecord:
+    """A run's episodes as arrays, one row per episode: ``served[e, j]`` is the server point of
+    request j in episode e, ``costs[e, j]`` is ``dist[requests[j], served[e, j]]``, and ``totals``
+    is ``episode_totals(costs)``. A run that keeps no rows holds ``served`` and ``costs`` as None.
+    """
+
+    requests: np.ndarray  # the request points, in request order
+    served: np.ndarray | None
+    costs: np.ndarray | None
+    totals: np.ndarray
+
+
+def episode_totals(costs: np.ndarray) -> np.ndarray:
+    """Each row of a 2-d cost array added left to right from 0.0, as ``total += cost`` would.
+
+    Not ``sum()``, which from Python 3.12 compensates rounding: ``accumulate`` adds in order.
+    Its first partial sum is the first cost, so ``+ 0.0`` gives a row of -0.0 the loop's 0.0.
+    """
+    return np.add.accumulate(costs, axis=1)[:, -1] + 0.0
+
+
+def _record(inst: Instance, blocks, keep_rows: bool) -> RunRecord:
+    """The record of blocks of episodes' served points, with one cost gather per block."""
+    requests = np.asarray(inst.requests)
+    served, costs, totals = [], [], []
+    for block in blocks:
+        block_served = np.array(block)
+        block_costs = inst.metric.dist[requests, block_served]
+        totals.append(episode_totals(block_costs))
+        if keep_rows:
+            served.append(block_served)
+            costs.append(block_costs)
+    rows = (np.concatenate(served), np.concatenate(costs)) if keep_rows else (None, None)
+    return RunRecord(requests, *rows, np.concatenate(totals))
+
+
+def _make_report(algorithm, totals: np.ndarray, opt, master_seed) -> RatioReport:
+    kind = "ratio" if opt > 0.0 else "absolute-cost"
+    values = totals / opt if opt > 0.0 else totals
     std_error = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
     qs = np.quantile(values, [0.1, 0.5, 0.9])
     return RatioReport(
@@ -152,16 +187,23 @@ class PipelineSetup:
     g_sub: tuple  # submetric index of each request's image
     servers: ServerCounts  # the server submetric's classes and per-class server counts, for frt_embed
     stock: dict  # each class representative's server instances, highest first, for attach_servers
-    requests: np.ndarray  # the request points, for one cost gather per episode
     lam: float
 
 
-def pipeline_setup(inst: Instance) -> PipelineSetup:
-    sub, mapping = submetric_of_servers(inst)
+def _checked_images(inst: Instance) -> tuple:
+    """Each request's image (``discretize_all``), after a check of the triangles through it."""
     g = discretize_all(inst)
     violation = _request_triangle_violation(inst, g)
     if violation is not None:
         raise ValueError(f"invalid metric: {violation}")
+    return g
+
+
+def pipeline_setup(inst: Instance, g: tuple | None = None) -> PipelineSetup:
+    """What every episode of a run shares; ``g`` is the images, if already checked."""
+    sub, mapping = submetric_of_servers(inst)
+    if g is None:
+        g = _checked_images(inst)
     counts = count_servers(sub, [mapping[p] for p in inst.servers])
     rep_of = counts.rep_of.tolist()
     stock: dict = {}
@@ -173,28 +215,19 @@ def pipeline_setup(inst: Instance) -> PipelineSetup:
         g_sub=tuple(mapping[p] for p in g),
         servers=counts,
         stock=stock,
-        requests=np.asarray(inst.requests),
         lam=lambda_for_n(inst.n),
     )
 
 
-def run_episode(
-    setup: PipelineSetup,
-    embed_seed: int,
-    play_seed: int,
-    *,
-    algorithm: str = "rwgm",
-    check: bool = False,
-) -> MatchingTrace:
+def run_episode(setup: PipelineSetup, embed_seed: int, play_seed: int, *, algorithm="rwgm", check=False) -> list:
     """Play one full episode of a randomized tag: embed, attach servers, serve every request.
 
+    Returns the server point that served each request, in request order.
     With ``check`` set, every decision is verified against the per-request
-    guarantees: the recorded cost never exceeds the inner cost plus the
-    discretization distance, and the inner (submetric) cost never exceeds
-    the tree cost the matcher paid.
+    guarantees: the cost d(r, s) never exceeds the inner cost d(g, s) plus
+    the discretization distance d(g, r), and the inner (submetric) cost never
+    exceeds the tree cost the matcher paid.
     """
-    inst = setup.inst
-    dist = inst.metric.dist
     tree = frt_embed(setup.servers, EmbeddingParams(lam=setup.lam, seed=embed_seed))
     stock = attach_servers(tree, setup.stock)
     state = rwgm_init(tree, play_seed, policy=_TREE_POLICY[algorithm])
@@ -207,35 +240,38 @@ def run_episode(
         served.append(stock[server_leaf].pop())
         if check:
             tree_costs.append(tree_cost)
-    costs = dist[setup.requests, served].tolist()
 
     if check:
+        dist = setup.inst.metric.dist
         tol = 1e-9 * float(dist.max())
-        for i, (r, g, s, cost, tree_cost) in enumerate(zip(inst.requests, setup.g, served, costs, tree_costs)):
+        for i, (r, g, s, tree_cost) in enumerate(zip(setup.inst.requests, setup.g, served, tree_costs)):
             inner_cost = float(dist[g, s])
-            if cost > inner_cost + float(dist[g, r]) + tol:
+            if float(dist[r, s]) > inner_cost + float(dist[g, r]) + tol:
                 raise AssertionError(f"request {i}: wrapper cost exceeds inner cost plus detour")
             if inner_cost > tree_cost * (1.0 + 1e-12) + tol:
                 raise AssertionError(f"request {i}: tree cost fails to dominate the metric cost")
-
-    return MatchingTrace(list(zip(inst.requests, served, costs)))
+    return served
 
 
 def run_pipeline(inst: Instance, master_seed: int, episodes: int, *, check: bool = False) -> RatioReport:
     """Monte Carlo estimate of the rwgm pipeline's cost ratio over seeded episodes."""
-    report, _ = run_algorithm(inst, "rwgm", master_seed, episodes, check=check)
+    report, _ = run_algorithm(inst, "rwgm", master_seed, episodes, check=check, keep_rows=False)
     return report
 
 
-def run_algorithm(inst: Instance, tag: str, master_seed: int, episodes: int, *, check: bool = False):
-    """Run one algorithm tag; returns (report, traces).
+def run_algorithm(
+    inst: Instance, tag: str, master_seed: int, episodes: int, *, check: bool = False, keep_rows: bool = True
+) -> tuple[RatioReport, RunRecord]:
+    """Run one algorithm tag; returns (report, record), the record with its rows if ``keep_rows``.
 
     Deterministic tags collapse to a single episode regardless of the
-    requested count.
+    requested count. The request triangles are checked once, before any
+    episode, under every tag.
     """
     _check_algorithms([tag])
     _check_counts(episodes, master_seed)
-    return _run_tag(inst, tag, master_seed, episodes, optimal_matching(inst), check)
+    g = _checked_images(inst)
+    return _run_tag(inst, tag, master_seed, episodes, optimal_matching(inst), g, check, keep_rows)
 
 
 def _check_counts(episodes, master_seed) -> None:
@@ -246,33 +282,23 @@ def _check_counts(episodes, master_seed) -> None:
         raise ValueError(f"master_seed must be a non-negative integer, got {master_seed!r}")
 
 
-def _run_tag(inst: Instance, tag: str, master_seed: int, episodes: int, om, check: bool = False):
-    """run_algorithm's body, against an optimum ``om`` of inst solved by the caller."""
+def _run_tag(inst: Instance, tag: str, master_seed: int, episodes: int, om, g, check=False, keep_rows=False):
+    """run_algorithm's body, against an optimum ``om`` and checked images ``g`` of inst from the caller."""
     if tag == "greedy":
-        trace = run_greedy(inst)
-        return _make_report("greedy", [trace.total_cost], om.cost, master_seed), [trace]
+        blocks = [[run_greedy(inst)]]
+    elif tag == "optimal":
+        blocks = [[[inst.servers[srv_idx] for srv_idx, _ in om.pairs]]]  # pairs come in request order
+    else:
+        setup = pipeline_setup(inst, g)
+        blocks = (
+            [run_episode(setup, embed, play, algorithm=tag, check=check) for embed, play in block]
+            for block in _episode_seeds(master_seed, 0, episodes)
+        )
+    record = _record(inst, blocks, keep_rows)
+    return _make_report(tag, record.totals, om.cost, master_seed), record
 
-    if tag == "optimal":
-        pairs = [(inst.requests[req_idx], inst.servers[srv_idx]) for srv_idx, req_idx in om.pairs]
-        trace = MatchingTrace([(r, s, float(inst.metric.dist[r, s])) for r, s in pairs])
-        return _make_report("optimal", [trace.total_cost], om.cost, master_seed), [trace]
 
-    setup = pipeline_setup(inst)
-    seeds = _episode_seeds(master_seed, 0, episodes)
-    traces = [run_episode(setup, embed, play, algorithm=tag, check=check) for embed, play in seeds]
-    return _make_report(tag, [trace.total_cost for trace in traces], om.cost, master_seed), traces
-
-
-def sweep(
-    family: str,
-    sizes,
-    algorithms,
-    episodes: int,
-    master_seed: int,
-    *,
-    dim: int = 2,
-    coord_range: float = 100.0,
-):
+def sweep(family: str, sizes, algorithms, episodes: int, master_seed: int, *, dim=2, coord_range=100.0):
     """One row of statistics per (size, algorithm); deterministic in the seed."""
     sizes, algorithms = list(sizes), list(algorithms)
     _check_algorithms(algorithms)
@@ -282,21 +308,16 @@ def sweep(
         raise ValueError("algorithms must be nonempty")
     _check_counts(episodes, master_seed)
     specs = [  # every size is checked before any instance is built
-        GeneratorSpec(
-            family=family,
-            n=n,
-            seed=derive_seed(master_seed, 0, si),
-            dim=dim,
-            coord_range=coord_range,
-        )
+        GeneratorSpec(family, n, seed=derive_seed(master_seed, 0, si), dim=dim, coord_range=coord_range)
         for si, n in enumerate(sizes)
     ]
     rows = []
     for si, spec in enumerate(specs):
         inst = generate_instance(spec)
-        om = optimal_matching(inst)  # one solve serves every tag
+        g = _checked_images(inst)  # one check and one solve serve every tag
+        om = optimal_matching(inst)
         for ai, tag in enumerate(algorithms):
-            report, _ = _run_tag(inst, tag, derive_seed(master_seed, 1, si, ai), episodes, om)
+            report, _ = _run_tag(inst, tag, derive_seed(master_seed, 1, si, ai), episodes, om, g)
             if report.kind != "ratio":
                 raise ValueError(f"instance (family={family}, n={spec.n}) has zero optimum")
             rows.append((spec.n, tag, report.mean, report.std_error))
@@ -304,32 +325,32 @@ def sweep(
 
 
 def sweep_csv(rows) -> str:
-    out = io.StringIO()
-    out.write(SWEEP_HEADER + "\n")
-    for n, tag, mean, se in rows:
-        out.write(f"{n},{tag},{mean!r},{se!r}\n")
-    return out.getvalue()
+    return SWEEP_HEADER + "\n" + "".join(f"{n},{tag},{mean!r},{se!r}\n" for n, tag, mean, se in rows)
 
 
-def trace_csv(traces) -> str:
-    """One row per decision across episodes, fixed header, episode-major order.
+def trace_csv(record: RunRecord) -> str:
+    """One row per decision, fixed header, episode-major order.
 
-    Episodes repeat decisions, so each call formats the text of every
-    distinct (request, server, cost), and of every step number, once.
+    Row (e, j) is ``f"{e},{j},{requests[j]},{served[e, j]},{costs[e, j]!r}\n"``.
+    A cost is the distance from the step's request to the server, the same in
+    every episode that pairs them, so each call formats the text after ``e,``
+    once per distinct (step, server) pair.
     """
+    served, requests = record.served, record.requests
+    if served is None:
+        raise ValueError("the record kept no rows to write")
+    n = len(requests)
+    width = int(served.max()) + 1
+    pairs, inverse = np.unique(np.arange(n) * width + served, return_inverse=True)
+    where = np.empty(len(pairs), dtype=np.intp)
+    where[inverse.ravel()] = np.arange(served.size)  # one occurrence of each pair
+    steps, points = np.divmod(pairs, width)
+    columns = (steps.tolist(), requests[steps].tolist(), points.tolist(), record.costs.ravel()[where].tolist())
+    texts = [f"{j},{r},{s},{cost!r}" for j, r, s, cost in zip(*columns)]
     parts = [TRACE_HEADER + "\n"]
-    steps: list = []  # "step," texts
-    tails: dict = {}  # (request, server, cost) -> "request,server,cost\n"
-    for episode, trace in enumerate(traces):
-        decisions = trace.decisions
-        steps.extend(f"{step}," for step in range(len(steps), len(decisions)))
-        prefix = f"{episode},"
-        for step, (r, s, cost) in zip(steps, decisions):
-            key = (r, s, cost or repr(cost))  # 0.0 and -0.0 are equal but print differently
-            tail = tails.get(key)
-            if tail is None:
-                tail = tails[key] = f"{r},{s},{cost!r}\n"
-            parts.append(prefix + step + tail)
+    for e, row in enumerate(inverse.reshape(served.shape).tolist()):
+        prefix = f"{e},"
+        parts.append(prefix + ("\n" + prefix).join(map(texts.__getitem__, row)) + "\n")
     return "".join(parts)
 
 

@@ -94,9 +94,9 @@ class FiniteMetric:
 
     @classmethod
     def from_matrix(cls, dist, points=None) -> "FiniteMetric":
-        arr = _as_square_matrix(dist)
+        arr = np.asarray(dist, dtype=float)  # checked once, by the constructor, before the labels
         if points is None:
-            points = tuple(str(i) for i in range(arr.shape[0]))
+            points = tuple(str(i) for i in range(len(arr) if arr.ndim else 0))
         return cls(points=tuple(points), dist=arr)
 
     def __len__(self) -> int:

@@ -9,8 +9,6 @@ for comparison only and carries no bound claims.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .hst import HstTree
@@ -18,7 +16,6 @@ from .metric import Instance
 
 __all__ = [
     "POLICIES",
-    "MatchingTrace",
     "RwgmState",
     "rwgm_init",
     "rwgm_serve",
@@ -28,25 +25,6 @@ __all__ = [
 ]
 
 POLICIES = ("uniform", "proportional")
-
-
-@dataclass
-class MatchingTrace:
-    """Per-request decisions of one episode: (request point, server point, cost)."""
-
-    decisions: list
-
-    @property
-    def total_cost(self) -> float:
-        """The decision costs added left to right from 0.0.
-
-        Not ``sum()``: from Python 3.12 it compensates float rounding, which
-        would change the reported bytes.
-        """
-        total = 0.0
-        for _, _, cost in self.decisions:
-            total += cost
-        return total
 
 
 # 64-bit outputs pulled from the bit generator each time a state's 32-bit
@@ -223,9 +201,10 @@ def discretize_all(inst: Instance) -> tuple:
     return tuple(pts[nearest].tolist())
 
 
-def run_greedy(inst: Instance) -> MatchingTrace:
+def run_greedy(inst: Instance) -> list:
     """Play the whole request sequence greedily on the original metric.
 
+    Returns the server point that served each request, in request order.
     Each request takes the nearest server point with an unused instance.
     ``argmin`` returns the first minimum over the sorted points, so ties go
     to the lowest point index and the run is deterministic.
@@ -233,11 +212,10 @@ def run_greedy(inst: Instance) -> MatchingTrace:
     dist = inst.metric.dist
     pts, left = np.unique(inst.servers, return_counts=True)
     used_up = np.zeros(len(pts))  # +inf at every point with no instance left
-    decisions = []
+    served = []
     for r in inst.requests:
         i = int((dist[r, pts] + used_up).argmin())
         left[i] -= 1
         used_up[i] = 0.0 if left[i] else np.inf
-        s = int(pts[i])
-        decisions.append((r, s, float(dist[r, s])))
-    return MatchingTrace(decisions)
+        served.append(int(pts[i]))
+    return served

@@ -531,3 +531,30 @@ def play_on_tree(tree: HstTree, request_points, rng, policy: str = "uniform"):
         if leaf != tree.point_leaf[p]:
             moves += 1
     return cost, moves
+
+
+def left_to_right_total(costs) -> float:
+    """The costs added one at a time from 0.0: the oracle for the record's totals.
+
+    Not ``sum()``: from Python 3.12 it compensates float rounding.
+    """
+    total = 0.0
+    for cost in costs:
+        total += cost
+    return total
+
+
+def record_decisions(record) -> list:
+    """A run record's rows as per-episode lists of (request, server, cost) tuples of Python numbers."""
+    requests = record.requests.tolist()
+    return [list(zip(requests, s, c)) for s, c in zip(record.served.tolist(), record.costs.tolist())]
+
+
+def reference_trace_csv(record) -> str:
+    """Every row of a run record's trace formatted on its own: the oracle for ``trace_csv``."""
+    rows = [
+        f"{e},{step},{r},{s},{cost!r}\n"
+        for e, decisions in enumerate(record_decisions(record))
+        for step, (r, s, cost) in enumerate(decisions)
+    ]
+    return "episode,step,request_point,server_point,cost\n" + "".join(rows)

@@ -300,16 +300,12 @@ BAD_INSTANCES = {
         "dist[2][0] = 100.0 > dist[2][1] + dist[1][0] = 1.1",
     ),
 }
-# The load check covers every command; the request triangles are checked where requests are discretized.
+# The load check and the request-triangle check cover every command that reads an instance.
 LOADED = [("run", "--algorithm", tag) for tag in ALGORITHMS] + [("embed",)]
-DISCRETIZED = [("run", "--algorithm", "rwgm"), ("run", "--algorithm", "rwgm-proportional"), ("embed",)]
 
 
-@pytest.mark.parametrize(
-    "name, command",
-    [(name, c) for name in ("server-triple", "asymmetric-rows") for c in LOADED]
-    + [("request-triangle", c) for c in DISCRETIZED],
-)
+@pytest.mark.parametrize("name", ["server-triple", "asymmetric-rows", "request-triangle"])
+@pytest.mark.parametrize("command", LOADED)
 def test_instances_that_break_a_checked_triangle_or_pair_fail_with_one_line(tmp_path, capsys, name, command):
     document, message = BAD_INSTANCES[name]
     inst_path = tmp_path / "inst.json"

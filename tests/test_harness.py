@@ -1,12 +1,14 @@
+import importlib.util
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import harmonic
+from helpers import harmonic, left_to_right_total, record_decisions, reference_trace_csv
 from hstmatch import harness, hst, metric
 from hstmatch.generators import GeneratorSpec, generate_instance, line_metric, uniform_metric
 from hstmatch.harness import (
@@ -23,7 +25,7 @@ from hstmatch.harness import (
 )
 from hstmatch.hst import EmbeddingParams, frt_embed
 from hstmatch.metric import FiniteMetric, Instance, instance_from_dict, instance_to_dict, submetric_of_servers
-from hstmatch.online import MatchingTrace
+from test_golden import MULTI
 
 
 def test_derive_seed_is_stable_and_keyed():
@@ -51,7 +53,9 @@ def test_episode_seed_blocks_equal_derive_seed(words, master, numpy_type, start,
     if numpy_type is not None:
         master = numpy_type(master % (np.iinfo(numpy_type).max + 1))
     stop = min(start + count, 2**32)
-    got = list(harness._episode_seeds(master, start, stop))
+    blocks = list(harness._episode_seeds(master, start, stop))
+    assert [len(block) for block in blocks[:-1]] == [harness._SEED_BLOCK] * (len(blocks) - 1)
+    got = [pair for block in blocks for pair in block]
     assert got == [(derive_seed(master, e, 0), derive_seed(master, e, 1)) for e in range(start, stop)]
     assert all(type(seed) is int for pair in got for seed in pair)
 
@@ -90,8 +94,9 @@ def test_pipeline_episodes_match_run_episode_streams():
     inst = generate_instance(GeneratorSpec("line", 6, seed=3))
     setup = pipeline_setup(inst)
     report = run_pipeline(inst, master_seed=5, episodes=12)
+    requests = np.asarray(inst.requests)
     singles = [
-        run_episode(setup, derive_seed(5, e, 0), derive_seed(5, e, 1)).total_cost
+        left_to_right_total(inst.metric.dist[requests, run_episode(setup, derive_seed(5, e, 0), derive_seed(5, e, 1))])
         for e in range(12)
     ]
     assert report.mean == pytest.approx(float(np.mean(singles)) / report.opt, rel=1e-12)
@@ -114,8 +119,7 @@ def test_episodes_serve_every_server_instance_once_lowest_index_first_per_leaf(c
     requests = tuple(b % len(coords) for _, b in pairs)
     setup = pipeline_setup(Instance(metric, servers, requests))
     embed_seed, play_seed = derive_seed(master, 0, 0), derive_seed(master, 0, 1)
-    trace = run_episode(setup, embed_seed, play_seed, algorithm=algorithm, check=True)
-    served = [s for _, s, _ in trace.decisions]
+    served = run_episode(setup, embed_seed, play_seed, algorithm=algorithm, check=True)
     assert Counter(served) == Counter(servers)
 
     # The episode's tree, drawn again: server points at distance zero share a leaf.
@@ -184,22 +188,22 @@ def test_nested_uniform_two_pipeline_is_deterministic():
 
 def test_run_algorithm_optimal_and_greedy():
     inst = generate_instance(GeneratorSpec("star", 8, seed=0))
-    report, traces = run_algorithm(inst, "optimal", master_seed=0, episodes=7)
+    report, record = run_algorithm(inst, "optimal", master_seed=0, episodes=7)
     assert report.episodes == 1 and report.mean == pytest.approx(1.0)
-    assert traces[0].total_cost == pytest.approx(1.0)
+    assert record.totals.tolist() == [pytest.approx(1.0)]
 
-    report, traces = run_algorithm(inst, "greedy", master_seed=0, episodes=7)
+    report, record = run_algorithm(inst, "greedy", master_seed=0, episodes=7)
     assert report.episodes == 1
     assert report.mean == pytest.approx(15.0)  # the 2k-1 cascade
-    assert len(traces[0].decisions) == 8
+    assert record.served.shape == record.costs.shape == (1, 8)
 
 
 def test_run_algorithm_rwgm_deterministic_given_seed():
     inst = generate_instance(GeneratorSpec("star", 4, seed=0))
-    a, ta = run_algorithm(inst, "rwgm", master_seed=2, episodes=1)
-    b, tb = run_algorithm(inst, "rwgm", master_seed=2, episodes=1)
+    a, ra = run_algorithm(inst, "rwgm", master_seed=2, episodes=1)
+    b, rb = run_algorithm(inst, "rwgm", master_seed=2, episodes=1)
     assert a == b
-    assert ta[0].decisions == tb[0].decisions
+    assert record_decisions(ra) == record_decisions(rb)
 
 
 def test_run_algorithm_proportional_tag():
@@ -324,8 +328,8 @@ def test_sweep_rejects_empty_sizes():
 
 def test_trace_csv_format():
     inst = generate_instance(GeneratorSpec("star", 3, seed=0))
-    _, traces = run_algorithm(inst, "rwgm", master_seed=4, episodes=2)
-    text = trace_csv(traces)
+    _, record = run_algorithm(inst, "rwgm", master_seed=4, episodes=2)
+    text = trace_csv(record)
     lines = text.strip().split("\n")
     assert lines[0] == "episode,step,request_point,server_point,cost"
     assert len(lines) == 1 + 2 * 3
@@ -333,28 +337,99 @@ def test_trace_csv_format():
     assert first[0] == "0" and first[1] == "0" and first[2] == "0"
 
 
-def reference_trace_csv(traces) -> str:
-    """Every row formatted on its own."""
-    rows = [
-        f"{e},{step},{r},{s},{cost!r}\n" for e, t in enumerate(traces) for step, (r, s, cost) in enumerate(t.decisions)
-    ]
-    return "episode,step,request_point,server_point,cost\n" + "".join(rows)
-
-
 def test_trace_csv_keeps_signed_zero_costs_apart():
-    decisions = [(1, 2, 0.0), (1, 2, -0.0), (1, 2, 0.0), (1, 2, 0.5), (2, 1, -0.0)]
-    traces = [MatchingTrace(decisions), MatchingTrace(decisions[::-1])]
-    text = trace_csv(traces)
-    assert text.split("\n")[1:6] == ["0,0,1,2,0.0", "0,1,1,2,-0.0", "0,2,1,2,0.0", "0,3,1,2,0.5", "0,4,2,1,-0.0"]
-    assert text == reference_trace_csv(traces)
+    # Points 0 and 1 coincide at distance -0.0, which prints apart from the diagonal's 0.0.
+    inst = Instance(FiniteMetric.from_matrix([[0.0, -0.0, 0.5], [-0.0, 0.0, 0.5], [0.5, 0.5, 0.0]]),
+                    servers=(0, 1, 1, 2, 0), requests=(1, 1, 0, 2, 1))
+    for tag in ALGORITHMS:
+        _, record = run_algorithm(inst, tag, master_seed=3, episodes=20)
+        text = trace_csv(record)
+        assert text == reference_trace_csv(record)
+        assert ",-0.0\n" in text and ",0.0\n" in text
 
 
 def test_trace_csv_matches_row_by_row_formatting():
-    # Repeated decisions across episodes of different lengths, as a depot instance gives.
+    # Repeated decisions across episodes, as a depot instance gives.
     dist = np.array([[0.0, 1.0, 0.1 + 0.2], [1.0, 0.0, 1.0], [0.1 + 0.2, 1.0, 0.0]])
     inst = Instance(metric=FiniteMetric.from_matrix(dist), servers=(0, 0, 1, 2), requests=(2, 1, 1, 0))
-    _, traces = run_algorithm(inst, "rwgm", master_seed=3, episodes=40)
-    traces.append(MatchingTrace(traces[0].decisions[:2]))
-    traces.append(MatchingTrace([]))
-    assert trace_csv(traces) == reference_trace_csv(traces)
-    assert trace_csv([]) == reference_trace_csv([])
+    for tag in ALGORITHMS:
+        _, record = run_algorithm(inst, tag, master_seed=3, episodes=40)
+        assert trace_csv(record) == reference_trace_csv(record)
+
+
+def _perfbench_inputs():
+    """perfbench/inputs.py, the benchmark's seeded instance builders."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _trace_instances() -> dict:
+    inputs = _perfbench_inputs()
+    return {
+        "depots": inputs.depots(3, 4, 6, 20),
+        "cloud": inputs.cloud(4, 12),
+        "line": inputs.line(5, 12),
+        "golden-multi": MULTI,
+    }
+
+
+@pytest.mark.parametrize("tag", ALGORITHMS)
+@pytest.mark.parametrize("name", ["depots", "cloud", "line", "golden-multi"])
+def test_trace_csv_matches_the_reference_on_benchmark_and_golden_instances(name, tag):
+    inst = instance_from_dict(_trace_instances()[name])
+    report, record = run_algorithm(inst, tag, master_seed=11, episodes=30)
+    rows = 30 if tag.startswith("rwgm") else 1
+    assert record.served.shape == record.costs.shape == (rows, inst.n)
+    assert trace_csv(record) == reference_trace_csv(record)
+    assert record.totals.tolist() == [left_to_right_total(row) for row in record.costs.tolist()]
+    assert report == run_algorithm(inst, tag, master_seed=11, episodes=30, keep_rows=False)[0]
+
+
+def test_runs_without_rows_keep_totals_only_and_write_no_trace():
+    inst = generate_instance(GeneratorSpec("line", 5, seed=2))
+    for tag in ALGORITHMS:
+        _, record = run_algorithm(inst, tag, master_seed=1, episodes=4, keep_rows=False)
+        assert record.served is None and record.costs is None
+        assert len(record.totals) == (4 if tag.startswith("rwgm") else 1)
+        with pytest.raises(ValueError, match="^the record kept no rows to write$"):
+            trace_csv(record)
+
+
+def test_a_run_checks_the_request_triangles_once_before_any_tag(monkeypatch):
+    calls = []
+    original = harness._request_triangle_violation
+    monkeypatch.setattr(
+        harness, "_request_triangle_violation", lambda inst, g: calls.append(inst.n) or original(inst, g)
+    )
+    inst = generate_instance(GeneratorSpec("line", 5, seed=2))
+    for tag in ALGORITHMS:
+        run_algorithm(inst, tag, master_seed=1, episodes=3)
+    run_pipeline(inst, master_seed=1, episodes=3)
+    assert calls == [5] * 5
+    calls.clear()
+    sweep("line", [3, 4], list(ALGORITHMS), episodes=2, master_seed=0)
+    assert calls == [3, 4]  # once per size, shared by every tag
+    calls.clear()
+    pipeline_setup(inst)  # on its own, as the embed command uses it, the set-up checks
+    assert calls == [5]
+
+
+def test_run_episode_check_still_catches_broken_decisions(monkeypatch):
+    # c is 0.1 from its image b, b is 1 from server a, yet c is 100 from a. The run refuses it
+    # up front; a set-up handed its images unchecked lets the episode's own check see it.
+    bad = Instance(FiniteMetric.from_matrix([[0, 1, 100], [1, 0, 0.1], [100, 0.1, 0]]), (0, 1), (2, 2))
+    with pytest.raises(ValueError, match="^invalid metric: dist\\[2\\]\\[0\\] = 100.0 > "):
+        run_algorithm(bad, "rwgm", master_seed=0, episodes=1)
+    setup = pipeline_setup(bad, harness.discretize_all(bad))
+    with pytest.raises(AssertionError, match="^request 1: wrapper cost exceeds inner cost plus detour$"):
+        run_episode(setup, 1, 2, check=True)  # b serves the first request, a the second
+
+    inst = generate_instance(GeneratorSpec("line", 5, seed=2))
+    setup = pipeline_setup(inst)
+    serve = harness.rwgm_serve
+    monkeypatch.setattr(harness, "rwgm_serve", lambda state, leaf: (serve(state, leaf)[0], -1.0))
+    with pytest.raises(AssertionError, match="^request 0: tree cost fails to dominate the metric cost$"):
+        run_episode(setup, 1, 2, check=True)

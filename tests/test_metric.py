@@ -67,6 +67,29 @@ def test_structural_junk_raises(bad):
         validate_metric(bad)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (5.0, "distance matrix must be square, got shape ()"),
+        ([1.0, 2.0], "distance matrix must be square, got shape (2,)"),
+        ([[0, 1, 2], [1, 0, 1]], "distance matrix must be square, got shape (2, 3)"),
+        ([[]], "distance matrix must be square, got shape (1, 0)"),
+        ([[0, float("nan")], [1, 0]], "distance matrix contains NaN or infinite entries"),
+        ([[0, -1], [-1, 0]], "negative distance -1.0 at (0, 1)"),
+    ],
+)
+def test_from_matrix_scans_once_and_keeps_every_message(monkeypatch, bad, message):
+    calls = []
+    monkeypatch.setattr(metric, "_as_square_matrix", lambda d, _fn=metric._as_square_matrix: calls.append(1) or _fn(d))
+    with pytest.raises(MetricStructureError, match=f"^{re.escape(message)}$"):
+        FiniteMetric.from_matrix(bad)
+    m = FiniteMetric.from_matrix([[0, 2], [2, 0]])
+    assert m.points == ("0", "1") and m.dist.tolist() == [[0.0, 2.0], [2.0, 0.0]]
+    assert calls == [1, 1]  # one scan per from_matrix call
+    with pytest.raises(MetricStructureError, match="^3 labels for a 2x2 matrix$"):
+        FiniteMetric.from_matrix([[0, 2], [2, 0]], points="abc")
+
+
 def test_random_euclidean_metrics_always_valid():
     # Pairwise Euclidean distances satisfy the axioms by construction.
     for seed in range(10):

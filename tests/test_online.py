@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as strat
 
 from helpers import (
     RawTree,
     greedy_serve,
     height1_tree,
+    left_to_right_total,
     normalize_hst,
     play_on_tree,
     random_tree,
@@ -21,12 +22,11 @@ from helpers import (
     with_multiplicity,
 )
 from hstmatch.generators import line_metric, star_metric, uniform_metric
-from hstmatch.harness import derive_seed, pipeline_setup, run_episode
+from hstmatch.harness import ALGORITHMS, derive_seed, episode_totals, pipeline_setup, run_algorithm, run_episode
 from hstmatch.hst import EmbeddingParams, count_servers, frt_embed
-from hstmatch.metric import Instance
+from hstmatch.metric import FiniteMetric, Instance
 from hstmatch.online import (
     POLICIES,
-    MatchingTrace,
     _below,
     discretize_all,
     pick_a_leaf,
@@ -361,18 +361,20 @@ def test_discretize_request():
 
 def test_mai_serve_wrapper():
     # Each request is replaced by its nearest server point (its image), the
-    # tree matcher serves that image, and the trace records the original-metric
+    # tree matcher serves that image, and the record holds the original-metric
     # distance d(r, s).
     m = line_metric([0.0, 4.0, 9.0, 10.0])
-    for requests, images, decisions in (
-        ((1, 2), (0, 3), [(1, 0, 4.0), (2, 3, 1.0)]),
-        ((3, 0), (3, 0), [(3, 3, 0.0), (0, 0, 0.0)]),  # requests already at server points
+    for requests, images, costs in (
+        ((1, 2), (0, 3), [4.0, 1.0]),
+        ((3, 0), (3, 0), [0.0, 0.0]),  # requests already at server points
     ):
-        setup = pipeline_setup(Instance(metric=m, servers=(0, 3), requests=requests))
+        inst = Instance(metric=m, servers=(0, 3), requests=requests)
+        setup = pipeline_setup(inst)
         assert setup.g == images
-        trace = run_episode(setup, 1, 2, check=True)
-        assert trace.decisions == decisions
-        assert [s for _, s, _ in trace.decisions] == list(images)  # no moves: each image's server serves it
+        served = run_episode(setup, 1, 2, check=True)
+        assert served == list(images)  # no moves: each image's server serves it
+        _, record = run_algorithm(inst, "rwgm", master_seed=0, episodes=1)
+        assert record.costs.tolist() == [costs]
 
 
 def test_mai_per_request_inequality():
@@ -383,12 +385,11 @@ def test_mai_per_request_inequality():
     setup = pipeline_setup(Instance(metric=m, servers=(0, 1, 2, 3), requests=(4, 5, 6, 7)))
     for algorithm in ("rwgm", "rwgm-proportional"):
         for e in range(20):
-            trace = run_episode(
+            served = run_episode(
                 setup, derive_seed(50, e, 0), derive_seed(50, e, 1), algorithm=algorithm, check=True
             )
-            for (r, s, cost), g in zip(trace.decisions, setup.g):
-                assert cost == m.dist[r, s]
-                assert cost <= m.dist[g, s] + m.dist[g, r] + 1e-12
+            for r, s, g in zip(setup.inst.requests, served, setup.g):
+                assert m.dist[r, s] <= m.dist[g, s] + m.dist[g, r] + 1e-12
 
 
 def test_greedy_serve_nearest_unused():
@@ -404,24 +405,70 @@ def test_greedy_serve_nearest_unused():
 def test_greedy_zero_cost_on_own_server():
     m = uniform_metric(3)
     inst = Instance(metric=m, servers=(1, 2), requests=(2, 0))
-    assert run_greedy(inst).decisions[0] == (2, 2, 0.0)
+    assert run_greedy(inst)[0] == 2
+    _, record = run_algorithm(inst, "greedy", master_seed=0, episodes=1)
+    assert record.costs[0, 0] == 0.0
 
 
 def test_total_cost_adds_left_to_right():
     # 1e16 + 1.0 rounds back to 1e16, so the plain float sum loses the 1.0
     # that math.fsum (and sum() from Python 3.12) keeps; reports use the plain sum.
     for costs, total in (([1e16, 1.0, -1e16], 0.0), ([1e16, 1.0, -1e16, 0.5], 0.5)):
-        trace = MatchingTrace([(0, 0, c) for c in costs])
-        assert trace.total_cost == total
+        assert episode_totals(np.array([costs])).tolist() == [total]
+        assert left_to_right_total(costs) == total
         assert math.fsum(costs) == total + 1.0
+
+
+_COSTS = strat.one_of(
+    strat.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -1e16, 5e-324, -5e-324, 2.2250738585072014e-308, 0.1]),
+    strat.floats(allow_nan=False, allow_infinity=False, width=64),
+    strat.floats(-1e-300, 1e-300, allow_nan=False),  # down to the subnormals
+    strat.floats(-1e17, 1e17, allow_nan=False),  # rounding and cancellation at the 1e16 scale
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    rows=strat.integers(1, 6).flatmap(
+        lambda n: strat.lists(strat.lists(_COSTS, min_size=n, max_size=n), min_size=1, max_size=5)
+    ),
+)
+@example(rows=[[-0.0]])
+@example(rows=[[-0.0, -0.0, -0.0], [0.0, -0.0, -0.0], [-0.0, 0.0, -0.0]])
+@example(rows=[[1e16, 1.0, -1e16], [1e16, 1.0, -1e16, 0.5][1:]])
+@example(rows=[[5e-324, -5e-324], [5e-324, 5e-324], [2.2250738585072014e-308, -5e-324]])
+@example(rows=[[1.7976931348623157e308, 1.7976931348623157e308, -1.7976931348623157e308]])
+def test_episode_totals_equal_the_left_to_right_loop_bit_for_bit(rows):
+    with np.errstate(over="ignore"):  # sums past the float maximum are inf in both
+        totals = episode_totals(np.array(rows, dtype=float)).tolist()
+    assert [t.hex() for t in totals] == [left_to_right_total(row).hex() for row in rows]
+
+
+@pytest.mark.parametrize("tag", ALGORITHMS)
+def test_record_totals_equal_the_left_to_right_loop(tag):
+    # Signed zeros and subnormals in the metric reach the costs: a row of -0.0 totals 0.0,
+    # as the loop does, and a one-request instance has rows of length 1.
+    a, b = 1e-320, 2e-320
+    dist = [[0.0, -0.0, a, b], [-0.0, 0.0, a, b], [a, a, 0.0, a], [b, b, a, 0.0]]
+    for dist, servers, requests in (
+        ([[0.0, -0.0], [-0.0, 0.0]], (0,), (1,)),
+        (dist, (0, 1, 1, 3, 2), (1, 0, 2, 0, 3)),
+    ):
+        inst = Instance(metric=FiniteMetric.from_matrix(dist), servers=servers, requests=requests)
+        _, record = run_algorithm(inst, tag, master_seed=3, episodes=30)
+        want = [left_to_right_total(row).hex() for row in record.costs.tolist()]
+        assert [t.hex() for t in record.totals.tolist()] == want
+        if len(servers) == 1:
+            assert record.costs.ravel().tolist()[0].hex() == "-0x0.0p+0" and set(want) == {"0x0.0p+0"}
 
 
 @pytest.mark.parametrize("k", [2, 4, 8, 16])
 def test_greedy_star_cascade(k):
     metric = star_metric(k)
     inst = Instance(metric=metric, servers=tuple(range(1, k + 1)), requests=(0,) + tuple(range(1, k)))
-    trace = run_greedy(inst)
-    assert trace.total_cost == pytest.approx(2 * k - 1)
+    _, record = run_algorithm(inst, "greedy", master_seed=0, episodes=1)
+    assert record.served.tolist() == [run_greedy(inst)]
+    assert record.totals.tolist() == [pytest.approx(2 * k - 1)]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -434,11 +481,11 @@ def test_run_greedy_matches_the_dict_scan(coords, pairs):
     servers = tuple(a % len(coords) for a, _ in pairs)
     requests = tuple(b % len(coords) for _, b in pairs)
     inst = Instance(metric, servers, requests)
-    decisions = run_greedy(inst).decisions
-    assert decisions == reference_greedy(inst)
-    assert all(type(s) is int and type(cost) is float for _, s, cost in decisions)
+    served = run_greedy(inst)
+    assert [(r, s, float(metric.dist[r, s])) for r, s in zip(requests, served)] == reference_greedy(inst)
+    assert all(type(s) is int for s in served)
 
 
 def test_run_greedy_breaks_ties_toward_the_lowest_point():
     inst = Instance(uniform_metric(4), servers=(3, 1, 2, 1), requests=(0, 0, 0, 0))
-    assert [s for _, s, _ in run_greedy(inst).decisions] == [1, 1, 2, 3]
+    assert run_greedy(inst) == [1, 1, 2, 3]
