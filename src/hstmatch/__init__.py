@@ -10,7 +10,6 @@ against the oracle.
 from .generators import FAMILIES, GeneratorSpec, generate_instance
 from .harness import (
     ALGORITHMS,
-    RatioReport,
     RunRecord,
     derive_seed,
     run_algorithm,

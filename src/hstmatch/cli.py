@@ -51,27 +51,20 @@ def _cmd_generate(args) -> int:
 
 def _cmd_run(args) -> int:
     inst = load_instance(args.instance)
-    report, record = run_algorithm(inst, args.algorithm, args.seed, args.episodes, keep_rows=bool(args.output))
+    record = run_algorithm(inst, args.algorithm, args.seed, args.episodes, keep_rows=bool(args.output))
+    report = report_to_dict(record)
     if args.output:
         _write_text(args.output, trace_csv(record))
     if args.report:
-        _write_json(args.report, report_to_dict(report))
-    print(json.dumps(report_to_dict(report)))
+        _write_json(args.report, report)
+    print(json.dumps(report))
     return 0
 
 
 def _cmd_sweep(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     algorithms = [a for a in args.algorithms.split(",") if a]
-    rows = sweep(
-        args.family,
-        sizes,
-        algorithms,
-        args.episodes,
-        args.seed,
-        dim=args.dim,
-        coord_range=args.coord_range,
-    )
+    rows = sweep(args.family, sizes, algorithms, args.episodes, args.seed, dim=args.dim, coord_range=args.coord_range)
     _write_text(args.output, sweep_csv(rows))
     print(json.dumps({"written": str(args.output), "rows": len(rows)}))
     return 0

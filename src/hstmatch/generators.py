@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import _CHUNK_ENTRIES, FiniteMetric, Instance, _is_int, ensure_valid_metric
+from .metric import _CHUNK_ENTRIES, MAX_POINTS, FiniteMetric, Instance, _is_int, ensure_valid_metric
 
 __all__ = [
     "FAMILIES",
@@ -26,10 +26,6 @@ __all__ = [
 ]
 
 FAMILIES = ("star", "nested-uniform", "euclidean", "line")
-
-# Largest point count of a generated metric: its distance matrix and
-# FiniteMetric's copy of it take 16 * MAX_POINTS**2 bytes (1 GiB) together.
-MAX_POINTS = 2**13
 
 # Largest coordinate count (2n * dim) of a Euclidean instance. The random
 # coordinates, one row block of their differences and the sorted gaps each

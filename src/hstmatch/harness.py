@@ -15,7 +15,8 @@ identical seeds replay identical traces on any platform.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .oracle import optimal_matching
 
 __all__ = [
     "ALGORITHMS",
-    "RatioReport",
     "RunRecord",
     "PipelineSetup",
     "derive_seed",
@@ -101,34 +101,16 @@ def _episode_seeds(master_seed: int, start: int, stop: int):
         yield list(zip(*(words[..., 0] | words[..., 1] << np.uint64(32)).tolist()))
 
 
-@dataclass(frozen=True)
-class RatioReport:
-    """Aggregate episode statistics against the offline optimum.
-
-    ``kind`` is "ratio" when the optimum is positive; instances whose
-    optimum is zero are reported with the same statistics over absolute
-    costs instead, since the ratio is undefined there.
-    """
-
-    algorithm: str
-    episodes: int
-    opt: float
-    kind: str
-    mean: float
-    std_error: float
-    min: float
-    max: float
-    quantiles: dict
-    master_seed: int
-
-
 @dataclass(frozen=True, eq=False)
 class RunRecord:
-    """A run's episodes as arrays, one row per episode: ``served[e, j]`` is the server point of
-    request j in episode e, ``costs[e, j]`` is ``dist[requests[j], served[e, j]]``, and ``totals``
+    """One run of one tag against the optimum ``opt``, one row per episode: ``served[e, j]`` is the server
+    point of request j in episode e, ``costs[e, j]`` is ``dist[requests[j], served[e, j]]``, and ``totals``
     is ``episode_totals(costs)``. A run that keeps no rows holds ``served`` and ``costs`` as None.
     """
 
+    algorithm: str
+    master_seed: int
+    opt: float
     requests: np.ndarray  # the request points, in request order
     served: np.ndarray | None
     costs: np.ndarray | None
@@ -141,11 +123,12 @@ def episode_totals(costs: np.ndarray) -> np.ndarray:
     Not ``sum()``, which from Python 3.12 compensates rounding: ``accumulate`` adds in order.
     Its first partial sum is the first cost, so ``+ 0.0`` gives a row of -0.0 the loop's 0.0.
     """
-    return np.add.accumulate(costs, axis=1)[:, -1] + 0.0
+    with np.errstate(over="ignore"):  # a row that overflows totals inf, which _record refuses
+        return np.add.accumulate(costs, axis=1)[:, -1] + 0.0
 
 
-def _record(inst: Instance, blocks, keep_rows: bool) -> RunRecord:
-    """The record of blocks of episodes' served points, with one cost gather per block."""
+def _record(inst: Instance, tag: str, master_seed: int, opt: float, blocks, keep_rows: bool) -> RunRecord:
+    """The record of blocks of episodes' served points; refuses an optimum, total or ratio that is not finite."""
     requests = np.asarray(inst.requests)
     served, costs, totals = [], [], []
     for block in blocks:
@@ -155,27 +138,14 @@ def _record(inst: Instance, blocks, keep_rows: bool) -> RunRecord:
         if keep_rows:
             served.append(block_served)
             costs.append(block_costs)
+    totals = np.concatenate(totals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(totals / opt if opt > 0.0 else totals)
+    if not (math.isfinite(opt) and finite.all()):
+        e = int(finite.argmin())
+        raise ValueError(f"{tag} run overflows: episode {e} costs {float(totals[e])!r} against an optimum of {opt!r}")
     rows = (np.concatenate(served), np.concatenate(costs)) if keep_rows else (None, None)
-    return RunRecord(requests, *rows, np.concatenate(totals))
-
-
-def _make_report(algorithm, totals: np.ndarray, opt, master_seed) -> RatioReport:
-    kind = "ratio" if opt > 0.0 else "absolute-cost"
-    values = totals / opt if opt > 0.0 else totals
-    std_error = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
-    qs = np.quantile(values, [0.1, 0.5, 0.9])
-    return RatioReport(
-        algorithm=algorithm,
-        episodes=len(values),
-        opt=float(opt),
-        kind=kind,
-        mean=float(values.mean()),
-        std_error=std_error,
-        min=float(values.min()),
-        max=float(values.max()),
-        quantiles={"p10": float(qs[0]), "p50": float(qs[1]), "p90": float(qs[2])},
-        master_seed=int(master_seed),
-    )
+    return RunRecord(tag, int(master_seed), float(opt), requests, *rows, totals)
 
 
 @dataclass(frozen=True)
@@ -253,16 +223,15 @@ def run_episode(setup: PipelineSetup, embed_seed: int, play_seed: int, *, algori
     return served
 
 
-def run_pipeline(inst: Instance, master_seed: int, episodes: int, *, check: bool = False) -> RatioReport:
-    """Monte Carlo estimate of the rwgm pipeline's cost ratio over seeded episodes."""
-    report, _ = run_algorithm(inst, "rwgm", master_seed, episodes, check=check, keep_rows=False)
-    return report
+def run_pipeline(inst: Instance, master_seed: int, episodes: int, *, check: bool = False) -> RunRecord:
+    """The rwgm pipeline's seeded episodes, totals only; ``report_to_dict`` gives their statistics."""
+    return run_algorithm(inst, "rwgm", master_seed, episodes, check=check, keep_rows=False)
 
 
 def run_algorithm(
     inst: Instance, tag: str, master_seed: int, episodes: int, *, check: bool = False, keep_rows: bool = True
-) -> tuple[RatioReport, RunRecord]:
-    """Run one algorithm tag; returns (report, record), the record with its rows if ``keep_rows``.
+) -> RunRecord:
+    """Run one algorithm tag; returns its record, with the episodes' rows if ``keep_rows``.
 
     Deterministic tags collapse to a single episode regardless of the
     requested count. The request triangles are checked once, before any
@@ -294,8 +263,7 @@ def _run_tag(inst: Instance, tag: str, master_seed: int, episodes: int, om, g, c
             [run_episode(setup, embed, play, algorithm=tag, check=check) for embed, play in block]
             for block in _episode_seeds(master_seed, 0, episodes)
         )
-    record = _record(inst, blocks, keep_rows)
-    return _make_report(tag, record.totals, om.cost, master_seed), record
+    return _record(inst, tag, master_seed, om.cost, blocks, keep_rows)
 
 
 def sweep(family: str, sizes, algorithms, episodes: int, master_seed: int, *, dim=2, coord_range=100.0):
@@ -316,11 +284,11 @@ def sweep(family: str, sizes, algorithms, episodes: int, master_seed: int, *, di
         inst = generate_instance(spec)
         g = _checked_images(inst)  # one check and one solve serve every tag
         om = optimal_matching(inst)
+        if om.cost == 0.0:
+            raise ValueError(f"instance (family={family}, n={spec.n}) has zero optimum")
         for ai, tag in enumerate(algorithms):
-            report, _ = _run_tag(inst, tag, derive_seed(master_seed, 1, si, ai), episodes, om, g)
-            if report.kind != "ratio":
-                raise ValueError(f"instance (family={family}, n={spec.n}) has zero optimum")
-            rows.append((spec.n, tag, report.mean, report.std_error))
+            report = report_to_dict(_run_tag(inst, tag, derive_seed(master_seed, 1, si, ai), episodes, om, g))
+            rows.append((spec.n, tag, report["mean_ratio"], report["std_error"]))
     return rows
 
 
@@ -354,7 +322,29 @@ def trace_csv(record: RunRecord) -> str:
     return "".join(parts)
 
 
-def report_to_dict(report: RatioReport) -> dict:
-    """The report's fields in declaration order, ``mean`` renamed after the report's kind."""
-    mean = "mean_ratio" if report.kind == "ratio" else "mean_cost"
-    return {mean if k == "mean" else k: v for k, v in asdict(report).items()}
+def report_to_dict(record: RunRecord) -> dict:
+    """A run's statistics over its episodes' cost ratios; refuses a mean or standard error that overflows.
+
+    ``kind`` is "ratio" when the optimum is positive; a zero optimum reports absolute costs instead, as
+    ``mean_cost``, since the ratio is undefined there.
+    """
+    ratio = record.opt > 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = record.totals / record.opt if ratio else record.totals
+        mean = float(values.mean())
+        std_error = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(std_error)):
+        raise ValueError(f"{record.algorithm} run overflows: mean {mean!r}, standard error {std_error!r}")
+    qs = np.quantile(values, [0.1, 0.5, 0.9])
+    return {
+        "algorithm": record.algorithm,
+        "episodes": len(values),
+        "opt": record.opt,
+        "kind": "ratio" if ratio else "absolute-cost",
+        "mean_ratio" if ratio else "mean_cost": mean,
+        "std_error": std_error,
+        "min": float(values.min()),
+        "max": float(values.max()),
+        "quantiles": {"p10": float(qs[0]), "p50": float(qs[1]), "p90": float(qs[2])},
+        "master_seed": record.master_seed,
+    }

@@ -14,6 +14,7 @@ import numpy as np
 
 __all__ = [
     "TRIANGLE_SLACK",
+    "MAX_POINTS",
     "MetricStructureError",
     "MetricViolation",
     "FiniteMetric",
@@ -30,6 +31,10 @@ __all__ = [
 # Additive triangle tolerance, scaled by the largest matrix entry. Absorbs
 # rounding in floating-point constructions such as Euclidean distances.
 TRIANGLE_SLACK = 1e-9
+
+# Largest point count of an instance, generated or loaded: its distance matrix
+# and FiniteMetric's copy of it take 16 * MAX_POINTS**2 bytes (1 GiB) together.
+MAX_POINTS = 2**13
 
 # Row-blocked loops over a matrix (the triangle check, the Euclidean
 # generator) keep at most this many floats (8 MiB) in a temporary at once.
@@ -267,9 +272,11 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def _check_labels(points) -> None:
-    """Reject point labels that are not JSON strings, which str() would coerce."""
+    """Reject more than MAX_POINTS point labels, and labels that are not JSON strings, which str() would coerce."""
     if not isinstance(points, list):
         raise ValueError(f"points must be a list of strings, got {type(points).__name__}")
+    if len(points) > MAX_POINTS:
+        raise ValueError(f"instance has {len(points)} points, above MAX_POINTS = {MAX_POINTS}")
     for i, label in enumerate(points):
         if type(label) is not str:
             raise ValueError(f"points[{i}] = {label!r} is not a string")

@@ -99,7 +99,8 @@ def optimal_matching(inst: Instance) -> OptimalMatching:
     rows, cols = _linear_sum_assignment()(cost)
     order = np.argsort(cols)
     pairs = tuple((int(rows[i]), int(cols[i])) for i in order)
-    return OptimalMatching(pairs=pairs, cost=float(cost[rows, cols].sum()))
+    with np.errstate(over="ignore"):  # an overflowing sum is inf, which a run refuses
+        return OptimalMatching(pairs=pairs, cost=float(cost[rows, cols].sum()))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from hstmatch.generators import (
     line_metric,
     uniform_metric,
 )
-from hstmatch.harness import derive_seed, run_pipeline, sweep, sweep_csv
+from hstmatch.harness import derive_seed, report_to_dict, run_pipeline, sweep, sweep_csv
 from hstmatch.hst import (
     EmbeddingParams,
     count_servers,
@@ -226,13 +226,13 @@ def test_criterion_08_star_separation():
         inst = generate_instance(GeneratorSpec("star", k, seed=0))
         from hstmatch.harness import run_algorithm
 
-        greedy_report, _ = run_algorithm(inst, "greedy", master_seed=0, episodes=1)
-        exact = abs(greedy_report.mean - (2 * k - 1)) <= 1e-9 * (2 * k - 1)
-        rwgm_report = run_pipeline(inst, master_seed=derive_seed(2024, 8, k), episodes=2000)
+        greedy_mean = report_to_dict(run_algorithm(inst, "greedy", master_seed=0, episodes=1))["mean_ratio"]
+        exact = abs(greedy_mean - (2 * k - 1)) <= 1e-9 * (2 * k - 1)
+        rwgm_report = report_to_dict(run_pipeline(inst, master_seed=derive_seed(2024, 8, k), episodes=2000))
         envelope = 2 * harmonic(k) + 1
-        within = rwgm_report.mean <= envelope + 3 * rwgm_report.std_error
+        within = rwgm_report["mean_ratio"] <= envelope + 3 * rwgm_report["std_error"]
         ok = ok and exact and within
-        parts.append(f"k={k}: greedy {greedy_report.mean:.0f}, rwgm {rwgm_report.mean:.3f} <= {envelope:.3f}+3se")
+        parts.append(f"k={k}: greedy {greedy_mean:.0f}, rwgm {rwgm_report['mean_ratio']:.3f} <= {envelope:.3f}+3se")
     _report(ok, "criterion 8: star separation (" + "; ".join(parts) + ")")
 
 

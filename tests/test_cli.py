@@ -6,10 +6,11 @@ from pathlib import Path
 import pytest
 
 import hstmatch
+from hstmatch import harness
 from hstmatch.cli import main
 from hstmatch.generators import GeneratorSpec, generate_instance
 from hstmatch.harness import ALGORITHMS
-from hstmatch.metric import load_instance
+from hstmatch.metric import MAX_POINTS, instance_from_dict, load_instance
 
 
 def run_cli(*args):
@@ -312,6 +313,77 @@ def test_instances_that_break_a_checked_triangle_or_pair_fail_with_one_line(tmp_
     inst_path.write_text(json.dumps(document))
     assert run_cli(command[0], "--instance", inst_path, *command[1:]) == 1
     assert one_error_line(capsys) == f"ValueError: invalid metric: {message}"
+
+
+def _reject_constant(token):
+    raise AssertionError(f"non-finite JSON token {token}")
+
+
+# Each document maps a tag to the error its run is refused with, or to the mean ratio it reports.
+OVERFLOWS = {
+    # Two points 1.5e308 apart: the optimum's sum and every episode's total overflow.
+    "huge-optimum": (
+        {"points": ["a", "b"], "dist": [[0, 1.5e308], [1.5e308, 0]], "servers": [0, 0], "requests": [1, 1]},
+        dict.fromkeys(ALGORITHMS, "episode 0 costs inf against an optimum of inf"),
+    ),
+    # Every entry is at most 1, but the optimum is the subnormal 5e-324, so a total of 1e-10
+    # over it overflows; the optimal run's own ratio is 1.
+    "subnormal-optimum": (
+        {"points": list("abcd"), "dist": [[0, 0, 1e-10, 1], [0, 0, 5e-324, 1], [1e-10, 5e-324, 0, 1], [1, 1, 1, 0]],
+         "servers": [0, 2, 3], "requests": [1, 0, 3]},
+        {**dict.fromkeys(ALGORITHMS[:3], "episode 0 costs 1e-10 against an optimum of 5e-324"), "optimal": 1.0},
+    ),
+    # Each ratio is 1.49e308, finite, but five of them sum past the largest double.
+    "mean": (
+        {"points": list("abcd"), "dist": [[0, 0, 1e-10, 1], [0, 0, 6.7e-319, 1], [1e-10, 6.7e-319, 0, 1],
+                                          [1, 1, 1, 0]], "servers": [0, 2, 3], "requests": [1, 0, 3]},
+        {"rwgm": "mean inf, standard error inf", "rwgm-proportional": "mean inf, standard error inf",
+         "greedy": 1e-10 / 6.7e-319, "optimal": 1.0},
+    ),
+}
+
+
+@pytest.mark.parametrize("tag", ALGORITHMS)
+@pytest.mark.parametrize("name", list(OVERFLOWS))
+def test_runs_that_overflow_a_float_fail_with_one_line(tmp_path, capsys, name, tag):
+    document, outcomes = OVERFLOWS[name]
+    inst_path, trace, report = tmp_path / "inst.json", tmp_path / "trace.csv", tmp_path / "report.json"
+    inst_path.write_text(json.dumps(document))
+    code = run_cli("run", "--instance", inst_path, "--algorithm", tag, "--episodes", 5, "-o", trace, "--report", report)
+    out, err = capsys.readouterr()
+    if isinstance(outcomes[tag], str):
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert json.loads(err)["error"] == f"ValueError: {tag} run overflows: {outcomes[tag]}"
+        assert not trace.exists() and not report.exists()
+    else:
+        assert code == 0 and err == ""
+        assert json.loads(out, parse_constant=_reject_constant)["mean_ratio"] == outcomes[tag]
+
+
+@pytest.mark.parametrize("name", ["huge-optimum", "mean"])
+def test_a_sweep_that_overflows_fails_with_one_line(tmp_path, capsys, monkeypatch, name):
+    document, outcomes = OVERFLOWS[name]
+    monkeypatch.setattr(harness, "generate_instance", lambda spec: instance_from_dict(document))
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--family", "line", "--sizes", 2, "--algorithms", "rwgm,greedy", "-o", out) == 1
+    assert one_error_line(capsys) == f"ValueError: rwgm run overflows: {outcomes['rwgm']}"
+    assert not out.exists()
+
+
+def test_a_sweep_refuses_a_zero_optimum_before_it_runs_a_tag(capsys, monkeypatch, tmp_path):
+    document = {"points": ["a", "b"], "dist": [[0, 1], [1, 0]], "servers": [0, 1], "requests": [1, 0]}
+    monkeypatch.setattr(harness, "generate_instance", lambda spec: instance_from_dict(document))
+    monkeypatch.setattr(harness, "_run_tag", lambda *args: pytest.fail("a tag ran"))
+    assert run_cli("sweep", "--family", "line", "--sizes", 2, "-o", tmp_path / "sweep.csv") == 1
+    assert one_error_line(capsys) == "ValueError: instance (family=line, n=2) has zero optimum"
+
+
+def test_a_loaded_instance_has_at_most_max_points(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    points = [f"p{i}" for i in range(MAX_POINTS + 1)]
+    inst_path.write_text(json.dumps({"points": points, "dist": [[0]], "servers": [0], "requests": [0]}))
+    assert run_cli("run", "--instance", inst_path, "--algorithm", "greedy") == 1
+    assert one_error_line(capsys) == "ValueError: instance has 8193 points, above MAX_POINTS = 8192"
 
 
 def test_runtime_failure_emits_json_error_line(tmp_path, capsys):

@@ -412,6 +412,20 @@ def test_instance_rejects_non_numeric_distances():
     assert inst.metric.dist.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
+def test_instance_from_dict_refuses_more_than_max_points_before_it_converts_the_matrix():
+    class Unconvertible:
+        def __array__(self, *args, **kwargs):
+            raise AssertionError("the matrix was converted")
+
+    labels = [f"p{i}" for i in range(metric.MAX_POINTS)]
+    document = {"dist": Unconvertible(), "servers": [0], "requests": [0]}
+    for points in (labels + ["one too many"], labels + [None]):
+        with pytest.raises(ValueError, match="^instance has 8193 points, above MAX_POINTS = 8192$"):
+            instance_from_dict({**document, "points": points})
+    with pytest.raises(AssertionError, match="^the matrix was converted$"):  # at the bound, the matrix is read
+        instance_from_dict({**document, "points": labels})
+
+
 def test_instance_rejects_non_string_labels():
     base = {"dist": [[0.0, 1.0], [1.0, 0.0]], "servers": [0], "requests": [1]}
     for bad in (None, True, 1, 1.5, {"a": 1}, ["a"]):

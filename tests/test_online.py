@@ -373,7 +373,7 @@ def test_mai_serve_wrapper():
         assert setup.g == images
         served = run_episode(setup, 1, 2, check=True)
         assert served == list(images)  # no moves: each image's server serves it
-        _, record = run_algorithm(inst, "rwgm", master_seed=0, episodes=1)
+        record = run_algorithm(inst, "rwgm", master_seed=0, episodes=1)
         assert record.costs.tolist() == [costs]
 
 
@@ -406,7 +406,7 @@ def test_greedy_zero_cost_on_own_server():
     m = uniform_metric(3)
     inst = Instance(metric=m, servers=(1, 2), requests=(2, 0))
     assert run_greedy(inst)[0] == 2
-    _, record = run_algorithm(inst, "greedy", master_seed=0, episodes=1)
+    record = run_algorithm(inst, "greedy", master_seed=0, episodes=1)
     assert record.costs[0, 0] == 0.0
 
 
@@ -455,7 +455,7 @@ def test_record_totals_equal_the_left_to_right_loop(tag):
         (dist, (0, 1, 1, 3, 2), (1, 0, 2, 0, 3)),
     ):
         inst = Instance(metric=FiniteMetric.from_matrix(dist), servers=servers, requests=requests)
-        _, record = run_algorithm(inst, tag, master_seed=3, episodes=30)
+        record = run_algorithm(inst, tag, master_seed=3, episodes=30)
         want = [left_to_right_total(row).hex() for row in record.costs.tolist()]
         assert [t.hex() for t in record.totals.tolist()] == want
         if len(servers) == 1:
@@ -466,7 +466,7 @@ def test_record_totals_equal_the_left_to_right_loop(tag):
 def test_greedy_star_cascade(k):
     metric = star_metric(k)
     inst = Instance(metric=metric, servers=tuple(range(1, k + 1)), requests=(0,) + tuple(range(1, k)))
-    _, record = run_algorithm(inst, "greedy", master_seed=0, episodes=1)
+    record = run_algorithm(inst, "greedy", master_seed=0, episodes=1)
     assert record.served.tolist() == [run_greedy(inst)]
     assert record.totals.tolist() == [pytest.approx(2 * k - 1)]
 
