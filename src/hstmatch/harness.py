@@ -16,6 +16,7 @@ identical seeds replay identical traces on any platform.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ from .generators import GeneratorSpec, generate_instance
 from .hst import EmbeddingParams, ServerCounts, attach_servers, count_servers, frt_embed, lambda_for_n
 from .metric import Instance, _is_int, _request_triangle_violation, submetric_of_servers
 from .online import discretize_all, rwgm_init, rwgm_serve, run_greedy
-from .oracle import optimal_matching
+from .oracle import _linear_sum_assignment, optimal_matching
 
 __all__ = [
     "ALGORITHMS",
@@ -127,8 +128,9 @@ def episode_totals(costs: np.ndarray) -> np.ndarray:
         return np.add.accumulate(costs, axis=1)[:, -1] + 0.0
 
 
-def _record(inst: Instance, tag: str, master_seed: int, opt: float, blocks, keep_rows: bool) -> RunRecord:
-    """The record of blocks of episodes' served points; refuses an optimum, total or ratio that is not finite."""
+def _record(inst: Instance, tag: str, master_seed: int, solve, blocks, keep_rows: bool) -> RunRecord:
+    """The record of blocks of episodes' served points against the optimum ``solve()``, asked for only after
+    the last block; refuses an optimum, total or ratio that is not finite."""
     requests = np.asarray(inst.requests)
     served, costs, totals = [], [], []
     for block in blocks:
@@ -139,6 +141,7 @@ def _record(inst: Instance, tag: str, master_seed: int, opt: float, blocks, keep
             served.append(block_served)
             costs.append(block_costs)
     totals = np.concatenate(totals)
+    opt = solve().cost
     with np.errstate(over="ignore", invalid="ignore"):
         finite = np.isfinite(totals / opt if opt > 0.0 else totals)
     if not (math.isfinite(opt) and finite.all()):
@@ -224,7 +227,8 @@ def run_episode(setup: PipelineSetup, embed_seed: int, play_seed: int, *, algori
 
 
 def run_pipeline(inst: Instance, master_seed: int, episodes: int, *, check: bool = False) -> RunRecord:
-    """The rwgm pipeline's seeded episodes, totals only; ``report_to_dict`` gives their statistics."""
+    """The rwgm pipeline's seeded episodes, totals only, with the optimum solved beside them as in
+    ``run_algorithm``; ``report_to_dict`` gives their statistics."""
     return run_algorithm(inst, "rwgm", master_seed, episodes, check=check, keep_rows=False)
 
 
@@ -235,12 +239,43 @@ def run_algorithm(
 
     Deterministic tags collapse to a single episode regardless of the
     requested count. The request triangles are checked once, before any
-    episode, under every tag.
+    episode, under every tag. The optimum is solved on one helper thread
+    beside the episodes and joined before the call returns or raises an
+    ``Exception``; record and errors are those of a solve first (a failed
+    solve's error outranks an episode's).
     """
     _check_algorithms([tag])
     _check_counts(episodes, master_seed)
     g = _checked_images(inst)
-    return _run_tag(inst, tag, master_seed, episodes, optimal_matching(inst), g, check, keep_rows)
+    solve = _solve_beside(inst)
+    try:
+        return _run_tag(inst, tag, master_seed, episodes, solve, g, check, keep_rows)
+    except Exception:
+        solve()  # raises the solve's error, if it failed
+        raise
+
+
+def _solve_beside(inst: Instance):
+    """Start ``optimal_matching(inst)`` on a daemon thread; returns a call that joins it, then returns
+    its result or raises its error."""
+    _linear_sum_assignment()  # loading the solver edits sys.modules: done here, not beside another thread
+    outcome = []
+
+    def target() -> None:
+        try:
+            outcome.append(optimal_matching(inst))
+        except BaseException as exc:  # for the caller to raise, not for threading.excepthook
+            outcome.append(exc)
+
+    def solve():
+        thread.join()
+        if isinstance(outcome[0], BaseException):
+            raise outcome[0]
+        return outcome[0]
+
+    thread = threading.Thread(target=target, name="hstmatch-optimum", daemon=True)
+    thread.start()
+    return solve
 
 
 def _check_counts(episodes, master_seed) -> None:
@@ -251,19 +286,20 @@ def _check_counts(episodes, master_seed) -> None:
         raise ValueError(f"master_seed must be a non-negative integer, got {master_seed!r}")
 
 
-def _run_tag(inst: Instance, tag: str, master_seed: int, episodes: int, om, g, check=False, keep_rows=False):
-    """run_algorithm's body, against an optimum ``om`` and checked images ``g`` of inst from the caller."""
+def _run_tag(inst: Instance, tag: str, master_seed: int, episodes: int, solve, g, check=False, keep_rows=False):
+    """run_algorithm's body, with checked images ``g`` of inst and its optimum from ``solve()``, which the
+    optimal tag calls before it serves and every other tag after its last episode, so a solve overlaps them."""
     if tag == "greedy":
         blocks = [[run_greedy(inst)]]
     elif tag == "optimal":
-        blocks = [[[inst.servers[srv_idx] for srv_idx, _ in om.pairs]]]  # pairs come in request order
+        blocks = [[[inst.servers[srv_idx] for srv_idx, _ in solve().pairs]]]  # pairs come in request order
     else:
         setup = pipeline_setup(inst, g)
         blocks = (
             [run_episode(setup, embed, play, algorithm=tag, check=check) for embed, play in block]
             for block in _episode_seeds(master_seed, 0, episodes)
         )
-    return _record(inst, tag, master_seed, om.cost, blocks, keep_rows)
+    return _record(inst, tag, master_seed, solve, blocks, keep_rows)
 
 
 def sweep(family: str, sizes, algorithms, episodes: int, master_seed: int, *, dim=2, coord_range=100.0):
@@ -283,11 +319,11 @@ def sweep(family: str, sizes, algorithms, episodes: int, master_seed: int, *, di
     for si, spec in enumerate(specs):
         inst = generate_instance(spec)
         g = _checked_images(inst)  # one check and one solve serve every tag
-        om = optimal_matching(inst)
+        om = optimal_matching(inst)  # solved first, so a zero optimum is refused before any tag runs
         if om.cost == 0.0:
             raise ValueError(f"instance (family={family}, n={spec.n}) has zero optimum")
         for ai, tag in enumerate(algorithms):
-            report = report_to_dict(_run_tag(inst, tag, derive_seed(master_seed, 1, si, ai), episodes, om, g))
+            report = report_to_dict(_run_tag(inst, tag, derive_seed(master_seed, 1, si, ai), episodes, lambda: om, g))
             rows.append((spec.n, tag, report["mean_ratio"], report["std_error"]))
     return rows
 

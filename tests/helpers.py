@@ -558,3 +558,28 @@ def reference_trace_csv(record) -> str:
         for step, (r, s, cost) in enumerate(decisions)
     ]
     return "episode,step,request_point,server_point,cost\n" + "".join(rows)
+
+
+def check_trace(document: dict, trace: str, opt: float, episodes: int) -> None:
+    """Check the trace of a ``hstmatch run -o`` on an instance document, from the document alone.
+
+    Every episode serves the requests in request order with a perfect matching
+    of the server multiset; every cost is ``dist[r][s]`` to the bit, signed
+    zeros included (the trace writes ``repr``); no episode's left-to-right
+    total is below ``opt`` by more than a relative 1e-9.
+    """
+    dist, servers, requests = document["dist"], document["servers"], document["requests"]
+    lines = trace.split("\n")
+    assert lines[0] == "episode,step,request_point,server_point,cost" and lines[-1] == "", trace
+    rows = [line.split(",") for line in lines[1:-1]]
+    m = len(requests)
+    assert len(rows) == episodes * m, (len(rows), episodes, m)
+    for e in range(episodes):
+        episode = rows[e * m:(e + 1) * m]
+        assert [tuple(map(int, row[:3])) for row in episode] == [(e, j, r) for j, r in enumerate(requests)]
+        served = [int(row[3]) for row in episode]
+        assert Counter(served) == Counter(servers), (e, served)
+        costs = [row[4] for row in episode]
+        assert costs == [repr(float(dist[r][s])) for r, s in zip(requests, served)], (e, costs)
+        total = left_to_right_total(map(float, costs))
+        assert total >= opt - 1e-9 * abs(opt), (e, total, opt)

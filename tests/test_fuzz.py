@@ -1,9 +1,11 @@
 """Instance documents fuzzed through ``hstmatch run`` in-process, under every algorithm tag.
 
 Each document either runs (exit 0, one line of finite JSON on stdout, the same
-report in the --report file, no ratio below one) or is refused (exit 1,
-nothing on stdout, exactly one JSON error line on stderr). A refusal is a
-ValueError of the program's own, never a numpy warning turned into an error.
+report in the --report file, no ratio below one, and a -o trace that
+``helpers.check_trace`` accepts against the document) or is refused (exit 1,
+nothing on stdout, no report or trace file, exactly one JSON error line on
+stderr). A refusal is a ValueError of the program's own, never a numpy warning
+turned into an error.
 """
 import contextlib
 import io
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from helpers import check_trace
 from hstmatch.cli import main
 from hstmatch.harness import ALGORITHMS
 
@@ -76,12 +79,14 @@ def run_in_process(*argv) -> tuple:
 @example(document={"points": list("abcd"), "dist": [[0, 0, 1e-10, 1], [0, 0, 6.7e-319, 1], [1e-10, 6.7e-319, 0, 1],
                                                    [1, 1, 1, 0]], "servers": [0, 2, 3], "requests": [1, 0, 3]})
 def test_every_run_ends_in_a_finite_report_or_one_error_line(workdir, document):
-    instance, report_path = workdir / "instance.json", workdir / "report.json"
+    instance, report_path, trace_path = workdir / "instance.json", workdir / "report.json", workdir / "trace.csv"
     instance.write_text(json.dumps(document))
     for tag in ALGORITHMS:
         report_path.unlink(missing_ok=True)
+        trace_path.unlink(missing_ok=True)
         code, out, err = run_in_process(
-            "run", "--instance", instance, "--algorithm", tag, "--episodes", 3, "--report", report_path
+            "run", "--instance", instance, "--algorithm", tag, "--episodes", 3, "--report", report_path,
+            "-o", trace_path,
         )
         if code == 0:
             assert err == ""
@@ -91,8 +96,9 @@ def test_every_run_ends_in_a_finite_report_or_one_error_line(workdir, document):
             assert json.loads(report_path.read_text(), parse_constant=_reject_constant) == report
             if report["kind"] == "ratio":
                 assert report["min"] >= 1.0 - 1e-9, (tag, report)
+            check_trace(document, trace_path.read_text(), report["opt"], report["episodes"])
         else:
-            assert code == 1 and out == "" and not report_path.exists()
+            assert code == 1 and out == "" and not report_path.exists() and not trace_path.exists()
             lines = err.split("\n")
             assert len(lines) == 2 and lines[1] == "", err
             message = json.loads(lines[0])["error"]

@@ -1,5 +1,7 @@
 import importlib.util
 import math
+import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -25,6 +27,8 @@ from hstmatch.harness import (
 )
 from hstmatch.hst import EmbeddingParams, frt_embed
 from hstmatch.metric import FiniteMetric, Instance, instance_from_dict, instance_to_dict, submetric_of_servers
+from hstmatch.online import run_greedy
+from hstmatch.oracle import optimal_matching
 from test_golden import MULTI
 
 
@@ -402,6 +406,98 @@ def test_runs_without_rows_keep_totals_only_and_write_no_trace():
         assert len(record.totals) == (4 if tag.startswith("rwgm") else 1)
         with pytest.raises(ValueError, match="^the record kept no rows to write$"):
             trace_csv(record)
+
+
+def _serial_run(inst, tag, master_seed, episodes) -> tuple:
+    """The optimum, solved first, then the served rows of the same episodes, one after another."""
+    om = optimal_matching(inst)
+    if tag == "optimal":
+        return om.cost, [[inst.servers[i] for i, _ in om.pairs]]
+    if tag == "greedy":
+        return om.cost, [run_greedy(inst)]
+    setup = pipeline_setup(inst)
+    seeds = [(derive_seed(master_seed, e, 0), derive_seed(master_seed, e, 1)) for e in range(episodes)]
+    return om.cost, [run_episode(setup, embed, play, algorithm=tag) for embed, play in seeds]
+
+
+@pytest.mark.parametrize("tag", ALGORITHMS)
+@pytest.mark.parametrize("name", ["depots", "cloud", "line", "golden-multi"])
+def test_a_run_equals_its_solve_then_its_episodes_and_leaves_no_thread(name, tag):
+    inst = instance_from_dict(_trace_instances()[name])
+    opt, served = _serial_run(inst, tag, 13, 20)
+    costs = [[float(inst.metric.dist[r, s]) for r, s in zip(inst.requests, row)] for row in served]
+    threads = threading.active_count()
+    record = run_algorithm(inst, tag, master_seed=13, episodes=20)
+    assert threading.active_count() == threads
+    assert record.opt == opt
+    assert record.served.tolist() == served
+    assert record.costs.tolist() == costs
+    assert record.totals.tolist() == [left_to_right_total(row) for row in costs]
+
+
+class SolveFailed(Exception):
+    pass
+
+
+class EpisodeFailed(Exception):
+    pass
+
+
+def _fail_the_episodes_while_solving(monkeypatch, solve_fails: bool) -> list:
+    """Patch every episode's embedding to raise, and the solve to end only after that, failing if
+    ``solve_fails``; returns the list the solve appends its optimum to when it succeeds."""
+    episode_failed, solved = threading.Event(), []
+    solve = harness.optimal_matching
+
+    def late_solve(inst):
+        episode_failed.wait(timeout=0.5)  # greedy and optimal tags run no episode
+        time.sleep(0.05)  # still solving while the run meets the episode's error
+        if solve_fails:
+            raise SolveFailed("the solve failed")
+        solved.append(solve(inst))
+        return solved[-1]
+
+    def failing_embed(*args, **kwargs):
+        episode_failed.set()
+        raise EpisodeFailed("the episode failed")
+
+    monkeypatch.setattr(harness, "optimal_matching", late_solve)
+    monkeypatch.setattr(harness, "frt_embed", failing_embed)
+    return solved
+
+
+@pytest.mark.parametrize("tag", ALGORITHMS)
+def test_a_failed_solve_outranks_an_episode_that_failed_first(monkeypatch, tag):
+    # A solve before the episodes, as the run's record is defined, would have raised first.
+    _fail_the_episodes_while_solving(monkeypatch, solve_fails=True)
+    inst = generate_instance(GeneratorSpec("line", 6, seed=3))
+    threads = threading.active_count()
+    with pytest.raises(SolveFailed):
+        run_algorithm(inst, tag, master_seed=2, episodes=5)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("tag", ["rwgm", "rwgm-proportional"])
+def test_a_failed_episode_raises_after_the_solve_is_joined(monkeypatch, tag):
+    solved = _fail_the_episodes_while_solving(monkeypatch, solve_fails=False)
+    inst = generate_instance(GeneratorSpec("line", 6, seed=3))
+    threads = threading.active_count()
+    with pytest.raises(EpisodeFailed):
+        run_algorithm(inst, tag, master_seed=2, episodes=5)
+    assert len(solved) == 1  # the solve ended before the error reached the caller
+    assert threading.active_count() == threads
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # as pyproject.toml sets it for the whole suite
+def test_a_warning_turned_error_in_the_solve_reaches_the_caller_not_the_thread_hook(monkeypatch):
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    monkeypatch.setattr(harness, "optimal_matching", lambda inst: np.float64(1e308) * 10.0)
+    inst = generate_instance(GeneratorSpec("line", 6, seed=3))
+    for tag in ALGORITHMS:
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            run_algorithm(inst, tag, master_seed=2, episodes=3)
+    assert hooked == []
 
 
 def test_a_run_checks_the_request_triangles_once_before_any_tag(monkeypatch):

@@ -15,8 +15,11 @@ same order, each side's ``cli.main`` runs the workload's command sequence as
 and sweep table written into that side's own temporary directory), which
 times the trace and report writing that ``run_pipeline`` skips. Both sides
 share the process, so a slow spell of a shared machine hits them alike; the
-per-pair ratio is what to read. Prints each side's median and quartiles in
-milliseconds for the call, the load and the CLI sequence, the median of B/A
+per-pair ratio is what to read. Each call is also timed in process CPU
+seconds (``time.process_time``, every thread of the process): work moved
+onto a second thread beside the call shows as lower wall time with CPU time
+flat or higher. Prints each side's median and quartiles in milliseconds for
+the call (wall and CPU), the load and the CLI sequence, the median of B/A
 for each, how many pairs B won, and whether both sides returned the same
 reports and wrote the same bytes; the last line is the same as JSON.
 """
@@ -76,9 +79,10 @@ def main(argv=None) -> int:
     def load_and_call(pkg) -> tuple:
         t0 = time.perf_counter()
         inst = pkg.metric.instance_from_dict(data)
-        t1 = time.perf_counter()
+        t1, c1 = time.perf_counter(), time.process_time()
         report = pkg.run_pipeline(inst, args.seed, episodes)
-        return t1 - t0, time.perf_counter() - t1, pkg.harness.report_to_dict(report)
+        wall_s, cpu_s = time.perf_counter() - t1, time.process_time() - c1
+        return t1 - t0, wall_s, cpu_s, pkg.harness.report_to_dict(report)
 
     def run_commands(s: int) -> tuple:
         """Seconds for side s's CLI sequence, and the bytes of every file it wrote."""
@@ -97,15 +101,17 @@ def main(argv=None) -> int:
         run_commands(s)
     loads: tuple = ([], [])
     times: tuple = ([], [])
+    cpu_times: tuple = ([], [])
     cli_times: tuple = ([], [])
     same = same_files = True
     for i in range(args.pairs):
         order = (0, 1) if i % 2 == 0 else (1, 0)
         reports, files = {}, {}
         for s in order:
-            load_s, call_s, reports[s] = load_and_call(sides[s])
+            load_s, call_s, cpu_s, reports[s] = load_and_call(sides[s])
             loads[s].append(load_s)
             times[s].append(call_s)
+            cpu_times[s].append(cpu_s)
         for s in order:
             cli_s, files[s] = run_commands(s)
             cli_times[s].append(cli_s)
@@ -117,6 +123,7 @@ def main(argv=None) -> int:
         return [round(1e3 * x, 3) for x in statistics.quantiles(xs, n=4)]
 
     ratios = [b / a for a, b in zip(*times)]
+    cpu_ratios = [b / a for a, b in zip(*cpu_times)]
     load_ratios = [b / a for a, b in zip(*loads)]
     cli_ratios = [b / a for a, b in zip(*cli_times)]
     result = {
@@ -128,6 +135,9 @@ def main(argv=None) -> int:
         "b_ms": quartiles_ms(times[1]),
         "median_b_over_a": round(statistics.median(ratios), 4),
         "b_wins": sum(r < 1.0 for r in ratios),
+        "a_cpu_ms": quartiles_ms(cpu_times[0]),
+        "b_cpu_ms": quartiles_ms(cpu_times[1]),
+        "cpu_median_b_over_a": round(statistics.median(cpu_ratios), 4),
         "a_load_ms": quartiles_ms(loads[0]),
         "b_load_ms": quartiles_ms(loads[1]),
         "load_median_b_over_a": round(statistics.median(load_ratios), 4),
@@ -140,15 +150,18 @@ def main(argv=None) -> int:
     }
     for side in ("a", "b"):
         q1, q2, q3 = result[f"{side}_ms"]
+        p1, p2, p3 = result[f"{side}_cpu_ms"]
         l1, l2, l3 = result[f"{side}_load_ms"]
         c1, c2, c3 = result[f"{side}_cli_ms"]
         print(
             f"{side}: median {q2:.3f} ms per call (quartiles {q1:.3f} .. {q3:.3f}),"
+            f" {p2:.3f} ms CPU per call (quartiles {p1:.3f} .. {p3:.3f}),"
             f" {l2:.3f} ms per load (quartiles {l1:.3f} .. {l3:.3f}),"
             f" {c2:.3f} ms per CLI sequence (quartiles {c1:.3f} .. {c3:.3f})"
         )
     print(
-        f"b/a median {result['median_b_over_a']} per call, {result['load_median_b_over_a']} per load,"
+        f"b/a median {result['median_b_over_a']} per call ({result['cpu_median_b_over_a']} in CPU time),"
+        f" {result['load_median_b_over_a']} per load,"
         f" {result['cli_median_b_over_a']} per CLI sequence; b won {result['b_wins']}/{args.pairs} calls"
         f" and {result['cli_b_wins']}/{args.pairs} CLI sequences; same reports: {same}, same CLI files: {same_files}"
     )
