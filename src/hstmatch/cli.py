@@ -54,7 +54,7 @@ def _cmd_run(args) -> int:
     record = run_algorithm(inst, args.algorithm, args.seed, args.episodes, keep_rows=bool(args.output))
     report = report_to_dict(record)
     if args.output:
-        _write_text(args.output, trace_csv(record))
+        _write_text(args.output, trace_csv(inst, record))
     if args.report:
         _write_json(args.report, report)
     print(json.dumps(report))

@@ -105,16 +105,14 @@ def _episode_seeds(master_seed: int, start: int, stop: int):
 @dataclass(frozen=True, eq=False)
 class RunRecord:
     """One run of one tag against the optimum ``opt``, one row per episode: ``served[e, j]`` is the server
-    point of request j in episode e, ``costs[e, j]`` is ``dist[requests[j], served[e, j]]``, and ``totals``
-    is ``episode_totals(costs)``. A run that keeps no rows holds ``served`` and ``costs`` as None.
+    point of request j in episode e, and ``totals`` is ``episode_totals`` of the costs
+    ``dist[requests, served]``. A run that keeps no rows holds ``served`` as None.
     """
 
     algorithm: str
     master_seed: int
     opt: float
-    requests: np.ndarray  # the request points, in request order
     served: np.ndarray | None
-    costs: np.ndarray | None
     totals: np.ndarray
 
 
@@ -132,14 +130,12 @@ def _record(inst: Instance, tag: str, master_seed: int, solve, blocks, keep_rows
     """The record of blocks of episodes' served points against the optimum ``solve()``, asked for only after
     the last block; refuses an optimum, total or ratio that is not finite."""
     requests = np.asarray(inst.requests)
-    served, costs, totals = [], [], []
+    served, totals = [], []
     for block in blocks:
         block_served = np.array(block)
-        block_costs = inst.metric.dist[requests, block_served]
-        totals.append(episode_totals(block_costs))
+        totals.append(episode_totals(inst.metric.dist[requests, block_served]))
         if keep_rows:
             served.append(block_served)
-            costs.append(block_costs)
     totals = np.concatenate(totals)
     opt = solve().cost
     with np.errstate(over="ignore", invalid="ignore"):
@@ -147,8 +143,7 @@ def _record(inst: Instance, tag: str, master_seed: int, solve, blocks, keep_rows
     if not (math.isfinite(opt) and finite.all()):
         e = int(finite.argmin())
         raise ValueError(f"{tag} run overflows: episode {e} costs {float(totals[e])!r} against an optimum of {opt!r}")
-    rows = (np.concatenate(served), np.concatenate(costs)) if keep_rows else (None, None)
-    return RunRecord(tag, int(master_seed), float(opt), requests, *rows, totals)
+    return RunRecord(tag, int(master_seed), float(opt), np.concatenate(served) if keep_rows else None, totals)
 
 
 @dataclass(frozen=True)
@@ -159,7 +154,7 @@ class PipelineSetup:
     g: tuple  # nearest-server image of each request, in request order
     g_sub: tuple  # submetric index of each request's image
     servers: ServerCounts  # the server submetric's classes and per-class server counts, for frt_embed
-    stock: dict  # each class representative's server instances, highest first, for attach_servers
+    stock: dict  # each class representative's server instances as a tuple, highest first, for attach_servers
     lam: float
 
 
@@ -187,7 +182,7 @@ def pipeline_setup(inst: Instance, g: tuple | None = None) -> PipelineSetup:
         g=g,
         g_sub=tuple(mapping[p] for p in g),
         servers=counts,
-        stock=stock,
+        stock={q: tuple(points) for q, points in stock.items()},
         lam=lambda_for_n(inst.n),
     )
 
@@ -205,12 +200,13 @@ def run_episode(setup: PipelineSetup, embed_seed: int, play_seed: int, *, algori
     stock = attach_servers(tree, setup.stock)
     state = rwgm_init(tree, play_seed, policy=_TREE_POLICY[algorithm])
     point_leaf = tree.point_leaf
+    left = state.subtree_remaining  # a serve that leaves c servers at a leaf took entry c of the leaf's stock
 
     served = []
     tree_costs = []
     for q in setup.g_sub:
         server_leaf, tree_cost = rwgm_serve(state, point_leaf[q])
-        served.append(stock[server_leaf].pop())
+        served.append(stock[server_leaf][left[server_leaf]])
         if check:
             tree_costs.append(tree_cost)
 
@@ -292,7 +288,7 @@ def _run_tag(inst: Instance, tag: str, master_seed: int, episodes: int, solve, g
     if tag == "greedy":
         blocks = [[run_greedy(inst)]]
     elif tag == "optimal":
-        blocks = [[[inst.servers[srv_idx] for srv_idx, _ in solve().pairs]]]  # pairs come in request order
+        blocks = [[solve().served]]
     else:
         setup = pipeline_setup(inst, g)
         blocks = (
@@ -332,24 +328,22 @@ def sweep_csv(rows) -> str:
     return SWEEP_HEADER + "\n" + "".join(f"{n},{tag},{mean!r},{se!r}\n" for n, tag, mean, se in rows)
 
 
-def trace_csv(record: RunRecord) -> str:
-    """One row per decision, fixed header, episode-major order.
+def trace_csv(inst: Instance, record: RunRecord) -> str:
+    """One row per decision of a run on ``inst``, fixed header, episode-major order.
 
-    Row (e, j) is ``f"{e},{j},{requests[j]},{served[e, j]},{costs[e, j]!r}\n"``.
-    A cost is the distance from the step's request to the server, the same in
-    every episode that pairs them, so each call formats the text after ``e,``
-    once per distinct (step, server) pair.
+    Row (e, j) is ``f"{e},{j},{r},{s},{dist[r, s]!r}\n"`` for request point
+    ``r = requests[j]`` and server point ``s = served[e, j]``. The cost is the
+    same in every episode that pairs them, so each call formats the text after
+    ``e,`` once per distinct (step, server) pair.
     """
-    served, requests = record.served, record.requests
+    served, requests = record.served, np.asarray(inst.requests)
     if served is None:
         raise ValueError("the record kept no rows to write")
-    n = len(requests)
     width = int(served.max()) + 1
-    pairs, inverse = np.unique(np.arange(n) * width + served, return_inverse=True)
-    where = np.empty(len(pairs), dtype=np.intp)
-    where[inverse.ravel()] = np.arange(served.size)  # one occurrence of each pair
+    pairs, inverse = np.unique(np.arange(len(requests)) * width + served, return_inverse=True)
     steps, points = np.divmod(pairs, width)
-    columns = (steps.tolist(), requests[steps].tolist(), points.tolist(), record.costs.ravel()[where].tolist())
+    at = requests[steps]
+    columns = (steps.tolist(), at.tolist(), points.tolist(), inst.metric.dist[at, points].tolist())
     texts = [f"{j},{r},{s},{cost!r}" for j, r, s, cost in zip(*columns)]
     parts = [TRACE_HEADER + "\n"]
     for e, row in enumerate(inverse.reshape(served.shape).tolist()):

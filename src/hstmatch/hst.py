@@ -294,13 +294,15 @@ def frt_embed(counts: ServerCounts, params: EmbeddingParams) -> HstTree:
 
 
 def attach_servers(t: HstTree, stock) -> dict:
-    """Each leaf's server instances in a fresh list, highest first, so ``pop()`` takes the lowest.
+    """Each leaf's server instances, highest first: ``stock``'s own tuples, not copies.
 
     ``stock`` maps every class representative on the tree to the server
-    instances of its class, highest first, as ``pipeline_setup`` builds it.
+    instances of its class as a tuple, highest first, as ``pipeline_setup``
+    builds it. A serve that leaves a leaf c unassigned servers takes its
+    entry c, so the leaf's count is its only state and the lowest goes first.
     """
     try:
-        return {leaf: list(stock[q]) for leaf, q in t.leaf_point.items()}
+        return {leaf: stock[q] for leaf, q in t.leaf_point.items()}
     except KeyError as missing:
         raise ValueError(f"point {missing} has no entry in the server stock") from None
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hst import HstTree
-from .metric import Instance
+from .metric import Instance, _is_int
 
 __all__ = [
     "POLICIES",
@@ -73,12 +73,13 @@ _RAW64 = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC6
 def rwgm_init(tree: HstTree, seed, policy: str = "uniform") -> RwgmState:
     """Fresh episode state.
 
-    ``seed`` is anything ``np.random.default_rng`` accepts. An int seeds the
-    episode's PCG64 stream directly, so every descent draw equals what
-    ``np.random.default_rng(seed).integers(n)`` would return. A Generator or
-    a bit generator with 64-bit outputs (PCG64, PCG64DXSM, Philox, SFC64)
-    is read directly, and advances as the episode draws; any other is asked
-    for one seed of a fresh stream.
+    ``seed`` is a non-negative integer (numpy integers included), a Generator
+    or a bit generator; anything else, None among them, is refused. An int
+    seeds the episode's PCG64 stream directly, so every descent draw equals
+    what ``np.random.default_rng(seed).integers(n)`` would return. A
+    Generator or a bit generator with 64-bit outputs (PCG64, PCG64DXSM,
+    Philox, SFC64) is read directly, and advances as the episode draws; any
+    other is asked for one seed of a fresh stream.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
@@ -86,6 +87,8 @@ def rwgm_init(tree: HstTree, seed, policy: str = "uniform") -> RwgmState:
     if not isinstance(bits, _RAW64):
         if isinstance(bits, np.random.BitGenerator):
             seed = int(np.random.default_rng(bits).integers(2**63))
+        elif not (_is_int(seed) and seed >= 0):  # None would draw OS entropy; True would run as 1
+            raise ValueError(f"seed must be a non-negative integer, a Generator or a bit generator, got {seed!r}")
         bits = np.random.PCG64(seed)
     state = RwgmState(tree, bits, policy)
     if state.subtree_remaining[tree.root] <= 0:

@@ -35,9 +35,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OptimalMatching:
-    """A minimum-cost perfect matching: (server instance, request index) pairs."""
+    """A minimum-cost perfect matching: ``served[j]`` is the server point matched to request j."""
 
-    pairs: tuple
+    served: tuple
     cost: float
 
 
@@ -97,10 +97,9 @@ def optimal_matching(inst: Instance) -> OptimalMatching:
     req = np.asarray(inst.requests, dtype=int)
     cost = inst.metric.dist[np.ix_(srv, req)]
     rows, cols = _linear_sum_assignment()(cost)
-    order = np.argsort(cols)
-    pairs = tuple((int(rows[i]), int(cols[i])) for i in order)
+    served = tuple(srv[rows[np.argsort(cols)]].tolist())
     with np.errstate(over="ignore"):  # an overflowing sum is inf, which a run refuses
-        return OptimalMatching(pairs=pairs, cost=float(cost[rows, cols].sum()))
+        return OptimalMatching(served=served, cost=float(cost[rows, cols].sum()))
 
 
 @dataclass(frozen=True)

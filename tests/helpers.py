@@ -544,17 +544,23 @@ def left_to_right_total(costs) -> float:
     return total
 
 
-def record_decisions(record) -> list:
-    """A run record's rows as per-episode lists of (request, server, cost) tuples of Python numbers."""
-    requests = record.requests.tolist()
-    return [list(zip(requests, s, c)) for s, c in zip(record.served.tolist(), record.costs.tolist())]
+def record_decisions(inst: Instance, record) -> list:
+    """A run record's rows on ``inst`` as per-episode lists of (request, server, cost) tuples of Python numbers,
+    each cost read on its own as ``dist[r, s]``."""
+    dist = inst.metric.dist
+    return [[(r, s, float(dist[r, s])) for r, s in zip(inst.requests, row)] for row in record.served.tolist()]
 
 
-def reference_trace_csv(record) -> str:
+def record_costs(inst: Instance, record) -> list:
+    """Each episode's costs, in request order."""
+    return [[cost for _, _, cost in decisions] for decisions in record_decisions(inst, record)]
+
+
+def reference_trace_csv(inst: Instance, record) -> str:
     """Every row of a run record's trace formatted on its own: the oracle for ``trace_csv``."""
     rows = [
         f"{e},{step},{r},{s},{cost!r}\n"
-        for e, decisions in enumerate(record_decisions(record))
+        for e, decisions in enumerate(record_decisions(inst, record))
         for step, (r, s, cost) in enumerate(decisions)
     ]
     return "episode,step,request_point,server_point,cost\n" + "".join(rows)

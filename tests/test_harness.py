@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import harmonic, left_to_right_total, record_decisions, reference_trace_csv
+from helpers import harmonic, left_to_right_total, record_costs, record_decisions, reference_trace_csv
 from hstmatch import harness, hst, metric
 from hstmatch.generators import GeneratorSpec, generate_instance, line_metric, uniform_metric
 from hstmatch.harness import (
@@ -203,7 +203,8 @@ def test_run_algorithm_optimal_and_greedy():
     report = report_to_dict(record)
     assert len(record.totals) == report["episodes"] == 1
     assert report["mean_ratio"] == pytest.approx(15.0)  # the 2k-1 cascade
-    assert record.served.shape == record.costs.shape == (1, 8)
+    assert record.served.shape == (1, 8)
+    assert record.totals.tolist() == [left_to_right_total(row) for row in record_costs(inst, record)]
 
 
 def test_run_algorithm_rwgm_deterministic_given_seed():
@@ -211,7 +212,7 @@ def test_run_algorithm_rwgm_deterministic_given_seed():
     ra = run_algorithm(inst, "rwgm", master_seed=2, episodes=1)
     rb = run_algorithm(inst, "rwgm", master_seed=2, episodes=1)
     assert report_to_dict(ra) == report_to_dict(rb)
-    assert record_decisions(ra) == record_decisions(rb)
+    assert record_decisions(inst, ra) == record_decisions(inst, rb)
 
 
 def test_run_algorithm_proportional_tag():
@@ -337,7 +338,7 @@ def test_sweep_rejects_empty_sizes():
 def test_trace_csv_format():
     inst = generate_instance(GeneratorSpec("star", 3, seed=0))
     record = run_algorithm(inst, "rwgm", master_seed=4, episodes=2)
-    text = trace_csv(record)
+    text = trace_csv(inst, record)
     lines = text.strip().split("\n")
     assert lines[0] == "episode,step,request_point,server_point,cost"
     assert len(lines) == 1 + 2 * 3
@@ -351,8 +352,8 @@ def test_trace_csv_keeps_signed_zero_costs_apart():
                     servers=(0, 1, 1, 2, 0), requests=(1, 1, 0, 2, 1))
     for tag in ALGORITHMS:
         record = run_algorithm(inst, tag, master_seed=3, episodes=20)
-        text = trace_csv(record)
-        assert text == reference_trace_csv(record)
+        text = trace_csv(inst, record)
+        assert text == reference_trace_csv(inst, record)
         assert ",-0.0\n" in text and ",0.0\n" in text
 
 
@@ -362,7 +363,7 @@ def test_trace_csv_matches_row_by_row_formatting():
     inst = Instance(metric=FiniteMetric.from_matrix(dist), servers=(0, 0, 1, 2), requests=(2, 1, 1, 0))
     for tag in ALGORITHMS:
         record = run_algorithm(inst, tag, master_seed=3, episodes=40)
-        assert trace_csv(record) == reference_trace_csv(record)
+        assert trace_csv(inst, record) == reference_trace_csv(inst, record)
 
 
 def _perfbench_inputs():
@@ -390,9 +391,9 @@ def test_trace_csv_matches_the_reference_on_benchmark_and_golden_instances(name,
     inst = instance_from_dict(_trace_instances()[name])
     record = run_algorithm(inst, tag, master_seed=11, episodes=30)
     rows = 30 if tag.startswith("rwgm") else 1
-    assert record.served.shape == record.costs.shape == (rows, inst.n)
-    assert trace_csv(record) == reference_trace_csv(record)
-    assert record.totals.tolist() == [left_to_right_total(row) for row in record.costs.tolist()]
+    assert record.served.shape == (rows, inst.n)
+    assert trace_csv(inst, record) == reference_trace_csv(inst, record)
+    assert record.totals.tolist() == [left_to_right_total(row) for row in record_costs(inst, record)]
     without_rows = run_algorithm(inst, tag, master_seed=11, episodes=30, keep_rows=False)
     assert without_rows.totals.tolist() == record.totals.tolist()
     assert report_to_dict(without_rows) == report_to_dict(record)
@@ -402,17 +403,17 @@ def test_runs_without_rows_keep_totals_only_and_write_no_trace():
     inst = generate_instance(GeneratorSpec("line", 5, seed=2))
     for tag in ALGORITHMS:
         record = run_algorithm(inst, tag, master_seed=1, episodes=4, keep_rows=False)
-        assert record.served is None and record.costs is None
+        assert record.served is None
         assert len(record.totals) == (4 if tag.startswith("rwgm") else 1)
         with pytest.raises(ValueError, match="^the record kept no rows to write$"):
-            trace_csv(record)
+            trace_csv(inst, record)
 
 
 def _serial_run(inst, tag, master_seed, episodes) -> tuple:
     """The optimum, solved first, then the served rows of the same episodes, one after another."""
     om = optimal_matching(inst)
     if tag == "optimal":
-        return om.cost, [[inst.servers[i] for i, _ in om.pairs]]
+        return om.cost, [list(om.served)]
     if tag == "greedy":
         return om.cost, [run_greedy(inst)]
     setup = pipeline_setup(inst)
@@ -431,7 +432,7 @@ def test_a_run_equals_its_solve_then_its_episodes_and_leaves_no_thread(name, tag
     assert threading.active_count() == threads
     assert record.opt == opt
     assert record.served.tolist() == served
-    assert record.costs.tolist() == costs
+    assert record_costs(inst, record) == costs
     assert record.totals.tolist() == [left_to_right_total(row) for row in costs]
 
 
@@ -517,6 +518,23 @@ def test_a_run_checks_the_request_triangles_once_before_any_tag(monkeypatch):
     calls.clear()
     pipeline_setup(inst)  # on its own, as the embed command uses it, the set-up checks
     assert calls == [5]
+
+
+@pytest.mark.parametrize("tag", ["rwgm", "rwgm-proportional"])
+@pytest.mark.parametrize("name", ["depots", "golden-multi"])
+def test_episodes_leave_their_set_up_unchanged(name, tag):
+    # Each episode reads the set-up's per-class stock through its leaf counts; nothing copies or edits it.
+    inst = instance_from_dict(_trace_instances()[name])
+    setup = pipeline_setup(inst)
+    stock = dict(setup.stock)
+    assert all(type(points) is tuple for points in stock.values())
+    for e in range(6):
+        served = run_episode(setup, derive_seed(7, e, 0), derive_seed(7, e, 1), algorithm=tag, check=True)
+        assert Counter(served) == Counter(inst.servers)
+    assert setup.stock.keys() == stock.keys() and all(setup.stock[q] is stock[q] for q in stock)
+    tree = frt_embed(setup.servers, EmbeddingParams(lam=setup.lam, seed=5))
+    at_leaf = hst.attach_servers(tree, setup.stock)
+    assert all(at_leaf[leaf] is setup.stock[q] for leaf, q in tree.leaf_point.items())
 
 
 def test_run_episode_check_still_catches_broken_decisions(monkeypatch):

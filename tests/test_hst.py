@@ -413,7 +413,7 @@ def test_attach_servers_counts():
     assert t.servers[t.point_leaf[0]] == 2
     assert t.servers[t.point_leaf[1]] == 1
     assert sum(t.servers[leaf] for leaf in t.leaves) == 3
-    assert at_leaf == {t.point_leaf[0]: [0, 0], t.point_leaf[1]: [1]}
+    assert at_leaf == {t.point_leaf[0]: (0, 0), t.point_leaf[1]: (1,)}
 
 
 def test_attach_servers_all_on_one_leaf():
@@ -422,7 +422,7 @@ def test_attach_servers_all_on_one_leaf():
     t = frt_embed(setup.servers, EmbeddingParams(lam=2.0, seed=1))
     at_leaf = attach_servers(t, setup.stock)
     assert t.servers[t.point_leaf[0]] == 4  # instance point 1 is submetric point 0
-    assert at_leaf == {t.point_leaf[0]: [1, 1, 1, 1]}
+    assert at_leaf == {t.point_leaf[0]: (1, 1, 1, 1)}
 
 
 def test_attach_servers_missing_point_errors():
@@ -432,27 +432,27 @@ def test_attach_servers_missing_point_errors():
         attach_servers(t, stock)  # keyed by submetric points 0 and 1 only
 
 
-def test_attach_servers_stacks_a_shared_leaf_highest_first_in_fresh_lists():
+def test_attach_servers_hands_out_a_shared_leafs_stock_highest_first_uncopied():
     # Points 1 and 2 sit at distance zero, so they share a leaf; point 3 holds no server.
     m = line_metric([0.0, 5.0, 5.0, 9.0])
     servers = (2, 1, 1, 0)
     t = frt_embed(count_servers(m, servers), EmbeddingParams(lam=2.0, seed=3))
-    stock = {0: [0], 1: [2, 1, 1], 3: []}
+    stock = {0: (0,), 1: (2, 1, 1), 3: ()}
     at_leaf = attach_servers(t, stock)
     shared = t.point_leaf[1]
     assert t.point_leaf[2] == shared
-    assert at_leaf == {shared: [2, 1, 1], t.point_leaf[0]: [0], t.point_leaf[3]: []}
+    assert at_leaf == {shared: (2, 1, 1), t.point_leaf[0]: (0,), t.point_leaf[3]: ()}
     assert {leaf: t.servers[leaf] for leaf in t.leaves} == {shared: 3, t.point_leaf[0]: 1, t.point_leaf[3]: 0}
-    at_leaf[shared].pop()
-    assert stock[1] == [2, 1, 1]  # the caller's lists are never handed out
-    assert attach_servers(t, stock)[shared] == [2, 1, 1]
+    # Every episode reads the stock's own immutable tuples; a leaf's count says how many are left.
+    assert all(at_leaf[t.point_leaf[q]] is stock[q] for q in stock)
+    assert attach_servers(t, stock)[shared] is stock[1] == (2, 1, 1)
 
 
 def test_pipeline_setup_stocks_each_class_highest_first():
     # Points 1 and 3 sit at distance zero; point 2 holds no server.
     m = line_metric([0.0, 5.0, 7.0, 5.0])
     setup = pipeline_setup(Instance(metric=m, servers=(1, 3, 0, 3), requests=(2, 2, 2, 2)))
-    assert setup.stock == {0: [0], 1: [3, 3, 1]}  # submetric points 0, 1, 2 are instance points 0, 1, 3
+    assert setup.stock == {0: (0,), 1: (3, 3, 1)}  # submetric points 0, 1, 2 are instance points 0, 1, 3
 
 
 def test_tree_dump_schema():

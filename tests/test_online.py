@@ -14,6 +14,7 @@ from helpers import (
     play_on_tree,
     random_tree,
     random_tree_instance,
+    record_costs,
     recompute_green,
     reference_greedy,
     reference_rwgm_init,
@@ -111,6 +112,20 @@ def test_init_from_each_bit_generator_kind_draws_uniformly(kind, wrap):
     for draw in counts:
         chi2 = sum((c - episodes / 4) ** 2 / (episodes / 4) for c in draw)
         assert chi2 < 16.27  # chi-square, 3 degrees of freedom, p = 0.001
+
+
+@pytest.mark.parametrize("seed", [None, True, False, -1, 2.0, 2.5, "3", [1, 2], np.random.SeedSequence(0)])
+def test_init_refuses_seeds_that_are_not_integers_or_generators(seed):
+    # None would draw OS entropy, so two episodes on one tree would serve differently; True would run as 1.
+    t = with_multiplicity(height1_tree(2), {0: 1, 1: 1})
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, a Generator or a bit generator, got "):
+        rwgm_init(t, seed)
+
+
+def test_init_takes_numpy_integer_seeds_as_ints():
+    t = with_multiplicity(height1_tree(2), {0: 1, 1: 1})
+    for seed in (np.int64(5), np.uint32(5), np.uint64(5)):
+        assert rwgm_init(t, seed).bits.state == np.random.PCG64(5).state
 
 
 def test_int_seeded_draws_do_not_touch_a_generator():
@@ -374,7 +389,8 @@ def test_mai_serve_wrapper():
         served = run_episode(setup, 1, 2, check=True)
         assert served == list(images)  # no moves: each image's server serves it
         record = run_algorithm(inst, "rwgm", master_seed=0, episodes=1)
-        assert record.costs.tolist() == [costs]
+        assert record.served.tolist() == [list(images)]
+        assert record_costs(inst, record) == [costs] and record.totals.tolist() == [costs[0] + costs[1]]
 
 
 def test_mai_per_request_inequality():
@@ -407,7 +423,7 @@ def test_greedy_zero_cost_on_own_server():
     inst = Instance(metric=m, servers=(1, 2), requests=(2, 0))
     assert run_greedy(inst)[0] == 2
     record = run_algorithm(inst, "greedy", master_seed=0, episodes=1)
-    assert record.costs[0, 0] == 0.0
+    assert record_costs(inst, record)[0][0] == 0.0
 
 
 def test_total_cost_adds_left_to_right():
@@ -456,10 +472,11 @@ def test_record_totals_equal_the_left_to_right_loop(tag):
     ):
         inst = Instance(metric=FiniteMetric.from_matrix(dist), servers=servers, requests=requests)
         record = run_algorithm(inst, tag, master_seed=3, episodes=30)
-        want = [left_to_right_total(row).hex() for row in record.costs.tolist()]
+        costs = record_costs(inst, record)
+        want = [left_to_right_total(row).hex() for row in costs]
         assert [t.hex() for t in record.totals.tolist()] == want
         if len(servers) == 1:
-            assert record.costs.ravel().tolist()[0].hex() == "-0x0.0p+0" and set(want) == {"0x0.0p+0"}
+            assert costs[0][0].hex() == "-0x0.0p+0" and set(want) == {"0x0.0p+0"}
 
 
 @pytest.mark.parametrize("k", [2, 4, 8, 16])

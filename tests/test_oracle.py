@@ -80,8 +80,22 @@ def test_optimal_matching_line_example():
     inst = Instance(metric=m, servers=(0, 3), requests=(1, 2))
     om = optimal_matching(inst)
     assert om.cost == pytest.approx(2.0)
-    matched = {inst.requests[r]: inst.servers[s] for s, r in om.pairs}
-    assert matched == {1: 0, 2: 3}
+    assert om.served == (0, 3)  # request points 1 and 2, in request order
+
+
+def test_optimal_matching_serves_each_request_its_assigned_server():
+    # The solver's (server instance, request) pairs, read one at a time, against the one gather.
+    for n, seed in ((1, 0), (7, 1), (24, 2)):
+        for family in ("line", "star", "nested-uniform"):
+            inst = generate_instance(GeneratorSpec(family, n, seed=seed))
+            srv, req = list(inst.servers), list(inst.requests)
+            rows, cols = oracle._linear_sum_assignment()(inst.metric.dist[np.ix_(srv, req)])
+            served = [None] * n
+            for i, j in zip(rows.tolist(), cols.tolist()):
+                served[j] = srv[i]
+            om = optimal_matching(inst)
+            assert type(om.served) is tuple and om.served == tuple(served)
+            assert all(type(s) is int for s in om.served)
 
 
 def test_optimal_matching_agrees_with_brute_force():

@@ -1,5 +1,6 @@
 """The public surface resolves: every exported name and every traced benchmark target exists."""
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -39,6 +40,13 @@ def test_every_traced_target_resolves():
     missing = [(m, a) for m, a in targets if not callable(getattr(importlib.import_module(m), a, None))]
     assert not missing, f"perfbench/traced.py TARGETS that no longer resolve: {missing}"
 
+
+
+def test_a_run_and_its_optimum_keep_one_copy_of_each_fact():
+    # Costs are read from the instance's dist and requests from the instance, when a trace needs them.
+    fields = ["algorithm", "master_seed", "opt", "served", "totals"]
+    assert [f.name for f in dataclasses.fields(harness.RunRecord)] == fields
+    assert [f.name for f in dataclasses.fields(hstmatch.OptimalMatching)] == ["served", "cost"]
 
 
 def test_the_greedy_dict_scan_is_a_test_oracle_only():

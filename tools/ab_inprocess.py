@@ -21,7 +21,8 @@ onto a second thread beside the call shows as lower wall time with CPU time
 flat or higher. Prints each side's median and quartiles in milliseconds for
 the call (wall and CPU), the load and the CLI sequence, the median of B/A
 for each, how many pairs B won, and whether both sides returned the same
-reports and wrote the same bytes; the last line is the same as JSON.
+reports and wrote the same bytes, with each side's ``src/`` line count (as
+``wc -l src/hstmatch/*.py`` counts it); the last line is the same as JSON.
 """
 from __future__ import annotations
 
@@ -51,6 +52,11 @@ def load_package(src: Path, alias: str):
     sys.modules[alias] = module
     spec.loader.exec_module(module)
     return module
+
+
+def src_lines(src: Path) -> int:
+    """Newlines in the package's modules, as ``wc -l src/hstmatch/*.py`` totals them."""
+    return sum(path.read_bytes().count(b"\n") for path in (src / "hstmatch").glob("*.py"))
 
 
 def main(argv=None) -> int:
@@ -147,6 +153,8 @@ def main(argv=None) -> int:
         "cli_b_wins": sum(r < 1.0 for r in cli_ratios),
         "same_reports": same,
         "same_cli_files": same_files,
+        "a_src_lines": src_lines(args.a),
+        "b_src_lines": src_lines(args.b),
     }
     for side in ("a", "b"):
         q1, q2, q3 = result[f"{side}_ms"]
@@ -163,7 +171,8 @@ def main(argv=None) -> int:
         f"b/a median {result['median_b_over_a']} per call ({result['cpu_median_b_over_a']} in CPU time),"
         f" {result['load_median_b_over_a']} per load,"
         f" {result['cli_median_b_over_a']} per CLI sequence; b won {result['b_wins']}/{args.pairs} calls"
-        f" and {result['cli_b_wins']}/{args.pairs} CLI sequences; same reports: {same}, same CLI files: {same_files}"
+        f" and {result['cli_b_wins']}/{args.pairs} CLI sequences; same reports: {same}, same CLI files: {same_files};"
+        f" src/ lines {result['a_src_lines']} -> {result['b_src_lines']}"
     )
     print(json.dumps(result))
     return 0 if same and same_files else 1
