@@ -148,14 +148,21 @@ def _record(inst: Instance, tag: str, master_seed: int, solve, blocks, keep_rows
 
 @dataclass(frozen=True)
 class PipelineSetup:
-    """Episode-independent preprocessing shared by all episodes of a run."""
+    """Episode-independent preprocessing shared by all episodes of a run.
+
+    ``opening`` is the run's self-serving opening: the longest prefix of the requests, at most n - 1 of
+    them, whose image class still holds a server when it arrives. The tree matcher serves each at its own
+    leaf, at tree cost 0 and without a draw, in every episode; ``rest`` is ``servers`` less those servers.
+    """
 
     inst: Instance
     g: tuple  # nearest-server image of each request, in request order
     g_sub: tuple  # submetric index of each request's image
-    servers: ServerCounts  # the server submetric's classes and per-class server counts, for frt_embed
+    servers: ServerCounts  # the server submetric's classes and full per-class server counts, as embed dumps them
     stock: dict  # each class representative's server instances as a tuple, highest first, for attach_servers
     lam: float
+    opening: tuple  # the server point of each opening request, in request order
+    rest: ServerCounts  # servers with the opening's taken out, for frt_embed
 
 
 def _checked_images(inst: Instance) -> tuple:
@@ -177,13 +184,23 @@ def pipeline_setup(inst: Instance, g: tuple | None = None) -> PipelineSetup:
     stock: dict = {}
     for p in sorted(inst.servers, reverse=True):
         stock.setdefault(counts.reps[rep_of[mapping[p]]], []).append(p)
+    g_sub = tuple(mapping[p] for p in g)
+    left, opening = counts.per_class.tolist(), []
+    for q in g_sub[:-1]:  # the last request is always the matcher's, so the root stays green
+        c = rep_of[q]
+        if not left[c]:
+            break
+        left[c] -= 1  # leaves c servers: entry c of the stock, as run_episode takes it
+        opening.append(stock[counts.reps[c]][left[c]])
     return PipelineSetup(
         inst=inst,
         g=g,
-        g_sub=tuple(mapping[p] for p in g),
+        g_sub=g_sub,
         servers=counts,
         stock={q: tuple(points) for q, points in stock.items()},
         lam=lambda_for_n(inst.n),
+        opening=tuple(opening),
+        rest=counts._replace(per_class=np.array(left, dtype=counts.per_class.dtype)),
     )
 
 
@@ -191,20 +208,24 @@ def run_episode(setup: PipelineSetup, embed_seed: int, play_seed: int, *, algori
     """Play one full episode of a randomized tag: embed, attach servers, serve every request.
 
     Returns the server point that served each request, in request order.
+    The episode starts after the run's opening (``PipelineSetup.opening``):
+    its tree is drawn over ``setup.rest``, the same tree with those servers
+    taken, and only the later requests reach the matcher. Self-serves draw
+    nothing and build no green list, so this equals serving every request.
     With ``check`` set, every decision is verified against the per-request
     guarantees: the cost d(r, s) never exceeds the inner cost d(g, s) plus
     the discretization distance d(g, r), and the inner (submetric) cost never
-    exceeds the tree cost the matcher paid.
+    exceeds the tree cost the matcher paid (0 for an opening request).
     """
-    tree = frt_embed(setup.servers, EmbeddingParams(lam=setup.lam, seed=embed_seed))
+    tree = frt_embed(setup.rest, EmbeddingParams(lam=setup.lam, seed=embed_seed))
     stock = attach_servers(tree, setup.stock)
     state = rwgm_init(tree, play_seed, policy=_TREE_POLICY[algorithm])
     point_leaf = tree.point_leaf
     left = state.subtree_remaining  # a serve that leaves c servers at a leaf took entry c of the leaf's stock
 
-    served = []
-    tree_costs = []
-    for q in setup.g_sub:
+    served = list(setup.opening)
+    tree_costs = [0.0] * len(served)
+    for q in setup.g_sub[len(served):]:
         server_leaf, tree_cost = rwgm_serve(state, point_leaf[q])
         served.append(stock[server_leaf][left[server_leaf]])
         if check:

@@ -233,10 +233,10 @@ def frt_embed(counts: ServerCounts, params: EmbeddingParams) -> HstTree:
     """Sample one random tree over a metric's points, with the servers below every node.
 
     ``counts`` is ``count_servers(metric, servers)``, which every draw over
-    the same metric and servers shares; the tree is deterministic in
+    the same metric and servers shares, or the same with fewer servers per
+    class (``harness.PipelineSetup.rest``); the tree is deterministic in
     (metric, lam, seed), and the servers set only its counts. Points at
-    distance zero share a leaf; all other points get their own leaf. See
-    the module docstring for the construction and its guarantees.
+    distance zero share a leaf; all other points get their own leaf.
     """
     lam = float(params.lam)
     k = len(counts.reps)

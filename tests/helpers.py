@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from hstmatch.hst import EmbeddingParams, HstTree
+from hstmatch.hst import EmbeddingParams, HstTree, attach_servers, frt_embed
 from hstmatch.metric import TRIANGLE_SLACK, FiniteMetric, Instance, ensure_valid_metric
 from hstmatch.online import POLICIES, RwgmState, rwgm_init, rwgm_serve
 
@@ -533,6 +533,35 @@ def play_on_tree(tree: HstTree, request_points, rng, policy: str = "uniform"):
     return cost, moves
 
 
+def reference_run_episode(setup, embed_seed: int, play_seed: int, *, algorithm="rwgm", check=False) -> list:
+    """One episode with every request served on the full tree: the oracle for ``run_episode``.
+
+    The tree is drawn over the full server counts ``setup.servers`` and every
+    request, the self-serving opening included, goes through ``rwgm_serve``;
+    a serve that leaves c servers at a leaf takes entry c of its stock tuple.
+    ``check`` runs the same per-request checks with the tree costs the matcher
+    returned.
+    """
+    tree = frt_embed(setup.servers, EmbeddingParams(lam=setup.lam, seed=embed_seed))
+    stock = attach_servers(tree, setup.stock)
+    state = rwgm_init(tree, play_seed, policy={"rwgm": "uniform", "rwgm-proportional": "proportional"}[algorithm])
+    served, tree_costs = [], []
+    for q in setup.g_sub:
+        leaf, tree_cost = rwgm_serve(state, tree.point_leaf[q])
+        served.append(stock[leaf][state.subtree_remaining[leaf]])
+        tree_costs.append(tree_cost)
+    if check:
+        dist = setup.inst.metric.dist
+        tol = 1e-9 * float(dist.max())
+        for i, (r, g, s, tree_cost) in enumerate(zip(setup.inst.requests, setup.g, served, tree_costs)):
+            inner_cost = float(dist[g, s])
+            if float(dist[r, s]) > inner_cost + float(dist[g, r]) + tol:
+                raise AssertionError(f"request {i}: wrapper cost exceeds inner cost plus detour")
+            if inner_cost > tree_cost * (1.0 + 1e-12) + tol:
+                raise AssertionError(f"request {i}: tree cost fails to dominate the metric cost")
+    return served
+
+
 def left_to_right_total(costs) -> float:
     """The costs added one at a time from 0.0: the oracle for the record's totals.
 
@@ -589,3 +618,21 @@ def check_trace(document: dict, trace: str, opt: float, episodes: int) -> None:
         assert costs == [repr(float(dist[r][s])) for r, s in zip(requests, served)], (e, costs)
         total = left_to_right_total(map(float, costs))
         assert total >= opt - 1e-9 * abs(opt), (e, total, opt)
+
+
+def check_embed_dump(document: dict, dump: dict) -> None:
+    """Check the tree ``hstmatch embed`` prints for an instance document, from the document alone.
+
+    The tree is drawn over the distinct server points in ascending order, so
+    a leaf's ``leaf_point`` indexes that list. Each zero-distance class of
+    those points (``reference_zero_distance_classes``) is one leaf, whose
+    multiplicity is the class's full server count, and the multiplicities
+    add up to the number of servers.
+    """
+    servers = document["servers"]
+    points = sorted(set(servers))
+    reps, rep_of = reference_zero_distance_classes(np.array(document["dist"], dtype=float)[np.ix_(points, points)])
+    per_class = Counter(reps[rep_of[points.index(s)]] for s in servers)
+    leaves = {node["leaf_point"]: node["multiplicity"] for node in dump["nodes"] if node["multiplicity"] is not None}
+    assert sum(leaves.values()) == len(servers), (leaves, servers)
+    assert leaves == dict(per_class), (leaves, per_class)

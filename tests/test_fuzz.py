@@ -1,11 +1,13 @@
-"""Instance documents fuzzed through ``hstmatch run`` in-process, under every algorithm tag.
+"""Instance documents fuzzed through ``hstmatch run`` in-process, under every algorithm tag, and ``hstmatch embed``.
 
 Each document either runs (exit 0, one line of finite JSON on stdout, the same
 report in the --report file, no ratio below one, and a -o trace that
 ``helpers.check_trace`` accepts against the document) or is refused (exit 1,
 nothing on stdout, no report or trace file, exactly one JSON error line on
 stderr). A refusal is a ValueError of the program's own, never a numpy warning
-turned into an error.
+turned into an error. ``embed`` either prints one tree whose leaves carry every
+zero-distance class's full server count, as ``check_embed_dump`` reads them from
+the document, or is refused in the same way.
 """
 import contextlib
 import io
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import check_trace
+from helpers import check_embed_dump, check_trace
 from hstmatch.cli import main
 from hstmatch.harness import ALGORITHMS
 
@@ -99,7 +101,20 @@ def test_every_run_ends_in_a_finite_report_or_one_error_line(workdir, document):
             check_trace(document, trace_path.read_text(), report["opt"], report["episodes"])
         else:
             assert code == 1 and out == "" and not report_path.exists() and not trace_path.exists()
-            lines = err.split("\n")
-            assert len(lines) == 2 and lines[1] == "", err
-            message = json.loads(lines[0])["error"]
-            assert message.split(":")[0] in ("ValueError", "MetricStructureError"), (tag, message)
+            _assert_one_error_line(err, tag)
+    code, out, err = run_in_process("embed", "--instance", instance, "--seed", 3)
+    if code == 0:
+        assert err == ""
+        lines = out.split("\n")
+        assert len(lines) == 2 and lines[1] == ""
+        check_embed_dump(document, json.loads(lines[0]))
+    else:
+        assert code == 1 and out == ""
+        _assert_one_error_line(err, "embed")
+
+
+def _assert_one_error_line(err: str, command: str) -> None:
+    lines = err.split("\n")
+    assert len(lines) == 2 and lines[1] == "", err
+    message = json.loads(lines[0])["error"]
+    assert message.split(":")[0] in ("ValueError", "MetricStructureError"), (command, message)

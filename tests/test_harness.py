@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 import threading
@@ -10,7 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import harmonic, left_to_right_total, record_costs, record_decisions, reference_trace_csv
+from helpers import (
+    harmonic,
+    left_to_right_total,
+    record_costs,
+    record_decisions,
+    reference_run_episode,
+    reference_trace_csv,
+)
 from hstmatch import harness, hst, metric
 from hstmatch.generators import GeneratorSpec, generate_instance, line_metric, uniform_metric
 from hstmatch.harness import (
@@ -136,6 +144,74 @@ def test_episodes_serve_every_server_instance_once_lowest_index_first_per_leaf(c
         assert used == sorted(used)
 
 
+@st.composite
+def _opening_instances(draw) -> Instance:
+    """Small line instances with coincident points, multiset servers and requests that may equal the servers;
+    some with zeros that are not transitive (a~b and b~c at zero, yet a, c apart), as in test_fuzz."""
+    coords = draw(st.lists(st.integers(0, 4), min_size=1, max_size=7))
+    far = None
+    if len(coords) >= 3 and draw(st.booleans()):
+        coords[1] = coords[2] = coords[0]
+        coords.append(9)  # the slack scales with the largest entry, so far stays within it
+        far = draw(st.sampled_from([1e-300, 1e-10]))  # 5e-324 would overflow the distance spread
+    dist = np.abs(np.subtract.outer(coords, coords)).astype(float)
+    if far is not None:
+        dist[0, 2] = dist[2, 0] = far
+    n = draw(st.integers(1, 10))
+    points = st.lists(st.integers(0, len(coords) - 1), min_size=n, max_size=n)
+    servers = draw(points)
+    requests = draw(st.one_of(points, st.permutations(servers)))
+    return Instance(FiniteMetric.from_matrix(dist), tuple(servers), tuple(requests))
+
+
+_ONE = Instance(line_metric([3.0]), (0,), (0,))  # n = 1: the opening is empty
+_OWN = Instance(line_metric([0, 3, 3]), (0, 1, 1, 2), (2, 1, 0, 1))  # requests are the servers: opening n - 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(inst=_opening_instances())
+@example(inst=_ONE)
+@example(inst=_OWN)
+def test_the_opening_is_the_longest_prefix_before_a_class_runs_dry_short_of_the_last_request(inst):
+    setup = pipeline_setup(inst)
+    counts, rest, n, k = setup.servers, setup.rest, inst.n, len(setup.opening)
+    classes = counts.rep_of[list(setup.g_sub)].tolist()
+    per_class = counts.per_class.tolist()
+    used = Counter(classes[:k])
+    assert all(used[c] <= per_class[c] for c in used)  # every opening request found a server at its class
+    assert k <= n - 1
+    assert k == n - 1 or used[classes[k]] == per_class[classes[k]]  # else the next request's class is dry
+    if Counter(classes) == Counter({c: m for c, m in enumerate(per_class) if m}):
+        assert k == n - 1  # the requests' classes are the servers' classes
+    assert rest.per_class.tolist() == [m - used[c] for c, m in enumerate(per_class)]
+    assert rest.per_class.sum() == n - k
+    assert all(a is b for a, b in zip(rest[:-1], counts[:-1]))  # the same classes and distances
+    assert list(setup.opening) == reference_run_episode(setup, 1, 2)[:k]  # each class's lowest first
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(inst=_opening_instances(), master=st.integers(0, 2**32), algorithm=st.sampled_from(("rwgm", "rwgm-proportional")))
+@example(inst=_ONE, master=0, algorithm="rwgm")
+@example(inst=_OWN, master=0, algorithm="rwgm-proportional")
+def test_an_episode_after_the_opening_serves_as_the_full_episode(inst, master, algorithm):
+    setup = pipeline_setup(inst)
+    for e in range(3):
+        seeds = derive_seed(master, e, 0), derive_seed(master, e, 1)
+        served = run_episode(setup, *seeds, algorithm=algorithm, check=True)
+        assert served == reference_run_episode(setup, *seeds, algorithm=algorithm, check=True)
+
+
+@pytest.mark.parametrize("tag", ["rwgm", "rwgm-proportional"])
+@pytest.mark.parametrize("name", ["depots", "cloud", "line", "golden-multi"])
+def test_episodes_after_the_opening_serve_as_full_episodes_on_benchmark_and_golden_instances(name, tag):
+    setup = pipeline_setup(instance_from_dict(_trace_instances()[name]))
+    assert 0 < len(setup.opening) < setup.inst.n
+    for e in range(20):
+        seeds = derive_seed(3, e, 0), derive_seed(3, e, 1)
+        served = run_episode(setup, *seeds, algorithm=tag, check=True)
+        assert served == reference_run_episode(setup, *seeds, algorithm=tag, check=True)
+
+
 def test_episodes_call_the_embedding_and_matcher_through_harness_names(monkeypatch):
     # perfbench/traced.py times these layers by replacing harness's module
     # attributes; a call that bypassed them would make its metrics read 0.
@@ -148,7 +224,10 @@ def test_episodes_call_the_embedding_and_matcher_through_harness_names(monkeypat
         monkeypatch.setattr(harness, name, counted)
     inst = generate_instance(GeneratorSpec("line", 6, seed=3))
     run_pipeline(inst, master_seed=2, episodes=5)
-    assert calls == {"frt_embed": 5, "attach_servers": 5, "rwgm_init": 5, "rwgm_serve": 5 * inst.n}
+    # The run's opening is served once, in its set-up; every later request of every episode reaches the matcher.
+    opening = len(pipeline_setup(inst).opening)
+    assert opening < inst.n
+    assert calls == {"frt_embed": 5, "attach_servers": 5, "rwgm_init": 5, "rwgm_serve": 5 * (inst.n - opening)}
 
 
 def test_a_run_computes_the_zero_distance_classes_once(monkeypatch):
@@ -544,12 +623,20 @@ def test_run_episode_check_still_catches_broken_decisions(monkeypatch):
     with pytest.raises(ValueError, match="^invalid metric: dist\\[2\\]\\[0\\] = 100.0 > "):
         run_algorithm(bad, "rwgm", master_seed=0, episodes=1)
     setup = pipeline_setup(bad, harness.discretize_all(bad))
+    assert setup.opening == (1,)  # b serves the first request in the opening, the matcher gives a the second
     with pytest.raises(AssertionError, match="^request 1: wrapper cost exceeds inner cost plus detour$"):
-        run_episode(setup, 1, 2, check=True)  # b serves the first request, a the second
+        run_episode(setup, 1, 2, check=True)
+    # The opening's decisions are checked as the matcher's are: a serving the first request is refused.
+    bad_opening = dataclasses.replace(setup, opening=(0,))
+    with pytest.raises(AssertionError, match="^request 0: wrapper cost exceeds inner cost plus detour$"):
+        run_episode(bad_opening, 1, 2, check=True)
 
     inst = generate_instance(GeneratorSpec("line", 5, seed=2))
     setup = pipeline_setup(inst)
     serve = harness.rwgm_serve
     monkeypatch.setattr(harness, "rwgm_serve", lambda state, leaf: (serve(state, leaf)[0], -1.0))
-    with pytest.raises(AssertionError, match="^request 0: tree cost fails to dominate the metric cost$"):
+    # The first request the patched matcher serves is the first after the opening.
+    with pytest.raises(
+        AssertionError, match=f"^request {len(setup.opening)}: tree cost fails to dominate the metric cost$"
+    ):
         run_episode(setup, 1, 2, check=True)

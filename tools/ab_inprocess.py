@@ -18,9 +18,15 @@ share the process, so a slow spell of a shared machine hits them alike; the
 per-pair ratio is what to read. Each call is also timed in process CPU
 seconds (``time.process_time``, every thread of the process): work moved
 onto a second thread beside the call shows as lower wall time with CPU time
-flat or higher. Prints each side's median and quartiles in milliseconds for
-the call (wall and CPU), the load and the CLI sequence, the median of B/A
-for each, how many pairs B won, and whether both sides returned the same
+flat or higher. To show where a call's time goes, each pair also times, per
+side, the optimum on its own (``optimal_matching`` on the loaded instance)
+and an episodes-only call: ``run_pipeline`` with that side's
+``harness.optimal_matching`` swapped for a function that returns the optimum
+just solved, so the helper thread starts and joins at once. A call that takes
+about as long as its solve alone is bounded by the solve. Prints each side's
+median and quartiles in milliseconds for the call (wall and CPU), the
+episodes-only call, the solve, the load and the CLI sequence, the median of
+B/A for each, how many pairs B won, and whether both sides returned the same
 reports and wrote the same bytes, with each side's ``src/`` line count (as
 ``wc -l src/hstmatch/*.py`` counts it); the last line is the same as JSON.
 """
@@ -88,7 +94,21 @@ def main(argv=None) -> int:
         t1, c1 = time.perf_counter(), time.process_time()
         report = pkg.run_pipeline(inst, args.seed, episodes)
         wall_s, cpu_s = time.perf_counter() - t1, time.process_time() - c1
-        return t1 - t0, wall_s, cpu_s, pkg.harness.report_to_dict(report)
+        return t1 - t0, wall_s, cpu_s, pkg.harness.report_to_dict(report), inst
+
+    def solve_then_episodes(pkg, inst) -> tuple:
+        """Seconds for the optimum alone, then for a call whose solve returns that optimum at once."""
+        harness = pkg.harness
+        solve = harness.optimal_matching
+        t0 = time.perf_counter()
+        om = solve(inst)
+        t1 = time.perf_counter()
+        harness.optimal_matching = lambda _inst: om
+        try:
+            pkg.run_pipeline(inst, args.seed, episodes)
+        finally:
+            harness.optimal_matching = solve
+        return t1 - t0, time.perf_counter() - t1
 
     def run_commands(s: int) -> tuple:
         """Seconds for side s's CLI sequence, and the bytes of every file it wrote."""
@@ -109,15 +129,21 @@ def main(argv=None) -> int:
     times: tuple = ([], [])
     cpu_times: tuple = ([], [])
     cli_times: tuple = ([], [])
+    solve_times: tuple = ([], [])
+    episode_times: tuple = ([], [])
     same = same_files = True
     for i in range(args.pairs):
         order = (0, 1) if i % 2 == 0 else (1, 0)
-        reports, files = {}, {}
+        reports, files, insts = {}, {}, {}
         for s in order:
-            load_s, call_s, cpu_s, reports[s] = load_and_call(sides[s])
+            load_s, call_s, cpu_s, reports[s], insts[s] = load_and_call(sides[s])
             loads[s].append(load_s)
             times[s].append(call_s)
             cpu_times[s].append(cpu_s)
+        for s in order:
+            solve_s, episodes_s = solve_then_episodes(sides[s], insts[s])
+            solve_times[s].append(solve_s)
+            episode_times[s].append(episodes_s)
         for s in order:
             cli_s, files[s] = run_commands(s)
             cli_times[s].append(cli_s)
@@ -131,6 +157,8 @@ def main(argv=None) -> int:
     ratios = [b / a for a, b in zip(*times)]
     cpu_ratios = [b / a for a, b in zip(*cpu_times)]
     load_ratios = [b / a for a, b in zip(*loads)]
+    episode_ratios = [b / a for a, b in zip(*episode_times)]
+    solve_ratios = [b / a for a, b in zip(*solve_times)]
     cli_ratios = [b / a for a, b in zip(*cli_times)]
     result = {
         "workload": args.workload,
@@ -144,6 +172,12 @@ def main(argv=None) -> int:
         "a_cpu_ms": quartiles_ms(cpu_times[0]),
         "b_cpu_ms": quartiles_ms(cpu_times[1]),
         "cpu_median_b_over_a": round(statistics.median(cpu_ratios), 4),
+        "a_episodes_only_ms": quartiles_ms(episode_times[0]),
+        "b_episodes_only_ms": quartiles_ms(episode_times[1]),
+        "episodes_only_median_b_over_a": round(statistics.median(episode_ratios), 4),
+        "a_solve_ms": quartiles_ms(solve_times[0]),
+        "b_solve_ms": quartiles_ms(solve_times[1]),
+        "solve_median_b_over_a": round(statistics.median(solve_ratios), 4),
         "a_load_ms": quartiles_ms(loads[0]),
         "b_load_ms": quartiles_ms(loads[1]),
         "load_median_b_over_a": round(statistics.median(load_ratios), 4),
@@ -159,16 +193,22 @@ def main(argv=None) -> int:
     for side in ("a", "b"):
         q1, q2, q3 = result[f"{side}_ms"]
         p1, p2, p3 = result[f"{side}_cpu_ms"]
+        e1, e2, e3 = result[f"{side}_episodes_only_ms"]
+        o1, o2, o3 = result[f"{side}_solve_ms"]
         l1, l2, l3 = result[f"{side}_load_ms"]
         c1, c2, c3 = result[f"{side}_cli_ms"]
         print(
             f"{side}: median {q2:.3f} ms per call (quartiles {q1:.3f} .. {q3:.3f}),"
             f" {p2:.3f} ms CPU per call (quartiles {p1:.3f} .. {p3:.3f}),"
+            f" {e2:.3f} ms per episodes-only call (quartiles {e1:.3f} .. {e3:.3f}),"
+            f" {o2:.3f} ms per solve (quartiles {o1:.3f} .. {o3:.3f}),"
             f" {l2:.3f} ms per load (quartiles {l1:.3f} .. {l3:.3f}),"
             f" {c2:.3f} ms per CLI sequence (quartiles {c1:.3f} .. {c3:.3f})"
         )
     print(
         f"b/a median {result['median_b_over_a']} per call ({result['cpu_median_b_over_a']} in CPU time),"
+        f" {result['episodes_only_median_b_over_a']} per episodes-only call,"
+        f" {result['solve_median_b_over_a']} per solve,"
         f" {result['load_median_b_over_a']} per load,"
         f" {result['cli_median_b_over_a']} per CLI sequence; b won {result['b_wins']}/{args.pairs} calls"
         f" and {result['cli_b_wins']}/{args.pairs} CLI sequences; same reports: {same}, same CLI files: {same_files};"
