@@ -61,9 +61,21 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _entries(flag: str, text: str) -> list:
+    """A comma-separated flag value's entries, none for an empty value; refuses an empty entry."""
+    entries = text.split(",") if text else []
+    if not all(entries):
+        raise ValueError(f"--{flag} {text!r} has an empty entry")
+    return entries
+
+
 def _cmd_sweep(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    algorithms = [a for a in args.algorithms.split(",") if a]
+    sizes = _entries("sizes", args.sizes)
+    for s in sizes:
+        if not (s.isascii() and s.removeprefix("-").isdigit()):  # int() would also take '+4', ' 4' and '4_0'
+            raise ValueError(f"--sizes entry {s!r} is not an integer")
+    sizes = [int(s) for s in sizes]
+    algorithms = _entries("algorithms", args.algorithms)
     rows = sweep(args.family, sizes, algorithms, args.episodes, args.seed, dim=args.dim, coord_range=args.coord_range)
     _write_text(args.output, sweep_csv(rows))
     print(json.dumps({"written": str(args.output), "rows": len(rows)}))

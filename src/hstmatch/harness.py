@@ -8,10 +8,11 @@ descent choices, so the reported mean averages over both.
 
 Randomness contract: episode e owns two integer seeds, slot 0 for the
 embedding and slot 1 for play, each the 64-bit state word that
-``SeedSequence(entropy=master_seed, spawn_key=(e, slot))`` generates. A run
-computes them with SeedSequence's algorithm in one numpy pass per block of
-episodes, and the tests check them against numpy's own. Streams are PCG64;
-identical seeds replay identical traces on any platform.
+``SeedSequence(entropy=master_seed, spawn_key=(e, slot))`` generates, and
+each slot's stream is ``np.random.PCG64(seed)``. A run computes the seeds, and
+the state words each PCG64 seeds itself with, by SeedSequence's algorithm in
+one numpy pass per block of episodes, and the tests check both against
+numpy's own. Identical seeds replay identical traces on any platform.
 """
 from __future__ import annotations
 
@@ -81,9 +82,15 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ r >> 16
 
 
+def _generate_state(pool: np.ndarray, n: int) -> np.ndarray:
+    """``generate_state(n, np.uint64)`` of the SeedSequence whose pool is each row of ``pool`` (uint32 [..., 4])."""
+    words = _hashmix(pool[..., np.arange(2 * n) % 4], _INIT_B, _MULT_B, 0, 2 * n).astype(np.uint64)
+    return words[..., 0::2] | words[..., 1::2] << np.uint64(32)
+
+
 def _episode_seeds(master_seed: int, start: int, stop: int):
-    """Each block of ``_SEED_BLOCK`` episodes e in [start, stop), as the list of their seed pairs
-    ``(derive_seed(master_seed, e, 0), derive_seed(master_seed, e, 1))``.
+    """Each block of ``_SEED_BLOCK`` episodes e in [start, stop), as the uint64 array [episode, slot] of
+    ``derive_seed(master_seed, e, slot)`` for slots 0 and 1.
 
     A child's entropy is the master's words, zero-padded to the four-word pool
     (zeros hash as the pool's own fill does), then the spawn words e and slot.
@@ -94,12 +101,39 @@ def _episode_seeds(master_seed: int, start: int, stop: int):
     pool = np.random.SeedSequence(int(master_seed)).pool
     # The master took 4 hashes to fill the pool, 12 to mix it, and 4 per word past the pool.
     done = 16 + 4 * max(0, -(-int(master_seed).bit_length() // 32) - 4)
-    slots = _hashmix(np.array([0, 1], dtype=np.uint32).reshape(2, 1, 1), _INIT_A, _MULT_A, done + 4, 4)
+    slots = _hashmix(np.array([0, 1], dtype=np.uint32).reshape(2, 1), _INIT_A, _MULT_A, done + 4, 4)
     for lo in range(start, stop, _SEED_BLOCK):
-        e = np.arange(lo, min(lo + _SEED_BLOCK, stop), dtype=np.uint32)[:, None]
-        mixed = _mix(_mix(pool, _hashmix(e, _INIT_A, _MULT_A, done, 4)), slots)  # [slot, episode, word]
-        words = _hashmix(mixed[..., :2], _INIT_B, _MULT_B, 0, 2).astype(np.uint64)  # generate_state
-        yield list(zip(*(words[..., 0] | words[..., 1] << np.uint64(32)).tolist()))
+        e = np.arange(lo, min(lo + _SEED_BLOCK, stop), dtype=np.uint32)[:, None, None]
+        yield _generate_state(_mix(_mix(pool, _hashmix(e, _INIT_A, _MULT_A, done, 4)), slots), 1)[..., 0]
+
+
+def _seed_states(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)``, what ``PCG64(seed)`` seeds itself with, for each entry of
+    a uint64 array, on a new last axis: two entropy words, zero-padded to the pool, 12 mixing hashes, 8 output ones."""
+    pool = np.zeros((*seeds.shape, 4), dtype=np.uint32)
+    pool[..., 0], pool[..., 1] = seeds & np.uint64(0xFFFFFFFF), seeds >> np.uint64(32)
+    pool = _hashmix(pool, _INIT_A, _MULT_A, 0, 4)
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        pool[..., dst] = _mix(pool[..., dst], _hashmix(pool[..., src, None], _INIT_A, _MULT_A, 4 + 3 * src, 3))
+    return np.ascontiguousarray(_generate_state(pool, 4))
+
+
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """Stands in for ``SeedSequence(seed)``: hands a bit generator the state words ``_seed_states`` computed."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words  # C-contiguous uint64[4]: PCG64 reads the raw buffer, so a strided view seeds another stream
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
+def _episode_streams(master_seed: int, start: int, stop: int):
+    """Each block of ``_episode_seeds``, as the list of each episode's (embedding, play) bit generators,
+    each equal to ``np.random.PCG64(seed)`` for its slot's seed: one numpy pass seeds a block."""
+    for seeds in _episode_seeds(master_seed, start, stop):
+        yield [(np.random.PCG64(_StateWords(a)), np.random.PCG64(_StateWords(b))) for a, b in _seed_states(seeds)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,10 +238,11 @@ def pipeline_setup(inst: Instance, g: tuple | None = None) -> PipelineSetup:
     )
 
 
-def run_episode(setup: PipelineSetup, embed_seed: int, play_seed: int, *, algorithm="rwgm", check=False) -> list:
+def run_episode(setup: PipelineSetup, embed_seed, play_seed, *, algorithm="rwgm", check=False) -> list:
     """Play one full episode of a randomized tag: embed, attach servers, serve every request.
 
-    Returns the server point that served each request, in request order.
+    Each seed is a non-negative integer or the PCG64 bit generator it seeds, as ``_episode_streams``
+    builds them. Returns the server point that served each request, in request order.
     The episode starts after the run's opening (``PipelineSetup.opening``):
     its tree is drawn over ``setup.rest``, the same tree with those servers
     taken, and only the later requests reach the matcher. Self-serves draw
@@ -314,7 +349,7 @@ def _run_tag(inst: Instance, tag: str, master_seed: int, episodes: int, solve, g
         setup = pipeline_setup(inst, g)
         blocks = (
             [run_episode(setup, embed, play, algorithm=tag, check=check) for embed, play in block]
-            for block in _episode_seeds(master_seed, 0, episodes)
+            for block in _episode_streams(master_seed, 0, episodes)
         )
     return _record(inst, tag, master_seed, solve, blocks, keep_rows)
 
@@ -386,7 +421,6 @@ def report_to_dict(record: RunRecord) -> dict:
         std_error = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
     if not (math.isfinite(mean) and math.isfinite(std_error)):
         raise ValueError(f"{record.algorithm} run overflows: mean {mean!r}, standard error {std_error!r}")
-    qs = np.quantile(values, [0.1, 0.5, 0.9])
     return {
         "algorithm": record.algorithm,
         "episodes": len(values),
@@ -396,6 +430,20 @@ def report_to_dict(record: RunRecord) -> dict:
         "std_error": std_error,
         "min": float(values.min()),
         "max": float(values.max()),
-        "quantiles": {"p10": float(qs[0]), "p50": float(qs[1]), "p90": float(qs[2])},
+        "quantiles": dict(zip(("p10", "p50", "p90"), _quantiles(values, (0.1, 0.5, 0.9)))),
         "master_seed": record.master_seed,
     }
+
+
+def _quantiles(values: np.ndarray, qs) -> list:
+    """``np.quantile(values, qs)`` by its linear method, bit for bit on finite values other than -0.0, from one sorted
+    copy: ``np.quantile`` itself calls ``np.unique``, which imports ``numpy.ma`` on its first call."""
+    ordered = np.sort(values)
+    last = len(ordered) - 1
+    out = []
+    for q in qs:
+        at = last * q
+        lo = math.floor(at)
+        a, b, t = float(ordered[lo]), float(ordered[min(lo + 1, last)]), at - lo
+        out.append(b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t)  # numpy's _lerp
+    return out

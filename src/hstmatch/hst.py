@@ -25,12 +25,16 @@ Construction: ``count_servers`` computes the part of a draw that depends
 only on the metric and the servers (the classes of points at distance zero,
 the distances between class representatives in units of d_min, the log of
 the diameter, and the servers counted per class) once for all draws over
-them. A draw then builds the tree top-down in one vectorized pass per
-level: every class joins the first center in permutation order within the
-level's radius, and the level's nodes are the distinct (parent node,
-center) pairs in sorted order. Nodes therefore come out numbered breadth-first with every leaf at level 0,
-a class that is split off early continuing as a chain of single-child nodes,
-and one count weighted by the classes' servers gives the level's server counts.
+them. A draw then finds every class's center at every level, one
+vectorized pass per level: a class joins the first center in permutation
+order within the level's radius. One sort of the classes by their centers,
+level by level from the top, then reads off the whole tree: a class's node
+at a level is its sequence of centers down to that level, so each level's
+nodes are the runs of equal prefixes in sorted order. Nodes therefore come
+out numbered breadth-first with every node's children consecutive and every
+leaf at level 0, a class that is split off early continuing as a chain of
+single-child nodes, and one count weighted by the classes' servers gives
+every node's server count.
 A draw whose node bound height * k + 1 over k classes exceeds
 MAX_TREE_NODES, or whose distances would overflow a float, is refused.
 """
@@ -76,15 +80,17 @@ def lambda_for_n(n: int) -> float:
 
 @dataclass(frozen=True)
 class EmbeddingParams:
-    """Knobs of one embedding draw."""
+    """Knobs of one embedding draw: ``seed`` is a non-negative integer, which seeds the draw's PCG64 stream,
+    or that stream's bit generator itself, which the draw advances."""
 
     lam: float
-    seed: int
+    seed: int | np.random.BitGenerator
 
     def __post_init__(self) -> None:
         if not (isinstance(self.lam, numbers.Real) and math.isfinite(self.lam) and self.lam > 1.0):
             raise ValueError(f"lam must be finite and exceed 1, got {self.lam!r}")
-        if not (_is_int(self.seed) and self.seed >= 0):  # None would draw from OS entropy
+        bits = isinstance(self.seed, np.random.BitGenerator)
+        if not (bits or _is_int(self.seed) and self.seed >= 0):  # None would draw from OS entropy
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
@@ -235,7 +241,8 @@ def frt_embed(counts: ServerCounts, params: EmbeddingParams) -> HstTree:
     ``counts`` is ``count_servers(metric, servers)``, which every draw over
     the same metric and servers shares, or the same with fewer servers per
     class (``harness.PipelineSetup.rest``); the tree is deterministic in
-    (metric, lam, seed), and the servers set only its counts. Points at
+    (metric, lam, seed), or in the state of a bit generator passed as the
+    seed, and the servers set only its counts. Points at
     distance zero share a leaf; all other points get their own leaf.
     """
     lam = float(params.lam)
@@ -254,42 +261,42 @@ def frt_embed(counts: ServerCounts, params: EmbeddingParams) -> HstTree:
     dp = counts.dn.take(perm, axis=1)
 
     # One pass per level. A class joins the first center in permutation order
-    # that covers it, whatever its cluster, so the children of every cluster
-    # come out of one argmax over all classes; sorting them by (parent,
-    # center) numbers the nodes breadth-first, with every node's children
-    # consecutive.
-    ups: list = []  # parent of every node below the root, level by level
-    level: list = [height]
-    below: list = [w.sum(keepdims=True)]  # servers below every node, level by level
-    node = np.zeros(k, dtype=np.intp)  # each class's node at the level just built
-    first = 1
-    for lv in range(height - 1, -1, -1):
-        winner = (dp <= beta * lam ** (lv - 1)).argmax(axis=1)
-        keys, node = np.unique(node * k + winner, return_inverse=True)
-        ups.append(keys // k)
-        level.extend([lv] * len(keys))
-        below.append(np.bincount(node, weights=w, minlength=len(keys)))
-        node += first
-        first += len(keys)
-    if len(keys) < k:  # radius beta/lam < 1 forces singletons at level 0
+    # that covers it, whatever its cluster, so row i of ``centers`` holds
+    # every class's center at level height - 1 - i. A class's node at a level
+    # is its column of centers down to that level, so one sort of the columns
+    # puts every node's classes together, and a node starts wherever a column
+    # first differs from its left neighbour at or above the level.
+    centers = np.empty((height, k), dtype=np.intp)
+    for i in range(height):
+        np.argmax(dp <= beta * lam ** (height - 2 - i), axis=1, out=centers[i])
+    order = np.lexsort(centers[::-1])
+    starts = np.ones((height, k), dtype=bool)
+    np.logical_or.accumulate(np.diff(centers[:, order], axis=1) != 0, axis=0, out=starts[:, 1:])
+    if not starts[-1].all():  # radius beta/lam < 1 forces singletons at level 0
         raise AssertionError("partition did not reach singletons")
 
-    # The last k nodes are the leaves; every other node's children are the
-    # id range that ends one past its last child.
-    up = np.concatenate(ups)
-    ends = (np.bincount(up, minlength=first - k).cumsum() + 1).tolist()
-    ids = tuple(range(first))
-    leaves = node.tolist()
+    # Row-major numbering is breadth-first with every node's children
+    # consecutive; the last k nodes are the leaves, and every other node's
+    # children are the id range that ends one past its last child.
+    ids = starts.cumsum().reshape(height, k)
+    n_nodes = int(ids[-1, -1]) + 1
+    up = np.concatenate([np.zeros((1, k), dtype=np.intp), ids[:-1]])[starts]
+    ends = (np.bincount(up, minlength=n_nodes - k).cumsum() + 1).tolist()
+    below = np.bincount(ids.ravel(), weights=np.tile(w[order], height), minlength=n_nodes)
+    below[0] = w.sum()
+    leaf = np.empty(k, dtype=np.intp)  # each class's leaf
+    leaf[order] = ids[-1]
+    nodes = tuple(range(n_nodes))
     return HstTree(
         lam=lam,
         scale=scale,
         height=height,
         parent=(None, *up.tolist()),
-        children=tuple([ids[a:b] for a, b in zip([1, *ends], ends)]) + ((),) * k,
-        level=tuple(level),
-        leaf_point=dict(zip(leaves, counts.reps)),
-        point_leaf=dict(enumerate(node[counts.rep_of].tolist())),
-        servers=tuple(np.concatenate(below).astype(np.intp).tolist()),
+        children=tuple([nodes[a:b] for a, b in zip([1, *ends], ends)]) + ((),) * k,
+        level=(height, *(height - 1 - np.nonzero(starts)[0]).tolist()),
+        leaf_point=dict(zip(leaf.tolist(), counts.reps)),
+        point_leaf=dict(enumerate(leaf[counts.rep_of].tolist())),
+        servers=tuple(below.astype(np.intp).tolist()),
     )
 
 

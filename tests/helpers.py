@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from hstmatch import hst
 from hstmatch.hst import EmbeddingParams, HstTree, attach_servers, frt_embed
 from hstmatch.metric import TRIANGLE_SLACK, FiniteMetric, Instance, ensure_valid_metric
 from hstmatch.online import POLICIES, RwgmState, rwgm_init, rwgm_serve
@@ -327,6 +328,55 @@ def reference_frt_embed(metric: FiniteMetric, params: EmbeddingParams, servers) 
     rep_leaf = {pt: leaf for leaf, pt in t.leaf_point.items()}
     point_leaf = {p: rep_leaf[reps[rep_of[p]]] for p in range(npts)}
     return attach(dataclasses.replace(t, point_leaf=point_leaf), servers)
+
+
+def level_pass_frt_embed(counts, params: EmbeddingParams) -> HstTree:
+    """``frt_embed`` built one level at a time, the oracle for its one sort per tree.
+
+    Each level's nodes are the distinct (parent node, center) pairs in sorted
+    order, found by one ``np.unique`` per level, and each level's server
+    counts by one weighted ``bincount``; the preamble (height, scale, budget,
+    draws) is ``frt_embed``'s own.
+    """
+    lam = float(params.lam)
+    k = len(counts.reps)
+    w = counts.per_class
+    height = math.ceil(counts.log_diameter / math.log(lam)) + 1 if counts.log_diameter > 0.0 else 1
+    scale = lam * counts.d_min if k > 1 else 1.0
+    hst._check_budget(height, k, lam, scale)
+    rng = np.random.default_rng(params.seed)
+    beta = lam ** rng.random()
+    dp = counts.dn.take(rng.permutation(k), axis=1)
+
+    ups: list = []
+    level: list = [height]
+    below: list = [w.sum(keepdims=True)]
+    node = np.zeros(k, dtype=np.intp)  # each class's node at the level just built
+    first = 1
+    for lv in range(height - 1, -1, -1):
+        winner = (dp <= beta * lam ** (lv - 1)).argmax(axis=1)
+        keys, node = np.unique(node * k + winner, return_inverse=True)
+        ups.append(keys // k)
+        level.extend([lv] * len(keys))
+        below.append(np.bincount(node, weights=w, minlength=len(keys)))
+        node += first
+        first += len(keys)
+    assert len(keys) == k, "partition did not reach singletons"
+
+    up = np.concatenate(ups)
+    ends = (np.bincount(up, minlength=first - k).cumsum() + 1).tolist()
+    ids = tuple(range(first))
+    return HstTree(
+        lam=lam,
+        scale=scale,
+        height=height,
+        parent=(None, *up.tolist()),
+        children=tuple([ids[a:b] for a, b in zip([1, *ends], ends)]) + ((),) * k,
+        level=tuple(level),
+        leaf_point=dict(zip(node.tolist(), counts.reps)),
+        point_leaf=dict(enumerate(node[counts.rep_of].tolist())),
+        servers=tuple(np.concatenate(below).astype(np.intp).tolist()),
+    )
 
 
 class ReferenceRwgmState:

@@ -171,6 +171,49 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
     assert (tmp_path / "trace.csv").exists() and (tmp_path / "sweep.csv").exists()
 
 
+def test_run_and_sweep_leave_numpy_ma_unloaded(tmp_path):
+    # np.quantile imports numpy.ma on its first call, for tens of milliseconds per process.
+    src = Path(hstmatch.__file__).resolve().parents[1]
+    inst_path = tmp_path / "inst.json"
+    run_cli("generate", "--family", "line", "--n", 6, "--seed", 4, "-o", inst_path)
+    commands = [
+        ["run", "--instance", inst_path, "--algorithm", "rwgm", "--episodes", 5, "--report", tmp_path / "r.json",
+         "-o", tmp_path / "trace.csv"],
+        ["sweep", "--family", "line", "--sizes", "3,5", "--algorithms", "rwgm,greedy,optimal",
+         "--episodes", 3, "-o", tmp_path / "sweep.csv"],
+    ]
+    code = (
+        "import sys, hstmatch.cli; code = hstmatch.cli.main(sys.argv[1:]); "
+        "sys.exit(code or 10 * ('numpy.ma' in sys.modules))"
+    )
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *map(str, argv)], cwd=src, capture_output=True, timeout=60
+        )
+        assert proc.returncode == 0, (argv[0], proc.returncode, proc.stderr.decode())
+    assert (tmp_path / "r.json").exists() and (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "sizes, algorithms, message",
+    [
+        ("4,,5", "rwgm", "--sizes '4,,5' has an empty entry"),
+        ("4,", "rwgm", "--sizes '4,' has an empty entry"),
+        ("4.5", "rwgm", "--sizes entry '4.5' is not an integer"),
+        ("4,+5", "rwgm", "--sizes entry '+5' is not an integer"),
+        ("4_0", "rwgm", "--sizes entry '4_0' is not an integer"),
+        ("4", "rwgm,,greedy", "--algorithms 'rwgm,,greedy' has an empty entry"),
+        ("4", ",rwgm", "--algorithms ',rwgm' has an empty entry"),
+    ],
+)
+def test_sweep_refuses_malformed_list_entries(tmp_path, capsys, sizes, algorithms, message):
+    out = tmp_path / "sweep.csv"
+    code = run_cli("sweep", "--family", "line", "--sizes", sizes, "--algorithms", algorithms, "-o", out)
+    assert code == 1
+    assert one_error_line(capsys) == f"ValueError: {message}"
+    assert not out.exists()
+
+
 def one_error_line(capsys) -> str:
     lines = capsys.readouterr().err.strip().split("\n")
     assert len(lines) == 1

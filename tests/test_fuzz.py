@@ -1,4 +1,5 @@
-"""Instance documents fuzzed through ``hstmatch run`` in-process, under every algorithm tag, and ``hstmatch embed``.
+"""Instance documents fuzzed through ``hstmatch run`` in-process, under every algorithm tag, and ``hstmatch embed``;
+argument strings fuzzed through ``hstmatch sweep``.
 
 Each document either runs (exit 0, one line of finite JSON on stdout, the same
 report in the --report file, no ratio below one, and a -o trace that
@@ -7,7 +8,8 @@ nothing on stdout, no report or trace file, exactly one JSON error line on
 stderr). A refusal is a ValueError of the program's own, never a numpy warning
 turned into an error. ``embed`` either prints one tree whose leaves carry every
 zero-distance class's full server count, as ``check_embed_dump`` reads them from
-the document, or is refused in the same way.
+the document, or is refused in the same way. A ``sweep`` either writes one row
+per (size, algorithm) pair or is refused in the same way, with no table written.
 """
 import contextlib
 import io
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 from helpers import check_embed_dump, check_trace
 from hstmatch.cli import main
+from hstmatch.generators import FAMILIES
 from hstmatch.harness import ALGORITHMS
 
 # Floats a document may hold: signed zeros, subnormals, ordinary values, values near the
@@ -118,3 +121,35 @@ def _assert_one_error_line(err: str, command: str) -> None:
     assert len(lines) == 2 and lines[1] == "", err
     message = json.loads(lines[0])["error"]
     assert message.split(":")[0] in ("ValueError", "MetricStructureError"), (command, message)
+
+
+SIZE_ENTRIES = ["1", "2", "3", "0", "-2", "", "2.5", "+2", " 2", "2_0", "x", "1e1"]
+ALGORITHM_ENTRIES = [*ALGORITHMS, "", "RWGM", "rwgm "]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    family=st.sampled_from(FAMILIES),
+    sizes=st.lists(st.sampled_from(SIZE_ENTRIES), min_size=1, max_size=3).map(",".join),
+    algorithms=st.lists(st.sampled_from(ALGORITHM_ENTRIES), min_size=1, max_size=3).map(",".join),
+)
+@example(family="line", sizes="4,,5", algorithms="rwgm")
+@example(family="line", sizes="2,3", algorithms="rwgm,greedy,optimal")
+def test_every_sweep_writes_its_rows_or_one_error_line(workdir, family, sizes, algorithms):
+    table = workdir / "sweep.csv"
+    table.unlink(missing_ok=True)
+    code, out, err = run_in_process(
+        "sweep", "--family", family, f"--sizes={sizes}", f"--algorithms={algorithms}", "--episodes", 2, "-o", table
+    )  # "--sizes=-2,1", as "--sizes -2,1" would read "-2,1" as a flag
+    if code == 0:
+        rows = len(sizes.split(",")) * len(algorithms.split(","))
+        assert err == "" and json.loads(out) == {"written": str(table), "rows": rows}
+        lines = table.read_text().split("\n")
+        assert lines[0] == "n,algorithm,mean_ratio,std_error" and len(lines) == rows + 2 and lines[-1] == ""
+    else:
+        assert code == 1 and out == "" and not table.exists()
+        _assert_one_error_line(err, "sweep")
+    entries = sizes.split(",") + algorithms.split(",")
+    if "" in entries or any(not (s.isascii() and s.removeprefix("-").isdigit()) for s in sizes.split(",")):
+        assert code == 1 and ("sizes" in err or "algorithms" in err), err  # the refusal names its flag

@@ -67,9 +67,43 @@ def test_episode_seed_blocks_equal_derive_seed(words, master, numpy_type, start,
     stop = min(start + count, 2**32)
     blocks = list(harness._episode_seeds(master, start, stop))
     assert [len(block) for block in blocks[:-1]] == [harness._SEED_BLOCK] * (len(blocks) - 1)
-    got = [pair for block in blocks for pair in block]
+    got = [tuple(pair) for block in blocks for pair in block.tolist()]
     assert got == [(derive_seed(master, e, 0), derive_seed(master, e, 1)) for e in range(start, stop)]
     assert all(type(seed) is int for pair in got for seed in pair)
+
+
+SEED_EDGES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)  # one entropy word, two, and the largest of each
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
+@example(seeds=list(SEED_EDGES))
+def test_seed_states_are_what_pcg64_seeds_itself_with(seeds):
+    states = harness._seed_states(np.array(seeds, dtype=np.uint64))
+    for seed, words in zip(seeds, states):
+        assert words.tolist() == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+        assert words.flags.c_contiguous  # PCG64 reads the raw buffer: a strided view would seed another stream
+        assert np.random.PCG64(harness._StateWords(words)).state == np.random.PCG64(seed).state
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    master=st.one_of(st.sampled_from(SEED_EDGES), st.integers(0, 2**96)),
+    start=st.integers(0, 2 * harness._SEED_BLOCK),
+    count=st.integers(1, 40),
+)
+@example(master=0, start=harness._SEED_BLOCK - 3, count=6)  # crosses a block boundary
+@example(master=2**64 - 1, start=2 * harness._SEED_BLOCK - 1, count=2)
+def test_episode_streams_equal_pcg64_of_each_slot_seed(master, start, count):
+    blocks = list(harness._episode_streams(master, start, start + count))
+    seed_blocks = list(harness._episode_seeds(master, start, start + count))
+    assert [len(block) for block in blocks] == [len(seeds) for seeds in seed_blocks]
+    streams = [pair for block in blocks for pair in block]
+    assert len(streams) == count
+    for e, pair in zip(range(start, start + count), streams):
+        for slot, bits in enumerate(pair):
+            assert type(bits) is np.random.PCG64
+            assert bits.state == np.random.PCG64(derive_seed(master, e, slot)).state
 
 
 def test_run_algorithm_refuses_more_episodes_than_32_bit_indices():
@@ -80,6 +114,21 @@ def test_run_algorithm_refuses_more_episodes_than_32_bit_indices():
             r"^episodes must be a positive integer at most 2\*\*32, got 4294967297$",
         )
     _one_line_value_error(lambda: sweep("star", [2], ["rwgm"], episodes=2**32 + 1, master_seed=0), "at most 2")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    pool=st.lists(st.floats(0.0, 1.7976931348623157e308), min_size=1, max_size=12),
+    picks=st.lists(st.integers(0, 11), min_size=1, max_size=300),
+    scale=st.sampled_from([1.0, 1e-10, 1e-300]),
+)
+@example(pool=[1.0], picks=[0], scale=1.0)  # one episode
+@example(pool=[0.0, 5e-324, 1.7976931348623157e308], picks=[0, 1, 2, 2, 1], scale=1.0)
+def test_report_quantiles_equal_np_quantile_byte_for_byte(pool, picks, scale):
+    # Ties from a small pool of finite values, wide magnitudes, and every length from one episode up.
+    values = np.array([pool[i % len(pool)] for i in picks]) * scale
+    want = np.quantile(values, [0.1, 0.5, 0.9]).tolist()
+    assert [q.hex() for q in harness._quantiles(values, (0.1, 0.5, 0.9))] == [q.hex() for q in want]
 
 
 def test_zero_opt_instances_report_absolute_cost():

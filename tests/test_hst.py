@@ -4,13 +4,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hstmatch.hst as hst
 from helpers import (
     RawTree,
     height1_tree,
+    level_pass_frt_embed,
     normalize_hst,
     random_tree,
     reference_frt_embed,
@@ -56,6 +57,9 @@ def test_embedding_params_requires_lam_above_one():
         (2.0, 1.5, "seed must be a non-negative integer, got 1.5"),
         (2.0, "3", "seed must be a non-negative integer, got '3'"),
         (2.0, -1, "seed must be a non-negative integer, got -1"),
+        (2.0, np.True_, "seed must be a non-negative integer, got np.True_"),
+        (2.0, np.float64(2.0), "seed must be a non-negative integer, got np.float64(2.0)"),
+        (2.0, np.int64(-1), "seed must be a non-negative integer, got np.int64(-1)"),
         ("2", 0, "lam must be finite and exceed 1, got '2'"),
         (None, 0, "lam must be finite and exceed 1, got None"),
     ],
@@ -63,6 +67,24 @@ def test_embedding_params_requires_lam_above_one():
 def test_embedding_params_refuse_seeds_and_lams_of_the_wrong_type(lam, seed, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         EmbeddingParams(lam=lam, seed=seed)
+
+
+def test_embedding_params_take_a_bit_generator_but_not_a_generator():
+    bits = np.random.PCG64(3)
+    assert EmbeddingParams(lam=2.0, seed=bits).seed is bits
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got Generator\(PCG64\)"):
+        EmbeddingParams(lam=2.0, seed=np.random.default_rng(3))
+
+
+def test_frt_embed_draws_from_a_bit_generator_as_from_its_seed():
+    counts = count_servers(euclidean_metric(np.random.default_rng(8).random((20, 2))), range(20))
+    for seed in (0, 1, 2**32, 2**64 - 1):
+        want = frt_embed(counts, EmbeddingParams(lam=2.0, seed=seed))
+        bits = np.random.PCG64(seed)
+        got = frt_embed(counts, EmbeddingParams(lam=2.0, seed=bits))
+        for field in ("parent", "children", "level", "leaf_point", "point_leaf", "servers", "scale", "height"):
+            assert getattr(got, field) == getattr(want, field), field
+        assert bits.state != np.random.PCG64(seed).state  # the draw advanced the generator it was handed
 
 
 def test_tree_distance_basics():
@@ -347,6 +369,38 @@ def test_zero_distance_classes_match_the_greedy_scan(points):
     assert validate_metric(d) is None
     reps, rep_of = hst._zero_distance_classes(d)
     assert (reps, rep_of.tolist()) == reference_zero_distance_classes(d)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    metric=st.one_of(euclidean_metrics(), line_metrics(), slack_metrics()),
+    lam=st.sampled_from([1.05, 1.3, 2.0, 2.5, 4.2, 11.2]),
+    seed=st.integers(0, 2**64 - 1),
+    picks=st.lists(st.integers(0, 2**16), min_size=1, max_size=30),
+    rest=st.booleans(),
+)
+@example(metric=line_metric([7.0]), lam=2.0, seed=0, picks=[0], rest=False)  # k = 1
+@example(metric=line_metric([7.0, 7.0, 7.0]), lam=2.0, seed=0, picks=[0, 1, 1, 2], rest=True)  # k = 1, one leaf
+@example(metric=FiniteMetric.from_matrix(slack_dist([(0, 0), (0, 1), (0, 2), (1, 0)])), lam=2.0, seed=5,
+         picks=[0, 1, 2, 2, 3], rest=False)  # zeros that are not transitive
+@example(metric=line_metric([0.0, 0.0, 3.0, 3.0, 24.0]), lam=2.0, seed=2, picks=[0, 1, 4, 4, 2], rest=True)
+def test_frt_embed_matches_the_level_pass_oracle(metric, lam, seed, picks, rest):
+    # The one sort per tree against one np.unique per level, over multiset servers and, with ``rest``, the
+    # per-class counts an episode draws over: the server submetric less the run's self-serving opening.
+    servers = [p % len(metric) for p in picks]
+    counts = count_servers(metric, servers)
+    if rest:
+        requests = [(p * 7 + 3) % len(metric) for p in picks]
+        try:
+            counts = pipeline_setup(Instance(metric=metric, servers=servers, requests=requests)).rest
+        except ValueError:  # a request triangle that the slack lets through the load but not the run
+            assume(False)
+    params = EmbeddingParams(lam=lam, seed=seed)
+    got, want = frt_embed(counts, params), level_pass_frt_embed(counts, params)
+    for field in ("lam", "scale", "height", "parent", "children", "level", "point_leaf", "servers"):
+        assert getattr(got, field) == getattr(want, field), field
+    assert list(got.leaf_point.items()) == list(want.leaf_point.items())  # insertion order too
+    assert all(type(x) is int for x in got.servers + got.parent[1:] + got.level)
 
 
 def test_frt_refuses_trees_beyond_the_node_budget():

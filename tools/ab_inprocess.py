@@ -23,7 +23,12 @@ side, the optimum on its own (``optimal_matching`` on the loaded instance)
 and an episodes-only call: ``run_pipeline`` with that side's
 ``harness.optimal_matching`` swapped for a function that returns the optimum
 just solved, so the helper thread starts and joins at once. A call that takes
-about as long as its solve alone is bounded by the solve. Prints each side's
+about as long as its solve alone is bounded by the solve. Each pair also runs
+one staged call per side, with that side's ``harness.frt_embed``,
+``attach_servers``, ``rwgm_init`` and ``run_episode`` wrapped in timers: the
+serve loop of an episode is its ``run_episode`` time less the other three
+stages. The per-episode median of each stage is printed per side in
+milliseconds. Prints each side's
 median and quartiles in milliseconds for the call (wall and CPU), the
 episodes-only call, the solve, the load and the CLI sequence, the median of
 B/A for each, how many pairs B won, and whether both sides returned the same
@@ -48,6 +53,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import run as perfbench_run  # noqa: E402  (perfbench's modules import each other by bare name)
+
+STAGES = ("frt_embed", "attach_servers", "rwgm_init", "serve")  # an episode's stages, in the order it runs them
 
 
 def load_package(src: Path, alias: str):
@@ -110,6 +117,41 @@ def main(argv=None) -> int:
             harness.optimal_matching = solve
         return t1 - t0, time.perf_counter() - t1
 
+    def staged_call(pkg, inst, stage_times: dict) -> None:
+        """One episodes-only call with the episode's stages timed, appending each episode's seconds per stage."""
+        harness = pkg.harness
+        saved = {name: getattr(harness, name) for name in (*STAGES[:-1], "run_episode", "optimal_matching")}
+        spent = dict.fromkeys(STAGES[:-1], 0.0)
+
+        def timed(name):
+            def call(*a, **kw):
+                t0 = time.perf_counter()
+                try:
+                    return saved[name](*a, **kw)
+                finally:
+                    spent[name] += time.perf_counter() - t0
+            return call
+
+        def episode(*a, **kw):
+            spent.update(dict.fromkeys(spent, 0.0))
+            t0 = time.perf_counter()
+            served = saved["run_episode"](*a, **kw)
+            total = time.perf_counter() - t0
+            for name, seconds in spent.items():
+                stage_times[name].append(seconds)
+            stage_times["serve"].append(total - sum(spent.values()))
+            return served
+
+        om = saved["optimal_matching"](inst)
+        for name in STAGES[:-1]:
+            setattr(harness, name, timed(name))
+        harness.run_episode, harness.optimal_matching = episode, lambda _inst: om
+        try:
+            pkg.run_pipeline(inst, args.seed, episodes)
+        finally:
+            for name, fn in saved.items():
+                setattr(harness, name, fn)
+
     def run_commands(s: int) -> tuple:
         """Seconds for side s's CLI sequence, and the bytes of every file it wrote."""
         workdirs[s].mkdir(exist_ok=True)
@@ -131,6 +173,7 @@ def main(argv=None) -> int:
     cli_times: tuple = ([], [])
     solve_times: tuple = ([], [])
     episode_times: tuple = ([], [])
+    stage_times = tuple({name: [] for name in STAGES} for _ in sides)
     same = same_files = True
     for i in range(args.pairs):
         order = (0, 1) if i % 2 == 0 else (1, 0)
@@ -144,6 +187,8 @@ def main(argv=None) -> int:
             solve_s, episodes_s = solve_then_episodes(sides[s], insts[s])
             solve_times[s].append(solve_s)
             episode_times[s].append(episodes_s)
+        for s in order:
+            staged_call(sides[s], insts[s], stage_times[s])
         for s in order:
             cli_s, files[s] = run_commands(s)
             cli_times[s].append(cli_s)
@@ -187,6 +232,8 @@ def main(argv=None) -> int:
         "cli_b_wins": sum(r < 1.0 for r in cli_ratios),
         "same_reports": same,
         "same_cli_files": same_files,
+        "a_stage_ms": {name: round(1e3 * statistics.median(xs), 4) for name, xs in stage_times[0].items()},
+        "b_stage_ms": {name: round(1e3 * statistics.median(xs), 4) for name, xs in stage_times[1].items()},
         "a_src_lines": src_lines(args.a),
         "b_src_lines": src_lines(args.b),
     }
@@ -203,7 +250,8 @@ def main(argv=None) -> int:
             f" {e2:.3f} ms per episodes-only call (quartiles {e1:.3f} .. {e3:.3f}),"
             f" {o2:.3f} ms per solve (quartiles {o1:.3f} .. {o3:.3f}),"
             f" {l2:.3f} ms per load (quartiles {l1:.3f} .. {l3:.3f}),"
-            f" {c2:.3f} ms per CLI sequence (quartiles {c1:.3f} .. {c3:.3f})"
+            f" {c2:.3f} ms per CLI sequence (quartiles {c1:.3f} .. {c3:.3f});"
+            " per-episode stage medians: " + ", ".join(f"{k} {v:.4f} ms" for k, v in result[f"{side}_stage_ms"].items())
         )
     print(
         f"b/a median {result['median_b_over_a']} per call ({result['cpu_median_b_over_a']} in CPU time),"
