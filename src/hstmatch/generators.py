@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import _CHUNK_ENTRIES, MAX_POINTS, FiniteMetric, Instance, _is_int, ensure_valid_metric
+from .metric import _CHUNK_ENTRIES, MAX_POINTS, FiniteMetric, Instance, _checked_seed, _is_int, ensure_valid_metric
 
 __all__ = [
     "FAMILIES",
@@ -54,8 +54,7 @@ class GeneratorSpec:
         for name, value in (("n", self.n), ("dim", self.dim)):
             if not (_is_int(value) and value >= 1):
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if not (_is_int(self.seed) and self.seed >= 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _checked_seed(self.seed)
         points = 2 * self.n if self.family in ("euclidean", "line") else self.n + 1
         if points > MAX_POINTS:
             raise ValueError(f"{self.family} n={self.n} needs {points} points, above MAX_POINTS = {MAX_POINTS}")
@@ -132,19 +131,9 @@ def generate_instance(spec: GeneratorSpec) -> Instance:
     euclidean/line:  2n random points; a random half serves, the other
                      half arrives in random order.
     """
-    if spec.family == "star":
-        k = spec.n
-        metric = star_metric(k)
-        servers = tuple(range(1, k + 1))
-        requests = (0,) + tuple(range(1, k))
-        return Instance(metric=metric, servers=servers, requests=requests)
-
-    if spec.family == "nested-uniform":
-        q = spec.n
-        metric = uniform_metric(q + 1)
-        servers = tuple(range(1, q + 1))
-        requests = (0,) + tuple(range(1, q))
-        return Instance(metric=metric, servers=servers, requests=requests)
+    if spec.family in ("star", "nested-uniform"):
+        metric = star_metric(spec.n) if spec.family == "star" else uniform_metric(spec.n + 1)
+        return Instance(metric=metric, servers=tuple(range(1, spec.n + 1)), requests=(0,) + tuple(range(1, spec.n)))
 
     rng = np.random.default_rng(spec.seed)
     if spec.family == "euclidean":

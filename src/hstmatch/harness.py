@@ -24,7 +24,7 @@ import numpy as np
 
 from .generators import GeneratorSpec, generate_instance
 from .hst import EmbeddingParams, ServerCounts, attach_servers, count_servers, frt_embed, lambda_for_n
-from .metric import Instance, _is_int, _request_triangle_violation, submetric_of_servers
+from .metric import Instance, _checked_seed, _is_int, _request_triangle_violation, submetric_of_servers
 from .online import discretize_all, rwgm_init, rwgm_serve, run_greedy
 from .oracle import _linear_sum_assignment, optimal_matching
 
@@ -334,8 +334,7 @@ def _check_counts(episodes, master_seed) -> None:
     """Refuse what ``range`` and the seed derivation would coerce or choke on."""
     if not (_is_int(episodes) and 1 <= episodes <= 2**32):  # one 32-bit spawn word per episode index
         raise ValueError(f"episodes must be a positive integer at most 2**32, got {episodes!r}")
-    if not (_is_int(master_seed) and master_seed >= 0):
-        raise ValueError(f"master_seed must be a non-negative integer, got {master_seed!r}")
+    _checked_seed(master_seed, "master_seed")
 
 
 def _run_tag(inst: Instance, tag: str, master_seed: int, episodes: int, solve, g, check=False, keep_rows=False):

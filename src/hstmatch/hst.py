@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .metric import FiniteMetric, _is_int
+from .metric import FiniteMetric, _checked_seed, _is_int
 
 __all__ = [
     "MAX_TREE_NODES",
@@ -81,17 +81,16 @@ def lambda_for_n(n: int) -> float:
 @dataclass(frozen=True)
 class EmbeddingParams:
     """Knobs of one embedding draw: ``seed`` is a non-negative integer, which seeds the draw's PCG64 stream,
-    or that stream's bit generator itself, which the draw advances."""
+    or that PCG64 itself, which the draw advances."""
 
     lam: float
-    seed: int | np.random.BitGenerator
+    seed: int | np.random.PCG64
 
     def __post_init__(self) -> None:
         if not (isinstance(self.lam, numbers.Real) and math.isfinite(self.lam) and self.lam > 1.0):
             raise ValueError(f"lam must be finite and exceed 1, got {self.lam!r}")
-        bits = isinstance(self.seed, np.random.BitGenerator)
-        if not (bits or _is_int(self.seed) and self.seed >= 0):  # None would draw from OS entropy
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not isinstance(self.seed, np.random.PCG64):
+            _checked_seed(self.seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,9 +240,9 @@ def frt_embed(counts: ServerCounts, params: EmbeddingParams) -> HstTree:
     ``counts`` is ``count_servers(metric, servers)``, which every draw over
     the same metric and servers shares, or the same with fewer servers per
     class (``harness.PipelineSetup.rest``); the tree is deterministic in
-    (metric, lam, seed), or in the state of a bit generator passed as the
-    seed, and the servers set only its counts. Points at
-    distance zero share a leaf; all other points get their own leaf.
+    (metric, lam, seed), or in the state of a PCG64 passed as the seed, and
+    the servers set only its counts. Points at distance zero share a leaf;
+    all other points get their own leaf.
     """
     lam = float(params.lam)
     k = len(counts.reps)

@@ -32,8 +32,8 @@ __all__ = [
 # rounding in floating-point constructions such as Euclidean distances.
 TRIANGLE_SLACK = 1e-9
 
-# Largest point count of an instance, generated or loaded: its distance matrix
-# and FiniteMetric's copy of it take 16 * MAX_POINTS**2 bytes (1 GiB) together.
+# Largest point count of an instance, generated or loaded. A generated distance matrix
+# and FiniteMetric's copy take 16 * MAX_POINTS**2 bytes (1 GiB); a loaded one is converted once.
 MAX_POINTS = 2**13
 
 # Row-blocked loops over a matrix (the triangle check, the Euclidean
@@ -44,6 +44,13 @@ _CHUNK_ENTRIES = 1 << 20
 def _is_int(x) -> bool:
     """An int or numpy integer; bool is an int subclass, and floats and strings are never coerced."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _checked_seed(seed, name: str = "seed"):
+    """Return seed if it is a non-negative integer: numpy would draw OS entropy for None and run True as 1."""
+    if not (_is_int(seed) and seed >= 0):
+        raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
+    return seed
 
 
 class MetricStructureError(ValueError):
@@ -63,7 +70,7 @@ class MetricViolation:
 
 
 def _as_square_matrix(dist) -> np.ndarray:
-    arr = np.asarray(dist, dtype=float)
+    arr = np.array(dist, dtype=float)  # a copy, also of an ndarray: the caller keeps no handle on it
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise MetricStructureError(f"distance matrix must be square, got shape {arr.shape}")
     if arr.size:
@@ -87,7 +94,7 @@ class FiniteMetric:
     dist: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _as_square_matrix(self.dist).copy()
+        arr = _as_square_matrix(self.dist)
         points = tuple(str(p) for p in self.points)
         if len(points) != arr.shape[0]:
             raise MetricStructureError(
@@ -118,7 +125,7 @@ def validate_metric(m) -> MetricViolation | None:
     """
     d = (m if isinstance(m, FiniteMetric) else FiniteMetric.from_matrix(m)).dist
     tol = TRIANGLE_SLACK * float(d.max()) if d.size else 0.0
-    return _pair_violation(d) or (None if _triangle_holds(d, tol) else _first_triangle_violation(d, tol))
+    return _pair_violation(d) or _first_triangle(d, tol)
 
 
 def _pair_violation(d: np.ndarray) -> MetricViolation | None:
@@ -140,14 +147,14 @@ def _triangle_violation(d: np.ndarray, i: int, j: int, k: int) -> MetricViolatio
     return MetricViolation("triangle", (i, j, k), message)
 
 
-def _triangle_holds(d: np.ndarray, tol: float) -> bool:
-    """Whether d[i, j] - (d[i, k] + d[k, j]) <= tol for every triple of a symmetric d.
+def _first_triangle(d: np.ndarray, tol: float) -> MetricViolation | None:
+    """The first failing triangle of a symmetric d, or None: the first (i, j), i <= j, in row order whose
+    excess d[i, j] - (d[i, k] + d[k, j]) exceeds tol for some k, named with its shortest detour k.
 
-    Scans rows: for i and every j >= i, the shortest detour min_k d[j, k] + d[i, k]
-    adds the same two floats as d[i, k] + d[k, j] (d equals its transpose), and
-    rounded subtraction is monotone, so d[i, j] minus that minimum is the largest
-    excess over k. (j, i) is the same inequality as (i, j). The sums are taken a
-    block of rows j at a time, at most _CHUNK_ENTRIES of them at once.
+    The detours d[j, k] + d[i, k] add the same floats as d[i, k] + d[k, j], and rounded subtraction
+    is monotone, so d[i, j] minus the shortest is the largest excess; that k is never i or j, whose
+    detours equal d[i, j]. (j, i) is the same inequality as (i, j). The sums are taken a block of
+    rows j at a time, at most _CHUNK_ENTRIES of them at once.
     """
     n = d.shape[0]
     step = max(1, _CHUNK_ENTRIES // max(1, n))
@@ -159,26 +166,10 @@ def _triangle_holds(d: np.ndarray, tol: float) -> bool:
             for lo in range(i, n, step):
                 hi = min(lo + step, n)
                 sums = np.add(d[lo:hi], d[i], out=buf[: hi - lo])
-                if ((d[i, lo:hi] - sums.min(axis=1)) > tol).any():
-                    return False
-    return True
-
-
-def _first_triangle_violation(d: np.ndarray, tol: float) -> MetricViolation | None:
-    """The k-major triangle check: the first k, then the first (i, j), whose excess exceeds tol.
-
-    Three full passes over d per k; validate_metric runs it only to name a
-    violation that the row scan found, and the tests keep it as the reference.
-    """
-    n = d.shape[0]
-    excess = np.empty_like(d)  # reused by every k: holds d - (d[:, k] + d[k, :])
-    with np.errstate(over="ignore"):
-        for k in range(n):
-            np.add(d[:, k : k + 1], d[k : k + 1, :], out=excess)
-            np.subtract(d, excess, out=excess)
-            if float(excess.max()) > tol:
-                i, j = np.unravel_index(int(excess.argmax()), excess.shape)
-                return _triangle_violation(d, int(i), int(j), k)
+                bad = d[i, lo:hi] - sums.min(axis=1) > tol
+                if bad.any():
+                    r = int(bad.argmax())
+                    return _triangle_violation(d, i, lo + r, int(sums[r].argmin()))
     return None
 
 
@@ -283,11 +274,13 @@ def _check_labels(points) -> None:
 
 
 def _check_numeric_rows(dist) -> None:
-    """Reject JSON strings, booleans and nulls in a distance matrix, which numpy would coerce."""
+    """Reject a dist that is not a list of equal rows of JSON numbers: numpy chokes on the rest, or coerces it."""
     if not isinstance(dist, list):
-        return
+        raise ValueError(f"dist must be a list of rows, got {type(dist).__name__}")
     for i, row in enumerate(dist):
-        if isinstance(row, list) and not set(map(type, row)) <= {float, int}:
+        if not (isinstance(row, list) and len(row) == len(dist)):
+            raise MetricStructureError(f"dist[{i}] is not a row of {len(dist)} entries")
+        if not set(map(type, row)) <= {float, int}:
             j, entry = next((j, x) for j, x in enumerate(row) if type(x) not in (float, int))
             raise ValueError(f"dist[{i}][{j}] = {entry!r} is not a number")
 
@@ -311,6 +304,8 @@ def instance_from_dict(data: dict) -> Instance:
         inst = Instance(metric=metric, servers=tuple(data["servers"]), requests=tuple(data["requests"]))
     except KeyError as missing:
         raise ValueError(f"instance JSON lacks required field {missing}") from None
+    except OverflowError:  # a JSON integer beyond the largest float
+        raise ValueError("dist holds an integer too large for a float") from None
     sub, mapping = submetric_of_servers(inst)
     violation = _pair_violation(metric.dist) or validate_metric(sub)
     if violation is not None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hst import HstTree
-from .metric import Instance, _is_int
+from .metric import Instance, _checked_seed
 
 __all__ = [
     "POLICIES",
@@ -43,16 +43,16 @@ class RwgmState:
     child order once a uniform descent has passed through u, and is None
     before. ``parent``, ``children``, ``level`` and ``level_distance`` are
     the tree's own tuples, bound once so that serving reads them directly.
-    The descent draws come from a 32-bit stream read off a bit generator
-    with 64-bit outputs, the low half of each output first, as numpy's
-    ``next_uint32`` splits them. One state serves one request sequence;
-    episodes that run concurrently need their own states and random streams.
+    The descent draws come from a 32-bit stream read off a PCG64's 64-bit
+    outputs, the low half of each output first, as numpy's ``next_uint32``
+    splits them. One state serves one request sequence; episodes that run
+    concurrently need their own states and random streams.
     """
 
     __slots__ = ("tree", "parent", "children", "level", "level_distance",
                  "subtree_remaining", "green", "policy", "bits", "u32")
 
-    def __init__(self, tree: HstTree, bits: np.random.BitGenerator, policy: str) -> None:
+    def __init__(self, tree: HstTree, bits: np.random.PCG64, policy: str) -> None:
         self.tree = tree
         self.parent = tree.parent
         self.children = tree.children
@@ -65,31 +65,18 @@ class RwgmState:
         self.u32 = iter(())
 
 
-# Bit generators whose random_raw yields full 64-bit outputs, so the state's
-# 32-bit stream can be read off them directly. MT19937's outputs are 32-bit.
-_RAW64 = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64)
-
-
 def rwgm_init(tree: HstTree, seed, policy: str = "uniform") -> RwgmState:
     """Fresh episode state.
 
-    ``seed`` is a non-negative integer (numpy integers included), a Generator
-    or a bit generator; anything else, None among them, is refused. An int
-    seeds the episode's PCG64 stream directly, so every descent draw equals
-    what ``np.random.default_rng(seed).integers(n)`` would return. A
-    Generator or a bit generator with 64-bit outputs (PCG64, PCG64DXSM,
-    Philox, SFC64) is read directly, and advances as the episode draws; any
-    other is asked for one seed of a fresh stream.
+    ``seed`` is a non-negative integer (numpy integers included), which seeds
+    the episode's PCG64 stream, so every descent draw equals what
+    ``np.random.default_rng(seed).integers(n)`` would return; or that PCG64
+    itself, which is read in place and advances as the episode draws.
+    Anything else, None and other bit generators among them, is refused.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
-    bits = seed.bit_generator if isinstance(seed, np.random.Generator) else seed
-    if not isinstance(bits, _RAW64):
-        if isinstance(bits, np.random.BitGenerator):
-            seed = int(np.random.default_rng(bits).integers(2**63))
-        elif not (_is_int(seed) and seed >= 0):  # None would draw OS entropy; True would run as 1
-            raise ValueError(f"seed must be a non-negative integer, a Generator or a bit generator, got {seed!r}")
-        bits = np.random.PCG64(seed)
+    bits = seed if isinstance(seed, np.random.PCG64) else np.random.PCG64(_checked_seed(seed))
     state = RwgmState(tree, bits, policy)
     if state.subtree_remaining[tree.root] <= 0:
         raise ValueError("tree carries no servers")

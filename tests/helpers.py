@@ -234,6 +234,24 @@ def reference_request_triangle(inst: Instance, images):
     return None
 
 
+def k_major_triangle(d: np.ndarray, tol: float):
+    """The first k, then the first (i, j) in row order, with d[i, j] - (d[i, k] + d[k, j]) > tol, as (i, j, k), or None.
+
+    Three full passes over d per k, with no reliance on symmetry: the oracle
+    for ``metric._first_triangle``'s verdict.
+    """
+    n = d.shape[0]
+    excess = np.empty_like(d)  # reused by every k: holds d - (d[:, k] + d[k, :])
+    with np.errstate(over="ignore"):
+        for k in range(n):
+            np.add(d[:, k : k + 1], d[k : k + 1, :], out=excess)
+            np.subtract(d, excess, out=excess)
+            if float(excess.max()) > tol:
+                i, j = np.unravel_index(int(excess.argmax()), excess.shape)
+                return int(i), int(j), k
+    return None
+
+
 @lru_cache(maxsize=None)
 def _harmonic_positive(m: int) -> float:
     return math.fsum(1.0 / k for k in range(1, m + 1))
@@ -572,7 +590,7 @@ def random_tree_instance(rng, height: int, n: int, lam: float, scale: float = 1.
 
 def play_on_tree(tree: HstTree, request_points, rng, policy: str = "uniform"):
     """Run one episode directly on a tree; return (total cost, move count)."""
-    state = rwgm_init(tree, rng, policy=policy)
+    state = rwgm_init(tree, rng.bit_generator, policy=policy)
     cost = 0.0
     moves = 0
     for p in request_points:

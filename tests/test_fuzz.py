@@ -10,6 +10,9 @@ turned into an error. ``embed`` either prints one tree whose leaves carry every
 zero-distance class's full server count, as ``check_embed_dump`` reads them from
 the document, or is refused in the same way. A ``sweep`` either writes one row
 per (size, algorithm) pair or is refused in the same way, with no table written.
+Documents with broken structure (ragged rows, nested lists, objects where lists
+belong, numbers beyond the largest float, a dist that is no list) go through
+``run`` and ``embed`` and either run or are refused in the same way.
 """
 import contextlib
 import io
@@ -121,6 +124,73 @@ def _assert_one_error_line(err: str, command: str) -> None:
     assert len(lines) == 2 and lines[1] == "", err
     message = json.loads(lines[0])["error"]
     assert message.split(":")[0] in ("ValueError", "MetricStructureError"), (command, message)
+
+
+# Values that do not belong in an instance document, or only just: JSON numbers beyond the largest float
+# (written as the bare tokens 1e400, -1e400 and a 5,000-digit integer, past Python's conversion limit),
+# huge and 64-bit integers, and strings, booleans, nulls, objects and nested lists where numbers or lists go.
+JUNK = ["1e400", "-1e400", "1e5000digits", 10**400, -(10**400), 2**64, 2**1024, None, True, "0", {}, {"0": 0},
+        [], [0], [[0]], 1.5]
+BARE = {'"1e400"': "1e400", '"-1e400"': "-1e400", '"1e5000digits"': "1" + "0" * 5000}
+
+
+@st.composite
+def malformed_documents(draw) -> str:
+    """A valid line-metric document with one to three parts broken, as JSON text."""
+    n = draw(st.integers(1, 4))
+    dist = [[float(abs(i - j)) for j in range(n)] for i in range(n)]
+    doc = {"points": [f"p{i}" for i in range(n)], "dist": dist, "servers": list(range(n)),
+           "requests": list(range(n))[::-1]}
+    junk = st.sampled_from(JUNK)
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows = doc["dist"] if isinstance(doc["dist"], list) and doc["dist"] else None
+        site = draw(st.sampled_from(["dist", "nest", "row", "ragged", "entry", "pair", "field", "index"]))
+        if site == "dist":  # no list at all
+            doc["dist"] = draw(junk)
+        elif site == "nest":  # one level of lists too many
+            doc["dist"] = [doc["dist"]]
+        elif rows is None or not isinstance(rows[i % len(rows)], list):
+            continue
+        elif site == "row":
+            rows[i % len(rows)] = draw(junk)
+        elif site == "ragged":  # one entry short or one too many
+            row = rows[i % len(rows)]
+            row.pop() if row and draw(st.booleans()) else row.append(1.0)
+        elif site in ("entry", "pair"):  # one entry, or both entries of a pair
+            value = draw(junk)
+            for a, b in ((i, j), (j, i))[: 1 if site == "entry" else 2]:
+                if a < len(rows) and isinstance(rows[a], list) and b < len(rows[a]):
+                    rows[a][b] = value
+        elif site == "field":
+            doc[draw(st.sampled_from(["points", "servers", "requests"]))] = draw(junk)
+        elif isinstance(doc["servers"], list) and doc["servers"]:
+            doc["servers"][i % len(doc["servers"])] = draw(junk)
+    text = json.dumps(doc)
+    for quoted, bare in BARE.items():
+        text = text.replace(quoted, bare)
+    return text
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=malformed_documents())
+@example(text='{"points": ["a", "b"], "dist": [[0, 1], [1]], "servers": [0], "requests": [1]}')
+@example(text='{"points": ["a", "b"], "dist": {"0": [0, 1], "1": [1, 0]}, "servers": [0], "requests": [1]}')
+@example(text='{"points": ["a", "b"], "dist": [[0, 1e400], [1e400, 0]], "servers": [0], "requests": [1]}')
+@example(text=json.dumps({"points": ["a", "b"], "dist": [[0, 10**400], [10**400, 0]], "servers": [0], "requests": [1]}))
+@example(text='{"points": ["a"], "dist": 5, "servers": [0], "requests": [0]}')
+def test_every_malformed_document_runs_or_gives_one_error_line(workdir, text):
+    instance = workdir / "malformed.json"
+    instance.write_text(text)
+    for argv in (("run", "--algorithm", "rwgm", "--episodes", 2), ("embed",)):
+        code, out, err = run_in_process(argv[0], "--instance", instance, *argv[1:])
+        if code == 0:
+            lines = out.split("\n")
+            assert err == "" and len(lines) == 2 and lines[1] == "" and json.loads(lines[0])
+        else:
+            assert code == 1 and out == ""
+            _assert_one_error_line(err, argv[0])
 
 
 SIZE_ENTRIES = ["1", "2", "3", "0", "-2", "", "2.5", "+2", " 2", "2_0", "x", "1e1"]

@@ -69,7 +69,7 @@ def test_embedding_params_refuse_seeds_and_lams_of_the_wrong_type(lam, seed, mes
         EmbeddingParams(lam=lam, seed=seed)
 
 
-def test_embedding_params_take_a_bit_generator_but_not_a_generator():
+def test_embedding_params_take_a_pcg64_but_not_a_generator():
     bits = np.random.PCG64(3)
     assert EmbeddingParams(lam=2.0, seed=bits).seed is bits
     with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got Generator\(PCG64\)"):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_tree, reference_request_triangle, tree_metric
+from helpers import k_major_triangle, random_tree, reference_request_triangle, tree_metric
 from hstmatch import metric
 from hstmatch.generators import euclidean_metric, line_metric, star_metric, uniform_metric
 from hstmatch.metric import (
@@ -191,19 +191,30 @@ def triangle_cases(draw):
     return d
 
 
-def reference_verdict(d):
-    """The k-major loop alone, over a symmetric zero-diagonal matrix."""
-    return metric._first_triangle_violation(d, TRIANGLE_SLACK * float(d.max()) if len(d) else 0.0)
+def tol_of(d) -> float:
+    return TRIANGLE_SLACK * float(d.max()) if len(d) else 0.0
+
+
+def assert_names_a_failing_triangle(d, violation) -> None:
+    """A reported triple (i, j, k) has i <= j, k outside {i, j}, and an excess above tol, in the message too."""
+    i, j, k = violation.where
+    assert violation.kind == "triangle" and i <= j and k not in (i, j)
+    with np.errstate(over="ignore"):
+        assert d[i, j] - (d[i, k] + d[k, j]) > tol_of(d)
+    assert str(violation) == f"dist[{i}][{j}] = {d[i, j]} > dist[{i}][{k}] + dist[{k}][{j}] = {d[i, k] + d[k, j]}"
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(d=triangle_cases())
 def test_row_scan_agrees_with_the_k_major_loop(d):
-    want = reference_verdict(d)
-    assert validate_metric(d) == want
-    with pytest.MonkeyPatch.context() as mp:  # blocks of one row or a few, splitting every row range
-        mp.setattr(metric, "_CHUNK_ENTRIES", 64)
-        assert validate_metric(d) == want
+    fails = k_major_triangle(d, tol_of(d)) is not None
+    for chunk in (metric._CHUNK_ENTRIES, 64):  # 64: blocks of one row or a few, splitting every row range
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metric, "_CHUNK_ENTRIES", chunk)
+            got = validate_metric(d)
+        assert (got is not None) == fails
+        if got is not None:
+            assert_names_a_failing_triangle(d, got)
 
 
 def test_row_scan_sees_tol_to_the_ulp():
@@ -215,11 +226,11 @@ def test_row_scan_sees_tol_to_the_ulp():
     verdicts = []
     for e in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 4.0)):
         d[0, 2] = d[2, 0] = e
-        want = reference_verdict(d)
-        assert validate_metric(d) == want
-        assert metric._triangle_holds(d, tol) == (want is None)
-        verdicts.append(want)
-    assert verdicts[0] is None and verdicts[-1] is not None and verdicts[-1].where == (0, 2, 1)
+        got = validate_metric(d)
+        assert (got is None) == (k_major_triangle(d, tol) is None) == (metric._first_triangle(d, tol) is None)
+        verdicts.append(got)
+    assert verdicts[0] is None and verdicts[1] is None and verdicts[-1].where == (0, 2, 1)
+    assert_names_a_failing_triangle(d, verdicts[-1])
 
 
 def test_row_scan_temporaries_stay_under_the_cap(monkeypatch):
@@ -227,7 +238,7 @@ def test_row_scan_temporaries_stay_under_the_cap(monkeypatch):
     monkeypatch.setattr(metric, "_CHUNK_ENTRIES", 4096)
     tracemalloc.start()
     try:
-        assert metric._triangle_holds(d, 0.0)
+        assert metric._first_triangle(d, 0.0) is None
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -252,7 +263,7 @@ def test_generated_matrix_loaded_again_is_checked():
         with pytest.raises(ValueError, match="^invalid metric: " + message):
             instance_from_dict(request_points)
     data["dist"][1][4] = data["dist"][4][1] = 10.0  # the cloud's diameter is sqrt(3)
-    server_triangle = "invalid metric: dist[1][4] = 10.0 > dist[1][0] + dist[0][4] = "
+    server_triangle = "invalid metric: dist[1][4] = 10.0 > dist[1][5] + dist[5][4] = "
     with pytest.raises(ValueError, match="^" + re.escape(server_triangle)):
         instance_from_dict(data)
 
@@ -319,6 +330,24 @@ def test_metric_is_immutable():
     m = FiniteMetric.from_matrix([[0, 1], [1, 0]])
     with pytest.raises(ValueError):
         m.dist[0, 1] = 3.0
+    given = np.array([[0.0, 1.0], [1.0, 0.0]])
+    m = FiniteMetric(points=("a", "b"), dist=given)
+    given[0, 1] = 3.0  # the metric holds its own copy of an ndarray
+    assert m.dist[0, 1] == 1.0 and m.dist.flags.writeable is False
+
+
+def test_metric_converts_a_list_matrix_once():
+    n = 300
+    rows = [[float(abs(i - j)) for j in range(n)] for i in range(n)]
+    labels = tuple(str(i) for i in range(n))
+    tracemalloc.start()
+    try:
+        FiniteMetric(points=labels, dist=rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One 300x300 matrix and its finiteness mask (1.125 matrices), not the matrix and a copy of it.
+    assert peak <= 1.5 * 8 * n * n
 
 
 def make_instance(dist, servers, requests):
@@ -413,8 +442,8 @@ def test_instance_rejects_non_numeric_distances():
 
 
 def test_instance_from_dict_refuses_more_than_max_points_before_it_converts_the_matrix():
-    class Unconvertible:
-        def __array__(self, *args, **kwargs):
+    class Unconvertible(list):  # a list, so that only reading its rows can raise
+        def __iter__(self):
             raise AssertionError("the matrix was converted")
 
     labels = [f"p{i}" for i in range(metric.MAX_POINTS)]

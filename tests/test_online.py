@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from helpers import (
     tree_distance,
     with_multiplicity,
 )
-from hstmatch.generators import line_metric, star_metric, uniform_metric
+from hstmatch.generators import GeneratorSpec, line_metric, star_metric, uniform_metric
 from hstmatch.harness import ALGORITHMS, derive_seed, episode_totals, pipeline_setup, run_algorithm, run_episode
 from hstmatch.hst import EmbeddingParams, count_servers, frt_embed
 from hstmatch.metric import FiniteMetric, Instance
@@ -84,42 +85,50 @@ def test_below_rejects_exactly_the_biased_low_words():
     assert list(st.u32) == [7]
 
 
-def test_init_takes_any_generator_or_bit_generator():
-    t = with_multiplicity(height1_tree(2), {0: 1, 1: 1})
-    for seed in (np.random.Generator(np.random.MT19937(0)), np.random.default_rng(0), np.random.Philox(0)):
-        st = rwgm_init(t, seed)
-        assert sorted(rwgm_serve(st, 1)[0] for _ in range(2)) == [1, 2]
-
-
-@pytest.mark.parametrize("kind", [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64, np.random.MT19937])
-@pytest.mark.parametrize("wrap", [np.random.Generator, lambda bits: bits], ids=["generator", "bit-generator"])
-def test_init_from_each_bit_generator_kind_draws_uniformly(kind, wrap):
+def test_init_reads_a_pcg64_in_place_and_draws_uniformly():
     # Four leaves of two servers each and a serverless leaf under one root:
     # each request at the empty leaf climbs to the root and takes one uniform
     # draw among four, and two requests per episode read two 32-bit words.
     t = with_multiplicity(height1_tree(5), {0: 2, 1: 2, 2: 2, 3: 2, 4: 0})
     point_of = {leaf: p for p, leaf in t.point_leaf.items()}
-    bits = kind(derive_seed(2024, 12))
-    seed = wrap(bits)
+    bits = np.random.PCG64(derive_seed(2024, 12))
     episodes = 3000
     counts = [[0] * 4, [0] * 4]
     for _ in range(episodes):
-        st = rwgm_init(t, seed)
+        st = rwgm_init(t, bits)
+        assert st.bits is bits
         for draw in counts:
             draw[point_of[rwgm_serve(st, t.point_leaf[4])[0]]] += 1
-    # 64-bit streams are read in place; MT19937's 32-bit outputs seed a fresh PCG64.
-    assert (st.bits is bits) == (kind is not np.random.MT19937)
+    assert bits.state != np.random.PCG64(derive_seed(2024, 12)).state  # the episodes advanced it
     for draw in counts:
         chi2 = sum((c - episodes / 4) ** 2 / (episodes / 4) for c in draw)
         assert chi2 < 16.27  # chi-square, 3 degrees of freedom, p = 0.001
 
 
-@pytest.mark.parametrize("seed", [None, True, False, -1, 2.0, 2.5, "3", [1, 2], np.random.SeedSequence(0)])
-def test_init_refuses_seeds_that_are_not_integers_or_generators(seed):
-    # None would draw OS entropy, so two episodes on one tree would serve differently; True would run as 1.
-    t = with_multiplicity(height1_tree(2), {0: 1, 1: 1})
-    with pytest.raises(ValueError, match="^seed must be a non-negative integer, a Generator or a bit generator, got "):
-        rwgm_init(t, seed)
+SEED_ENTRY_POINTS = {
+    "GeneratorSpec": ("seed", lambda seed: GeneratorSpec("star", 3, seed=seed)),
+    "EmbeddingParams": ("seed", lambda seed: EmbeddingParams(lam=2.0, seed=seed)),
+    "rwgm_init": ("seed", lambda seed: rwgm_init(with_multiplicity(height1_tree(2), {0: 1, 1: 1}), seed)),
+    "run_algorithm": ("master_seed", lambda seed: run_algorithm(
+        Instance(metric=line_metric([0.0, 1.0]), servers=(0,), requests=(1,)), "rwgm", seed, 1)),
+}
+
+
+REFUSED_SEEDS = {
+    "None": None, "True": True, "False": False, "-1": -1, "2.0": 2.0, "2.5": 2.5, "'3'": "3", "[1, 2]": [1, 2],
+    "SeedSequence(0)": np.random.SeedSequence(0), "default_rng(0)": np.random.default_rng(0),
+    "MT19937(0)": np.random.MT19937(0), "Philox(0)": np.random.Philox(0),
+}
+
+
+@pytest.mark.parametrize("entry", SEED_ENTRY_POINTS)
+@pytest.mark.parametrize("seed", list(REFUSED_SEEDS.values()), ids=list(REFUSED_SEEDS))
+def test_every_seed_entry_point_refuses_what_is_not_an_int_or_a_pcg64(entry, seed):
+    # None would draw OS entropy, so two runs would differ; True would run as 1; a Generator or
+    # another bit generator would run another stream than the PCG64 that the seed contract names.
+    name, build = SEED_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer, got {re.escape(repr(seed))}$"):
+        build(seed)
 
 
 def test_init_takes_numpy_integer_seeds_as_ints():
@@ -185,7 +194,7 @@ def test_first_move_uniform_between_two_servers():
     trials = 4000
     hits = 0
     for _ in range(trials):
-        st = rwgm_init(t, rng)
+        st = rwgm_init(t, rng.bit_generator)
         leaf, _ = rwgm_serve(st, t.point_leaf[2])
         hits += leaf == t.point_leaf[0]
     p = hits / trials
@@ -216,7 +225,7 @@ def test_pick_a_leaf_single_green_child_is_forced():
 def test_pick_a_leaf_uniform_ignores_multiplicity():
     t = with_multiplicity(height1_tree(3), {0: 5, 1: 1, 2: 2})
     rng = np.random.default_rng(0)
-    st = rwgm_init(t, rng)
+    st = rwgm_init(t, rng.bit_generator)
     trials = 6000
     counts = {0: 0, 1: 0, 2: 0}
     for _ in range(trials):
@@ -239,7 +248,7 @@ def two_level_tree():
 def test_pick_a_leaf_level_probabilities():
     t = with_multiplicity(two_level_tree(), {0: 1, 1: 1, 2: 1, 3: 1})
     rng = np.random.default_rng(1)
-    st = rwgm_init(t, rng)
+    st = rwgm_init(t, rng.bit_generator)
     trials = 9000
     counts = {p: 0 for p in range(4)}
     for _ in range(trials):
@@ -253,7 +262,7 @@ def test_pick_a_leaf_level_probabilities():
 def test_pick_a_leaf_proportional_policy():
     t = with_multiplicity(two_level_tree(), {0: 1, 1: 1, 2: 1, 3: 1})
     rng = np.random.default_rng(2)
-    st = rwgm_init(t, rng, policy="proportional")
+    st = rwgm_init(t, rng.bit_generator, policy="proportional")
     trials = 9000
     left = 0
     for _ in range(trials):
@@ -275,7 +284,7 @@ def test_green_invariant_after_every_serve():
         height = int(rng.integers(1, 4))
         n = int(rng.integers(1, 13))
         tree, inst = random_tree_instance(rng, height, n, lam=2.0)
-        st = rwgm_init(tree, rng)
+        st = rwgm_init(tree, rng.bit_generator)
         for r in inst.requests:
             rwgm_serve(st, tree.point_leaf[r])
             assert green(st) == recompute_green(st)
@@ -315,7 +324,7 @@ def test_each_serve_is_tree_greedy():
         rng = np.random.default_rng(20)
         for trial in range(10):
             tree, inst = random_tree_instance(rng, int(rng.integers(1, 4)), 10, lam=2.0)
-            st = rwgm_init(tree, rng, policy=policy)
+            st = rwgm_init(tree, rng.bit_generator, policy=policy)
             for r in inst.requests:
                 req_leaf = tree.point_leaf[r]
                 best = min(
