@@ -255,14 +255,14 @@ def run_episode(setup: PipelineSetup, embed_seed, play_seed, *, algorithm="rwgm"
     tree = frt_embed(setup.rest, EmbeddingParams(lam=setup.lam, seed=embed_seed))
     stock = attach_servers(tree, setup.stock)
     state = rwgm_init(tree, play_seed, policy=_TREE_POLICY[algorithm])
-    point_leaf = tree.point_leaf
+    point_leaf, first_leaf = tree.point_leaf, tree.first_leaf
     left = state.subtree_remaining  # a serve that leaves c servers at a leaf took entry c of the leaf's stock
 
     served = list(setup.opening)
     tree_costs = [0.0] * len(served)
     for q in setup.g_sub[len(served):]:
         server_leaf, tree_cost = rwgm_serve(state, point_leaf[q])
-        served.append(stock[server_leaf][left[server_leaf]])
+        served.append(stock[server_leaf - first_leaf][left[server_leaf]])
         if check:
             tree_costs.append(tree_cost)
 

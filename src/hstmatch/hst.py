@@ -31,10 +31,10 @@ order within the level's radius. One sort of the classes by their centers,
 level by level from the top, then reads off the whole tree: a class's node
 at a level is its sequence of centers down to that level, so each level's
 nodes are the runs of equal prefixes in sorted order. Nodes therefore come
-out numbered breadth-first with every node's children consecutive and every
-leaf at level 0, a class that is split off early continuing as a chain of
-single-child nodes, and one count weighted by the classes' servers gives
-every node's server count.
+out numbered breadth-first, which is ``HstTree``'s one layout: every node's
+children are one id range, the leaves are the last ids, all at level 0, and
+a class that is split off early continues as a chain of single-child nodes.
+One count weighted by the classes' servers gives every node's server count.
 A draw whose node bound height * k + 1 over k classes exceeds
 MAX_TREE_NODES, or whose distances would overflow a float, is refused.
 """
@@ -95,13 +95,14 @@ class EmbeddingParams:
 
 @dataclass(frozen=True, eq=False)
 class HstTree:
-    """Immutable rooted tree with geometric level weights.
+    """Immutable rooted tree with geometric level weights, its nodes numbered breadth-first.
 
-    Nodes are integers in breadth-first order, the root is node 0 and every
-    parent index is smaller than its children's. ``leaf_point`` maps a leaf
-    to the representative source point it carries; ``point_leaf`` maps every
-    source point (including points at distance zero from a representative)
-    to its leaf. ``servers[v]`` counts the servers in node v's subtree.
+    ``parent``, ``level`` and ``servers`` are tuples indexed by node; the root
+    is 0, ``children[v]`` is the range of v's consecutive child ids, and the
+    leaves, all at level 0, are the last ids, ``range(first_leaf, n_nodes)``.
+    ``leaf_point[i]`` is the source point on leaf ``first_leaf + i``, and
+    ``point_leaf[p]`` is the leaf of source point p (points at distance zero
+    share one). ``servers[v]`` counts the servers in node v's subtree.
     """
 
     lam: float
@@ -110,8 +111,8 @@ class HstTree:
     parent: tuple
     children: tuple
     level: tuple
-    leaf_point: dict
-    point_leaf: dict
+    leaf_point: tuple
+    point_leaf: tuple
     servers: tuple
 
     root = 0  # not a field: breadth-first numbering always puts the root first
@@ -121,11 +122,12 @@ class HstTree:
         return len(self.parent)
 
     @property
-    def leaves(self) -> tuple:
-        return tuple(v for v in range(self.n_nodes) if not self.children[v])
+    def first_leaf(self) -> int:
+        return len(self.parent) - len(self.leaf_point)
 
-    def is_leaf(self, v: int) -> bool:
-        return not self.children[v]
+    @property
+    def leaves(self) -> range:
+        return range(self.first_leaf, len(self.parent))
 
     @cached_property
     def level_distance(self) -> tuple:
@@ -275,40 +277,39 @@ def frt_embed(counts: ServerCounts, params: EmbeddingParams) -> HstTree:
         raise AssertionError("partition did not reach singletons")
 
     # Row-major numbering is breadth-first with every node's children
-    # consecutive; the last k nodes are the leaves, and every other node's
-    # children are the id range that ends one past its last child.
+    # consecutive, so they are the id range that ends one past the node's last
+    # child; the last k nodes are the leaves, one per class in sorted order.
     ids = starts.cumsum().reshape(height, k)
     n_nodes = int(ids[-1, -1]) + 1
     up = np.concatenate([np.zeros((1, k), dtype=np.intp), ids[:-1]])[starts]
-    ends = (np.bincount(up, minlength=n_nodes - k).cumsum() + 1).tolist()
+    ends = (np.bincount(up, minlength=n_nodes).cumsum() + 1).tolist()
     below = np.bincount(ids.ravel(), weights=np.tile(w[order], height), minlength=n_nodes)
     below[0] = w.sum()
     leaf = np.empty(k, dtype=np.intp)  # each class's leaf
     leaf[order] = ids[-1]
-    nodes = tuple(range(n_nodes))
     return HstTree(
         lam=lam,
         scale=scale,
         height=height,
         parent=(None, *up.tolist()),
-        children=tuple([nodes[a:b] for a, b in zip([1, *ends], ends)]) + ((),) * k,
+        children=tuple(map(range, [1, *ends[:-1]], ends)),
         level=(height, *(height - 1 - np.nonzero(starts)[0]).tolist()),
-        leaf_point=dict(zip(leaf.tolist(), counts.reps)),
-        point_leaf=dict(enumerate(leaf[counts.rep_of].tolist())),
+        leaf_point=tuple(map(counts.reps.__getitem__, order.tolist())),
+        point_leaf=tuple(leaf[counts.rep_of].tolist()),
         servers=tuple(below.astype(np.intp).tolist()),
     )
 
 
-def attach_servers(t: HstTree, stock) -> dict:
-    """Each leaf's server instances, highest first: ``stock``'s own tuples, not copies.
+def attach_servers(t: HstTree, stock) -> list:
+    """Each leaf's server instances, highest first, in a list whose entry i is leaf ``t.first_leaf + i``'s.
 
     ``stock`` maps every class representative on the tree to the server
     instances of its class as a tuple, highest first, as ``pipeline_setup``
-    builds it. A serve that leaves a leaf c unassigned servers takes its
-    entry c, so the leaf's count is its only state and the lowest goes first.
+    builds it, and the list holds those tuples, not copies. A serve that leaves
+    a leaf c unassigned servers takes entry c, so the leaf's count is its only state.
     """
     try:
-        return {leaf: stock[q] for leaf, q in t.leaf_point.items()}
+        return [stock[q] for q in t.leaf_point]
     except KeyError as missing:
         raise ValueError(f"point {missing} has no entry in the server stock") from None
 
@@ -316,8 +317,7 @@ def attach_servers(t: HstTree, stock) -> dict:
 def tree_to_dict(t: HstTree) -> dict:
     """JSON-friendly dump used by the CLI's --dump-tree."""
     nodes = [
-        {"id": v, "parent": t.parent[v], "level": t.level[v], "leaf_point": t.leaf_point.get(v),
-         "multiplicity": t.servers[v] if t.is_leaf(v) else None}
-        for v in range(t.n_nodes)
+        {"id": v, "parent": p, "level": lv, "leaf_point": q, "multiplicity": None if q is None else s}
+        for v, (p, lv, q, s) in enumerate(zip(t.parent, t.level, (None,) * t.first_leaf + t.leaf_point, t.servers))
     ]
     return {"lambda": t.lam, "scale": t.scale, "height": t.height, "nodes": nodes}

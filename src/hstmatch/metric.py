@@ -106,10 +106,11 @@ class FiniteMetric:
 
     @classmethod
     def from_matrix(cls, dist, points=None) -> "FiniteMetric":
-        arr = np.asarray(dist, dtype=float)  # checked once, by the constructor, before the labels
-        if points is None:
-            points = tuple(str(i) for i in range(len(arr) if arr.ndim else 0))
-        return cls(points=tuple(points), dist=arr)
+        try:  # one label per row, counted without a conversion: the constructor converts and checks once
+            n = len(dist)
+        except TypeError:  # no rows: the constructor refuses it as not square
+            n = 0
+        return cls(points=tuple(map(str, range(n)) if points is None else points), dist=dist)
 
     def __len__(self) -> int:
         return len(self.points)

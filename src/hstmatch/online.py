@@ -41,8 +41,8 @@ class RwgmState:
     subtree, so a leaf's entry is its own count and a node is green exactly
     when its entry is positive. ``green[u]`` lists u's green children in
     child order once a uniform descent has passed through u, and is None
-    before. ``parent``, ``children``, ``level`` and ``level_distance`` are
-    the tree's own tuples, bound once so that serving reads them directly.
+    before. ``parent``, ``children`` (an id range per node), ``level`` and
+    ``level_distance`` are the tree's own, bound once for serving to read.
     The descent draws come from a 32-bit stream read off a PCG64's 64-bit
     outputs, the low half of each output first, as numpy's ``next_uint32``
     splits them. One state serves one request sequence; episodes that run

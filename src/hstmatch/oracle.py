@@ -138,14 +138,12 @@ def turning_point_tau(
     if b[t.root] != 0:
         raise ValueError("request and server totals differ")
     tau = {}
-    for v in range(t.n_nodes):
-        if t.is_leaf(v):
-            tau[v] = 0
-            continue
+    for v in range(t.first_leaf):  # the internal nodes; no pair turns at a leaf
         spread = sum(abs(b[c]) for c in t.children[v]) - abs(b[v])
         if spread < 0 or spread % 2:
             raise AssertionError(f"imbalance bookkeeping broke at node {v}")
         tau[v] = spread // 2
+    tau.update(dict.fromkeys(t.leaves, 0))
     return TurningPointProfile(tau=tau, tree=t)
 
 

@@ -29,7 +29,8 @@ class RawTree:
     """Rooted tree with explicit integer levels, prior to normalization.
 
     Children must sit exactly one level below their parent; childless nodes
-    may end at any level and carry a point in ``leaf_point``.
+    may end at any level and carry a point in ``leaf_point``, and the k leaf
+    points are 0..k-1.
     """
 
     parent: list
@@ -79,7 +80,9 @@ def normalize_hst(raw: RawTree) -> HstTree:
     single-child dummies; its point moves to the new bottom leaf, so source
     leaf identities are preserved and pairwise distances grow by exactly the
     inserted edge weights. A lone node becomes a height-1 tree with a dummy
-    root. The output is renumbered breadth-first from the root.
+    root. The output is renumbered breadth-first from the root, which at
+    uniform leaf depth is ``HstTree``'s layout: every node's children are one
+    id range and the leaves are the last ids.
     """
     root, children = _raw_children(raw)
     parent = list(raw.parent)
@@ -119,26 +122,35 @@ def normalize_hst(raw: RawTree) -> HstTree:
         if cur != v:
             leaf_point[cur] = leaf_point.pop(v)
 
-    # Renumber breadth-first so parents always precede children.
+    # Renumber breadth-first so parents always precede children; each node's
+    # children join the order together, so their new ids are one range.
     order = [root]
+    new_children = []
     for u in order:
+        new_children.append(range(len(order), len(order) + len(children[u])))
         order.extend(children[u])
     new_id = {old: i for i, old in enumerate(order)}
     n = len(order)
     new_parent = tuple(None if parent[old] is None else new_id[parent[old]] for old in order)
     new_level = tuple(level[old] for old in order)
-    new_children = tuple(tuple(new_id[c] for c in children[old]) for old in order)
-    new_leaf_point = {new_id[old]: pt for old, pt in leaf_point.items()}
+    # Every leaf sits at level 0, the deepest, so the leaves are the last ids.
+    first_leaf = n - len(leaf_point)
+    new_leaf_point = tuple(leaf_point[old] for old in order[first_leaf:])
+    if sorted(new_leaf_point) != list(range(len(new_leaf_point))):
+        raise ValueError(f"leaf points must be 0..k-1 over k leaves, got {sorted(new_leaf_point)}")
+    point_leaf = [0] * len(new_leaf_point)
+    for i, pt in enumerate(new_leaf_point):
+        point_leaf[pt] = first_leaf + i
 
     return HstTree(
         lam=raw.lam,
         scale=raw.scale,
         height=level[root],
         parent=new_parent,
-        children=new_children,
+        children=tuple(new_children),
         level=new_level,
         leaf_point=new_leaf_point,
-        point_leaf={pt: leaf for leaf, pt in new_leaf_point.items()},
+        point_leaf=tuple(point_leaf),
         servers=(0,) * n,
     )
 
@@ -158,8 +170,17 @@ def tree_distance(t: HstTree, leaf_a: int, leaf_b: int) -> float:
 
 
 def validate_hst(t: HstTree) -> None:
-    """Check every structural invariant; raise ValueError on the first failure."""
+    """Check every structural invariant and the breadth-first layout; raise ValueError on the first failure.
+
+    The layout: every field but the scalars is a tuple, every ``children[v]``
+    is a range of consecutive ids starting where the previous node's ended,
+    the leaves are exactly the last ``len(leaf_point)`` ids, all at level 0,
+    and every ``point_leaf[p]`` lies in ``leaves``.
+    """
     n = t.n_nodes
+    for field in ("parent", "children", "level", "leaf_point", "point_leaf", "servers"):
+        if type(getattr(t, field)) is not tuple:
+            raise ValueError(f"{field} is a {type(getattr(t, field)).__name__}, not a tuple")
     if t.height < 1:
         raise ValueError("height must be at least 1")
     if not t.lam > 1.0:
@@ -168,29 +189,37 @@ def validate_hst(t: HstTree) -> None:
         raise ValueError("scale must be positive")
     if t.parent[t.root] is not None or t.level[t.root] != t.height:
         raise ValueError("root must be parentless at level == height")
+    if not (len(t.children) == len(t.level) == len(t.servers) == n):
+        raise ValueError("children, level and servers must hold one entry per node")
+    first = 1  # the id of the next node's first child
     for v in range(n):
         if v != t.root and t.parent[v] is None:
             raise ValueError(f"second root at node {v}")
-        for c in t.children[v]:
+        kids = t.children[v]
+        if type(kids) is not range or kids.step != 1 or (kids and kids.start != first):
+            raise ValueError(f"children[{v}] = {kids!r} is not the range of ids from {first}")
+        first += len(kids)
+        for c in kids:
             if t.parent[c] != v:
                 raise ValueError(f"parent/children disagree at edge ({v}, {c})")
             if t.level[c] != t.level[v] - 1:
                 raise ValueError(f"level gap at edge ({v}, {c})")
-        if t.children[v]:
-            kinds = {bool(t.children[c]) for c in t.children[v]}
-            if len(kinds) > 1:
-                raise ValueError(f"node {v} mixes leaf and internal children")
+    if first != n:
+        raise ValueError(f"the children ranges cover {first - 1} ids, not the {n - 1} non-root nodes")
+    first_leaf = n - len(t.leaf_point)
+    if [v for v in range(n) if not t.children[v]] != list(range(first_leaf, n)):
+        raise ValueError(f"the leaves are not exactly the last {len(t.leaf_point)} ids")
+    if t.leaves != range(first_leaf, n) or t.first_leaf != first_leaf:
+        raise ValueError(f"leaves = {t.leaves!r}, not range({first_leaf}, {n})")
     for v in range(n):
-        if t.is_leaf(v) != (t.level[v] == 0):
+        if (v in t.leaves) != (t.level[v] == 0):
             raise ValueError(f"node {v}: leaves must sit exactly at level 0")
-    leaves = set(t.leaves)
-    if set(t.leaf_point) != leaves:
-        raise ValueError("leaf_point keys must be exactly the leaves")
-    if len(t.servers) != n:
-        raise ValueError("servers must hold one count per node")
-    for pt, leaf in t.point_leaf.items():
-        if leaf not in leaves:
+    for pt, leaf in enumerate(t.point_leaf):
+        if leaf not in t.leaves:
             raise ValueError(f"point {pt} mapped to non-leaf {leaf}")
+    for i, pt in enumerate(t.leaf_point):
+        if not 0 <= pt < len(t.point_leaf) or t.point_leaf[pt] != first_leaf + i:
+            raise ValueError(f"leaf {first_leaf + i} carries point {pt}, which point_leaf does not map back to it")
     for v in range(n):
         if t.servers[v] < 0:
             raise ValueError(f"negative server count at node {v}")
@@ -297,7 +326,8 @@ def reference_frt_embed(metric: FiniteMetric, params: EmbeddingParams, servers) 
     cluster by its members' first covering centers, singleton clusters stop
     as shallow leaves, ``normalize_hst`` extends them with dummy chains and
     numbers the nodes breadth-first, and the server counts are added up
-    each server's path to the root.
+    each server's path to the root. The raw tree's leaves carry class
+    indices, which become the classes' representatives and points after.
     """
     ensure_valid_metric(metric)
     lam = float(params.lam)
@@ -306,7 +336,7 @@ def reference_frt_embed(metric: FiniteMetric, params: EmbeddingParams, servers) 
     k = len(reps)
 
     if k == 1:
-        raw = RawTree(parent=[None], level=[0], leaf_point={0: reps[0]}, lam=lam)
+        raw = RawTree(parent=[None], level=[0], leaf_point={0: 0}, lam=lam)
     else:
         rng = np.random.default_rng(params.seed)
         beta = lam ** rng.random()
@@ -335,7 +365,7 @@ def reference_frt_embed(metric: FiniteMetric, params: EmbeddingParams, servers) 
                     parent.append(node)
                     level.append(lv)
                     if group.size == 1:
-                        leaf_point[cid] = reps[int(group[0])]
+                        leaf_point[cid] = int(group[0])
                     else:
                         nxt.append((cid, group))
             clusters = nxt
@@ -343,9 +373,9 @@ def reference_frt_embed(metric: FiniteMetric, params: EmbeddingParams, servers) 
 
         raw = RawTree(parent=parent, level=level, leaf_point=leaf_point, lam=lam, scale=lam * d_min)
     t = normalize_hst(raw)
-    rep_leaf = {pt: leaf for leaf, pt in t.leaf_point.items()}
-    point_leaf = {p: rep_leaf[reps[rep_of[p]]] for p in range(npts)}
-    return attach(dataclasses.replace(t, point_leaf=point_leaf), servers)
+    leaf_point = tuple(reps[c] for c in t.leaf_point)
+    point_leaf = tuple(t.point_leaf[rep_of[p]] for p in range(npts))
+    return attach(dataclasses.replace(t, leaf_point=leaf_point, point_leaf=point_leaf), servers)
 
 
 def level_pass_frt_embed(counts, params: EmbeddingParams) -> HstTree:
@@ -382,17 +412,19 @@ def level_pass_frt_embed(counts, params: EmbeddingParams) -> HstTree:
     assert len(keys) == k, "partition did not reach singletons"
 
     up = np.concatenate(ups)
-    ends = (np.bincount(up, minlength=first - k).cumsum() + 1).tolist()
-    ids = tuple(range(first))
+    ends = (np.bincount(up, minlength=first).cumsum() + 1).tolist()
+    leaf_point = [None] * k
+    for c, leaf in enumerate(node.tolist()):
+        leaf_point[leaf - (first - k)] = counts.reps[c]
     return HstTree(
         lam=lam,
         scale=scale,
         height=height,
         parent=(None, *up.tolist()),
-        children=tuple([ids[a:b] for a, b in zip([1, *ends], ends)]) + ((),) * k,
+        children=tuple(range(a, b) for a, b in zip([1, *ends], ends)),
         level=tuple(level),
-        leaf_point=dict(zip(node.tolist(), counts.reps)),
-        point_leaf=dict(enumerate(node[counts.rep_of].tolist())),
+        leaf_point=tuple(leaf_point),
+        point_leaf=tuple(node[counts.rep_of].tolist()),
         servers=tuple(np.concatenate(below).astype(np.intp).tolist()),
     )
 
@@ -405,7 +437,7 @@ class ReferenceRwgmState:
     def __init__(self, tree: HstTree, rng: np.random.Generator, policy: str) -> None:
         n = tree.n_nodes
         self.tree = tree
-        self.remaining = [tree.servers[v] if tree.is_leaf(v) else 0 for v in range(n)]
+        self.remaining = [tree.servers[v] if v in tree.leaves else 0 for v in range(n)]
         counts = list(self.remaining)
         for v in range(n - 1, 0, -1):
             counts[tree.parent[v]] += counts[v]
@@ -501,7 +533,7 @@ def recompute_green(state: RwgmState) -> list:
     t = state.tree
     green = [False] * t.n_nodes
     for v in range(t.n_nodes - 1, -1, -1):
-        if t.is_leaf(v):
+        if v in t.leaves:
             green[v] = state.subtree_remaining[v] > 0
         else:
             green[v] = any(green[c] for c in t.children[v])
@@ -550,13 +582,12 @@ def random_tree(rng, height: int, lam: float, scale: float = 1.0, max_children: 
 
 
 def tree_metric(t: HstTree) -> FiniteMetric:
-    """The metric the tree induces on its leaf points."""
-    pts = sorted(t.point_leaf)
-    n = len(pts)
+    """The metric the tree induces on its points."""
+    n = len(t.point_leaf)
     d = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            d[i, j] = d[j, i] = tree_distance(t, t.point_leaf[pts[i]], t.point_leaf[pts[j]])
+            d[i, j] = d[j, i] = tree_distance(t, t.point_leaf[i], t.point_leaf[j])
     return FiniteMetric.from_matrix(d)
 
 
@@ -569,10 +600,9 @@ def leaf_counts(t: HstTree, points) -> dict:
     """Tally a multiset of tree point indices by the leaf that hosts each point."""
     counts = dict.fromkeys(t.leaves, 0)
     for p in points:
-        leaf = t.point_leaf.get(p)
-        if leaf is None:
+        if not 0 <= p < len(t.point_leaf):
             raise ValueError(f"point {p} does not appear among the tree leaves")
-        counts[leaf] += 1
+        counts[t.point_leaf[p]] += 1
     return counts
 
 
@@ -606,9 +636,9 @@ def reference_run_episode(setup, embed_seed: int, play_seed: int, *, algorithm="
 
     The tree is drawn over the full server counts ``setup.servers`` and every
     request, the self-serving opening included, goes through ``rwgm_serve``;
-    a serve that leaves c servers at a leaf takes entry c of its stock tuple.
-    ``check`` runs the same per-request checks with the tree costs the matcher
-    returned.
+    a serve that leaves c servers at leaf v takes entry c of its stock tuple,
+    entry v - first_leaf of ``attach_servers``' list. ``check`` runs the same
+    per-request checks with the tree costs the matcher returned.
     """
     tree = frt_embed(setup.servers, EmbeddingParams(lam=setup.lam, seed=embed_seed))
     stock = attach_servers(tree, setup.stock)
@@ -616,7 +646,7 @@ def reference_run_episode(setup, embed_seed: int, play_seed: int, *, algorithm="
     served, tree_costs = [], []
     for q in setup.g_sub:
         leaf, tree_cost = rwgm_serve(state, tree.point_leaf[q])
-        served.append(stock[leaf][state.subtree_remaining[leaf]])
+        served.append(stock[leaf - tree.first_leaf][state.subtree_remaining[leaf]])
         tree_costs.append(tree_cost)
     if check:
         dist = setup.inst.metric.dist

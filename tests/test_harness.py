@@ -662,7 +662,7 @@ def test_episodes_leave_their_set_up_unchanged(name, tag):
     assert setup.stock.keys() == stock.keys() and all(setup.stock[q] is stock[q] for q in stock)
     tree = frt_embed(setup.servers, EmbeddingParams(lam=setup.lam, seed=5))
     at_leaf = hst.attach_servers(tree, setup.stock)
-    assert all(at_leaf[leaf] is setup.stock[q] for leaf, q in tree.leaf_point.items())
+    assert len(at_leaf) == len(tree.leaf_point) and all(a is setup.stock[q] for a, q in zip(at_leaf, tree.leaf_point))
 
 
 def test_run_episode_check_still_catches_broken_decisions(monkeypatch):

@@ -14,11 +14,13 @@ from helpers import (
     level_pass_frt_embed,
     normalize_hst,
     random_tree,
+    random_tree_instance,
     reference_frt_embed,
     reference_zero_distance_classes,
     subtree_server_counts,
     tree_distance,
     validate_hst,
+    with_multiplicity,
 )
 from hstmatch.generators import euclidean_metric, line_metric, uniform_metric
 from hstmatch.harness import pipeline_setup
@@ -134,7 +136,8 @@ def test_normalize_is_identity_on_normal_trees():
     t = normalize_hst(raw)
     assert t.parent == (None, 0, 0, 1, 1, 2)
     assert t.level == (2, 1, 1, 0, 0, 0)
-    assert t.leaf_point == {3: 0, 4: 1, 5: 2}
+    assert t.children == (range(1, 3), range(3, 5), range(5, 6), range(6, 6), range(6, 6), range(6, 6))
+    assert (t.leaves, t.leaf_point, t.point_leaf) == (range(3, 6), (0, 1, 2), (3, 4, 5))
     validate_hst(t)
 
 
@@ -154,7 +157,7 @@ def test_normalize_extends_shallow_leaf_with_dummy_chain():
     # The moved leaf hangs under a single-child dummy.
     moved = t.point_leaf[0]
     dummy = t.parent[moved]
-    assert t.children[dummy] == (moved,)
+    assert t.children[dummy] == range(moved, moved + 1)
     # Distance between the two deep leaves is untouched; distances to the
     # moved leaf grow by exactly the inserted leaf edge weight (1 per side).
     assert tree_distance(t, t.point_leaf[1], t.point_leaf[2]) == pytest.approx(2.0)
@@ -167,7 +170,7 @@ def test_normalize_single_leaf_gets_dummy_root():
     validate_hst(t)
     assert t.height == 1
     assert len(t.leaves) == 1
-    assert t.leaf_point[t.point_leaf[0]] == 0
+    assert t.leaf_point[t.point_leaf[0] - t.first_leaf] == 0
 
 
 def test_normalize_rejects_cycles_and_disconnection():
@@ -186,6 +189,44 @@ def test_validate_hst_catches_tampering():
     broken = dataclasses.replace(t, level=(1, 0, 1))
     with pytest.raises(ValueError):
         validate_hst(broken)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"children": ((1, 2), (), ())}, r"^children\[0\] = \(1, 2\) is not the range of ids from 1$"),
+        ({"children": (range(2, 3), range(1, 2), range(3, 3))}, r"^children\[0\] = range\(2, 3\) is not the range"),
+        ({"children": [range(1, 3), range(3, 3), range(3, 3)]}, r"^children is a list, not a tuple$"),
+        ({"leaf_point": {1: 0, 2: 1}}, r"^leaf_point is a dict, not a tuple$"),
+        ({"point_leaf": {0: 1, 1: 2}}, r"^point_leaf is a dict, not a tuple$"),
+        ({"leaf_point": (0,)}, r"^the leaves are not exactly the last 1 ids$"),
+        ({"point_leaf": (1, 0)}, r"^point 1 mapped to non-leaf 0$"),
+        ({"point_leaf": (2, 1)}, r"^leaf 1 carries point 0, which point_leaf does not map back to it$"),
+    ],
+)
+def test_validate_hst_catches_layout_faults(change, message):
+    import dataclasses
+
+    t = height1_tree(2)
+    validate_hst(t)
+    with pytest.raises(ValueError, match=message):
+        validate_hst(dataclasses.replace(t, **change))
+
+
+def test_hand_built_helper_trees_fit_the_layout():
+    rng = np.random.default_rng(31)
+    trees = [height1_tree(n) for n in (1, 2, 5)]
+    trees += [random_tree(rng, height, lam=2.5) for height in (1, 2, 3, 4) for _ in range(5)]
+    trees += [with_multiplicity(t, {p: p % 3 for p in range(len(t.point_leaf))}) for t in trees[3:10]]
+    trees += [random_tree_instance(rng, height, 7, lam=3.0)[0] for height in (1, 2, 3)]
+    trees.append(normalize_hst(RawTree([None, 0, 0, 2, 2], [3, 2, 2, 1, 1], {1: 2, 3: 0, 4: 1}, lam=2.0)))
+    for t in trees:
+        validate_hst(t)
+
+
+def test_normalize_refuses_leaf_points_that_are_not_the_first_integers():
+    with pytest.raises(ValueError, match=r"^leaf points must be 0\.\.k-1 over k leaves, got \[0, 2\]$"):
+        normalize_hst(RawTree(parent=[None, 0, 0], level=[1, 0, 0], leaf_point={1: 0, 2: 2}, lam=2.0))
 
 
 def test_frt_single_point_metric():
@@ -287,11 +328,12 @@ def test_frt_embed_matches_cluster_by_cluster_reference(metric, lam, seed, picks
     for field in ("parent", "children", "level", "leaf_point", "point_leaf", "servers", "scale", "height"):
         assert getattr(got, field) == getattr(want, field), field
     validate_hst(got)
+    validate_hst(want)
     # Parents never decrease along the ids, so every node's children are one id range.
     assert all(a <= b for a, b in zip(got.parent[1:], got.parent[2:]))
     first = 1
     for kids in got.children:
-        assert kids == tuple(range(first, first + len(kids)))
+        assert type(kids) is range and kids == range(first, first + len(kids))
         first += len(kids)
 
 
@@ -397,10 +439,11 @@ def test_frt_embed_matches_the_level_pass_oracle(metric, lam, seed, picks, rest)
             assume(False)
     params = EmbeddingParams(lam=lam, seed=seed)
     got, want = frt_embed(counts, params), level_pass_frt_embed(counts, params)
-    for field in ("lam", "scale", "height", "parent", "children", "level", "point_leaf", "servers"):
+    for field in ("lam", "scale", "height", "parent", "children", "level", "leaf_point", "point_leaf", "servers"):
         assert getattr(got, field) == getattr(want, field), field
-    assert list(got.leaf_point.items()) == list(want.leaf_point.items())  # insertion order too
-    assert all(type(x) is int for x in got.servers + got.parent[1:] + got.level)
+    assert all(type(x) is int for x in got.servers + got.parent[1:] + got.level + got.leaf_point + got.point_leaf)
+    validate_hst(got)
+    validate_hst(want)
 
 
 def test_frt_refuses_trees_beyond_the_node_budget():
@@ -463,11 +506,13 @@ def test_attach_servers_counts():
     setup = pipeline_setup(Instance(metric=m, servers=(0, 0, 1), requests=(2, 0, 1)))
     t = frt_embed(setup.servers, EmbeddingParams(lam=2.0, seed=1))
     at_leaf = attach_servers(t, setup.stock)
-    assert sorted(t.point_leaf) == [0, 1]  # the tree spans the server points only
+    assert len(t.point_leaf) == 2  # the tree spans the server points only
     assert t.servers[t.point_leaf[0]] == 2
     assert t.servers[t.point_leaf[1]] == 1
     assert sum(t.servers[leaf] for leaf in t.leaves) == 3
-    assert at_leaf == {t.point_leaf[0]: (0, 0), t.point_leaf[1]: (1,)}
+    assert type(at_leaf) is list and len(at_leaf) == len(t.leaves)
+    assert at_leaf[t.point_leaf[0] - t.first_leaf] == (0, 0)
+    assert at_leaf[t.point_leaf[1] - t.first_leaf] == (1,)
 
 
 def test_attach_servers_all_on_one_leaf():
@@ -476,7 +521,7 @@ def test_attach_servers_all_on_one_leaf():
     t = frt_embed(setup.servers, EmbeddingParams(lam=2.0, seed=1))
     at_leaf = attach_servers(t, setup.stock)
     assert t.servers[t.point_leaf[0]] == 4  # instance point 1 is submetric point 0
-    assert at_leaf == {t.point_leaf[0]: (1, 1, 1, 1)}
+    assert t.leaves == range(1, 2) and at_leaf == [(1, 1, 1, 1)]
 
 
 def test_attach_servers_missing_point_errors():
@@ -495,11 +540,12 @@ def test_attach_servers_hands_out_a_shared_leafs_stock_highest_first_uncopied():
     at_leaf = attach_servers(t, stock)
     shared = t.point_leaf[1]
     assert t.point_leaf[2] == shared
-    assert at_leaf == {shared: (2, 1, 1), t.point_leaf[0]: (0,), t.point_leaf[3]: ()}
+    by_leaf = dict(zip(t.leaves, at_leaf))
+    assert by_leaf == {shared: (2, 1, 1), t.point_leaf[0]: (0,), t.point_leaf[3]: ()}
     assert {leaf: t.servers[leaf] for leaf in t.leaves} == {shared: 3, t.point_leaf[0]: 1, t.point_leaf[3]: 0}
     # Every episode reads the stock's own immutable tuples; a leaf's count says how many are left.
-    assert all(at_leaf[t.point_leaf[q]] is stock[q] for q in stock)
-    assert attach_servers(t, stock)[shared] is stock[1] == (2, 1, 1)
+    assert all(at_leaf[t.point_leaf[q] - t.first_leaf] is stock[q] for q in stock)
+    assert attach_servers(t, stock)[shared - t.first_leaf] is stock[1] == (2, 1, 1)
 
 
 def test_pipeline_setup_stocks_each_class_highest_first():

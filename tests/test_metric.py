@@ -350,6 +350,21 @@ def test_metric_converts_a_list_matrix_once():
     assert peak <= 1.5 * 8 * n * n
 
 
+def test_from_matrix_converts_a_list_matrix_once():
+    # The labels are counted off the rows, so from_matrix peaks as the constructor does (1.13 matrices),
+    # not at a conversion for the count plus the constructor's own (2.15).
+    n = 300
+    rows = [[float(abs(i - j)) for j in range(n)] for i in range(n)]
+    tracemalloc.start()
+    try:
+        m = FiniteMetric.from_matrix(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * n * n
+    assert m.points == tuple(str(i) for i in range(n)) and m.dist.tolist() == rows
+
+
 def make_instance(dist, servers, requests):
     return Instance(metric=FiniteMetric.from_matrix(dist), servers=servers, requests=requests)
 

@@ -90,7 +90,7 @@ def test_init_reads_a_pcg64_in_place_and_draws_uniformly():
     # each request at the empty leaf climbs to the root and takes one uniform
     # draw among four, and two requests per episode read two 32-bit words.
     t = with_multiplicity(height1_tree(5), {0: 2, 1: 2, 2: 2, 3: 2, 4: 0})
-    point_of = {leaf: p for p, leaf in t.point_leaf.items()}
+    point_of = {leaf: p for p, leaf in enumerate(t.point_leaf)}
     bits = np.random.PCG64(derive_seed(2024, 12))
     episodes = 3000
     counts = [[0] * 4, [0] * 4]
@@ -158,7 +158,7 @@ def test_serve_matches_the_generator_reference(tree_seed, play_seed, height, n, 
         leaf = tree.point_leaf[r]
         assert rwgm_serve(got, leaf) == reference_rwgm_serve(want, leaf)
         assert green(got) == want.green
-        leaf_counts = [got.subtree_remaining[v] if tree.is_leaf(v) else 0 for v in range(tree.n_nodes)]
+        leaf_counts = [got.subtree_remaining[v] if v in tree.leaves else 0 for v in range(tree.n_nodes)]
         assert leaf_counts == want.remaining
         assert got.subtree_remaining == want.subtree_remaining
 
@@ -229,7 +229,7 @@ def test_pick_a_leaf_uniform_ignores_multiplicity():
     trials = 6000
     counts = {0: 0, 1: 0, 2: 0}
     for _ in range(trials):
-        counts[t.leaf_point[pick_a_leaf(st, t.root)]] += 1
+        counts[t.leaf_point[pick_a_leaf(st, t.root) - t.first_leaf]] += 1
     for p in counts:
         assert abs(counts[p] / trials - 1 / 3) <= 3 * math.sqrt((1 / 3) * (2 / 3) / trials)
 
@@ -252,7 +252,7 @@ def test_pick_a_leaf_level_probabilities():
     trials = 9000
     counts = {p: 0 for p in range(4)}
     for _ in range(trials):
-        counts[t.leaf_point[pick_a_leaf(st, t.root)]] += 1
+        counts[t.leaf_point[pick_a_leaf(st, t.root) - t.first_leaf]] += 1
     # Uniform by levels: the lone left leaf gets 1/2, each right leaf 1/6.
     assert abs(counts[0] / trials - 0.5) <= 3 * math.sqrt(0.25 / trials)
     for p in (1, 2, 3):

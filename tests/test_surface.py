@@ -10,7 +10,9 @@ import pytest
 import hstmatch
 from hstmatch import harness
 from hstmatch.generators import GeneratorSpec, generate_instance
+from hstmatch.hst import EmbeddingParams, HstTree, frt_embed
 from hstmatch.metric import instance_from_dict, instance_to_dict
+from hstmatch.online import rwgm_init, rwgm_serve
 
 TRACED = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
 MODULES = sorted(
@@ -40,6 +42,40 @@ def test_every_traced_target_resolves():
     missing = [(m, a) for m, a in targets if not callable(getattr(importlib.import_module(m), a, None))]
     assert not missing, f"perfbench/traced.py TARGETS that no longer resolve: {missing}"
 
+
+def test_the_tree_names_the_benchmark_reads_stay():
+    # perfbench/traced.py reduces every drawn tree and serve through these names only: len(c) for each c in
+    # tree.children, tree.n_nodes, tree.height, tree.parent (walked up from two leaves) and RwgmState.tree.
+    inst = generate_instance(GeneratorSpec("line", 12, seed=3))
+    setup = harness.pipeline_setup(inst)
+    tree = frt_embed(setup.rest, EmbeddingParams(lam=setup.lam, seed=9))
+    state = rwgm_init(tree, 4)
+    assert state.tree is tree
+    assert tree.n_nodes == len(tree.parent) == len(tree.children) > tree.height == tree.level[0] >= 1
+    assert type(tree.height) is int
+    assert [len(c) for c in tree.children] == [tree.parent.count(v) for v in range(tree.n_nodes)]
+    assert tree.parent[0] is None and all(type(p) is int for p in tree.parent[1:])
+    for q in setup.g_sub[len(setup.opening):]:
+        a = leaf = tree.point_leaf[q]
+        b, cost = rwgm_serve(state, leaf)
+        level = 0
+        while a != b:
+            a, b = tree.parent[a], tree.parent[b]
+            level += 1
+        assert cost == tree.level_distance[level]
+
+
+def test_a_tree_is_one_breadth_first_layout_of_tuples_and_ranges():
+    fields = {f.name: f.type for f in dataclasses.fields(HstTree)}
+    assert fields == {
+        "lam": "float", "scale": "float", "height": "int", "parent": "tuple", "children": "tuple",
+        "level": "tuple", "leaf_point": "tuple", "point_leaf": "tuple", "servers": "tuple",
+    }
+    assert not hasattr(HstTree, "is_leaf")  # a caller tests v in tree.leaves
+    tree = frt_embed(harness.pipeline_setup(generate_instance(GeneratorSpec("line", 6, seed=1))).servers,
+                     EmbeddingParams(lam=2.0, seed=0))
+    assert type(tree.leaves) is range and tree.leaves == range(tree.first_leaf, tree.n_nodes)
+    assert all(type(c) is range for c in tree.children)
 
 
 def test_a_run_and_its_optimum_keep_one_copy_of_each_fact():
