@@ -48,7 +48,6 @@ from .online import (
 )
 from .oracle import (
     OptimalMatching,
-    TurningPointProfile,
     bound_rwgm_hst,
     expected_moves_bound,
     hst_cost_from_tau,

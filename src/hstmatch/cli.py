@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -25,6 +26,8 @@ from .hst import EmbeddingParams, frt_embed, tree_to_dict
 from .metric import load_instance, save_instance
 
 __all__ = ["main"]
+
+_INT_TEXT = re.compile("-?[0-9]+")  # an integer flag; int() would also take '+4', ' 4', '4_0' and non-ASCII digits
 
 
 def _write_text(path, text: str) -> None:
@@ -72,7 +75,7 @@ def _entries(flag: str, text: str) -> list:
 def _cmd_sweep(args) -> int:
     sizes = _entries("sizes", args.sizes)
     for s in sizes:
-        if not (s.isascii() and s.removeprefix("-").isdigit()):  # int() would also take '+4', ' 4' and '4_0'
+        if not _INT_TEXT.fullmatch(s):
             raise ValueError(f"--sizes entry {s!r} is not an integer")
     sizes = [int(s) for s in sizes]
     algorithms = _entries("algorithms", args.algorithms)
@@ -96,12 +99,15 @@ def _cmd_embed(args) -> int:
     return 0
 
 
+def _int(text: str) -> int:
+    if not _INT_TEXT.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _seed(text: str) -> int:
     """A --seed value: numpy seeds streams from non-negative integers only."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
     return value
@@ -116,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write an instance JSON for one adversary family")
     p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--dim", type=int, default=2, help="dimension for the euclidean family")
+    p.add_argument("--n", required=True, type=_int)
+    p.add_argument("--dim", type=_int, default=2, help="dimension for the euclidean family")
     p.add_argument("--coord-range", type=float, default=100.0, help="coordinate span for the line family")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-o", "--output", required=True)
@@ -126,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one algorithm on an instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--algorithm", required=True, choices=ALGORITHMS)
-    p.add_argument("--episodes", type=int, default=1000)
+    p.add_argument("--episodes", type=_int, default=1000)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-o", "--output", help="trace CSV path")
     p.add_argument("--report", help="report JSON path")
@@ -136,9 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--sizes", required=True, help="comma-separated sizes, e.g. 2,4,8")
     p.add_argument("--algorithms", default="rwgm,greedy", help="comma-separated algorithm tags")
-    p.add_argument("--episodes", type=int, default=1000)
+    p.add_argument("--episodes", type=_int, default=1000)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=_int, default=2)
     p.add_argument("--coord-range", type=float, default=100.0)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_sweep)

@@ -59,8 +59,9 @@ def _check_algorithms(tags) -> None:
 
 
 def derive_seed(master_seed: int, *key: int) -> int:
-    """Stable 64-bit child seed for a (master, key...) slot."""
-    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(k) for k in key))
+    """Stable 64-bit child seed for a (master, key...) slot; the master and every key are non-negative integers."""
+    key = tuple(int(_checked_seed(k, f"key[{i}]")) for i, k in enumerate(key))
+    ss = np.random.SeedSequence(entropy=int(_checked_seed(master_seed, "master_seed")), spawn_key=key)
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -252,6 +253,8 @@ def run_episode(setup: PipelineSetup, embed_seed, play_seed, *, algorithm="rwgm"
     the discretization distance d(g, r), and the inner (submetric) cost never
     exceeds the tree cost the matcher paid (0 for an opening request).
     """
+    if algorithm not in _TREE_POLICY:
+        raise ValueError(f"run_episode plays a randomized tag, one of {tuple(_TREE_POLICY)}, got {algorithm!r}")
     tree = frt_embed(setup.rest, EmbeddingParams(lam=setup.lam, seed=embed_seed))
     stock = attach_servers(tree, setup.stock)
     state = rwgm_init(tree, play_seed, policy=_TREE_POLICY[algorithm])

@@ -73,8 +73,8 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 def lambda_for_n(n: int) -> float:
     """Default separation parameter for an n-server game: 2 * (1 + ln n)."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    if not (_is_int(n) and n >= 1):
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     return 2.0 * (1.0 + math.log(n))
 
 
@@ -142,16 +142,6 @@ class HstTree:
             total += 2.0 * self.lam ** (i - 1)
             out.append(self.scale * total)
         return tuple(out)
-
-    def subtree_sums(self, leaf_values) -> list:
-        """Sum a leaf -> integer mapping over every node's subtree, as Python ints; absent leaves are 0."""
-        parent = self.parent
-        sums = [0] * len(parent)
-        for leaf, x in leaf_values.items():
-            sums[leaf] = int(x)
-        for v in range(len(parent) - 1, 0, -1):  # breadth-first numbering: parents precede children
-            sums[parent[v]] += sums[v]
-        return sums
 
 
 def _zero_distance_classes(dist: np.ndarray) -> tuple[list, np.ndarray]:

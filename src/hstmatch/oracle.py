@@ -1,9 +1,9 @@
 """Exact offline optimum, turning-point cost decomposition, and bound formulas.
 
-The assignment oracle provides the ratio denominators; the turning-point
-profile recovers the optimal cost on a tree combinatorially, and the bound
-functions evaluate the geometric envelopes that the Monte Carlo suite tests
-the randomized matcher against.
+The assignment oracle provides the ratio denominators; tau, the optimal
+pairs turning at each node of a tree as a tuple indexed by node, recovers the
+optimal cost on the tree combinatorially, and the bound functions evaluate,
+from the tree and tau, the envelopes the Monte Carlo suite tests against.
 """
 from __future__ import annotations
 
@@ -12,20 +12,19 @@ import importlib.util
 import math
 import os
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
-from typing import Mapping
+from itertools import accumulate, count, islice
 
 import numpy as np
 
-from .hst import HstTree
-from .metric import Instance
+from .hst import HstTree, lambda_for_n
+from .metric import Instance, _is_int
 
 __all__ = [
     "OptimalMatching",
     "optimal_matching",
-    "TurningPointProfile",
     "turning_point_tau",
     "hst_cost_from_tau",
     "bound_rwgm_hst",
@@ -102,85 +101,65 @@ def optimal_matching(inst: Instance) -> OptimalMatching:
         return OptimalMatching(served=served, cost=float(cost[rows, cols].sum()))
 
 
-@dataclass(frozen=True)
-class TurningPointProfile:
-    """Per-node pair counts tau(u) on one tree instance.
-
-    tau(u) counts the matched pairs whose tree path peaks at u; it is the
-    same for every optimal matching, so it is computed directly from the
-    per-subtree imbalance between requests and servers.
-    """
-
-    tau: dict
-    tree: HstTree
-
-    @property
-    def max_height(self) -> int:
-        """Highest level of a node with a turning pair; 0 when there is none."""
-        return max((self.tree.level[u] for u, tau in self.tau.items() if tau), default=0)
-
-
-def turning_point_tau(
-    t: HstTree,
-    request_count: Mapping,
-    server_count: Mapping | None = None,
-) -> TurningPointProfile:
-    """Turning-point counts from leaf tallies of requests and servers.
+def turning_point_tau(t: HstTree, requests) -> tuple:
+    """Pairs turning at each node, by node id, for ``requests``, a multiset of the tree's point indices.
 
     For each node v let b(v) be requests minus servers inside v's subtree;
     any optimal matching sends exactly |b(v)| pairs across the edge above v,
-    so tau(u) = (sum of |b(child)| - |b(u)|) / 2 at every internal node.
+    so tau(u) = (sum of |b(child)| - |b(u)|) / 2, and 0 at a leaf.
     """
-    if server_count is None:
-        server_count = dict(enumerate(t.servers))
-    excess = {leaf: int(request_count.get(leaf, 0)) - int(server_count.get(leaf, 0)) for leaf in t.leaves}
-    b = t.subtree_sums(excess)
-    if b[t.root] != 0:
+    b = [0] * t.first_leaf + [-s for s in t.servers[t.first_leaf:]]  # requests less servers in v's subtree
+    for i, p in enumerate(requests):
+        if not (_is_int(p) and 0 <= p < len(t.point_leaf)):
+            raise ValueError(f"requests[{i}] = {p!r} is not an integer point of the tree, 0..{len(t.point_leaf) - 1}")
+        b[t.point_leaf[p]] += 1
+    for v in range(t.n_nodes - 1, 0, -1):  # breadth-first numbering: parents precede children
+        b[t.parent[v]] += b[v]
+    if b[0] != 0:
         raise ValueError("request and server totals differ")
-    tau = {}
-    for v in range(t.first_leaf):  # the internal nodes; no pair turns at a leaf
-        spread = sum(abs(b[c]) for c in t.children[v]) - abs(b[v])
-        if spread < 0 or spread % 2:
-            raise AssertionError(f"imbalance bookkeeping broke at node {v}")
-        tau[v] = spread // 2
-    tau.update(dict.fromkeys(t.leaves, 0))
-    return TurningPointProfile(tau=tau, tree=t)
+    spread = [sum(abs(b[c]) for c in t.children[v]) - abs(b[v]) for v in range(t.first_leaf)]
+    if any(x < 0 or x % 2 for x in spread):
+        raise AssertionError("imbalance bookkeeping broke")
+    return (*(x // 2 for x in spread), *[0] * len(t.leaf_point))  # no pair turns at a leaf
 
 
-def _tau_sum(profile: TurningPointProfile, table) -> float:
-    """sum of tau(u) * table[height(u)] over the turning points, added in node order."""
-    total = 0.0
-    for u, tau in profile.tau.items():
-        if tau:
-            total += tau * table[profile.tree.level[u]]
-    return total
+def _tau_sum(t: HstTree, tau, table, name: str, factor: float = 1.0) -> float:
+    """factor * sum of tau(u) * table[level(u)] over the turning points, added in node order; refuses an overflow.
+
+    ``table`` is any iterable by level, read only up to the highest turning level."""
+    top = max((lv for lv, k in zip(t.level, tau) if k), default=0)
+    with suppress(OverflowError):  # a power beyond the range raises; a sum or product beyond it is inf
+        table = list(islice(table, top + 1))
+        total = 0.0
+        for lv, k in zip(t.level, tau):
+            if k:
+                total += k * table[lv]
+        if math.isfinite(factor * total):
+            return factor * total
+    raise ValueError(f"{name} overflows: a pair turns at level {top}")
 
 
-def hst_cost_from_tau(profile: TurningPointProfile) -> float:
+def hst_cost_from_tau(t: HstTree, tau) -> float:
     """Optimal matching cost on the tree: sum of tau(u) times the leaf distance meeting at u."""
-    return _tau_sum(profile, profile.tree.level_distance)
+    return _tau_sum(t, tau, t.level_distance, "hst_cost_from_tau")
 
 
-def bound_rwgm_hst(profile: TurningPointProfile) -> float:
+def bound_rwgm_hst(t: HstTree, tau) -> float:
     """Envelope for the matcher's expected cost: scale * 2 * sum tau(u) * sum c_i lam^i.
 
-    c_i = 1/2 + 1/4 + ... + (1/2)**i rises toward (but never reaches) one.
+    c_i = 1/2 + 1/4 + ... + (1/2)**i rises toward one, and rounds to exactly one from i = 54 on.
     """
-    lam = profile.tree.lam
-    c = accumulate(0.5**i for i in range(1, profile.max_height + 1))
-    prefix = list(accumulate((c_i * lam**i for i, c_i in enumerate(c, start=1)), initial=0.0))
-    return profile.tree.scale * 2.0 * _tau_sum(profile, prefix)
+    c = accumulate(0.5**i for i in count(1))
+    terms = (c_i * t.lam**i for i, c_i in enumerate(c, start=1))
+    return _tau_sum(t, tau, accumulate(terms, initial=0.0), f"bound_rwgm_hst at lam={t.lam!r}", t.scale * 2.0)
 
 
-def expected_moves_bound(profile: TurningPointProfile, n: int) -> float:
+def expected_moves_bound(t: HstTree, tau, n: int) -> float:
     """Envelope for the expected number of cross-leaf moves.
 
     Evaluates sum over nodes of tau(u) * sum_{i=1..h(u)} (1 + ln n)^i; the
     move count of an episode is the number of requests served away from
     their own leaf.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    base = 1.0 + math.log(n)
-    prefix = list(accumulate((base**i for i in range(1, profile.max_height + 1)), initial=0.0))
-    return _tau_sum(profile, prefix)
+    base = lambda_for_n(n) / 2.0  # 1 + ln n; refuses an n that is not a positive integer
+    return _tau_sum(t, tau, accumulate((base**i for i in count(1)), initial=0.0), f"expected_moves_bound at n={n}")

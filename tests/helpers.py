@@ -596,16 +596,6 @@ def attach(t: HstTree, servers) -> HstTree:
     return with_multiplicity(t, Counter(servers))
 
 
-def leaf_counts(t: HstTree, points) -> dict:
-    """Tally a multiset of tree point indices by the leaf that hosts each point."""
-    counts = dict.fromkeys(t.leaves, 0)
-    for p in points:
-        if not 0 <= p < len(t.point_leaf):
-            raise ValueError(f"point {p} does not appear among the tree leaves")
-        counts[t.point_leaf[p]] += 1
-    return counts
-
-
 def random_tree_instance(rng, height: int, n: int, lam: float, scale: float = 1.0):
     """A random tree plus a random balanced instance living on its leaves."""
     t = random_tree(rng, height, lam, scale)

@@ -12,7 +12,6 @@ from helpers import (
     brute_force_cost,
     harmonic,
     height1_tree,
-    leaf_counts,
     play_on_tree,
     random_tree_instance,
     tree_distance,
@@ -96,8 +95,7 @@ def test_criterion_03_turning_point_cost_formula():
         height = int(rng.integers(1, 4))
         n = int(rng.integers(1, 8))
         tree, inst = random_tree_instance(rng, height, n, lam=1.5 + 2.0 * float(rng.random()))
-        profile = turning_point_tau(tree, leaf_counts(tree, inst.requests))
-        from_tau = hst_cost_from_tau(profile)
+        from_tau = hst_cost_from_tau(tree, turning_point_tau(tree, inst.requests))
         exact = optimal_matching(inst).cost
         worst = max(worst, abs(from_tau - exact) / max(1.0, exact))
         checked += 1
@@ -245,11 +243,11 @@ def test_criterion_09_hst_envelope():
         lam = lambda_for_n(n)
         while True:  # redraw the rare instance whose envelope is trivially zero
             tree, inst = random_tree_instance(rng, height, n, lam=lam)
-            profile = turning_point_tau(tree, leaf_counts(tree, inst.requests))
-            if any(profile.tau.values()):
+            tau = turning_point_tau(tree, inst.requests)
+            if any(tau):
                 break
-        cost_bound = bound_rwgm_hst(profile)
-        moves_bound = expected_moves_bound(profile, n)
+        cost_bound = bound_rwgm_hst(tree, tau)
+        moves_bound = expected_moves_bound(tree, tau, n)
         costs = np.empty(episodes)
         moves = np.empty(episodes)
         for e in range(episodes):

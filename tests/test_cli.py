@@ -146,6 +146,44 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", ["4_0", "+4", " 4", "4 ", "\u0664"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["generate", "--family", "star", "--n", "4"], "--n"),
+        (["generate", "--family", "star", "--n", "4"], "--dim"),
+        (["generate", "--family", "star", "--n", "4"], "--seed"),
+        (["run", "--instance", "inst.json", "--algorithm", "rwgm"], "--episodes"),
+        (["run", "--instance", "inst.json", "--algorithm", "rwgm"], "--seed"),
+        (["sweep", "--family", "star", "--sizes", "2"], "--episodes"),
+        (["sweep", "--family", "star", "--sizes", "2"], "--dim"),
+        (["sweep", "--family", "star", "--sizes", "2"], "--seed"),
+        (["embed", "--instance", "inst.json"], "--seed"),
+    ],
+)
+def test_integer_flags_read_only_an_optional_minus_and_ascii_digits(tmp_path, capsys, argv, flag, bad):
+    # int() would read '4_0' as 40 and '+4', ' 4' and the Arabic-Indic digit four as 4.
+    out = tmp_path / "out"
+    extra = [] if argv[0] in ("run", "embed") else ["-o", out]
+    argv = [str(tmp_path / a) if a == "inst.json" else a for a in argv]
+    if flag == "--n":
+        argv = argv[:-2]
+    assert run_cli(*argv, *extra, flag, bad) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hstmatch " + argv[0])
+    assert f"argument {flag}: invalid int value: {bad!r}" in err
+    assert not out.exists()
+
+
+def test_integer_flags_still_read_plain_and_negative_integers(tmp_path):
+    out = tmp_path / "inst.json"
+    assert run_cli("generate", "--family", "euclidean", "--n", "04", "--dim", "3", "--seed", "007", "-o", out) == 0
+    inst, direct = load_instance(out), generate_instance(GeneratorSpec("euclidean", 4, seed=7, dim=3))
+    assert (inst.servers, inst.requests) == (direct.servers, direct.requests)
+    assert (inst.metric.dist == direct.metric.dist).all()
+    assert run_cli("generate", "--family", "star", "--n", "-4", "-o", tmp_path / "neg.json") == 1
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
     src = Path(hstmatch.__file__).resolve().parents[1]
     code = "import sys, hstmatch.cli; sys.exit('scipy.optimize' in sys.modules)"

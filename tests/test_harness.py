@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import math
+import re
 import threading
 import time
 from collections import Counter
@@ -44,6 +45,26 @@ def test_derive_seed_is_stable_and_keyed():
     assert derive_seed(7, 1, 2) == derive_seed(7, 1, 2)
     assert derive_seed(7, 1, 2) != derive_seed(7, 2, 1)
     assert derive_seed(7, 1, 2) != derive_seed(8, 1, 2)
+    assert derive_seed(np.uint32(7), np.int64(1), np.uint8(2)) == derive_seed(7, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1.5, 0), "master_seed must be a non-negative integer, got 1.5"),  # would run as master 1
+        ((True, 0), "master_seed must be a non-negative integer, got True"),  # would run as master 1
+        (("3", 0), "master_seed must be a non-negative integer, got '3'"),
+        ((-1, 0), "master_seed must be a non-negative integer, got -1"),
+        ((np.float64(2.0), 0), "master_seed must be a non-negative integer, got np.float64(2.0)"),
+        ((1, 2.7), "key[0] must be a non-negative integer, got 2.7"),
+        ((1, 0, True), "key[1] must be a non-negative integer, got True"),
+        ((1, 0, 0, -3), "key[2] must be a non-negative integer, got -3"),
+        ((1, "0"), "key[0] must be a non-negative integer, got '0'"),
+    ],
+)
+def test_derive_seed_refuses_what_is_not_a_non_negative_integer(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        derive_seed(*args)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -277,6 +298,18 @@ def test_episodes_call_the_embedding_and_matcher_through_harness_names(monkeypat
     opening = len(pipeline_setup(inst).opening)
     assert opening < inst.n
     assert calls == {"frt_embed": 5, "attach_servers": 5, "rwgm_init": 5, "rwgm_serve": 5 * (inst.n - opening)}
+
+
+@pytest.mark.parametrize("tag", ["greedy", "optimal", "nope"])
+def test_run_episode_refuses_a_tag_that_is_not_randomized_before_any_draw(monkeypatch, tag):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("an episode drew a tree for a tag it cannot play")
+
+    monkeypatch.setattr(harness, "frt_embed", no_draw)
+    setup = pipeline_setup(generate_instance(GeneratorSpec("line", 4, seed=1)))
+    message = f"run_episode plays a randomized tag, one of ('rwgm', 'rwgm-proportional'), got {tag!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_episode(setup, 1, 2, algorithm=tag)
 
 
 def test_a_run_computes_the_zero_distance_classes_once(monkeypatch):

@@ -42,6 +42,14 @@ def test_lambda_for_n():
     assert lambda_for_n(100) == pytest.approx(11.210, abs=5e-4)
     with pytest.raises(ValueError):
         lambda_for_n(0)
+    assert lambda_for_n(np.int64(3)) == lambda_for_n(3)
+
+
+@pytest.mark.parametrize("n", [True, 1.5, np.float64(2.0), "3", 0, -1, np.int64(0)])
+def test_lambda_for_n_refuses_what_is_not_a_positive_integer(n):
+    # True ran as n = 1 and 1.5 as a 1.5-server game.
+    with pytest.raises(ValueError, match=f"^{re.escape(f'n must be a positive integer, got {n!r}')}$"):
+        lambda_for_n(n)
 
 
 def test_embedding_params_requires_lam_above_one():
@@ -108,22 +116,6 @@ def test_tree_distance_meet_at_height_two():
     )
     t = normalize_hst(raw)
     assert tree_distance(t, t.point_leaf[0], t.point_leaf[1]) == pytest.approx(8.0)
-
-
-def test_subtree_sums_add_every_leaf_into_its_ancestors():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        t = random_tree(rng, int(rng.integers(1, 5)), lam=3.0)
-        values = {leaf: np.int64(rng.integers(-5, 6)) for leaf in t.leaves if rng.random() < 0.7}
-        expect = [0] * t.n_nodes
-        for leaf, x in values.items():
-            v = leaf
-            while v is not None:
-                expect[v] += int(x)
-                v = t.parent[v]
-        sums = t.subtree_sums(values)
-        assert sums == expect
-        assert all(type(x) is int for x in sums)
 
 
 def test_normalize_is_identity_on_normal_trees():

@@ -1,11 +1,15 @@
 import importlib.machinery
 import math
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hstmatch
 from helpers import (
@@ -13,7 +17,6 @@ from helpers import (
     brute_force_cost,
     harmonic,
     height1_tree,
-    leaf_counts,
     normalize_hst,
     random_tree_instance,
     tree_distance,
@@ -22,7 +25,8 @@ from helpers import (
 )
 from hstmatch.generators import GeneratorSpec, generate_instance, line_metric, uniform_metric
 from hstmatch.metric import FiniteMetric, Instance
-from hstmatch import oracle
+from hstmatch import hst, oracle
+from hstmatch.hst import HstTree
 from hstmatch.online import discretize_all
 from hstmatch.oracle import (
     bound_rwgm_hst,
@@ -111,22 +115,22 @@ def test_optimal_matching_agrees_with_brute_force():
 
 def test_tau_zero_when_pairs_share_leaves():
     t = with_multiplicity(height1_tree(3), {0: 2, 1: 1, 2: 0})
-    profile = turning_point_tau(t, leaf_counts(t, [0, 0, 1]))
-    assert all(v == 0 for v in profile.tau.values())
-    assert hst_cost_from_tau(profile) == 0.0
+    tau = turning_point_tau(t, [0, 0, 1])
+    assert tau == (0,) * t.n_nodes
+    assert hst_cost_from_tau(t, tau) == 0.0
 
 
 def test_tau_single_cross_pair():
     t = with_multiplicity(height1_tree(2, scale=1.0), {0: 1, 1: 0})
-    profile = turning_point_tau(t, leaf_counts(t, [1]), server_count={t.point_leaf[0]: 1, t.point_leaf[1]: 0})
-    assert profile.tau[t.root] == 1
-    assert hst_cost_from_tau(profile) == pytest.approx(2.0)
+    tau = turning_point_tau(t, [1])
+    assert tau[t.root] == 1
+    assert hst_cost_from_tau(t, tau) == pytest.approx(2.0)
 
 
 def test_tau_rejects_unbalanced_totals():
     t = with_multiplicity(height1_tree(2), {0: 2, 1: 0})
     with pytest.raises(ValueError):
-        turning_point_tau(t, leaf_counts(t, [1]))
+        turning_point_tau(t, [1])
 
 
 def test_tau_cost_matches_oracle_on_random_trees():
@@ -135,14 +139,15 @@ def test_tau_cost_matches_oracle_on_random_trees():
         height = int(rng.integers(1, 4))
         n = int(rng.integers(1, 8))
         tree, inst = random_tree_instance(rng, height, n, lam=2.0 + float(rng.random()))
-        req = leaf_counts(tree, inst.requests)
-        profile = turning_point_tau(tree, req)
-        cost = hst_cost_from_tau(profile)
+        tau = turning_point_tau(tree, inst.requests)
+        cost = hst_cost_from_tau(tree, tau)
         assert cost == pytest.approx(optimal_matching(inst).cost, rel=1e-9, abs=1e-12)
         # Total tau counts exactly the pairs no leaf can absorb locally.
+        req = Counter(tree.point_leaf[p] for p in inst.requests)
         cross = n - sum(min(req[leaf], tree.servers[leaf]) for leaf in tree.leaves)
-        assert sum(profile.tau.values()) == cross
-        assert all(profile.tau[leaf] == 0 for leaf in tree.leaves)
+        assert len(tau) == tree.n_nodes
+        assert sum(tau) == cross
+        assert all(tau[leaf] == 0 for leaf in tree.leaves)
 
 
 def test_hst_cost_single_pair_height_two():
@@ -153,9 +158,9 @@ def test_hst_cost_single_pair_height_two():
         lam=3.0,
     )
     t = with_multiplicity(normalize_hst(raw), {0: 1, 1: 0})
-    profile = turning_point_tau(t, leaf_counts(t, [1]))
-    assert hst_cost_from_tau(profile) == pytest.approx(8.0)
-    assert hst_cost_from_tau(profile) == pytest.approx(
+    tau = turning_point_tau(t, [1])
+    assert hst_cost_from_tau(t, tau) == pytest.approx(8.0)
+    assert hst_cost_from_tau(t, tau) == pytest.approx(
         tree_distance(t, t.point_leaf[0], t.point_leaf[1])
     )
 
@@ -168,9 +173,9 @@ def test_bound_params_coefficients():
     for h in range(1, 11):
         raw = RawTree(parent=[None, 0, 0], level=[h, h - 1, h - 1], leaf_point={1: 0, 2: 1}, lam=lam)
         t = with_multiplicity(normalize_hst(raw), {0: 1, 1: 0})
-        profile = turning_point_tau(t, leaf_counts(t, [1]))
-        assert profile.max_height == h
-        bounds.append(bound_rwgm_hst(profile))
+        tau = turning_point_tau(t, [1])
+        assert max(lv for lv, k in zip(t.level, tau) if k) == h  # the highest turning level
+        bounds.append(bound_rwgm_hst(t, tau))
     c = [(b - a) / (2.0 * lam**h) for h, (a, b) in enumerate(zip(bounds, bounds[1:]), start=1)]
     assert c[0] == 0.5
     assert all(ch < 1.0 for ch in c)
@@ -181,20 +186,20 @@ def test_bound_params_coefficients():
 
 def test_bound_rwgm_trivial_cases():
     t = with_multiplicity(height1_tree(2), {0: 1, 1: 1})
-    zero = turning_point_tau(t, leaf_counts(t, [0, 1]))
-    assert zero.max_height == 0
-    assert bound_rwgm_hst(zero) == 0.0
-    one = turning_point_tau(t, leaf_counts(t, [0, 0]), server_count={t.point_leaf[0]: 1, t.point_leaf[1]: 1})
-    assert bound_rwgm_hst(one) == pytest.approx(t.lam)  # 2 * c_1 * lam
+    zero = turning_point_tau(t, [0, 1])
+    assert not any(zero)
+    assert bound_rwgm_hst(t, zero) == 0.0
+    one = turning_point_tau(t, [0, 0])
+    assert bound_rwgm_hst(t, one) == pytest.approx(t.lam)  # 2 * c_1 * lam
 
 
 def test_bound_envelope_stays_below_lam_times_opt():
     rng = np.random.default_rng(11)
     for trial in range(25):
         tree, inst = random_tree_instance(rng, int(rng.integers(1, 4)), 8, lam=3.0)
-        profile = turning_point_tau(tree, leaf_counts(tree, inst.requests))
-        opt = hst_cost_from_tau(profile)
-        bound = bound_rwgm_hst(profile)
+        tau = turning_point_tau(tree, inst.requests)
+        opt = hst_cost_from_tau(tree, tau)
+        bound = bound_rwgm_hst(tree, tau)
         if opt > 0:
             assert bound < tree.lam * opt
         else:
@@ -203,18 +208,95 @@ def test_bound_envelope_stays_below_lam_times_opt():
 
 def test_expected_moves_bound_values():
     t = with_multiplicity(height1_tree(2), {0: 1, 1: 0})
-    profile = turning_point_tau(t, leaf_counts(t, [1]))
-    assert expected_moves_bound(profile, 1) == pytest.approx(1.0)
+    tau = turning_point_tau(t, [1])
+    assert expected_moves_bound(t, tau, 1) == pytest.approx(1.0)
 
     raw = RawTree(parent=[None, 0, 0, 1, 2], level=[2, 1, 1, 0, 0], leaf_point={3: 0, 4: 1}, lam=3.0)
     t2 = with_multiplicity(normalize_hst(raw), {0: 1, 1: 0})
-    profile2 = turning_point_tau(t2, leaf_counts(t2, [1]))
+    tau2 = turning_point_tau(t2, [1])
     base = 1.0 + math.log(7)
-    assert expected_moves_bound(profile2, 7) == pytest.approx(base + base**2, rel=1e-12)
-    assert expected_moves_bound(profile2, 7) == pytest.approx(11.63, abs=1e-2)
+    assert expected_moves_bound(t2, tau2, 7) == pytest.approx(base + base**2, rel=1e-12)
+    assert expected_moves_bound(t2, tau2, 7) == pytest.approx(11.63, abs=1e-2)
 
-    zero = turning_point_tau(t2, leaf_counts(t2, [0]), server_count={t2.point_leaf[0]: 1, t2.point_leaf[1]: 0})
-    assert expected_moves_bound(zero, 7) == 0.0
+    zero = turning_point_tau(t2, [0])
+    assert expected_moves_bound(t2, zero, 7) == 0.0
+
+
+def _chain_tree(height: int, turn: int, lam: float) -> HstTree:
+    """Points 0 and 1 on leaves meeting at level ``turn``, point 2 on a leaf meeting them at the root."""
+    parent = [None] + list(range(height - turn))  # node i sits at level height - i, down to level turn
+    level = list(range(height, turn - 1, -1))
+    parent += [height - turn, height - turn, 0]
+    level += [turn - 1, turn - 1, height - 1]
+    n = len(parent)
+    leaf_point = {n - 3: 0, n - 2: 1, n - 1: 2}
+    return with_multiplicity(normalize_hst(RawTree(parent, level, leaf_point, lam=lam)), {0: 1})
+
+
+def test_moves_bound_refuses_a_sum_beyond_the_float_range():
+    # A legal draw: two classes at lam = 1.01 and height 800 pass the embedding's budget.
+    hst._check_budget(800, 2, 1.01, 1.0)
+    t = _chain_tree(800, 800, lam=1.01)
+    tau = turning_point_tau(t, [1])
+    assert [(t.level[u], k) for u, k in enumerate(tau) if k] == [(800, 1)]
+    assert hst_cost_from_tau(t, tau) == pytest.approx(572766.2, abs=0.1)
+    assert bound_rwgm_hst(t, tau) == pytest.approx(578491.8, abs=0.1)
+    with pytest.raises(ValueError, match=r"^expected_moves_bound at n=7 overflows: a pair turns at level 800$"):
+        expected_moves_bound(t, tau, 7)
+    assert expected_moves_bound(t, tau, 1) == 800.0  # (1 + ln 1)**i is 1 at every level
+
+
+def test_bounds_read_only_the_levels_up_to_the_highest_turn():
+    # On the same tall tree a pair that turns at level 1 bounds as on a height-1 tree;
+    # a table sized by the tree's height would overflow on (1 + ln 7)**800.
+    t = _chain_tree(800, 1, lam=1.01)
+    tau = turning_point_tau(t, [1])
+    assert [(t.level[u], k) for u, k in enumerate(tau) if k] == [(1, 1)]
+    assert hst_cost_from_tau(t, tau) == 2.0
+    assert bound_rwgm_hst(t, tau) == 2.0 * 0.5 * 1.01
+    assert expected_moves_bound(t, tau, 7) == 1.0 + math.log(7)
+    with pytest.raises(OverflowError):
+        (1.0 + math.log(7)) ** 800
+
+
+def test_rwgm_bound_refuses_a_power_beyond_the_float_range():
+    t = with_multiplicity(height1_tree(2, lam=1e200), {0: 1})
+    tau = turning_point_tau(t, [1])
+    assert bound_rwgm_hst(t, tau) == pytest.approx(1e200)
+    t = _chain_tree(2, 2, lam=1e200)
+    with pytest.raises(ValueError, match=r"^bound_rwgm_hst at lam=1e\+200 overflows: a pair turns at level 2$"):
+        bound_rwgm_hst(t, turning_point_tau(t, [1]))
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 1.0, True, "1", np.float64(0.0), None])
+def test_tau_refuses_requests_that_are_not_integer_points_of_the_tree(bad):
+    t = with_multiplicity(height1_tree(3), {0: 1, 1: 1})
+    message = f"requests[1] = {bad!r} is not an integer point of the tree, 0..2"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        turning_point_tau(t, [0, bad])
+    assert turning_point_tau(t, [np.int64(2), np.uint8(2)]) == turning_point_tau(t, [2, 2])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    height=st.integers(1, 4),
+    n=st.integers(1, 8),
+    lam=st.sampled_from([1.5, 2.0, 3.7]),
+)
+def test_tau_counts_the_solved_pairs_meeting_at_each_node(seed, height, n, lam):
+    # With positive edge weights every optimal matching crosses the edge above v
+    # exactly |b(v)| times, so whichever optimum the solver returns, its pairs
+    # meet at each node as often as tau says.
+    t, inst = random_tree_instance(np.random.default_rng(seed), height, n, lam=lam)
+    counts = [0] * t.n_nodes
+    for r, s in zip(inst.requests, optimal_matching(inst).served):
+        a, b = t.point_leaf[r], t.point_leaf[s]
+        if a != b:
+            while a != b:
+                a, b = t.parent[a], t.parent[b]
+            counts[a] += 1
+    assert turning_point_tau(t, inst.requests) == tuple(counts)
 
 
 def test_discretized_optimum_within_twice_opt():

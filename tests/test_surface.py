@@ -2,6 +2,7 @@
 import ast
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -76,6 +77,27 @@ def test_a_tree_is_one_breadth_first_layout_of_tuples_and_ranges():
                      EmbeddingParams(lam=2.0, seed=0))
     assert type(tree.leaves) is range and tree.leaves == range(tree.first_leaf, tree.n_nodes)
     assert all(type(c) is range for c in tree.children)
+
+
+def test_the_turning_point_chain_reads_the_tree_and_a_node_indexed_tau():
+    from hstmatch import oracle
+
+    signatures = {
+        name: list(inspect.signature(getattr(oracle, name)).parameters)
+        for name in ("turning_point_tau", "hst_cost_from_tau", "bound_rwgm_hst", "expected_moves_bound")
+    }
+    assert signatures == {
+        "turning_point_tau": ["t", "requests"],
+        "hst_cost_from_tau": ["t", "tau"],
+        "bound_rwgm_hst": ["t", "tau"],
+        "expected_moves_bound": ["t", "tau", "n"],
+    }
+    assert not hasattr(oracle, "TurningPointProfile") and not hasattr(hstmatch, "TurningPointProfile")
+    assert not hasattr(HstTree, "subtree_sums")
+    setup = harness.pipeline_setup(generate_instance(GeneratorSpec("line", 6, seed=1)))
+    tree = frt_embed(setup.servers, EmbeddingParams(lam=2.0, seed=0))
+    tau = oracle.turning_point_tau(tree, setup.g_sub)
+    assert type(tau) is tuple and len(tau) == tree.n_nodes
 
 
 def test_a_run_and_its_optimum_keep_one_copy_of_each_fact():
