@@ -10,6 +10,7 @@ import argparse
 import json
 import re
 import sys
+from functools import partial
 from pathlib import Path
 
 from .generators import FAMILIES, GeneratorSpec, generate_instance
@@ -28,6 +29,7 @@ from .metric import load_instance, save_instance
 __all__ = ["main"]
 
 _INT_TEXT = re.compile("-?[0-9]+")  # an integer flag; int() would also take '+4', ' 4', '4_0' and non-ASCII digits
+_FLOAT_TEXT = re.compile(r"-?([0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?|inf)|nan")  # likewise a float flag, or inf or nan
 
 
 def _write_text(path, text: str) -> None:
@@ -99,10 +101,14 @@ def _cmd_embed(args) -> int:
     return 0
 
 
-def _int(text: str) -> int:
-    if not _INT_TEXT.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+def _number(rule: re.Pattern, kind: type, text: str):
+    """``kind(text)`` of a flag value that all of ``rule`` matches."""
+    if not rule.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}")
+    return kind(text)
+
+
+_int, _float = partial(_number, _INT_TEXT, int), partial(_number, _FLOAT_TEXT, float)
 
 
 def _seed(text: str) -> int:
@@ -124,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--n", required=True, type=_int)
     p.add_argument("--dim", type=_int, default=2, help="dimension for the euclidean family")
-    p.add_argument("--coord-range", type=float, default=100.0, help="coordinate span for the line family")
+    p.add_argument("--coord-range", type=_float, default=100.0, help="coordinate span for the line family")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_generate)
@@ -145,14 +151,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", type=_int, default=1000)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--dim", type=_int, default=2)
-    p.add_argument("--coord-range", type=float, default=100.0)
+    p.add_argument("--coord-range", type=_float, default=100.0)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("embed", help="embed an instance's server submetric into one random tree")
     p.add_argument("--instance", required=True)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--lambda", dest="lam", type=_float, default=None)
     p.add_argument("--dump-tree", help="tree JSON path (stdout when omitted)")
     p.set_defaults(func=_cmd_embed)
 

@@ -1,18 +1,15 @@
 """End-to-end pipeline, Monte Carlo reports, and the sweep table.
 
-A pipeline episode embeds the server submetric into one random tree, places
-the servers on its leaves and serves each request's discretized image (found
-and checked once per run, before any episode) on the tree matcher. The embedding is
-resampled per episode: the randomized strategy draws both the tree and the
-descent choices, so the reported mean averages over both.
+A pipeline episode embeds the server submetric into one random tree, places the servers on its
+leaves and serves each request's discretized image (found and checked once per run, before any
+episode) on the tree matcher. The embedding is resampled per episode: the randomized strategy draws
+both the tree and the descent choices, so the reported mean averages over both.
 
-Randomness contract: episode e owns two integer seeds, slot 0 for the
-embedding and slot 1 for play, each the 64-bit state word that
-``SeedSequence(entropy=master_seed, spawn_key=(e, slot))`` generates, and
-each slot's stream is ``np.random.PCG64(seed)``. A run computes the seeds, and
-the state words each PCG64 seeds itself with, by SeedSequence's algorithm in
-one numpy pass per block of episodes, and the tests check both against
-numpy's own. Identical seeds replay identical traces on any platform.
+Randomness contract: episode e owns two integer seeds, slot 0 for the embedding and slot 1 for play,
+each the 64-bit state word that ``SeedSequence(entropy=master_seed, spawn_key=(e, slot))``
+generates, and each slot's stream is ``np.random.PCG64(seed)``. One vectorized SeedSequence, checked
+against numpy's by the tests, gives each block of episodes its seeds and then the state words PCG64
+seeds itself with. Identical seeds replay identical traces on any platform.
 """
 from __future__ import annotations
 
@@ -68,7 +65,7 @@ def derive_seed(master_seed: int, *key: int) -> int:
 # SeedSequence's hash and mix constants (numpy/random/bit_generator.pyx).
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_SEED_BLOCK = 1024  # episodes whose seeds are derived in one numpy pass
+_SEED_BLOCK = 1024  # episodes whose streams are seeded in one numpy pass
 
 
 def _hashmix(value: np.ndarray, init: int, mult: int, first: int, n: int) -> np.ndarray:
@@ -83,58 +80,45 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ r >> 16
 
 
-def _generate_state(pool: np.ndarray, n: int) -> np.ndarray:
-    """``generate_state(n, np.uint64)`` of the SeedSequence whose pool is each row of ``pool`` (uint32 [..., 4])."""
-    words = _hashmix(pool[..., np.arange(2 * n) % 4], _INIT_B, _MULT_B, 0, 2 * n).astype(np.uint64)
-    return words[..., 0::2] | words[..., 1::2] << np.uint64(32)
-
-
-def _episode_seeds(master_seed: int, start: int, stop: int):
-    """Each block of ``_SEED_BLOCK`` episodes e in [start, stop), as the uint64 array [episode, slot] of
-    ``derive_seed(master_seed, e, slot)`` for slots 0 and 1.
-
-    A child's entropy is the master's words, zero-padded to the four-word pool
-    (zeros hash as the pool's own fill does), then the spawn words e and slot.
-    So the pool is ``SeedSequence(master_seed).pool``, computed once, until each
-    block of ``_SEED_BLOCK`` episodes mixes in its spawn words. Needs
-    ``stop <= 2**32``: a larger episode index is two spawn words.
-    """
-    pool = np.random.SeedSequence(int(master_seed)).pool
-    # The master took 4 hashes to fill the pool, 12 to mix it, and 4 per word past the pool.
-    done = 16 + 4 * max(0, -(-int(master_seed).bit_length() // 32) - 4)
-    slots = _hashmix(np.array([0, 1], dtype=np.uint32).reshape(2, 1), _INIT_A, _MULT_A, done + 4, 4)
-    for lo in range(start, stop, _SEED_BLOCK):
-        e = np.arange(lo, min(lo + _SEED_BLOCK, stop), dtype=np.uint32)[:, None, None]
-        yield _generate_state(_mix(_mix(pool, _hashmix(e, _INIT_A, _MULT_A, done, 4)), slots), 1)[..., 0]
-
-
-def _seed_states(seeds: np.ndarray) -> np.ndarray:
-    """``SeedSequence(seed).generate_state(4, np.uint64)``, what ``PCG64(seed)`` seeds itself with, for each entry of
-    a uint64 array, on a new last axis: two entropy words, zero-padded to the pool, 12 mixing hashes, 8 output ones."""
-    pool = np.zeros((*seeds.shape, 4), dtype=np.uint32)
-    pool[..., 0], pool[..., 1] = seeds & np.uint64(0xFFFFFFFF), seeds >> np.uint64(32)
+def _seed_sequence(entropy: np.ndarray, spawn_key: np.ndarray, n: int) -> np.ndarray:
+    """``SeedSequence(entropy, spawn_key).generate_state(n, np.uint64)``, C-contiguous [..., n], for each row of the
+    uint32 words ``entropy`` [..., k >= 1] against ``spawn_key`` [..., m], other axes broadcast. Numpy's hashes: 4 fill
+    the pool (0 past the entropy), 12 mix it, 4 mix in each word past the pool, and 2n make the output."""
+    pool = np.zeros((*entropy.shape[:-1], 4), dtype=np.uint32)
+    pool[..., : entropy.shape[-1]] = entropy[..., :4]
     pool = _hashmix(pool, _INIT_A, _MULT_A, 0, 4)
-    for src in range(4):
-        dst = [i for i in range(4) if i != src]
+    for src, dst in enumerate(~np.eye(4, dtype=bool)):  # each word into the other three
         pool[..., dst] = _mix(pool[..., dst], _hashmix(pool[..., src, None], _INIT_A, _MULT_A, 4 + 3 * src, 3))
-    return np.ascontiguousarray(_generate_state(pool, 4))
+    for i, word in enumerate([*np.moveaxis(entropy[..., 4:], -1, 0), *np.moveaxis(spawn_key, -1, 0)]):
+        pool = _mix(pool, _hashmix(word[..., None], _INIT_A, _MULT_A, 16 + 4 * i, 4))
+    pool = np.broadcast_to(pool, np.broadcast_shapes(pool.shape, (*spawn_key.shape[:-1], 1)))  # keys of no words too
+    words = _hashmix(pool[..., np.arange(2 * n) % 4], _INIT_B, _MULT_B, 0, 2 * n).astype(np.uint64)
+    return np.ascontiguousarray(words[..., 0::2] | words[..., 1::2] << np.uint64(32))  # the halves' op is strided
 
 
+@dataclass
 class _StateWords(np.random.bit_generator.ISeedSequence):
-    """Stands in for ``SeedSequence(seed)``: hands a bit generator the state words ``_seed_states`` computed."""
+    """Stands in for ``SeedSequence(seed)``: hands a bit generator the state words ``_seed_sequence`` computed."""
 
-    def __init__(self, words: np.ndarray) -> None:
-        self.words = words  # C-contiguous uint64[4]: PCG64 reads the raw buffer, so a strided view seeds another stream
+    words: np.ndarray  # C-contiguous uint64[4]: PCG64 reads the raw buffer, so a strided view seeds another stream
 
     def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
         return self.words
 
 
 def _episode_streams(master_seed: int, start: int, stop: int):
-    """Each block of ``_episode_seeds``, as the list of each episode's (embedding, play) bit generators,
-    each equal to ``np.random.PCG64(seed)`` for its slot's seed: one numpy pass seeds a block."""
-    for seeds in _episode_seeds(master_seed, start, stop):
-        yield [(np.random.PCG64(_StateWords(a)), np.random.PCG64(_StateWords(b))) for a, b in _seed_states(seeds)]
+    """Each block of ``_SEED_BLOCK`` episodes e in [start, stop), as the list of each episode's (embedding, play)
+    bit generators ``np.random.PCG64(derive_seed(master_seed, e, slot))``. One ``_seed_sequence`` pass on the master's
+    words and the spawn words (e, slot) gives a block's seeds, and one on each seed's (low, high) words the state
+    words PCG64 seeds itself with. Needs ``stop <= 2**32``: a larger episode index is two spawn words."""
+    m = int(master_seed)
+    master = np.array([m >> s & 0xFFFFFFFF for s in range(0, max(m.bit_length(), 1), 32)], dtype=np.uint32)
+    for lo in range(start, stop, _SEED_BLOCK):
+        e = np.arange(lo, min(lo + _SEED_BLOCK, stop), dtype=np.uint32)
+        keys = np.stack(np.broadcast_arrays(e[:, None], np.arange(2, dtype=np.uint32)), axis=-1)  # [episode, slot, 2]
+        seeds = _seed_sequence(master, keys, 1) >> np.array([0, 32], dtype=np.uint64) & 0xFFFFFFFF  # (low, high)
+        states = _seed_sequence(seeds.astype(np.uint32), e[:0], 4)  # no spawn key: SeedSequence(seed)
+        yield [(np.random.PCG64(_StateWords(a)), np.random.PCG64(_StateWords(b))) for a, b in states]
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,7 +7,7 @@ import pytest
 
 import hstmatch
 from hstmatch import harness
-from hstmatch.cli import main
+from hstmatch.cli import build_parser, main
 from hstmatch.generators import GeneratorSpec, generate_instance
 from hstmatch.harness import ALGORITHMS
 from hstmatch.metric import MAX_POINTS, instance_from_dict, load_instance
@@ -173,6 +173,38 @@ def test_integer_flags_read_only_an_optional_minus_and_ascii_digits(tmp_path, ca
     assert err.startswith("usage: hstmatch " + argv[0])
     assert f"argument {flag}: invalid int value: {bad!r}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["1_0", "+4", " 4", "4 ", "\u0664", "1.", ".5", "Infinity", "-nan", "1e\u0664"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["generate", "--family", "line", "--n", "4"], "--coord-range"),
+        (["sweep", "--family", "line", "--sizes", "2"], "--coord-range"),
+        (["embed", "--instance", "inst.json"], "--lambda"),
+    ],
+)
+def test_float_flags_read_only_an_optional_minus_and_ascii_digits(tmp_path, capsys, argv, flag, bad):
+    # float() would read '1_0' as 10 and '+4', ' 4' and the Arabic-Indic digit four as 4.
+    out = tmp_path / "out"
+    extra = [] if argv[0] == "embed" else ["-o", out]
+    argv = [str(tmp_path / a) if a == "inst.json" else a for a in argv]
+    assert run_cli(*argv, *extra, f"{flag}={bad}") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hstmatch " + argv[0])
+    assert f"argument {flag}: invalid float value: {bad!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("2", 2.0), ("-2.5", -2.5), ("04.50", 4.5), ("1e3", 1e3), ("1.5E-3", 1.5e-3), ("2e+1", 20.0), ("-inf", float("-inf"))],
+)
+def test_float_flags_still_read_decimals_exponents_and_infinities(text, value):
+    parser = build_parser()
+    assert parser.parse_args(["embed", "--instance", "i.json", f"--lambda={text}"]).lam == value
+    args = parser.parse_args(["generate", "--family", "line", "--n", "4", f"--coord-range={text}", "-o", "o.json"])
+    assert args.coord_range == value
 
 
 def test_integer_flags_still_read_plain_and_negative_integers(tmp_path):

@@ -67,61 +67,59 @@ def test_derive_seed_refuses_what_is_not_a_non_negative_integer(args, message):
         derive_seed(*args)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    k=st.integers(1, 6),
+    m=st.integers(0, 3),
+    n=st.sampled_from((1, 4)),
+    rows=st.integers(1, 3),
+    words=st.lists(st.integers(0, 2**32 - 1), min_size=27, max_size=27),
+)
+@example(k=1, m=0, n=4, rows=1, words=[0] * 27)
+@example(k=6, m=3, n=1, rows=3, words=[2**32 - 1] * 27)
+def test_seed_sequence_equals_numpy_seed_sequence(k, m, n, rows, words):
+    # Entropy of 1 to 6 uint32 words (past the 4-word pool from 5 on), spawn keys of 0 to 3 words, one and
+    # four output words, per row, and the first entropy row broadcast against every key row.
+    entropy = np.array(words[: rows * k], dtype=np.uint32).reshape(rows, k)
+    keys = np.array(words[rows * k : rows * (k + m)], dtype=np.uint32).reshape(rows, m)
+    per_row, shared = harness._seed_sequence(entropy, keys, n), harness._seed_sequence(entropy[0], keys, n)
+    for row, key, got, got_shared in zip(entropy.tolist(), keys.tolist(), per_row, shared):
+        assert got.tolist() == np.random.SeedSequence(row, spawn_key=key).generate_state(n, np.uint64).tolist()
+        want_shared = np.random.SeedSequence(entropy[0].tolist(), spawn_key=key).generate_state(n, np.uint64)
+        assert got_shared.tolist() == want_shared.tolist()
+    assert per_row.shape == shared.shape == (rows, n)
+    assert per_row.flags.c_contiguous and shared.flags.c_contiguous  # PCG64 reads its state words' raw buffer
+
+
+SEED_EDGES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)  # one entropy word, two, and the largest of each
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     words=st.integers(1, 5),
-    master=st.integers(0, 2**160 - 1),
+    master=st.one_of(st.sampled_from(SEED_EDGES), st.integers(0, 2**160 - 1)),
     numpy_type=st.sampled_from((None, np.uint8, np.int32, np.uint64)),
-    start=st.one_of(st.integers(0, 3000), st.integers(2**32 - 2100, 2**32 - 1)),
-    count=st.integers(1, 2100),
+    start=st.one_of(st.integers(0, 2 * harness._SEED_BLOCK), st.integers(2**32 - 50, 2**32 - 1)),
+    count=st.integers(1, 40),
 )
 @example(words=1, master=0, numpy_type=None, start=0, count=3)
+@example(words=1, master=0, numpy_type=None, start=harness._SEED_BLOCK - 3, count=6)  # crosses a block boundary
 @example(words=1, master=2**32 - 1, numpy_type=None, start=harness._SEED_BLOCK - 2, count=4)
-@example(words=2, master=2**32, numpy_type=None, start=2**32 - 3, count=3)
+@example(words=2, master=2**32, numpy_type=None, start=2**32 - 3, count=3)  # ends at the last index, 2**32 - 1
+@example(words=2, master=2**64 - 1, numpy_type=None, start=2 * harness._SEED_BLOCK - 1, count=2)
 @example(words=5, master=2**128, numpy_type=None, start=0, count=harness._SEED_BLOCK + 1)
-def test_episode_seed_blocks_equal_derive_seed(words, master, numpy_type, start, count):
+def test_episode_streams_equal_pcg64_of_each_slot_seed(words, master, numpy_type, start, count):
     # Masters of 1 to 5 uint32 words, some as numpy integers, and episode
     # ranges that cross a block boundary or end at the last index, 2**32 - 1.
     master %= 2 ** (32 * words)
     if numpy_type is not None:
         master = numpy_type(master % (np.iinfo(numpy_type).max + 1))
     stop = min(start + count, 2**32)
-    blocks = list(harness._episode_seeds(master, start, stop))
+    blocks = list(harness._episode_streams(master, start, stop))
     assert [len(block) for block in blocks[:-1]] == [harness._SEED_BLOCK] * (len(blocks) - 1)
-    got = [tuple(pair) for block in blocks for pair in block.tolist()]
-    assert got == [(derive_seed(master, e, 0), derive_seed(master, e, 1)) for e in range(start, stop)]
-    assert all(type(seed) is int for pair in got for seed in pair)
-
-
-SEED_EDGES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)  # one entropy word, two, and the largest of each
-
-
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
-@example(seeds=list(SEED_EDGES))
-def test_seed_states_are_what_pcg64_seeds_itself_with(seeds):
-    states = harness._seed_states(np.array(seeds, dtype=np.uint64))
-    for seed, words in zip(seeds, states):
-        assert words.tolist() == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
-        assert words.flags.c_contiguous  # PCG64 reads the raw buffer: a strided view would seed another stream
-        assert np.random.PCG64(harness._StateWords(words)).state == np.random.PCG64(seed).state
-
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(
-    master=st.one_of(st.sampled_from(SEED_EDGES), st.integers(0, 2**96)),
-    start=st.integers(0, 2 * harness._SEED_BLOCK),
-    count=st.integers(1, 40),
-)
-@example(master=0, start=harness._SEED_BLOCK - 3, count=6)  # crosses a block boundary
-@example(master=2**64 - 1, start=2 * harness._SEED_BLOCK - 1, count=2)
-def test_episode_streams_equal_pcg64_of_each_slot_seed(master, start, count):
-    blocks = list(harness._episode_streams(master, start, start + count))
-    seed_blocks = list(harness._episode_seeds(master, start, start + count))
-    assert [len(block) for block in blocks] == [len(seeds) for seeds in seed_blocks]
     streams = [pair for block in blocks for pair in block]
-    assert len(streams) == count
-    for e, pair in zip(range(start, start + count), streams):
+    assert len(streams) == stop - start
+    for e, pair in zip(range(start, stop), streams):
         for slot, bits in enumerate(pair):
             assert type(bits) is np.random.PCG64
             assert bits.state == np.random.PCG64(derive_seed(master, e, slot)).state

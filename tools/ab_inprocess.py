@@ -27,8 +27,10 @@ about as long as its solve alone is bounded by the solve. Each pair also runs
 one staged call per side, with that side's ``harness.frt_embed``,
 ``attach_servers``, ``rwgm_init`` and ``run_episode`` wrapped in timers: the
 serve loop of an episode is its ``run_episode`` time less the other three
-stages. The per-episode median of each stage is printed per side in
-milliseconds. Prints each side's
+stages. The same call times each block of ``harness._episode_streams`` (the
+seed pass) and gives each of the block's episodes an equal share of it, as
+the ``seeds`` stage. The per-episode median of each stage is printed per side
+in milliseconds. Prints each side's
 median and quartiles in milliseconds for the call (wall and CPU), the
 episodes-only call, the solve, the load and the CLI sequence, the median of
 B/A for each, how many pairs B won, and whether both sides returned the same
@@ -54,7 +56,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import run as perfbench_run  # noqa: E402  (perfbench's modules import each other by bare name)
 
-STAGES = ("frt_embed", "attach_servers", "rwgm_init", "serve")  # an episode's stages, in the order it runs them
+EPISODE_STAGES = ("frt_embed", "attach_servers", "rwgm_init")  # timed inside run_episode; the rest of it is "serve"
+STAGES = ("seeds", *EPISODE_STAGES, "serve")  # in the order an episode runs them
 
 
 def load_package(src: Path, alias: str):
@@ -118,10 +121,12 @@ def main(argv=None) -> int:
         return t1 - t0, time.perf_counter() - t1
 
     def staged_call(pkg, inst, stage_times: dict) -> None:
-        """One episodes-only call with the episode's stages timed, appending each episode's seconds per stage."""
+        """One episodes-only call with the episode's stages timed, appending each episode's seconds per stage;
+        an episode's seeds are its block's seconds in ``_episode_streams`` divided over the block's episodes."""
         harness = pkg.harness
-        saved = {name: getattr(harness, name) for name in (*STAGES[:-1], "run_episode", "optimal_matching")}
-        spent = dict.fromkeys(STAGES[:-1], 0.0)
+        wrapped = (*EPISODE_STAGES, "_episode_streams", "run_episode", "optimal_matching")
+        saved = {name: getattr(harness, name) for name in wrapped}
+        spent = dict.fromkeys(EPISODE_STAGES, 0.0)
 
         def timed(name):
             def call(*a, **kw):
@@ -131,6 +136,17 @@ def main(argv=None) -> int:
                 finally:
                     spent[name] += time.perf_counter() - t0
             return call
+
+        def streams(*a, **kw):
+            blocks = saved["_episode_streams"](*a, **kw)
+            while True:
+                t0 = time.perf_counter()
+                block = next(blocks, None)
+                seconds = time.perf_counter() - t0
+                if block is None:
+                    return
+                stage_times["seeds"].extend([seconds / len(block)] * len(block))
+                yield block
 
         def episode(*a, **kw):
             spent.update(dict.fromkeys(spent, 0.0))
@@ -143,9 +159,9 @@ def main(argv=None) -> int:
             return served
 
         om = saved["optimal_matching"](inst)
-        for name in STAGES[:-1]:
+        for name in EPISODE_STAGES:
             setattr(harness, name, timed(name))
-        harness.run_episode, harness.optimal_matching = episode, lambda _inst: om
+        harness._episode_streams, harness.run_episode, harness.optimal_matching = streams, episode, lambda _inst: om
         try:
             pkg.run_pipeline(inst, args.seed, episodes)
         finally:
