@@ -21,7 +21,7 @@ import numpy as np
 
 from .generators import GeneratorSpec, generate_instance
 from .hst import EmbeddingParams, ServerCounts, attach_servers, count_servers, frt_embed, lambda_for_n
-from .metric import Instance, _checked_seed, _is_int, _request_triangle_violation, submetric_of_servers
+from .metric import TRIANGLE_SLACK, Instance, _checked_seed, _is_int, _request_triangle_violation, submetric_of_servers
 from .online import discretize_all, rwgm_init, rwgm_serve, run_greedy
 from .oracle import _linear_sum_assignment, optimal_matching
 
@@ -70,7 +70,7 @@ _SEED_BLOCK = 1024  # episodes whose streams are seeded in one numpy pass
 
 def _hashmix(value: np.ndarray, init: int, mult: int, first: int, n: int) -> np.ndarray:
     """SeedSequence's hashes number first .. first + n - 1, the i-th on entry i of the last axis."""
-    c = np.array([init * pow(mult, first + i, 2**32) % 2**32 for i in range(n + 1)], dtype=np.uint32)
+    c = np.uint32(init) * np.uint32(mult) ** np.arange(first, first + n + 1, dtype=np.uint32)
     value = (value ^ c[:-1]) * c[1:]
     return value ^ value >> 16
 
@@ -255,7 +255,7 @@ def run_episode(setup: PipelineSetup, embed_seed, play_seed, *, algorithm="rwgm"
 
     if check:
         dist = setup.inst.metric.dist
-        tol = 1e-9 * float(dist.max())
+        tol = TRIANGLE_SLACK * float(dist.max())
         for i, (r, g, s, tree_cost) in enumerate(zip(setup.inst.requests, setup.g, served, tree_costs)):
             inner_cost = float(dist[g, s])
             if float(dist[r, s]) > inner_cost + float(dist[g, r]) + tol:

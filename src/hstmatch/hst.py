@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .metric import FiniteMetric, _checked_seed, _is_int
+from .metric import FiniteMetric, _checked_points, _checked_seed, _is_int
 
 __all__ = [
     "MAX_TREE_NODES",
@@ -200,15 +200,7 @@ def count_servers(metric: FiniteMetric, servers) -> ServerCounts:
     """Class a metric's points and count its servers, a multiset of point indices, per class; refuse other entries."""
     if len(metric) == 0:
         raise ValueError("cannot embed an empty metric")
-    idx = np.asarray(servers)
-    if idx.dtype.kind not in "iu":  # floats, bools, strings, or an empty multiset read as floats
-        for i, p in enumerate(servers):
-            if not _is_int(p):
-                raise ValueError(f"servers[{i}] = {p!r} is not an integer point index")
-        idx = idx.astype(np.intp)
-    outside = np.flatnonzero((idx < 0) | (idx >= len(metric)))
-    if outside.size:
-        raise ValueError(f"servers[{outside[0]}] = {idx[outside[0]]} outside 0..{len(metric) - 1}")
+    idx = np.array(_checked_points("servers", servers, len(metric)), dtype=np.intp)
     reps, rep_of = _zero_distance_classes(metric.dist)
     if len(reps) == 1:
         dn, d_min, diameter = np.zeros((1, 1)), None, 1.0

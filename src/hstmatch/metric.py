@@ -53,6 +53,16 @@ def _checked_seed(seed, name: str = "seed"):
     return seed
 
 
+def _checked_points(name: str, entries, n: int) -> tuple:
+    """The entries as ints, if each is an integer point index in 0..n - 1; else a ValueError naming the first."""
+    for i, p in enumerate(entries := tuple(entries)):
+        if not _is_int(p):
+            raise ValueError(f"{name}[{i}] = {p!r} is not an integer point index")
+        if not 0 <= p < n:
+            raise ValueError(f"{name}[{i}] = {p} outside 0..{n - 1}")
+    return tuple(map(int, entries))
+
+
 class MetricStructureError(ValueError):
     """Distance data is malformed: non-square, negative, or non-finite."""
 
@@ -191,15 +201,8 @@ class Instance:
     requests: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        npts = len(self.metric)
         for name in ("servers", "requests"):
-            entries = tuple(getattr(self, name))
-            for i, idx in enumerate(entries):
-                if not _is_int(idx):
-                    raise ValueError(f"{name}[{i}] = {idx!r} is not an integer point index")
-                if not 0 <= idx < npts:
-                    raise ValueError(f"{name}[{i}] = {idx} outside 0..{npts - 1}")
-            object.__setattr__(self, name, tuple(int(idx) for idx in entries))
+            object.__setattr__(self, name, _checked_points(name, getattr(self, name), len(self.metric)))
         if len(self.servers) != len(self.requests):
             raise ValueError(f"{len(self.servers)} servers but {len(self.requests)} requests")
         if not self.servers:
@@ -217,8 +220,6 @@ def submetric_of_servers(inst: Instance) -> tuple[FiniteMetric, dict[int, int]]:
     new index. Distances are copied from the parent matrix, never recomputed.
     """
     pts = sorted(set(inst.servers))
-    if not pts:
-        raise ValueError("empty server set")
     idx = np.asarray(pts, dtype=int)
     sub = FiniteMetric(
         points=tuple(inst.metric.points[p] for p in pts),

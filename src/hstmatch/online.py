@@ -111,7 +111,7 @@ def _below(state: RwgmState, n: int) -> int:
 
 
 def pick_a_leaf(state: RwgmState, u: int) -> int:
-    """Descend from a green node to a leaf with an unassigned server.
+    """Descend from a green node, one of 0..n_nodes - 1, to a leaf with an unassigned server.
 
     Draws one integer from the episode stream per descent level with more
     than one choice. Under the uniform policy each green child is equally
@@ -120,6 +120,8 @@ def pick_a_leaf(state: RwgmState, u: int) -> int:
     counts, which sum to the node's own count.
     """
     counts = state.subtree_remaining
+    if not 0 <= u < len(counts):
+        raise ValueError(f"node {u} outside 0..{len(counts) - 1}")
     if not counts[u]:
         raise ValueError(f"node {u} is not green")
     children = state.children

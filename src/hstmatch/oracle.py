@@ -20,7 +20,7 @@ from itertools import accumulate, count, islice
 import numpy as np
 
 from .hst import HstTree, lambda_for_n
-from .metric import Instance, _is_int
+from .metric import Instance, _checked_points
 
 __all__ = [
     "OptimalMatching",
@@ -109,9 +109,7 @@ def turning_point_tau(t: HstTree, requests) -> tuple:
     so tau(u) = (sum of |b(child)| - |b(u)|) / 2, and 0 at a leaf.
     """
     b = [0] * t.first_leaf + [-s for s in t.servers[t.first_leaf:]]  # requests less servers in v's subtree
-    for i, p in enumerate(requests):
-        if not (_is_int(p) and 0 <= p < len(t.point_leaf)):
-            raise ValueError(f"requests[{i}] = {p!r} is not an integer point of the tree, 0..{len(t.point_leaf) - 1}")
+    for p in _checked_points("requests", requests, len(t.point_leaf)):
         b[t.point_leaf[p]] += 1
     for v in range(t.n_nodes - 1, 0, -1):  # breadth-first numbering: parents precede children
         b[t.parent[v]] += b[v]

@@ -640,7 +640,7 @@ def reference_run_episode(setup, embed_seed: int, play_seed: int, *, algorithm="
         tree_costs.append(tree_cost)
     if check:
         dist = setup.inst.metric.dist
-        tol = 1e-9 * float(dist.max())
+        tol = TRIANGLE_SLACK * float(dist.max())
         for i, (r, g, s, tree_cost) in enumerate(zip(setup.inst.requests, setup.g, served, tree_costs)):
             inner_cost = float(dist[g, s])
             if float(dist[r, s]) > inner_cost + float(dist[g, r]) + tol:

@@ -207,6 +207,37 @@ def test_float_flags_still_read_decimals_exponents_and_infinities(text, value):
     assert args.coord_range == value
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["generate", "--family", "line", "--n", "4"], "--coord-range"),
+        (["sweep", "--family", "line", "--sizes", "2"], "--coord-range"),
+        (["embed", "--instance", "inst.json"], "--lambda"),
+    ],
+)
+def test_float_flags_refuse_every_form_of_a_value_that_starts_with_minus(tmp_path, capsys, argv, flag):
+    # No valid value of either flag starts with '-'. Standing alone, argparse takes '-inf' and
+    # '-2.5e1' for flags and exits 2; after '=', and for a plain '-25', the library refuses it.
+    out = tmp_path / "out"
+    if argv[0] == "embed":
+        run_cli("generate", "--family", "line", "--n", 4, "--seed", 1, "-o", tmp_path / "inst.json")
+        capsys.readouterr()
+        argv, out = [str(tmp_path / a) if a == "inst.json" else a for a in argv], tmp_path / "tree.json"
+        extra = ["--dump-tree", out]
+    else:
+        extra = ["-o", out]
+    field = "lam must be finite and exceed 1" if flag == "--lambda" else "coord_range must be finite and positive"
+    for bad in ("-inf", "-2.5e1"):
+        assert run_cli(*argv, *extra, flag, bad) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: hstmatch " + argv[0])
+        assert f"argument {flag}: expected one argument" in err
+    for args, shown in (([f"{flag}=-inf"], "-inf"), ([f"{flag}=-2.5e1"], "-25.0"), ([flag, "-25"], "-25.0")):
+        assert run_cli(*argv, *extra, *args) == 1
+        assert one_error_line(capsys) == f"ValueError: {field}, got {shown}"
+    assert not out.exists()
+
+
 def test_integer_flags_still_read_plain_and_negative_integers(tmp_path):
     out = tmp_path / "inst.json"
     assert run_cli("generate", "--family", "euclidean", "--n", "04", "--dim", "3", "--seed", "007", "-o", out) == 0

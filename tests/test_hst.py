@@ -355,6 +355,10 @@ def test_frt_server_counts_add_up_every_leaf_below_each_node(coords, lam, seed, 
         ((0, 3), r"^servers\[1\] = 3 outside 0\.\.2$"),
         ((1, -1, 0), r"^servers\[1\] = -1 outside 0\.\.2$"),
         ((0, 1.5), r"^servers\[1\] = 1\.5 is not an integer point index$"),
+        # Beyond a C long: an entry is refused by range, never by a numpy conversion that overflows.
+        ((2**70,), r"^servers\[0\] = 1180591620717411303424 outside 0\.\.2$"),
+        ((-(2**70),), r"^servers\[0\] = -1180591620717411303424 outside 0\.\.2$"),
+        ((0, 2**64), r"^servers\[1\] = 18446744073709551616 outside 0\.\.2$"),
     ],
 )
 def test_frt_refuses_server_entries_that_are_not_point_indices(servers, message):

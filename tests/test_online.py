@@ -278,6 +278,14 @@ def test_pick_a_leaf_requires_green():
         pick_a_leaf(st, t.point_leaf[1])
 
 
+@pytest.mark.parametrize("u", [-1, -4, 10])
+def test_pick_a_leaf_refuses_a_node_outside_the_tree(u):
+    # A negative id would index from the end (-4 is the root of this 4-node tree), a large one past it.
+    st = rwgm_init(with_multiplicity(height1_tree(3), {0: 1, 1: 1, 2: 1}), 0)
+    with pytest.raises(ValueError, match=f"^node {u} outside 0\\.\\.3$"):
+        pick_a_leaf(st, u)
+
+
 def test_green_invariant_after_every_serve():
     rng = np.random.default_rng(10)
     for trial in range(20):

@@ -268,13 +268,40 @@ def test_rwgm_bound_refuses_a_power_beyond_the_float_range():
         bound_rwgm_hst(t, turning_point_tau(t, [1]))
 
 
+def point_rule_message(name: str, bad) -> str:
+    """What the one point-index rule says of entry 1 = bad over the points 0..2."""
+    if isinstance(bad, (int, np.integer)) and not isinstance(bad, bool):
+        return f"{name}[1] = {bad} outside 0..2"
+    return f"{name}[1] = {bad!r} is not an integer point index"
+
+
 @pytest.mark.parametrize("bad", [-1, 3, 1.0, True, "1", np.float64(0.0), None])
 def test_tau_refuses_requests_that_are_not_integer_points_of_the_tree(bad):
     t = with_multiplicity(height1_tree(3), {0: 1, 1: 1})
-    message = f"requests[1] = {bad!r} is not an integer point of the tree, 0..2"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(point_rule_message('requests', bad))}$"):
         turning_point_tau(t, [0, bad])
     assert turning_point_tau(t, [np.int64(2), np.uint8(2)]) == turning_point_tau(t, [2, 2])
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 1.0, True, "1", None, 2**70])
+def test_instance_count_servers_and_tau_refuse_a_bad_point_alike(bad):
+    # One rule checks every point multiset: the same entry gets the same text wherever it is refused.
+    m, t = uniform_metric(3), with_multiplicity(height1_tree(3), {0: 1, 1: 1})
+    refusals = {
+        "servers": [
+            lambda: Instance(metric=m, servers=(0, bad), requests=(0, 1)),
+            lambda: hst.count_servers(m, [0, bad]),
+        ],
+        "requests": [
+            lambda: Instance(metric=m, servers=(0, 1), requests=(0, bad)),
+            lambda: turning_point_tau(t, [0, bad]),
+        ],
+    }
+    for name, calls in refusals.items():
+        for call in calls:
+            with pytest.raises(ValueError) as refused:
+                call()
+            assert str(refused.value) == point_rule_message(name, bad)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -29,8 +29,9 @@ one staged call per side, with that side's ``harness.frt_embed``,
 serve loop of an episode is its ``run_episode`` time less the other three
 stages. The same call times each block of ``harness._episode_streams`` (the
 seed pass) and gives each of the block's episodes an equal share of it, as
-the ``seeds`` stage. The per-episode median of each stage is printed per side
-in milliseconds. Prints each side's
+the ``seeds`` stage, and times its one ``harness.pipeline_setup`` call as the
+``setup`` stage. The median of each stage, per call for ``setup`` and per
+episode for the rest, is printed per side in milliseconds. Prints each side's
 median and quartiles in milliseconds for the call (wall and CPU), the
 episodes-only call, the solve, the load and the CLI sequence, the median of
 B/A for each, how many pairs B won, and whether both sides returned the same
@@ -57,7 +58,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import run as perfbench_run  # noqa: E402  (perfbench's modules import each other by bare name)
 
 EPISODE_STAGES = ("frt_embed", "attach_servers", "rwgm_init")  # timed inside run_episode; the rest of it is "serve"
-STAGES = ("seeds", *EPISODE_STAGES, "serve")  # in the order an episode runs them
+STAGES = ("setup", "seeds", *EPISODE_STAGES, "serve")  # in the order a call runs them; setup once per call
 
 
 def load_package(src: Path, alias: str):
@@ -121,10 +122,11 @@ def main(argv=None) -> int:
         return t1 - t0, time.perf_counter() - t1
 
     def staged_call(pkg, inst, stage_times: dict) -> None:
-        """One episodes-only call with the episode's stages timed, appending each episode's seconds per stage;
-        an episode's seeds are its block's seconds in ``_episode_streams`` divided over the block's episodes."""
+        """One episodes-only call with its stages timed, appending the call's setup seconds and each episode's
+        seconds per stage; an episode's seeds are its block's seconds in ``_episode_streams`` divided over the
+        block's episodes."""
         harness = pkg.harness
-        wrapped = (*EPISODE_STAGES, "_episode_streams", "run_episode", "optimal_matching")
+        wrapped = (*EPISODE_STAGES, "pipeline_setup", "_episode_streams", "run_episode", "optimal_matching")
         saved = {name: getattr(harness, name) for name in wrapped}
         spent = dict.fromkeys(EPISODE_STAGES, 0.0)
 
@@ -136,6 +138,13 @@ def main(argv=None) -> int:
                 finally:
                     spent[name] += time.perf_counter() - t0
             return call
+
+        def setup(*a, **kw):
+            t0 = time.perf_counter()
+            try:
+                return saved["pipeline_setup"](*a, **kw)
+            finally:
+                stage_times["setup"].append(time.perf_counter() - t0)
 
         def streams(*a, **kw):
             blocks = saved["_episode_streams"](*a, **kw)
@@ -161,7 +170,8 @@ def main(argv=None) -> int:
         om = saved["optimal_matching"](inst)
         for name in EPISODE_STAGES:
             setattr(harness, name, timed(name))
-        harness._episode_streams, harness.run_episode, harness.optimal_matching = streams, episode, lambda _inst: om
+        harness.pipeline_setup, harness._episode_streams = setup, streams
+        harness.run_episode, harness.optimal_matching = episode, lambda _inst: om
         try:
             pkg.run_pipeline(inst, args.seed, episodes)
         finally:
@@ -267,7 +277,7 @@ def main(argv=None) -> int:
             f" {o2:.3f} ms per solve (quartiles {o1:.3f} .. {o3:.3f}),"
             f" {l2:.3f} ms per load (quartiles {l1:.3f} .. {l3:.3f}),"
             f" {c2:.3f} ms per CLI sequence (quartiles {c1:.3f} .. {c3:.3f});"
-            " per-episode stage medians: " + ", ".join(f"{k} {v:.4f} ms" for k, v in result[f"{side}_stage_ms"].items())
+            " stage medians (setup per call, the rest per episode): " + ", ".join(f"{k} {v:.4f} ms" for k, v in result[f"{side}_stage_ms"].items())
         )
     print(
         f"b/a median {result['median_b_over_a']} per call ({result['cpu_median_b_over_a']} in CPU time),"
