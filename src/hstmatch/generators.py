@@ -93,13 +93,15 @@ def uniform_metric(u: int) -> FiniteMetric:
 
 
 def euclidean_metric(coords) -> FiniteMetric:
-    """Pairwise Euclidean distances of a (n, dim) coordinate array.
+    """Pairwise Euclidean distances of a (n, dim) coordinate array; any other shape is refused.
 
     Coordinates so close in some dimension that the square of their
     difference underflows lose the accuracy the construction relies on;
     only then is the metric checked exactly.
     """
-    pts = np.atleast_2d(np.asarray(coords, dtype=float))
+    pts = np.asarray(coords, dtype=float)
+    if pts.ndim != 2:
+        raise ValueError(f"euclidean coordinates must be a 2-d (n, dim) array, got shape {pts.shape}")
     n, dim = pts.shape
     d = np.empty((n, n))
     step = max(1, _CHUNK_ENTRIES // max(1, n * dim))
@@ -113,8 +115,10 @@ def euclidean_metric(coords) -> FiniteMetric:
 
 
 def line_metric(coords) -> FiniteMetric:
-    """Absolute coordinate differences of points on a line."""
-    xs = np.asarray(coords, dtype=float).ravel()
+    """Absolute coordinate differences of points on a line, from a 1-d coordinate array."""
+    xs = np.asarray(coords, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError(f"line coordinates must be a 1-d array, got shape {xs.shape}")
     d = np.abs(xs[:, None] - xs[None, :])
     labels = tuple(repr(float(x)) for x in xs)
     return FiniteMetric(points=labels, dist=d)

@@ -235,7 +235,7 @@ def run_episode(setup: PipelineSetup, embed_seed, play_seed, *, algorithm="rwgm"
     With ``check`` set, every decision is verified against the per-request
     guarantees: the cost d(r, s) never exceeds the inner cost d(g, s) plus
     the discretization distance d(g, r), and the inner (submetric) cost never
-    exceeds the tree cost the matcher paid (0 for an opening request).
+    exceeds ``tree.level_distance`` at the matcher's level (0 for the opening).
     """
     if algorithm not in _TREE_POLICY:
         raise ValueError(f"run_episode plays a randomized tag, one of {tuple(_TREE_POLICY)}, got {algorithm!r}")
@@ -246,21 +246,21 @@ def run_episode(setup: PipelineSetup, embed_seed, play_seed, *, algorithm="rwgm"
     left = state.subtree_remaining  # a serve that leaves c servers at a leaf took entry c of the leaf's stock
 
     served = list(setup.opening)
-    tree_costs = [0.0] * len(served)
+    levels = [0] * len(served)
     for q in setup.g_sub[len(served):]:
-        server_leaf, tree_cost = rwgm_serve(state, point_leaf[q])
+        server_leaf, level = rwgm_serve(state, point_leaf[q])
         served.append(stock[server_leaf - first_leaf][left[server_leaf]])
         if check:
-            tree_costs.append(tree_cost)
+            levels.append(level)
 
     if check:
         dist = setup.inst.metric.dist
         tol = TRIANGLE_SLACK * float(dist.max())
-        for i, (r, g, s, tree_cost) in enumerate(zip(setup.inst.requests, setup.g, served, tree_costs)):
+        for i, (r, g, s, level) in enumerate(zip(setup.inst.requests, setup.g, served, levels)):
             inner_cost = float(dist[g, s])
             if float(dist[r, s]) > inner_cost + float(dist[g, r]) + tol:
                 raise AssertionError(f"request {i}: wrapper cost exceeds inner cost plus detour")
-            if inner_cost > tree_cost * (1.0 + 1e-12) + tol:
+            if inner_cost > tree.level_distance[level] * (1.0 + 1e-12) + tol:
                 raise AssertionError(f"request {i}: tree cost fails to dominate the metric cost")
     return served
 

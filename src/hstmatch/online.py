@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hst import HstTree
-from .metric import Instance, _checked_seed
+from .metric import Instance, _checked_seed, _is_int
 
 __all__ = [
     "POLICIES",
@@ -41,23 +41,21 @@ class RwgmState:
     subtree, so a leaf's entry is its own count and a node is green exactly
     when its entry is positive. ``green[u]`` lists u's green children in
     child order once a uniform descent has passed through u, and is None
-    before. ``parent``, ``children`` (an id range per node), ``level`` and
-    ``level_distance`` are the tree's own, bound once for serving to read.
+    before. ``parent``, ``children`` (an id range per node) and ``level`` are
+    the tree's own, bound once for serving to read; serving reads no distance.
     The descent draws come from a 32-bit stream read off a PCG64's 64-bit
     outputs, the low half of each output first, as numpy's ``next_uint32``
     splits them. One state serves one request sequence; episodes that run
     concurrently need their own states and random streams.
     """
 
-    __slots__ = ("tree", "parent", "children", "level", "level_distance",
-                 "subtree_remaining", "green", "policy", "bits", "u32")
+    __slots__ = ("tree", "parent", "children", "level", "subtree_remaining", "green", "policy", "bits", "u32")
 
     def __init__(self, tree: HstTree, bits: np.random.PCG64, policy: str) -> None:
         self.tree = tree
         self.parent = tree.parent
         self.children = tree.children
         self.level = tree.level
-        self.level_distance = tree.level_distance
         self.subtree_remaining = list(tree.servers)
         self.green = [None] * len(self.subtree_remaining)
         self.policy = policy
@@ -119,6 +117,8 @@ def pick_a_leaf(state: RwgmState, u: int) -> int:
     proportional policy children are weighted by their unassigned-server
     counts, which sum to the node's own count.
     """
+    if type(u) is not int and not _is_int(u):
+        raise ValueError(f"node {u!r} is not an integer")
     counts = state.subtree_remaining
     if not 0 <= u < len(counts):
         raise ValueError(f"node {u} outside 0..{len(counts) - 1}")
@@ -144,17 +144,19 @@ def pick_a_leaf(state: RwgmState, u: int) -> int:
 
 
 def rwgm_serve(state: RwgmState, request_leaf: int):
-    """Serve one request at a leaf; return (server leaf, metric-unit cost).
+    """Serve one request at a leaf; return (server leaf, meet level).
 
-    A request leaf that still holds a server serves itself. Otherwise the
-    climb stops at the lowest green ancestor, which is the meet of the
-    request and the chosen leaf since descent only enters green children,
-    so its level gives the cost. Raises when the request is not a leaf of
-    the tree or when every server has been assigned. One walk up from the
-    chosen leaf drops its count and every ancestor's by one; under the
-    uniform policy it also takes every node whose count reaches zero out of
-    its parent's green-child list, if that list has been built.
+    A request leaf that still holds a server serves itself, at level 0.
+    Otherwise the climb stops at the lowest green ancestor, the meet of the
+    request and the chosen leaf since descent only enters green children;
+    its level is what the tree charges. Raises when the request is not a
+    leaf of the tree or when every server has been assigned. One walk up
+    from the chosen leaf drops its count and every ancestor's by one; under
+    the uniform policy it also takes every node whose count reaches zero out
+    of its parent's green-child list, if that list has been built.
     """
+    if type(request_leaf) is not int and not _is_int(request_leaf):
+        raise ValueError(f"request node {request_leaf!r} is not an integer")
     parent = state.parent
     if not 0 <= request_leaf < len(parent) or state.children[request_leaf]:
         raise ValueError(f"request node {request_leaf} is not a leaf of the tree")
@@ -179,7 +181,7 @@ def rwgm_serve(state: RwgmState, request_leaf: int):
     while w is not None:
         counts[w] -= 1
         w = parent[w]
-    return chosen, state.level_distance[state.level[v]]
+    return chosen, state.level[v]
 
 
 def discretize_all(inst: Instance) -> tuple:

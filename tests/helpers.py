@@ -481,7 +481,7 @@ def reference_pick_a_leaf(state: ReferenceRwgmState, u: int) -> int:
 
 
 def reference_rwgm_serve(state: ReferenceRwgmState, request_leaf: int):
-    """Serve one request the way ``rwgm_serve`` must: climb, descend, refresh green flags."""
+    """Serve one request the way ``rwgm_serve`` must: climb, descend, refresh green flags; return (leaf, level)."""
     tree = state.tree
     if not 0 <= request_leaf < tree.n_nodes or tree.children[request_leaf]:
         raise ValueError(f"request node {request_leaf} is not a leaf of the tree")
@@ -498,7 +498,7 @@ def reference_rwgm_serve(state: ReferenceRwgmState, request_leaf: int):
         if state.subtree_remaining[w] == 0:
             state.green[w] = False
         w = tree.parent[w]
-    return chosen, tree.level_distance[tree.level[v]]
+    return chosen, tree.level[v]
 
 
 def greedy_serve(inst: Instance, remaining: dict, r: int):
@@ -609,15 +609,17 @@ def random_tree_instance(rng, height: int, n: int, lam: float, scale: float = 1.
 
 
 def play_on_tree(tree: HstTree, request_points, rng, policy: str = "uniform"):
-    """Run one episode directly on a tree; return (total cost, move count)."""
+    """Run one episode directly on a tree; return (total cost, move count).
+
+    Each serve costs ``tree.level_distance`` at its meet level, and it is a move when that level is positive.
+    """
     state = rwgm_init(tree, rng.bit_generator, policy=policy)
     cost = 0.0
     moves = 0
     for p in request_points:
-        leaf, c = rwgm_serve(state, tree.point_leaf[p])
-        cost += c
-        if leaf != tree.point_leaf[p]:
-            moves += 1
+        _, level = rwgm_serve(state, tree.point_leaf[p])
+        cost += tree.level_distance[level]
+        moves += level > 0
     return cost, moves
 
 
@@ -628,16 +630,16 @@ def reference_run_episode(setup, embed_seed: int, play_seed: int, *, algorithm="
     request, the self-serving opening included, goes through ``rwgm_serve``;
     a serve that leaves c servers at leaf v takes entry c of its stock tuple,
     entry v - first_leaf of ``attach_servers``' list. ``check`` runs the same
-    per-request checks with the tree costs the matcher returned.
+    per-request checks with the tree costs of the levels the matcher returned.
     """
     tree = frt_embed(setup.servers, EmbeddingParams(lam=setup.lam, seed=embed_seed))
     stock = attach_servers(tree, setup.stock)
     state = rwgm_init(tree, play_seed, policy={"rwgm": "uniform", "rwgm-proportional": "proportional"}[algorithm])
     served, tree_costs = [], []
     for q in setup.g_sub:
-        leaf, tree_cost = rwgm_serve(state, tree.point_leaf[q])
+        leaf, level = rwgm_serve(state, tree.point_leaf[q])
         served.append(stock[leaf - tree.first_leaf][state.subtree_remaining[leaf]])
-        tree_costs.append(tree_cost)
+        tree_costs.append(tree.level_distance[level])
     if check:
         dist = setup.inst.metric.dist
         tol = TRIANGLE_SLACK * float(dist.max())

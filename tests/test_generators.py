@@ -1,8 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 
 from hstmatch import generators
-from hstmatch.generators import FAMILIES, MAX_COORDINATES, MAX_POINTS, GeneratorSpec, euclidean_metric, generate_instance
+from hstmatch.generators import (
+    FAMILIES,
+    MAX_COORDINATES,
+    MAX_POINTS,
+    GeneratorSpec,
+    euclidean_metric,
+    generate_instance,
+    line_metric,
+)
 from hstmatch.metric import validate_metric
 from hstmatch.oracle import optimal_matching
 
@@ -108,3 +118,19 @@ def test_euclidean_rows_in_chunks_are_bit_exact(monkeypatch, n, dim):
     for entries in (1, n * dim, 5 * n * dim, 1 << 20):
         monkeypatch.setattr(generators, "_CHUNK_ENTRIES", entries)
         assert np.array_equal(euclidean_metric(pts).dist, one_shot)
+
+
+@pytest.mark.parametrize("coords, shape", [([0.0, 1.0, 3.0], (3,)), ([], (0,)), (5.0, ()), ([[[0.0, 1.0]]], (1, 1, 2))])
+def test_euclidean_metric_refuses_coordinates_that_are_not_a_2d_array(coords, shape):
+    # Unchecked, a 1-d list would read as one point in len(coords) dimensions, and [] as one point in none.
+    message = f"euclidean coordinates must be a 2-d (n, dim) array, got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        euclidean_metric(coords)
+
+
+@pytest.mark.parametrize("coords, shape", [([[0, 1], [3, 4]], (2, 2)), (7.0, ()), ([[5.0]], (1, 1))])
+def test_line_metric_refuses_coordinates_that_are_not_a_1d_array(coords, shape):
+    # Unchecked, [[0, 1], [3, 4]] would be flattened into four points on a line.
+    with pytest.raises(ValueError, match=f"^{re.escape(f'line coordinates must be a 1-d array, got shape {shape}')}$"):
+        line_metric(coords)
+    assert line_metric([0.0, 1.0, 3.0]).dist.shape == (3, 3)

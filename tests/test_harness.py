@@ -280,6 +280,19 @@ def test_episodes_after_the_opening_serve_as_full_episodes_on_benchmark_and_gold
         assert served == reference_run_episode(setup, *seeds, algorithm=tag, check=True)
 
 
+def test_a_run_builds_no_level_distance_table_on_its_episode_trees(monkeypatch):
+    # The matcher returns meet levels; only run_episode(check=True) turns them into metric-unit costs.
+    trees = []
+    embed = harness.frt_embed
+    monkeypatch.setattr(harness, "frt_embed", lambda *args: trees.append(embed(*args)) or trees[-1])
+    inst = generate_instance(GeneratorSpec("euclidean", 12, seed=4))
+    run_pipeline(inst, master_seed=5, episodes=20)
+    assert len(trees) == 20 and all("level_distance" not in vars(tree) for tree in trees)
+    setup = pipeline_setup(inst)
+    run_episode(setup, 1, 2, check=True)
+    assert "level_distance" in vars(trees[-1])  # the check reads the table, so the wrapper sees what it builds
+
+
 def test_episodes_call_the_embedding_and_matcher_through_harness_names(monkeypatch):
     # perfbench/traced.py times these layers by replacing harness's module
     # attributes; a call that bypassed them would make its metrics read 0.
@@ -711,11 +724,12 @@ def test_run_episode_check_still_catches_broken_decisions(monkeypatch):
     with pytest.raises(AssertionError, match="^request 0: wrapper cost exceeds inner cost plus detour$"):
         run_episode(bad_opening, 1, 2, check=True)
 
-    inst = generate_instance(GeneratorSpec("line", 5, seed=2))
+    inst = generate_instance(GeneratorSpec("line", 5, seed=3))
     setup = pipeline_setup(inst)
     serve = harness.rwgm_serve
-    monkeypatch.setattr(harness, "rwgm_serve", lambda state, leaf: (serve(state, leaf)[0], -1.0))
-    # The first request the patched matcher serves is the first after the opening.
+    monkeypatch.setattr(harness, "rwgm_serve", lambda state, leaf: (serve(state, leaf)[0], 0))
+    # The first request the patched matcher serves is the first after the opening; on this instance it
+    # moves, and the patch reports the move at level 0 (a self-serve is at level 0 anyway).
     with pytest.raises(
         AssertionError, match=f"^request {len(setup.opening)}: tree cost fails to dominate the metric cost$"
     ):

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +38,10 @@ from hstmatch.online import (
     rwgm_init,
     rwgm_serve,
 )
+
+# perfbench's modules import each other by bare name; appended, they shadow no other module.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+from traced import lca_level  # noqa: E402  (the benchmark's own reading of a serve's level)
 
 
 def green(state) -> list:
@@ -156,7 +162,9 @@ def test_serve_matches_the_generator_reference(tree_seed, play_seed, height, n, 
     want = reference_rwgm_init(tree, play_seed, policy=policy)
     for r in inst.requests:
         leaf = tree.point_leaf[r]
-        assert rwgm_serve(got, leaf) == reference_rwgm_serve(want, leaf)
+        served, level = rwgm_serve(got, leaf)
+        assert (served, level) == reference_rwgm_serve(want, leaf)
+        assert type(level) is int and 0 <= level <= tree.height
         assert green(got) == want.green
         leaf_counts = [got.subtree_remaining[v] if v in tree.leaves else 0 for v in range(tree.n_nodes)]
         assert leaf_counts == want.remaining
@@ -166,16 +174,16 @@ def test_serve_matches_the_generator_reference(tree_seed, play_seed, height, n, 
 def test_serve_self_match_costs_zero():
     t = with_multiplicity(height1_tree(2), {0: 1, 1: 1})
     st = rwgm_init(t, 0)
-    leaf, cost = rwgm_serve(st, t.point_leaf[0])
-    assert leaf == t.point_leaf[0] and cost == 0.0
+    leaf, level = rwgm_serve(st, t.point_leaf[0])
+    assert leaf == t.point_leaf[0] and level == 0 and type(level) is int
 
 
 def test_serve_forced_choice_and_exhaustion():
     t = with_multiplicity(height1_tree(2, scale=2.5), {0: 0, 1: 1})
     st = rwgm_init(t, 0)
-    leaf, cost = rwgm_serve(st, t.point_leaf[0])
+    leaf, level = rwgm_serve(st, t.point_leaf[0])
     assert leaf == t.point_leaf[1]
-    assert cost == pytest.approx(2 * 2.5)
+    assert level == 1 and t.level_distance[level] == pytest.approx(2 * 2.5)
     with pytest.raises(RuntimeError):
         rwgm_serve(st, t.point_leaf[0])
 
@@ -185,6 +193,26 @@ def test_serve_rejects_non_leaf_requests():
     st = rwgm_init(t, 0)
     with pytest.raises(ValueError):
         rwgm_serve(st, t.root)
+
+
+@pytest.mark.parametrize("u", [True, False, 1.5, 1.0, "1", None], ids=repr)
+def test_serve_and_descent_refuse_a_node_id_that_is_not_an_integer(u):
+    # Unchecked, True would pass the range check and serve leaf 1 as itself; nothing may be served or drawn.
+    st = rwgm_init(with_multiplicity(height1_tree(3), {0: 1, 1: 1, 2: 1}), 0)
+    with pytest.raises(ValueError, match=f"^request node {re.escape(repr(u))} is not an integer$"):
+        rwgm_serve(st, u)
+    with pytest.raises(ValueError, match=f"^node {re.escape(repr(u))} is not an integer$"):
+        pick_a_leaf(st, u)
+    assert st.subtree_remaining == [3, 1, 1, 1] and st.green == [None] * 4
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+def test_serve_and_descent_take_numpy_integer_node_ids(kind):
+    t = with_multiplicity(height1_tree(3), {0: 1, 1: 1, 2: 1})
+    st = rwgm_init(t, 0)
+    leaf, level = rwgm_serve(st, kind(t.point_leaf[1]))
+    assert leaf == t.point_leaf[1] and level == 0
+    assert pick_a_leaf(st, kind(t.root)) in (t.point_leaf[0], t.point_leaf[2])
 
 
 def test_first_move_uniform_between_two_servers():
@@ -319,7 +347,8 @@ def test_built_green_lists_hold_the_green_children_after_every_serve(coords, pic
     want = reference_rwgm_init(tree, play_seed, policy=policy)
     counts = got.subtree_remaining
     for r in requests:
-        assert rwgm_serve(got, tree.point_leaf[r]) == reference_rwgm_serve(want, tree.point_leaf[r])
+        served, level = rwgm_serve(got, tree.point_leaf[r])
+        assert (served, level) == reference_rwgm_serve(want, tree.point_leaf[r]) and type(level) is int
         for u, kids in enumerate(got.green):
             if kids is not None:
                 assert kids == [c for c in tree.children[u] if counts[c]], u
@@ -340,10 +369,27 @@ def test_each_serve_is_tree_greedy():
                     for leaf in tree.leaves
                     if st.subtree_remaining[leaf] > 0
                 )
-                chosen, cost = rwgm_serve(st, req_leaf)
-                assert cost == pytest.approx(best, rel=1e-12, abs=1e-12)
+                chosen, level = rwgm_serve(st, req_leaf)
+                assert tree.level_distance[level] == pytest.approx(best, rel=1e-12, abs=1e-12)
                 # The cost read at the climb's stopping level is the leaf distance, bit for bit.
-                assert cost == tree_distance(tree, req_leaf, chosen)
+                assert tree.level_distance[level] == tree_distance(tree, req_leaf, chosen)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_the_returned_level_is_the_meet_the_benchmark_reads(policy):
+    rng = np.random.default_rng(50)
+    for trial in range(25):
+        tree, inst = random_tree_instance(rng, int(rng.integers(1, 5)), int(rng.integers(1, 16)), lam=2.0)
+        st = rwgm_init(tree, rng.bit_generator, policy=policy)
+        levels, moves = [], 0
+        for r in inst.requests:
+            req_leaf = tree.point_leaf[r]
+            chosen, level = rwgm_serve(st, req_leaf)
+            assert level == lca_level(tree, req_leaf, chosen)
+            assert tree.level_distance[level] == tree_distance(tree, req_leaf, chosen)
+            levels.append(level)
+            moves += chosen != req_leaf
+        assert moves == sum(level > 0 for level in levels)
 
 
 def test_conservation_every_server_used_once():

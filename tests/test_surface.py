@@ -58,12 +58,12 @@ def test_the_tree_names_the_benchmark_reads_stay():
     assert tree.parent[0] is None and all(type(p) is int for p in tree.parent[1:])
     for q in setup.g_sub[len(setup.opening):]:
         a = leaf = tree.point_leaf[q]
-        b, cost = rwgm_serve(state, leaf)
-        level = 0
+        b, level = rwgm_serve(state, leaf)
+        meet = 0
         while a != b:
             a, b = tree.parent[a], tree.parent[b]
-            level += 1
-        assert cost == tree.level_distance[level]
+            meet += 1
+        assert level == meet
 
 
 def test_a_tree_is_one_breadth_first_layout_of_tuples_and_ranges():
