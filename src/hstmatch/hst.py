@@ -97,9 +97,10 @@ class EmbeddingParams:
 class HstTree:
     """Immutable rooted tree with geometric level weights, its nodes numbered breadth-first.
 
-    ``parent``, ``level`` and ``servers`` are tuples indexed by node; the root
-    is 0, ``children[v]`` is the range of v's consecutive child ids, and the
-    leaves, all at level 0, are the last ids, ``range(first_leaf, n_nodes)``.
+    ``parent`` and ``servers`` are tuples indexed by node; the root is 0. Node
+    v's children are ``range(child_bounds[v], child_bounds[v + 1])``, the nodes
+    of level ``height - i`` are ``range(level_bounds[i], level_bounds[i + 1])``,
+    and the leaves, all at level 0, are the last ids, ``range(first_leaf, n_nodes)``.
     ``leaf_point[i]`` is the source point on leaf ``first_leaf + i``, and
     ``point_leaf[p]`` is the leaf of source point p (points at distance zero
     share one). ``servers[v]`` counts the servers in node v's subtree.
@@ -109,8 +110,8 @@ class HstTree:
     scale: float
     height: int
     parent: tuple
-    children: tuple
-    level: tuple
+    child_bounds: tuple
+    level_bounds: tuple
     leaf_point: tuple
     point_leaf: tuple
     servers: tuple
@@ -128,6 +129,18 @@ class HstTree:
     @property
     def leaves(self) -> range:
         return range(self.first_leaf, len(self.parent))
+
+    @cached_property
+    def children(self) -> tuple:
+        """``children[v]`` is the range of v's child ids; built on first read, as serving reads the bounds."""
+        b = self.child_bounds
+        return tuple(map(range, b[:-1], b[1:]))
+
+    @cached_property
+    def level(self) -> tuple:
+        """Every node's level, indexed by node; built on first read."""
+        b = self.level_bounds
+        return tuple(self.height - i for i in range(self.height + 1) for _ in range(b[i], b[i + 1]))
 
     @cached_property
     def level_distance(self) -> tuple:
@@ -274,8 +287,8 @@ def frt_embed(counts: ServerCounts, params: EmbeddingParams) -> HstTree:
         scale=scale,
         height=height,
         parent=(None, *up.tolist()),
-        children=tuple(map(range, [1, *ends[:-1]], ends)),
-        level=(height, *(height - 1 - np.nonzero(starts)[0]).tolist()),
+        child_bounds=(1, *ends),
+        level_bounds=(0, 1, *(ids[:, -1] + 1).tolist()),
         leaf_point=tuple(map(counts.reps.__getitem__, order.tolist())),
         point_leaf=tuple(leaf[counts.rep_of].tolist()),
         servers=tuple(below.astype(np.intp).tolist()),

@@ -41,21 +41,21 @@ class RwgmState:
     subtree, so a leaf's entry is its own count and a node is green exactly
     when its entry is positive. ``green[u]`` lists u's green children in
     child order once a uniform descent has passed through u, and is None
-    before. ``parent``, ``children`` (an id range per node) and ``level`` are
-    the tree's own, bound once for serving to read; serving reads no distance.
+    before. ``parent``, ``child_bounds`` and ``first_leaf`` are the tree's
+    own, bound once for serving to read; serving reads no distance.
     The descent draws come from a 32-bit stream read off a PCG64's 64-bit
     outputs, the low half of each output first, as numpy's ``next_uint32``
     splits them. One state serves one request sequence; episodes that run
     concurrently need their own states and random streams.
     """
 
-    __slots__ = ("tree", "parent", "children", "level", "subtree_remaining", "green", "policy", "bits", "u32")
+    __slots__ = ("tree", "parent", "child_bounds", "first_leaf", "subtree_remaining", "green", "policy", "bits", "u32")
 
     def __init__(self, tree: HstTree, bits: np.random.PCG64, policy: str) -> None:
         self.tree = tree
         self.parent = tree.parent
-        self.children = tree.children
-        self.level = tree.level
+        self.child_bounds = tree.child_bounds
+        self.first_leaf = tree.first_leaf
         self.subtree_remaining = list(tree.servers)
         self.green = [None] * len(self.subtree_remaining)
         self.policy = policy
@@ -124,18 +124,18 @@ def pick_a_leaf(state: RwgmState, u: int) -> int:
         raise ValueError(f"node {u} outside 0..{len(counts) - 1}")
     if not counts[u]:
         raise ValueError(f"node {u} is not green")
-    children = state.children
+    b, first_leaf = state.child_bounds, state.first_leaf
     if state.policy == "uniform":
         green = state.green
-        while children[u]:
+        while u < first_leaf:
             kids = green[u]
             if kids is None:
-                kids = green[u] = [c for c in children[u] if counts[c]]
+                kids = green[u] = [c for c in range(b[u], b[u + 1]) if counts[c]]
             u = kids[_below(state, len(kids))]
     else:
-        while children[u]:
+        while u < first_leaf:
             r = _below(state, counts[u])
-            for c in children[u]:
+            for c in range(b[u], b[u + 1]):
                 r -= counts[c]
                 if r < 0:
                     u = c
@@ -149,8 +149,8 @@ def rwgm_serve(state: RwgmState, request_leaf: int):
     A request leaf that still holds a server serves itself, at level 0.
     Otherwise the climb stops at the lowest green ancestor, the meet of the
     request and the chosen leaf since descent only enters green children;
-    its level is what the tree charges. Raises when the request is not a
-    leaf of the tree or when every server has been assigned. One walk up
+    its level, the climb's step count, is what the tree charges. Raises when
+    the request is not a leaf or when every server has been assigned. One walk up
     from the chosen leaf drops its count and every ancestor's by one; under
     the uniform policy it also takes every node whose count reaches zero out
     of its parent's green-child list, if that list has been built.
@@ -158,16 +158,17 @@ def rwgm_serve(state: RwgmState, request_leaf: int):
     if type(request_leaf) is not int and not _is_int(request_leaf):
         raise ValueError(f"request node {request_leaf!r} is not an integer")
     parent = state.parent
-    if not 0 <= request_leaf < len(parent) or state.children[request_leaf]:
+    if not state.first_leaf <= request_leaf < len(parent):
         raise ValueError(f"request node {request_leaf} is not a leaf of the tree")
     counts = state.subtree_remaining
     v = chosen = request_leaf
+    level = 0
     if not counts[v]:
-        v = parent[v]
-        while v is not None and not counts[v]:
-            v = parent[v]
-        if v is None:
+        if not counts[0]:  # the root holds no server
             raise RuntimeError("all servers have been assigned")
+        while not counts[v]:
+            v = parent[v]
+            level += 1
         chosen = pick_a_leaf(state, v)
     # Counts never shrink going up, so the nodes that turn red are the chosen leaf
     # and its ancestors below the first that stays green; only uniform descents build lists.
@@ -181,7 +182,7 @@ def rwgm_serve(state: RwgmState, request_leaf: int):
     while w is not None:
         counts[w] -= 1
         w = parent[w]
-    return chosen, state.level[v]
+    return chosen, level
 
 
 def discretize_all(inst: Instance) -> tuple:

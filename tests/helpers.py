@@ -123,16 +123,15 @@ def normalize_hst(raw: RawTree) -> HstTree:
             leaf_point[cur] = leaf_point.pop(v)
 
     # Renumber breadth-first so parents always precede children; each node's
-    # children join the order together, so their new ids are one range.
+    # children join the order together, so their new ids are one range, and
+    # each level's nodes are one range after the level above.
     order = [root]
-    new_children = []
     for u in order:
-        new_children.append(range(len(order), len(order) + len(children[u])))
         order.extend(children[u])
     new_id = {old: i for i, old in enumerate(order)}
     n = len(order)
     new_parent = tuple(None if parent[old] is None else new_id[parent[old]] for old in order)
-    new_level = tuple(level[old] for old in order)
+    per_level = Counter(level)
     # Every leaf sits at level 0, the deepest, so the leaves are the last ids.
     first_leaf = n - len(leaf_point)
     new_leaf_point = tuple(leaf_point[old] for old in order[first_leaf:])
@@ -147,8 +146,8 @@ def normalize_hst(raw: RawTree) -> HstTree:
         scale=raw.scale,
         height=level[root],
         parent=new_parent,
-        children=tuple(new_children),
-        level=new_level,
+        child_bounds=tuple(itertools.accumulate((len(children[old]) for old in order), initial=1)),
+        level_bounds=tuple(itertools.accumulate((per_level[lv] for lv in range(level[root], -1, -1)), initial=0)),
         leaf_point=new_leaf_point,
         point_leaf=tuple(point_leaf),
         servers=(0,) * n,
@@ -172,13 +171,17 @@ def tree_distance(t: HstTree, leaf_a: int, leaf_b: int) -> float:
 def validate_hst(t: HstTree) -> None:
     """Check every structural invariant and the breadth-first layout; raise ValueError on the first failure.
 
-    The layout: every field but the scalars is a tuple, every ``children[v]``
-    is a range of consecutive ids starting where the previous node's ended,
-    the leaves are exactly the last ``len(leaf_point)`` ids, all at level 0,
+    The layout: every field but the scalars is a tuple; ``child_bounds``
+    holds n_nodes + 1 ids that start at 1, never decrease and end at
+    n_nodes, so every node's children are the consecutive ids from where
+    the previous node's ended; ``level_bounds`` holds height + 2 ids that
+    cut the nodes into one non-empty band per level, the root alone at the
+    top; the last band is exactly the leaves, which are the last
+    ``len(leaf_point)`` ids; every child sits one level below its parent,
     and every ``point_leaf[p]`` lies in ``leaves``.
     """
     n = t.n_nodes
-    for field in ("parent", "children", "level", "leaf_point", "point_leaf", "servers"):
+    for field in ("parent", "child_bounds", "level_bounds", "leaf_point", "point_leaf", "servers"):
         if type(getattr(t, field)) is not tuple:
             raise ValueError(f"{field} is a {type(getattr(t, field)).__name__}, not a tuple")
     if t.height < 1:
@@ -187,33 +190,40 @@ def validate_hst(t: HstTree) -> None:
         raise ValueError("lam must exceed 1")
     if not t.scale > 0.0:
         raise ValueError("scale must be positive")
-    if t.parent[t.root] is not None or t.level[t.root] != t.height:
-        raise ValueError("root must be parentless at level == height")
-    if not (len(t.children) == len(t.level) == len(t.servers) == n):
-        raise ValueError("children, level and servers must hold one entry per node")
-    first = 1  # the id of the next node's first child
+    if t.parent[t.root] is not None:
+        raise ValueError("the root must be parentless")
+    if len(t.servers) != n:
+        raise ValueError("servers must hold one entry per node")
+    cb, lb = t.child_bounds, t.level_bounds
+    if len(cb) != n + 1:
+        raise ValueError(f"child_bounds holds {len(cb)} ids, not n_nodes + 1 = {n + 1}")
+    if cb[0] != 1 or cb[-1] != n:
+        raise ValueError(f"child_bounds runs from {cb[0]} to {cb[-1]}, not from 1 to {n}")
+    for v in range(n):
+        if cb[v + 1] < cb[v]:
+            raise ValueError(f"child_bounds decreases after node {v}")
+    if len(lb) != t.height + 2:
+        raise ValueError(f"level_bounds holds {len(lb)} ids, not height + 2 = {t.height + 2}")
+    if lb[:2] != (0, 1) or lb[-1] != n:
+        raise ValueError(f"level_bounds {lb!r} does not start with the root's band (0, 1) and end at {n}")
+    for i in range(1, t.height + 1):
+        if lb[i + 1] <= lb[i]:
+            raise ValueError(f"level {t.height - i} holds no node")
+    first_leaf = n - len(t.leaf_point)
+    if [v for v in range(n) if cb[v] == cb[v + 1]] != list(range(first_leaf, n)):
+        raise ValueError(f"the leaves are not exactly the last {len(t.leaf_point)} ids")
+    if lb[-2] != first_leaf:
+        raise ValueError(f"the last level band starts at {lb[-2]}, not at the first leaf {first_leaf}")
+    if t.leaves != range(first_leaf, n) or t.first_leaf != first_leaf:
+        raise ValueError(f"leaves = {t.leaves!r}, not range({first_leaf}, {n})")
     for v in range(n):
         if v != t.root and t.parent[v] is None:
             raise ValueError(f"second root at node {v}")
-        kids = t.children[v]
-        if type(kids) is not range or kids.step != 1 or (kids and kids.start != first):
-            raise ValueError(f"children[{v}] = {kids!r} is not the range of ids from {first}")
-        first += len(kids)
-        for c in kids:
+        for c in t.children[v]:
             if t.parent[c] != v:
                 raise ValueError(f"parent/children disagree at edge ({v}, {c})")
             if t.level[c] != t.level[v] - 1:
                 raise ValueError(f"level gap at edge ({v}, {c})")
-    if first != n:
-        raise ValueError(f"the children ranges cover {first - 1} ids, not the {n - 1} non-root nodes")
-    first_leaf = n - len(t.leaf_point)
-    if [v for v in range(n) if not t.children[v]] != list(range(first_leaf, n)):
-        raise ValueError(f"the leaves are not exactly the last {len(t.leaf_point)} ids")
-    if t.leaves != range(first_leaf, n) or t.first_leaf != first_leaf:
-        raise ValueError(f"leaves = {t.leaves!r}, not range({first_leaf}, {n})")
-    for v in range(n):
-        if (v in t.leaves) != (t.level[v] == 0):
-            raise ValueError(f"node {v}: leaves must sit exactly at level 0")
     for pt, leaf in enumerate(t.point_leaf):
         if leaf not in t.leaves:
             raise ValueError(f"point {pt} mapped to non-leaf {leaf}")
@@ -397,7 +407,7 @@ def level_pass_frt_embed(counts, params: EmbeddingParams) -> HstTree:
     dp = counts.dn.take(rng.permutation(k), axis=1)
 
     ups: list = []
-    level: list = [height]
+    sizes: list = [1]  # nodes per level, root first
     below: list = [w.sum(keepdims=True)]
     node = np.zeros(k, dtype=np.intp)  # each class's node at the level just built
     first = 1
@@ -405,7 +415,7 @@ def level_pass_frt_embed(counts, params: EmbeddingParams) -> HstTree:
         winner = (dp <= beta * lam ** (lv - 1)).argmax(axis=1)
         keys, node = np.unique(node * k + winner, return_inverse=True)
         ups.append(keys // k)
-        level.extend([lv] * len(keys))
+        sizes.append(len(keys))
         below.append(np.bincount(node, weights=w, minlength=len(keys)))
         node += first
         first += len(keys)
@@ -421,8 +431,8 @@ def level_pass_frt_embed(counts, params: EmbeddingParams) -> HstTree:
         scale=scale,
         height=height,
         parent=(None, *up.tolist()),
-        children=tuple(range(a, b) for a, b in zip([1, *ends], ends)),
-        level=tuple(level),
+        child_bounds=(1, *ends),
+        level_bounds=tuple(itertools.accumulate(sizes, initial=0)),
         leaf_point=tuple(leaf_point),
         point_leaf=tuple(node[counts.rep_of].tolist()),
         servers=tuple(np.concatenate(below).astype(np.intp).tolist()),

@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 from helpers import (
     harmonic,
     left_to_right_total,
+    level_pass_frt_embed,
     record_costs,
     record_decisions,
     reference_run_episode,
     reference_trace_csv,
+    validate_hst,
 )
 from hstmatch import harness, hst, metric
 from hstmatch.generators import GeneratorSpec, generate_instance, line_metric, uniform_metric
@@ -34,7 +36,7 @@ from hstmatch.harness import (
     trace_csv,
     report_to_dict,
 )
-from hstmatch.hst import EmbeddingParams, frt_embed
+from hstmatch.hst import EmbeddingParams, frt_embed, tree_to_dict
 from hstmatch.metric import FiniteMetric, Instance, instance_from_dict, instance_to_dict, submetric_of_servers
 from hstmatch.online import run_greedy
 from hstmatch.oracle import optimal_matching
@@ -291,6 +293,50 @@ def test_a_run_builds_no_level_distance_table_on_its_episode_trees(monkeypatch):
     setup = pipeline_setup(inst)
     run_episode(setup, 1, 2, check=True)
     assert "level_distance" in vars(trees[-1])  # the check reads the table, so the wrapper sees what it builds
+
+
+@pytest.mark.parametrize("workload", ["euclid-embed", "depot-serve", "line-sweep"])
+def test_a_run_builds_no_tree_view_on_the_benchmark_inputs(monkeypatch, workload):
+    # Serving reads child_bounds and first_leaf, so no episode tree builds children, level or level_distance.
+    inputs = _perfbench_inputs()
+    build, episodes = {  # perfbench/run.py::workloads' throughput inputs, at its episode counts
+        "euclid-embed": (lambda: inputs.cloud(0, 256), 20),
+        "depot-serve": (lambda: inputs.depots(0, 16, 32, 256), 50),
+        "line-sweep": (lambda: inputs.line(0, 96), 50),
+    }[workload]
+    trees = []
+    embed = harness.frt_embed
+    monkeypatch.setattr(harness, "frt_embed", lambda *args: trees.append(embed(*args)) or trees[-1])
+    run_pipeline(instance_from_dict(build()), master_seed=7, episodes=episodes)
+    assert len(trees) == episodes
+    assert all(not {"children", "level", "level_distance"} & set(vars(tree)) for tree in trees)
+
+
+@pytest.mark.parametrize("lam", [1.3, 2.0, 4.2, None])  # None: the run's own lambda_for_n
+@pytest.mark.parametrize("name", ["line", "euclidean", "depots", "star"])
+def test_the_offset_views_match_the_level_pass_oracle_on_seeded_instances(name, lam):
+    if name in ("euclidean", "star"):
+        setup = pipeline_setup(generate_instance(GeneratorSpec(name, 9, seed=6)))
+    else:
+        setup = pipeline_setup(instance_from_dict(_trace_instances()[name]))
+    for counts in (setup.servers, setup.rest):
+        for seed in range(4):
+            params = EmbeddingParams(lam=lam or setup.lam, seed=seed)
+            got, want = frt_embed(counts, params), level_pass_frt_embed(counts, params)
+            assert (got.child_bounds, got.level_bounds) == (want.child_bounds, want.level_bounds)
+            assert (got.children, got.level) == (want.children, want.level)
+            # The views against the parent tuple alone: v's children are the nodes whose parent is v, and
+            # every node sits one level below its parent, the root at the top.
+            assert [list(c) for c in got.children] == [
+                [c for c in range(1, got.n_nodes) if got.parent[c] == v] for v in range(got.n_nodes)
+            ]
+            level = [got.height]
+            for p in got.parent[1:]:
+                level.append(level[p] - 1)
+            assert list(got.level) == level
+            assert tree_to_dict(got) == tree_to_dict(want)
+            validate_hst(got)
+            validate_hst(want)
 
 
 def test_episodes_call_the_embedding_and_matcher_through_harness_names(monkeypatch):

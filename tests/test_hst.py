@@ -178,7 +178,7 @@ def test_validate_hst_catches_tampering():
     import dataclasses
 
     t = height1_tree(2)
-    broken = dataclasses.replace(t, level=(1, 0, 1))
+    broken = dataclasses.replace(t, level_bounds=(0, 2, 3))
     with pytest.raises(ValueError):
         validate_hst(broken)
 
@@ -186,9 +186,13 @@ def test_validate_hst_catches_tampering():
 @pytest.mark.parametrize(
     "change, message",
     [
-        ({"children": ((1, 2), (), ())}, r"^children\[0\] = \(1, 2\) is not the range of ids from 1$"),
-        ({"children": (range(2, 3), range(1, 2), range(3, 3))}, r"^children\[0\] = range\(2, 3\) is not the range"),
-        ({"children": [range(1, 3), range(3, 3), range(3, 3)]}, r"^children is a list, not a tuple$"),
+        ({"child_bounds": [1, 3, 3, 3]}, r"^child_bounds is a list, not a tuple$"),
+        ({"child_bounds": (2, 3, 3, 3)}, r"^child_bounds runs from 2 to 3, not from 1 to 3$"),
+        ({"child_bounds": (1, 3, 2, 3)}, r"^child_bounds decreases after node 1$"),
+        ({"child_bounds": (1, 3, 3)}, r"^child_bounds holds 3 ids, not n_nodes \+ 1 = 4$"),
+        ({"level_bounds": [0, 1, 3]}, r"^level_bounds is a list, not a tuple$"),
+        ({"level_bounds": (0, 1, 2, 3)}, r"^level_bounds holds 4 ids, not height \+ 2 = 3$"),
+        ({"level_bounds": (0, 2, 3)}, r"^level_bounds \(0, 2, 3\) does not start with the root's band \(0, 1\)"),
         ({"leaf_point": {1: 0, 2: 1}}, r"^leaf_point is a dict, not a tuple$"),
         ({"point_leaf": {0: 1, 1: 2}}, r"^point_leaf is a dict, not a tuple$"),
         ({"leaf_point": (0,)}, r"^the leaves are not exactly the last 1 ids$"),
@@ -203,6 +207,25 @@ def test_validate_hst_catches_layout_faults(change, message):
     validate_hst(t)
     with pytest.raises(ValueError, match=message):
         validate_hst(dataclasses.replace(t, **change))
+
+
+@pytest.mark.parametrize(
+    "level_bounds, message",
+    [
+        ((0, 1, 3, 3, 8), r"^level 1 holds no node$"),
+        ((0, 1, 3, 4, 8), r"^the last level band starts at 4, not at the first leaf 5$"),
+        ((0, 1, 2, 5, 8), r"^level gap at edge \(0, 2\)$"),
+    ],
+)
+def test_validate_hst_catches_level_band_faults(level_bounds, message):
+    import dataclasses
+
+    # Levels 3, 2, 1, 0 hold nodes 0, 1-2, 3-4 and the leaves 5-7.
+    t = normalize_hst(RawTree([None, 0, 0, 1, 2, 3, 3, 4], [3, 2, 2, 1, 1, 0, 0, 0], {5: 0, 6: 1, 7: 2}, lam=2.0))
+    assert t.level_bounds == (0, 1, 3, 5, 8) and t.child_bounds == (1, 3, 4, 5, 7, 8, 8, 8, 8)
+    validate_hst(t)
+    with pytest.raises(ValueError, match=message):
+        validate_hst(dataclasses.replace(t, level_bounds=level_bounds))
 
 
 def test_hand_built_helper_trees_fit_the_layout():

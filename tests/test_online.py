@@ -195,6 +195,25 @@ def test_serve_rejects_non_leaf_requests():
         rwgm_serve(st, t.root)
 
 
+@pytest.mark.parametrize(
+    "node, message",
+    [
+        (1, r"^request node 1 is not a leaf of the tree$"),  # internal and green
+        (7, r"^request node 7 is not a leaf of the tree$"),  # n_nodes
+        (-1, r"^request node -1 is not a leaf of the tree$"),  # would index the last leaf from the end
+        (True, r"^request node True is not an integer$"),
+    ],
+    ids=repr,
+)
+def test_serve_refuses_a_request_node_that_is_not_a_leaf_with_one_line(node, message):
+    # Root 0, internal nodes 1 and 2, leaves 3..6; a refused request serves and draws nothing.
+    t = normalize_hst(RawTree([None, 0, 0, 1, 1, 2, 2], [2, 1, 1, 0, 0, 0, 0], {3: 0, 4: 1, 5: 2, 6: 3}, lam=2.0))
+    st = rwgm_init(with_multiplicity(t, {0: 1, 1: 0, 2: 1, 3: 1}), 0)
+    with pytest.raises(ValueError, match=message):
+        rwgm_serve(st, node)
+    assert st.subtree_remaining == [3, 1, 2, 1, 0, 1, 1] and st.green == [None] * 7
+
+
 @pytest.mark.parametrize("u", [True, False, 1.5, 1.0, "1", None], ids=repr)
 def test_serve_and_descent_refuse_a_node_id_that_is_not_an_integer(u):
     # Unchecked, True would pass the range check and serve leaf 1 as itself; nothing may be served or drawn.
@@ -302,11 +321,11 @@ def test_pick_a_leaf_proportional_policy():
 def test_pick_a_leaf_requires_green():
     t = with_multiplicity(height1_tree(2), {0: 1, 1: 0})
     st = rwgm_init(t, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^node 2 is not green$"):
         pick_a_leaf(st, t.point_leaf[1])
 
 
-@pytest.mark.parametrize("u", [-1, -4, 10])
+@pytest.mark.parametrize("u", [-1, -4, 4, 10])
 def test_pick_a_leaf_refuses_a_node_outside_the_tree(u):
     # A negative id would index from the end (-4 is the root of this 4-node tree), a large one past it.
     st = rwgm_init(with_multiplicity(height1_tree(3), {0: 1, 1: 1, 2: 1}), 0)

@@ -69,14 +69,17 @@ def test_the_tree_names_the_benchmark_reads_stay():
 def test_a_tree_is_one_breadth_first_layout_of_tuples_and_ranges():
     fields = {f.name: f.type for f in dataclasses.fields(HstTree)}
     assert fields == {
-        "lam": "float", "scale": "float", "height": "int", "parent": "tuple", "children": "tuple",
-        "level": "tuple", "leaf_point": "tuple", "point_leaf": "tuple", "servers": "tuple",
+        "lam": "float", "scale": "float", "height": "int", "parent": "tuple", "child_bounds": "tuple",
+        "level_bounds": "tuple", "leaf_point": "tuple", "point_leaf": "tuple", "servers": "tuple",
     }
     assert not hasattr(HstTree, "is_leaf")  # a caller tests v in tree.leaves
     tree = frt_embed(harness.pipeline_setup(generate_instance(GeneratorSpec("line", 6, seed=1))).servers,
                      EmbeddingParams(lam=2.0, seed=0))
     assert type(tree.leaves) is range and tree.leaves == range(tree.first_leaf, tree.n_nodes)
-    assert all(type(c) is range for c in tree.children)
+    # children and level are views built on first read from the two offset tuples
+    assert not {"children", "level"} & set(vars(tree))
+    assert type(tree.children) is tuple and all(type(c) is range for c in tree.children)
+    assert type(tree.level) is tuple and len(tree.level) == tree.n_nodes
 
 
 def test_the_turning_point_chain_reads_the_tree_and_a_node_indexed_tau():

@@ -31,7 +31,10 @@ stages. The same call times each block of ``harness._episode_streams`` (the
 seed pass) and gives each of the block's episodes an equal share of it, as
 the ``seeds`` stage, and times its one ``harness.pipeline_setup`` call as the
 ``setup`` stage. The median of each stage, per call for ``setup`` and per
-episode for the rest, is printed per side in milliseconds. Prints each side's
+episode for the rest, is printed per side in milliseconds; each stage's
+per-pair ratio is B's median in that pair's staged call over A's, and the
+median of those ratios and the number of pairs B won are printed per stage.
+Prints each side's
 median and quartiles in milliseconds for the call (wall and CPU), the
 episodes-only call, the solve, the load and the CLI sequence, the median of
 B/A for each, how many pairs B won, and whether both sides returned the same
@@ -199,7 +202,8 @@ def main(argv=None) -> int:
     cli_times: tuple = ([], [])
     solve_times: tuple = ([], [])
     episode_times: tuple = ([], [])
-    stage_times = tuple({name: [] for name in STAGES} for _ in sides)
+    stage_times = tuple({name: [] for name in STAGES} for _ in sides)  # every sample
+    stage_pairs = tuple({name: [] for name in STAGES} for _ in sides)  # each pair's median
     same = same_files = True
     for i in range(args.pairs):
         order = (0, 1) if i % 2 == 0 else (1, 0)
@@ -214,7 +218,11 @@ def main(argv=None) -> int:
             solve_times[s].append(solve_s)
             episode_times[s].append(episodes_s)
         for s in order:
-            staged_call(sides[s], insts[s], stage_times[s])
+            staged = {name: [] for name in STAGES}
+            staged_call(sides[s], insts[s], staged)
+            for name, xs in staged.items():
+                stage_times[s][name].extend(xs)
+                stage_pairs[s][name].append(statistics.median(xs))
         for s in order:
             cli_s, files[s] = run_commands(s)
             cli_times[s].append(cli_s)
@@ -231,6 +239,7 @@ def main(argv=None) -> int:
     episode_ratios = [b / a for a, b in zip(*episode_times)]
     solve_ratios = [b / a for a, b in zip(*solve_times)]
     cli_ratios = [b / a for a, b in zip(*cli_times)]
+    stage_ratios = {name: [b / a for a, b in zip(stage_pairs[0][name], stage_pairs[1][name])] for name in STAGES}
     result = {
         "workload": args.workload,
         "seed": args.seed,
@@ -260,6 +269,8 @@ def main(argv=None) -> int:
         "same_cli_files": same_files,
         "a_stage_ms": {name: round(1e3 * statistics.median(xs), 4) for name, xs in stage_times[0].items()},
         "b_stage_ms": {name: round(1e3 * statistics.median(xs), 4) for name, xs in stage_times[1].items()},
+        "stage_median_b_over_a": {name: round(statistics.median(rs), 4) for name, rs in stage_ratios.items()},
+        "stage_b_wins": {name: sum(r < 1.0 for r in rs) for name, rs in stage_ratios.items()},
         "a_src_lines": src_lines(args.a),
         "b_src_lines": src_lines(args.b),
     }
@@ -285,7 +296,12 @@ def main(argv=None) -> int:
         f" {result['solve_median_b_over_a']} per solve,"
         f" {result['load_median_b_over_a']} per load,"
         f" {result['cli_median_b_over_a']} per CLI sequence; b won {result['b_wins']}/{args.pairs} calls"
-        f" and {result['cli_b_wins']}/{args.pairs} CLI sequences; same reports: {same}, same CLI files: {same_files};"
+        f" and {result['cli_b_wins']}/{args.pairs} CLI sequences; stage b/a medians (pairs b won): "
+        + ", ".join(
+            f"{name} {ratio} ({result['stage_b_wins'][name]}/{args.pairs})"
+            for name, ratio in result["stage_median_b_over_a"].items()
+        )
+        + f"; same reports: {same}, same CLI files: {same_files};"
         f" src/ lines {result['a_src_lines']} -> {result['b_src_lines']}"
     )
     print(json.dumps(result))
