@@ -242,7 +242,7 @@ def run_episode(setup: PipelineSetup, embed_seed, play_seed, *, algorithm="rwgm"
     tree = frt_embed(setup.rest, EmbeddingParams(lam=setup.lam, seed=embed_seed))
     stock = attach_servers(tree, setup.stock)
     state = rwgm_init(tree, play_seed, policy=_TREE_POLICY[algorithm])
-    point_leaf, first_leaf = tree.point_leaf, tree.first_leaf
+    point_leaf, first_leaf = tree.point_leaf, state.first_leaf
     left = state.subtree_remaining  # a serve that leaves c servers at a leaf took entry c of the leaf's stock
 
     served = list(setup.opening)

@@ -266,19 +266,19 @@ def frt_embed(counts: ServerCounts, params: EmbeddingParams) -> HstTree:
     for i in range(height):
         np.argmax(dp <= beta * lam ** (height - 2 - i), axis=1, out=centers[i])
     order = np.lexsort(centers[::-1])
+    centers = centers[:, order]
     starts = np.ones((height, k), dtype=bool)
-    np.logical_or.accumulate(np.diff(centers[:, order], axis=1) != 0, axis=0, out=starts[:, 1:])
+    np.not_equal(centers[:, 1:], centers[:, :-1], out=starts[:, 1:])
+    np.logical_or.accumulate(starts, axis=0, out=starts)
     if not starts[-1].all():  # radius beta/lam < 1 forces singletons at level 0
         raise AssertionError("partition did not reach singletons")
 
-    # Row-major numbering is breadth-first with every node's children
-    # consecutive, so they are the id range that ends one past the node's last
-    # child; the last k nodes are the leaves, one per class in sorted order.
+    # Row-major numbering is breadth-first, with the leaves last in sorted class order:
+    # the node that starts at row i, column s has parent ids[i - 1, s] (the root above
+    # row 0) and first child ids[i + 1, s], and its children end where the next node's start.
     ids = starts.cumsum().reshape(height, k)
     n_nodes = int(ids[-1, -1]) + 1
-    up = np.concatenate([np.zeros((1, k), dtype=np.intp), ids[:-1]])[starts]
-    ends = (np.bincount(up, minlength=n_nodes).cumsum() + 1).tolist()
-    below = np.bincount(ids.ravel(), weights=np.tile(w[order], height), minlength=n_nodes)
+    below = np.bincount(ids.ravel(), weights=w[order][None].repeat(height, 0).ravel(), minlength=n_nodes)
     below[0] = w.sum()
     leaf = np.empty(k, dtype=np.intp)  # each class's leaf
     leaf[order] = ids[-1]
@@ -286,8 +286,8 @@ def frt_embed(counts: ServerCounts, params: EmbeddingParams) -> HstTree:
         lam=lam,
         scale=scale,
         height=height,
-        parent=(None, *up.tolist()),
-        child_bounds=(1, *ends),
+        parent=(None, *(0,) * int(ids[0, -1]), *ids[:-1][starts[1:]].tolist()),
+        child_bounds=(1, *ids[1:][starts[:-1]].tolist(), *(n_nodes,) * (k + 1)),
         level_bounds=(0, 1, *(ids[:, -1] + 1).tolist()),
         leaf_point=tuple(map(counts.reps.__getitem__, order.tolist())),
         point_leaf=tuple(leaf[counts.rep_of].tolist()),

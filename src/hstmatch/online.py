@@ -40,13 +40,14 @@ class RwgmState:
     ``subtree_remaining`` counts the unassigned servers in each node's
     subtree, so a leaf's entry is its own count and a node is green exactly
     when its entry is positive. ``green[u]`` lists u's green children in
-    child order once a uniform descent has passed through u, and is None
-    before. ``parent``, ``child_bounds`` and ``first_leaf`` are the tree's
-    own, bound once for serving to read; serving reads no distance.
-    The descent draws come from a 32-bit stream read off a PCG64's 64-bit
-    outputs, the low half of each output first, as numpy's ``next_uint32``
-    splits them. One state serves one request sequence; episodes that run
-    concurrently need their own states and random streams.
+    child order once a uniform descent has chosen among them, and is None
+    before and for a node with one child, which a descent steps through.
+    ``parent``, ``child_bounds`` and ``first_leaf`` are the tree's own, bound
+    once for serving to read; serving reads no distance. The descent draws
+    come from a 32-bit stream read off a PCG64's 64-bit outputs, the low half
+    of each output first, as numpy's ``next_uint32`` splits them. One state
+    serves one request sequence; episodes that run concurrently need their
+    own states and random streams.
     """
 
     __slots__ = ("tree", "parent", "child_bounds", "first_leaf", "subtree_remaining", "green", "policy", "bits", "u32")
@@ -55,7 +56,7 @@ class RwgmState:
         self.tree = tree
         self.parent = tree.parent
         self.child_bounds = tree.child_bounds
-        self.first_leaf = tree.first_leaf
+        self.first_leaf = tree.level_bounds[-2]
         self.subtree_remaining = list(tree.servers)
         self.green = [None] * len(self.subtree_remaining)
         self.policy = policy
@@ -81,15 +82,6 @@ def rwgm_init(tree: HstTree, seed, policy: str = "uniform") -> RwgmState:
     return state
 
 
-def _next_u32(state: RwgmState) -> int:
-    u = next(state.u32, None)
-    if u is None:
-        # A little-endian view puts each output's low half first, on any platform.
-        state.u32 = iter(state.bits.random_raw(_RAW_BLOCK).astype("<u8").view("<u4").tolist())
-        u = next(state.u32)
-    return u
-
-
 def _below(state: RwgmState, n: int) -> int:
     """Uniform integer in [0, n) for 1 <= n <= 2**32, as ``Generator.integers(n)`` draws it.
 
@@ -100,12 +92,15 @@ def _below(state: RwgmState, n: int) -> int:
     """
     if n == 1:
         return 0
-    m = _next_u32(state) * n
-    if m & 0xFFFFFFFF < n:
-        threshold = (0x100000000 - n) % n
-        while m & 0xFFFFFFFF < threshold:
-            m = _next_u32(state) * n
-    return m >> 32
+    while True:
+        try:
+            m = next(state.u32) * n
+        except StopIteration:
+            # A little-endian view puts each output's low half first, on any platform.
+            state.u32 = iter(state.bits.random_raw(_RAW_BLOCK).astype("<u8").view("<u4").tolist())
+            continue
+        if m & 0xFFFFFFFF >= n or m & 0xFFFFFFFF >= (0x100000000 - n) % n:
+            return m >> 32
 
 
 def pick_a_leaf(state: RwgmState, u: int) -> int:
@@ -124,14 +119,22 @@ def pick_a_leaf(state: RwgmState, u: int) -> int:
         raise ValueError(f"node {u} outside 0..{len(counts) - 1}")
     if not counts[u]:
         raise ValueError(f"node {u} is not green")
-    b, first_leaf = state.child_bounds, state.first_leaf
+    return _descend(state, u)
+
+
+def _descend(state: RwgmState, u: int) -> int:
+    """``pick_a_leaf`` from a green node u of the tree, unchecked: the one descent ``rwgm_serve`` shares."""
+    counts, b, first_leaf = state.subtree_remaining, state.child_bounds, state.first_leaf
     if state.policy == "uniform":
         green = state.green
         while u < first_leaf:
-            kids = green[u]
-            if kids is None:
-                kids = green[u] = [c for c in range(b[u], b[u + 1]) if counts[c]]
-            u = kids[_below(state, len(kids))]
+            c = b[u]
+            if b[u + 1] > c + 1:  # an only child is green, as u is, and _below(1) would draw nothing
+                kids = green[u]
+                if kids is None:
+                    kids = green[u] = [v for v in range(c, b[u + 1]) if counts[v]]
+                c = kids[_below(state, len(kids))]
+            u = c
     else:
         while u < first_leaf:
             r = _below(state, counts[u])
@@ -169,7 +172,7 @@ def rwgm_serve(state: RwgmState, request_leaf: int):
         while not counts[v]:
             v = parent[v]
             level += 1
-        chosen = pick_a_leaf(state, v)
+        chosen = _descend(state, v)
     # Counts never shrink going up, so the nodes that turn red are the chosen leaf
     # and its ancestors below the first that stays green; only uniform descents build lists.
     green = state.green

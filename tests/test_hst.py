@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from collections import Counter
@@ -26,6 +27,7 @@ from hstmatch.generators import euclidean_metric, line_metric, uniform_metric
 from hstmatch.harness import pipeline_setup
 from hstmatch.hst import (
     EmbeddingParams,
+    HstTree,
     attach_servers,
     count_servers,
     frt_embed,
@@ -445,6 +447,15 @@ def test_zero_distance_classes_match_the_greedy_scan(points):
 @example(metric=FiniteMetric.from_matrix(slack_dist([(0, 0), (0, 1), (0, 2), (1, 0)])), lam=2.0, seed=5,
          picks=[0, 1, 2, 2, 3], rest=False)  # zeros that are not transitive
 @example(metric=line_metric([0.0, 0.0, 3.0, 3.0, 24.0]), lam=2.0, seed=2, picks=[0, 1, 4, 4, 2], rest=True)
+# Edge shapes of the offsets read off the node ids: two classes and a six-leaf star make one row of ids
+# (height 1), and 24 line points at lam 1.05 make 98 rows (64 over the rest's five classes), nearly all
+# nodes with one child; every rest count here leaves a class that holds no server.
+@example(metric=line_metric([0.0, 5.0]), lam=2.0, seed=1, picks=[1, 0, 1], rest=False)
+@example(metric=line_metric([0.0, 5.0]), lam=2.0, seed=1, picks=[1, 0, 1], rest=True)
+@example(metric=uniform_metric(6), lam=2.0, seed=3, picks=[0, 1, 1, 5], rest=False)
+@example(metric=uniform_metric(6), lam=2.0, seed=3, picks=[0, 1, 1, 5, 2, 4], rest=True)
+@example(metric=line_metric(np.arange(24.0) ** 1.5), lam=1.05, seed=4, picks=[0, 3, 3, 9, 17, 23, 23], rest=False)
+@example(metric=line_metric(np.arange(24.0) ** 1.5), lam=1.05, seed=4, picks=[0, 3, 3, 9, 17, 23, 23], rest=True)
 def test_frt_embed_matches_the_level_pass_oracle(metric, lam, seed, picks, rest):
     # The one sort per tree against one np.unique per level, over multiset servers and, with ``rest``, the
     # per-class counts an episode draws over: the server submetric less the run's self-serving opening.
@@ -458,9 +469,12 @@ def test_frt_embed_matches_the_level_pass_oracle(metric, lam, seed, picks, rest)
             assume(False)
     params = EmbeddingParams(lam=lam, seed=seed)
     got, want = frt_embed(counts, params), level_pass_frt_embed(counts, params)
-    for field in ("lam", "scale", "height", "parent", "children", "level", "leaf_point", "point_leaf", "servers"):
+    for field in [f.name for f in dataclasses.fields(HstTree)] + ["children", "level"]:
         assert getattr(got, field) == getattr(want, field), field
-    assert all(type(x) is int for x in got.servers + got.parent[1:] + got.level + got.leaf_point + got.point_leaf)
+    assert all(
+        type(x) is int
+        for x in got.servers + got.parent[1:] + got.child_bounds + got.level_bounds + got.leaf_point + got.point_leaf
+    )
     validate_hst(got)
     validate_hst(want)
 

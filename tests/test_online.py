@@ -25,6 +25,7 @@ from helpers import (
     tree_distance,
     with_multiplicity,
 )
+from hstmatch import online
 from hstmatch.generators import GeneratorSpec, line_metric, star_metric, uniform_metric
 from hstmatch.harness import ALGORITHMS, derive_seed, episode_totals, pipeline_setup, run_algorithm, run_episode
 from hstmatch.hst import EmbeddingParams, count_servers, frt_embed
@@ -369,10 +370,62 @@ def test_built_green_lists_hold_the_green_children_after_every_serve(coords, pic
         served, level = rwgm_serve(got, tree.point_leaf[r])
         assert (served, level) == reference_rwgm_serve(want, tree.point_leaf[r]) and type(level) is int
         for u, kids in enumerate(got.green):
-            if kids is not None:
+            if len(tree.children[u]) == 1:
+                assert kids is None, u  # a descent steps through a node with one child and builds no list
+            elif kids is not None:
                 assert kids == [c for c in tree.children[u] if counts[c]], u
     if policy == "proportional":
         assert got.green == [None] * tree.n_nodes
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("seed", range(4))
+def test_tall_trees_serve_as_the_reference_through_their_single_child_chains(policy, seed):
+    # At lam = 1.3 a line tree is tall and most of its nodes have one child: the uniform descent steps
+    # through them without a draw, the proportional one draws at every level, and both read the stream
+    # word for word as the reference, up to the word after the last serve.
+    rng = np.random.default_rng(seed)
+    coords = rng.uniform(0.0, 1000.0, 30)
+    servers = tuple(int(p) for p in rng.integers(0, 30, 20))
+    tree = frt_embed(count_servers(line_metric(coords), servers), EmbeddingParams(lam=1.3, seed=seed))
+    unary = [u for u in range(tree.n_nodes) if len(tree.children[u]) == 1]
+    assert tree.height > 20 and 2 * len(unary) > tree.n_nodes
+    got = rwgm_init(tree, 1000 + seed, policy=policy)
+    want = reference_rwgm_init(tree, 1000 + seed, policy=policy)
+    for r in rng.integers(0, 30, 20).tolist():
+        assert rwgm_serve(got, tree.point_leaf[r]) == reference_rwgm_serve(want, tree.point_leaf[r])
+    assert got.subtree_remaining == want.subtree_remaining == [0] * tree.n_nodes
+    assert all(got.green[u] is None for u in unary)
+    assert _below(got, 2**32) == int(want.rng.integers(2**32))  # both keep every word at this bound
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_pick_a_leaf_is_the_descent_a_serve_runs(policy, monkeypatch):
+    # Twin states serve the same requests; then, at a request whose leaf is empty, one serves and the
+    # other picks from the node the climb stops at: the same leaf, the stream left at the same word,
+    # and one call of the one descent routine each.
+    descents = []
+    descend = online._descend
+    monkeypatch.setattr(online, "_descend", lambda *args: descents.append(args[1]) or descend(*args))
+    rng = np.random.default_rng(71)
+    met = 0
+    for trial in range(30):
+        tree, inst = random_tree_instance(rng, int(rng.integers(1, 5)), int(rng.integers(2, 16)), lam=2.0)
+        serving, picking = (rwgm_init(tree, 500 + trial, policy=policy) for _ in range(2))
+        for r in inst.requests:
+            leaf = tree.point_leaf[r]
+            if not serving.subtree_remaining[leaf]:
+                meet = leaf
+                while not picking.subtree_remaining[meet]:
+                    meet = tree.parent[meet]
+                del descents[:]
+                assert rwgm_serve(serving, leaf)[0] == pick_a_leaf(picking, meet)
+                assert descents == [meet, meet]
+                assert _below(serving, 2**32) == _below(picking, 2**32)
+                met += 1
+                break
+            assert rwgm_serve(serving, leaf) == rwgm_serve(picking, leaf)
+    assert met >= 20
 
 
 def test_each_serve_is_tree_greedy():
