@@ -7,13 +7,12 @@ Euclidean point clouds, and random points on a line.
 """
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import _CHUNK_ENTRIES, MAX_POINTS, FiniteMetric, Instance, _checked_seed, _is_int, ensure_valid_metric
+from .metric import _CHUNK_ENTRIES, MAX_POINTS, FiniteMetric, Instance, ensure_valid_metric
+from .metric import _checked_seed, _is_finite_real, _is_int
 
 __all__ = [
     "FAMILIES",
@@ -64,7 +63,7 @@ class GeneratorSpec:
                 f" above MAX_COORDINATES = {MAX_COORDINATES}"
             )
         cr = self.coord_range
-        if not (isinstance(cr, numbers.Real) and not isinstance(cr, bool) and math.isfinite(cr) and cr > 0):
+        if not (_is_finite_real(cr) and cr > 0):
             raise ValueError(f"coord_range must be finite and positive, got {cr!r}")
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .generators import GeneratorSpec, generate_instance
 from .hst import EmbeddingParams, ServerCounts, attach_servers, count_servers, frt_embed, lambda_for_n
-from .metric import TRIANGLE_SLACK, Instance, _checked_seed, _is_int, _request_triangle_violation, submetric_of_servers
+from .metric import TRIANGLE_SLACK, Instance, _checked_seed, _is_int, submetric_of_servers
 from .online import discretize_all, rwgm_init, rwgm_serve, run_greedy
 from .oracle import _linear_sum_assignment, optimal_matching
 
@@ -184,20 +184,10 @@ class PipelineSetup:
     rest: ServerCounts  # servers with the opening's taken out, for frt_embed
 
 
-def _checked_images(inst: Instance) -> tuple:
-    """Each request's image (``discretize_all``), after a check of the triangles through it."""
-    g = discretize_all(inst)
-    violation = _request_triangle_violation(inst, g)
-    if violation is not None:
-        raise ValueError(f"invalid metric: {violation}")
-    return g
-
-
 def pipeline_setup(inst: Instance, g: tuple | None = None) -> PipelineSetup:
-    """What every episode of a run shares; ``g`` is the images, if already checked."""
+    """What every episode of a run shares; ``g`` is ``discretize_all(inst)``'s result, found here if not given."""
     sub, mapping = submetric_of_servers(inst)
-    if g is None:
-        g = _checked_images(inst)
+    g = discretize_all(inst) if g is None else g
     counts = count_servers(sub, [mapping[p] for p in inst.servers])
     rep_of = counts.rep_of.tolist()
     stock: dict = {}
@@ -285,7 +275,7 @@ def run_algorithm(
     """
     _check_algorithms([tag])
     _check_counts(episodes, master_seed)
-    g = _checked_images(inst)
+    g = discretize_all(inst)
     solve = _solve_beside(inst)
     try:
         return _run_tag(inst, tag, master_seed, episodes, solve, g, check, keep_rows)
@@ -325,7 +315,7 @@ def _check_counts(episodes, master_seed) -> None:
 
 
 def _run_tag(inst: Instance, tag: str, master_seed: int, episodes: int, solve, g, check=False, keep_rows=False):
-    """run_algorithm's body, with checked images ``g`` of inst and its optimum from ``solve()``, which the
+    """run_algorithm's body, with ``g`` = ``discretize_all(inst)`` and inst's optimum from ``solve()``, which the
     optimal tag calls before it serves and every other tag after its last episode, so a solve overlaps them."""
     if tag == "greedy":
         blocks = [[run_greedy(inst)]]
@@ -356,7 +346,7 @@ def sweep(family: str, sizes, algorithms, episodes: int, master_seed: int, *, di
     rows = []
     for si, spec in enumerate(specs):
         inst = generate_instance(spec)
-        g = _checked_images(inst)  # one check and one solve serve every tag
+        g = discretize_all(inst)  # one check and one solve serve every tag
         om = optimal_matching(inst)  # solved first, so a zero optimum is refused before any tag runs
         if om.cost == 0.0:
             raise ValueError(f"instance (family={family}, n={spec.n}) has zero optimum")

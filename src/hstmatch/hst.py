@@ -41,7 +41,6 @@ MAX_TREE_NODES, or whose distances would overflow a float, is refused.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -49,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .metric import FiniteMetric, _checked_points, _checked_seed, _is_int
+from .metric import FiniteMetric, _checked_points, _checked_seed, _is_finite_real, _is_int
 
 __all__ = [
     "MAX_TREE_NODES",
@@ -87,7 +86,7 @@ class EmbeddingParams:
     seed: int | np.random.PCG64
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.lam, numbers.Real) and math.isfinite(self.lam) and self.lam > 1.0):
+        if not (_is_finite_real(self.lam) and self.lam > 1.0):
             raise ValueError(f"lam must be finite and exceed 1, got {self.lam!r}")
         if not isinstance(self.seed, np.random.PCG64):
             _checked_seed(self.seed)

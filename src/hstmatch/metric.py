@@ -7,6 +7,8 @@ sequence of equal size; the request order is part of the instance.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,14 +38,22 @@ TRIANGLE_SLACK = 1e-9
 # and FiniteMetric's copy take 16 * MAX_POINTS**2 bytes (1 GiB); a loaded one is converted once.
 MAX_POINTS = 2**13
 
-# Row-blocked loops over a matrix (the triangle check, the Euclidean
-# generator) keep at most this many floats (8 MiB) in a temporary at once.
+# Blocked loops over a matrix (the triangle check, the Euclidean generator,
+# discretize_all) keep at most this many floats (8 MiB) in a temporary at once.
 _CHUNK_ENTRIES = 1 << 20
 
 
 def _is_int(x) -> bool:
     """An int or numpy integer; bool is an int subclass, and floats and strings are never coerced."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_finite_real(x) -> bool:
+    """A real number, not a bool, whose float is finite: an int beyond the float range is not."""
+    try:
+        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _checked_seed(seed, name: str = "seed"):
@@ -80,7 +90,10 @@ class MetricViolation:
 
 
 def _as_square_matrix(dist) -> np.ndarray:
-    arr = np.array(dist, dtype=float)  # a copy, also of an ndarray: the caller keeps no handle on it
+    try:
+        arr = np.array(dist, dtype=float)  # a copy, also of an ndarray: the caller keeps no handle on it
+    except OverflowError:  # a Python int beyond the largest float
+        raise MetricStructureError("distance matrix holds an integer too large for a float") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise MetricStructureError(f"distance matrix must be square, got shape {arr.shape}")
     if arr.size:
@@ -229,32 +242,6 @@ def submetric_of_servers(inst: Instance) -> tuple[FiniteMetric, dict[int, int]]:
     return sub, mapping
 
 
-def _request_triangle_violation(inst: Instance, images) -> MetricViolation | None:
-    """The first failing d(r, s) <= d(r, g) + d(g, s), else d(g, s) <= d(g, r) + d(r, s), or None.
-
-    r runs over the requests in order, g is r's image, and s runs over the
-    distinct server points ascending: the triangles that discretization relies
-    on, with validate_metric's slack. O(n * k), a block of requests at a time.
-    """
-    d = inst.metric.dist
-    pts = np.array(sorted(set(inst.servers)))
-    requests, images = np.asarray(inst.requests), np.asarray(images)
-    tol = TRIANGLE_SLACK * float(d.max())
-    step = max(1, _CHUNK_ENTRIES // len(d))  # d[r] copies whole rows
-    with np.errstate(over="ignore"):  # an overflowing detour is never shorter
-        for lo in range(0, inst.n, step):
-            r, g = requests[lo : lo + step], images[lo : lo + step]
-            rs, gs = d[r][:, pts], d[g][:, pts]
-            bad = (rs - (d[r, g][:, None] + gs) > tol) | (gs - (d[g, r][:, None] + rs) > tol)
-            if bad.any():
-                i, j = np.unravel_index(int(bad.argmax()), bad.shape)
-                r, g, s = int(r[i]), int(g[i]), int(pts[j])
-                if d[r, s] - (d[r, g] + d[g, s]) > tol:
-                    return _triangle_violation(d, r, s, g)
-                return _triangle_violation(d, g, s, r)
-    return None
-
-
 def instance_to_dict(inst: Instance) -> dict:
     return {
         "points": list(inst.metric.points),
@@ -306,8 +293,6 @@ def instance_from_dict(data: dict) -> Instance:
         inst = Instance(metric=metric, servers=tuple(data["servers"]), requests=tuple(data["requests"]))
     except KeyError as missing:
         raise ValueError(f"instance JSON lacks required field {missing}") from None
-    except OverflowError:  # a JSON integer beyond the largest float
-        raise ValueError("dist holds an integer too large for a float") from None
     sub, mapping = submetric_of_servers(inst)
     violation = _pair_violation(metric.dist) or validate_metric(sub)
     if violation is not None:

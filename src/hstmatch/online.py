@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hst import HstTree
-from .metric import Instance, _checked_seed, _is_int
+from .metric import _CHUNK_ENTRIES, TRIANGLE_SLACK, Instance, _checked_seed, _is_int, _triangle_violation
 
 __all__ = [
     "POLICIES",
@@ -189,14 +189,33 @@ def rwgm_serve(state: RwgmState, request_leaf: int):
 
 
 def discretize_all(inst: Instance) -> tuple:
-    """Nearest distinct server point of every request, in request order.
+    """Nearest distinct server point of every request, in request order, once the triangles it needs are checked.
 
-    ``argmin`` returns the first minimum over the sorted server points, so
-    ties go to the lowest point index.
+    ``argmin`` returns the first minimum over the sorted server points, so ties go to the lowest point index.
+    For request r, image g and each server point s, d(r, s) <= d(r, g) + d(g, s) and d(g, s) <= d(g, r) + d(r, s)
+    must hold with validate_metric's slack; the first to fail, by request, then by server point, the first
+    inequality before the second, raises ``ValueError("invalid metric: ...")``. One pass, a block of requests at
+    a time, reads at most _CHUNK_ENTRIES request-to-server distances at once.
     """
+    d = inst.metric.dist
     pts = np.array(sorted(set(inst.servers)))
-    nearest = inst.metric.dist[np.ix_(inst.requests, pts)].argmin(axis=1)
-    return tuple(pts[nearest].tolist())
+    requests, images = np.asarray(inst.requests), []
+    tol = TRIANGLE_SLACK * float(d.max())
+    step = max(1, _CHUNK_ENTRIES // len(pts))
+    with np.errstate(over="ignore"):  # an overflowing detour is never shorter
+        for lo in range(0, len(requests), step):
+            r = requests[lo : lo + step]
+            rs = d.take(r[:, None] * len(d) + pts)  # d[r][:, pts] by flat index, with no whole row copied
+            g = pts[rs.argmin(axis=1)]
+            gs = d.take(g[:, None] * len(d) + pts)
+            over = rs - (d[r, g][:, None] + gs) > tol
+            bad = over | (gs - (d[g, r][:, None] + rs) > tol)
+            if bad.any():
+                i, j = np.unravel_index(int(bad.argmax()), bad.shape)
+                ijk = (r[i], pts[j], g[i]) if over[i, j] else (g[i], pts[j], r[i])
+                raise ValueError(f"invalid metric: {_triangle_violation(d, *map(int, ijk))}")
+            images += g.tolist()
+    return tuple(images)
 
 
 def run_greedy(inst: Instance) -> list:

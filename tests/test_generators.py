@@ -24,7 +24,7 @@ def test_spec_validation():
         GeneratorSpec("star", 0, seed=0)
     with pytest.raises(ValueError):
         GeneratorSpec("euclidean", 4, seed=0, dim=0)
-    for bad in (0.0, -1.0, float("nan"), float("inf"), True, np.True_, "5", None):
+    for bad in (0.0, -1.0, float("nan"), float("inf"), True, np.True_, "5", None, 10**400):
         with pytest.raises(ValueError, match="^coord_range must be finite and positive, got [^\n]+$"):
             GeneratorSpec("line", 4, seed=0, coord_range=bad)
     # Specs only: none of these builds a metric.

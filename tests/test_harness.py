@@ -721,10 +721,8 @@ def test_a_warning_turned_error_in_the_solve_reaches_the_caller_not_the_thread_h
 
 def test_a_run_checks_the_request_triangles_once_before_any_tag(monkeypatch):
     calls = []
-    original = harness._request_triangle_violation
-    monkeypatch.setattr(
-        harness, "_request_triangle_violation", lambda inst, g: calls.append(inst.n) or original(inst, g)
-    )
+    original = harness.discretize_all
+    monkeypatch.setattr(harness, "discretize_all", lambda inst: calls.append(inst.n) or original(inst))
     inst = generate_instance(GeneratorSpec("line", 5, seed=2))
     for tag in ALGORITHMS:
         run_algorithm(inst, tag, master_seed=1, episodes=3)
@@ -757,11 +755,11 @@ def test_episodes_leave_their_set_up_unchanged(name, tag):
 
 def test_run_episode_check_still_catches_broken_decisions(monkeypatch):
     # c is 0.1 from its image b, b is 1 from server a, yet c is 100 from a. The run refuses it
-    # up front; a set-up handed its images unchecked lets the episode's own check see it.
+    # up front; a set-up handed the images (b, b) directly lets the episode's own check see it.
     bad = Instance(FiniteMetric.from_matrix([[0, 1, 100], [1, 0, 0.1], [100, 0.1, 0]]), (0, 1), (2, 2))
     with pytest.raises(ValueError, match="^invalid metric: dist\\[2\\]\\[0\\] = 100.0 > "):
         run_algorithm(bad, "rwgm", master_seed=0, episodes=1)
-    setup = pipeline_setup(bad, harness.discretize_all(bad))
+    setup = pipeline_setup(bad, (1, 1))
     assert setup.opening == (1,)  # b serves the first request in the opening, the matcher gives a the second
     with pytest.raises(AssertionError, match="^request 1: wrapper cost exceeds inner cost plus detour$"):
         run_episode(setup, 1, 2, check=True)

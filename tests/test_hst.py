@@ -74,6 +74,7 @@ def test_embedding_params_requires_lam_above_one():
         (2.0, np.int64(-1), "seed must be a non-negative integer, got np.int64(-1)"),
         ("2", 0, "lam must be finite and exceed 1, got '2'"),
         (None, 0, "lam must be finite and exceed 1, got None"),
+        (10**400, 0, f"lam must be finite and exceed 1, got {10**400}"),  # beyond the float range
     ],
 )
 def test_embedding_params_refuse_seeds_and_lams_of_the_wrong_type(lam, seed, message):

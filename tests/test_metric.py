@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import k_major_triangle, random_tree, reference_request_triangle, tree_metric
-from hstmatch import metric
+from hstmatch import metric, online
 from hstmatch.generators import euclidean_metric, line_metric, star_metric, uniform_metric
 from hstmatch.metric import (
     TRIANGLE_SLACK,
@@ -60,6 +60,7 @@ def test_validate_flags_diagonal_and_symmetry():
         [[0, -1], [-1, 0]],  # negative
         [[0, float("nan")], [float("nan"), 0]],
         [[0, float("inf")], [float("inf"), 0]],
+        [[0, 10**400], [10**400, 0]],  # an integer beyond the largest float
     ],
 )
 def test_structural_junk_raises(bad):
@@ -76,6 +77,7 @@ def test_structural_junk_raises(bad):
         ([[]], "distance matrix must be square, got shape (1, 0)"),
         ([[0, float("nan")], [1, 0]], "distance matrix contains NaN or infinite entries"),
         ([[0, -1], [-1, 0]], "negative distance -1.0 at (0, 1)"),
+        ([[0, 10**400], [10**400, 0]], "distance matrix holds an integer too large for a float"),
     ],
 )
 def test_from_matrix_scans_once_and_keeps_every_message(monkeypatch, bad, message):
@@ -281,7 +283,7 @@ def test_ensure_valid_metric_checks_on_every_call_and_marks_nothing(monkeypatch)
 
 @st.composite
 def request_triangle_cases(draw):
-    """An instance and an image among its server points for each request.
+    """An instance whose requests discretize_all sends to their images.
 
     The matrix is a line metric, the same with entries scaled up or down, or
     small random integers (neither symmetric nor a metric); nonzero
@@ -299,23 +301,27 @@ def request_triangle_cases(draw):
     n = draw(st.integers(1, 2 * size))
     servers = tuple(int(p) for p in rng.integers(0, size, n))
     requests = tuple(int(p) for p in rng.integers(0, size, n))
-    images = tuple(int(p) for p in rng.choice(servers, n))
-    return Instance(metric=FiniteMetric.from_matrix(d), servers=servers, requests=requests), images
+    return Instance(metric=FiniteMetric.from_matrix(d), servers=servers, requests=requests)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(case=request_triangle_cases(), chunk=st.sampled_from([1, 24, 1 << 20]))
-def test_request_triangles_match_the_brute_force_loop(case, chunk):
-    inst, images = case
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(metric, "_CHUNK_ENTRIES", chunk)  # one request per block, a few, or all at once
-        got = metric._request_triangle_violation(inst, images)
+@given(inst=request_triangle_cases(), chunk=st.sampled_from([1, 24, 1 << 20]))
+def test_request_triangles_match_the_brute_force_loop(inst, chunk):
+    d = inst.metric.dist
+    pts = sorted(set(inst.servers))
+    images = tuple(min(pts, key=lambda s: d[r, s]) for r in inst.requests)  # min keeps the first: the lowest index
     want = reference_request_triangle(inst, images)
-    assert (got and got.where) == want
-    if got:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(online, "_CHUNK_ENTRIES", chunk)  # one request per block, a few, or all at once
+        if want is None:
+            got = online.discretize_all(inst)
+            assert got == images and all(type(g) is int for g in got)
+            return
         i, j, k = want
-        d = inst.metric.dist
-        assert got.kind == "triangle" and str(got).startswith(f"dist[{i}][{j}] = {d[i, j]} > dist[{i}][{k}] + ")
+        message = f"invalid metric: dist[{i}][{j}] = {d[i, j]} > dist[{i}][{k}] + dist[{k}][{j}] = {d[i, k] + d[k, j]}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as refused:
+            online.discretize_all(inst)
+        assert type(refused.value) is ValueError
 
 
 def test_euclidean_underflow_falls_back_to_the_exact_check():
@@ -452,6 +458,8 @@ def test_instance_rejects_non_numeric_distances():
         dist = [[0.0, 1.0], [bad, 0.0]]
         with pytest.raises(ValueError, match=f"^dist\\[1\\]\\[0\\] = {re.escape(repr(bad))} is not a number$"):
             instance_from_dict({**base, "dist": dist})
+    with pytest.raises(MetricStructureError, match="^distance matrix holds an integer too large for a float$"):
+        instance_from_dict({**base, "dist": [[0, 10**400], [10**400, 0]]})
     inst = instance_from_dict({**base, "dist": [[0, 1], [1.0, 0]]})  # JSON integers are numbers
     assert inst.metric.dist.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 

@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -507,6 +508,22 @@ def test_discretize_request():
         inst = Instance(metric=m, servers=servers, requests=requests)
         pts = sorted(set(servers))
         assert discretize_all(inst) == tuple(min(pts, key=lambda s: m.dist[r, s]) for r in requests)
+
+
+def test_discretize_all_holds_one_block_of_distances_at_a_time(monkeypatch):
+    # Every point of a 1,024-point line is a server and a request: the whole request-to-server
+    # block would be 8 MB. Blocks of 2**14 distances keep the images and their check far under that.
+    m = line_metric(np.arange(1024.0))
+    inst = Instance(metric=m, servers=tuple(range(1024)), requests=tuple(range(1023, -1, -1)))
+    monkeypatch.setattr(online, "_CHUNK_ENTRIES", 1 << 14)
+    tracemalloc.start()
+    try:
+        images = discretize_all(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert images == inst.requests
+    assert peak < 1 << 20
 
 
 def test_mai_serve_wrapper():

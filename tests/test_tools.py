@@ -21,7 +21,7 @@ def test_ab_inprocess_finds_the_same_code_the_same():
     assert result["workload"] == "depot-serve" and result["pairs"] == 2
     assert result["same_reports"] is True and result["same_cli_files"] is True
     assert result["a_src_lines"] == result["b_src_lines"] > 0
-    stages = {"setup", "seeds", "frt_embed", "attach_servers", "rwgm_init", "serve"}
+    stages = {"images", "setup", "seeds", "frt_embed", "attach_servers", "rwgm_init", "serve"}
     assert set(result["b_stage_ms"]) == set(result["stage_median_b_over_a"]) == set(result["stage_b_wins"]) == stages
     assert all(r > 0 for r in result["stage_median_b_over_a"].values())
     assert all(type(w) is int and 0 <= w <= 2 for w in result["stage_b_wins"].values())

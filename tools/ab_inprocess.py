@@ -29,11 +29,14 @@ one staged call per side, with that side's ``harness.frt_embed``,
 serve loop of an episode is its ``run_episode`` time less the other three
 stages. The same call times each block of ``harness._episode_streams`` (the
 seed pass) and gives each of the block's episodes an equal share of it, as
-the ``seeds`` stage, and times its one ``harness.pipeline_setup`` call as the
-``setup`` stage. The median of each stage, per call for ``setup`` and per
-episode for the rest, is printed per side in milliseconds; each stage's
-per-pair ratio is B's median in that pair's staged call over A's, and the
-median of those ratios and the number of pairs B won are printed per stage.
+the ``seeds`` stage, times its one ``harness.discretize_all`` call (each
+request's image and the triangle check, one pass) as the ``images`` stage,
+and its one ``harness.pipeline_setup`` call as the ``setup`` stage, which
+the images are handed to and so leaves them out. The median of each stage,
+per call for ``images`` and ``setup`` and per episode for the rest, is
+printed per side in milliseconds; each stage's per-pair ratio is B's median
+in that pair's staged call over A's, and the median of those ratios and the
+number of pairs B won are printed per stage.
 Prints each side's
 median and quartiles in milliseconds for the call (wall and CPU), the
 episodes-only call, the solve, the load and the CLI sequence, the median of
@@ -61,7 +64,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import run as perfbench_run  # noqa: E402  (perfbench's modules import each other by bare name)
 
 EPISODE_STAGES = ("frt_embed", "attach_servers", "rwgm_init")  # timed inside run_episode; the rest of it is "serve"
-STAGES = ("setup", "seeds", *EPISODE_STAGES, "serve")  # in the order a call runs them; setup once per call
+STAGES = ("images", "setup", "seeds", *EPISODE_STAGES, "serve")  # in the order a call runs them; the first two once
 
 
 def load_package(src: Path, alias: str):
@@ -125,11 +128,12 @@ def main(argv=None) -> int:
         return t1 - t0, time.perf_counter() - t1
 
     def staged_call(pkg, inst, stage_times: dict) -> None:
-        """One episodes-only call with its stages timed, appending the call's setup seconds and each episode's
-        seconds per stage; an episode's seeds are its block's seconds in ``_episode_streams`` divided over the
-        block's episodes."""
+        """One episodes-only call with its stages timed, appending the call's images and setup seconds and each
+        episode's seconds per stage; an episode's seeds are its block's seconds in ``_episode_streams`` divided
+        over the block's episodes."""
         harness = pkg.harness
-        wrapped = (*EPISODE_STAGES, "pipeline_setup", "_episode_streams", "run_episode", "optimal_matching")
+        per_call = {"discretize_all": "images", "pipeline_setup": "setup"}
+        wrapped = (*EPISODE_STAGES, *per_call, "_episode_streams", "run_episode", "optimal_matching")
         saved = {name: getattr(harness, name) for name in wrapped}
         spent = dict.fromkeys(EPISODE_STAGES, 0.0)
 
@@ -142,12 +146,14 @@ def main(argv=None) -> int:
                     spent[name] += time.perf_counter() - t0
             return call
 
-        def setup(*a, **kw):
-            t0 = time.perf_counter()
-            try:
-                return saved["pipeline_setup"](*a, **kw)
-            finally:
-                stage_times["setup"].append(time.perf_counter() - t0)
+        def once(name):
+            def call(*a, **kw):
+                t0 = time.perf_counter()
+                try:
+                    return saved[name](*a, **kw)
+                finally:
+                    stage_times[per_call[name]].append(time.perf_counter() - t0)
+            return call
 
         def streams(*a, **kw):
             blocks = saved["_episode_streams"](*a, **kw)
@@ -173,7 +179,9 @@ def main(argv=None) -> int:
         om = saved["optimal_matching"](inst)
         for name in EPISODE_STAGES:
             setattr(harness, name, timed(name))
-        harness.pipeline_setup, harness._episode_streams = setup, streams
+        for name in per_call:
+            setattr(harness, name, once(name))
+        harness._episode_streams = streams
         harness.run_episode, harness.optimal_matching = episode, lambda _inst: om
         try:
             pkg.run_pipeline(inst, args.seed, episodes)
@@ -288,7 +296,7 @@ def main(argv=None) -> int:
             f" {o2:.3f} ms per solve (quartiles {o1:.3f} .. {o3:.3f}),"
             f" {l2:.3f} ms per load (quartiles {l1:.3f} .. {l3:.3f}),"
             f" {c2:.3f} ms per CLI sequence (quartiles {c1:.3f} .. {c3:.3f});"
-            " stage medians (setup per call, the rest per episode): " + ", ".join(f"{k} {v:.4f} ms" for k, v in result[f"{side}_stage_ms"].items())
+            " stage medians (images and setup per call, the rest per episode): " + ", ".join(f"{k} {v:.4f} ms" for k, v in result[f"{side}_stage_ms"].items())
         )
     print(
         f"b/a median {result['median_b_over_a']} per call ({result['cpu_median_b_over_a']} in CPU time),"
