@@ -91,6 +91,13 @@ def uniform_metric(u: int) -> FiniteMetric:
     return FiniteMetric.from_matrix(d)
 
 
+def _float_coordinates(family: str, coords) -> np.ndarray:
+    try:
+        return np.asarray(coords, dtype=float)
+    except OverflowError:  # an int beyond the float range, which _is_finite_real refuses too
+        raise ValueError(f"{family} coordinates must be finite reals; an integer beyond the float range is not") from None
+
+
 def euclidean_metric(coords) -> FiniteMetric:
     """Pairwise Euclidean distances of a (n, dim) coordinate array; any other shape is refused.
 
@@ -98,7 +105,7 @@ def euclidean_metric(coords) -> FiniteMetric:
     difference underflows lose the accuracy the construction relies on;
     only then is the metric checked exactly.
     """
-    pts = np.asarray(coords, dtype=float)
+    pts = _float_coordinates("euclidean", coords)
     if pts.ndim != 2:
         raise ValueError(f"euclidean coordinates must be a 2-d (n, dim) array, got shape {pts.shape}")
     n, dim = pts.shape
@@ -115,7 +122,7 @@ def euclidean_metric(coords) -> FiniteMetric:
 
 def line_metric(coords) -> FiniteMetric:
     """Absolute coordinate differences of points on a line, from a 1-d coordinate array."""
-    xs = np.asarray(coords, dtype=float)
+    xs = _float_coordinates("line", coords)
     if xs.ndim != 1:
         raise ValueError(f"line coordinates must be a 1-d array, got shape {xs.shape}")
     d = np.abs(xs[:, None] - xs[None, :])

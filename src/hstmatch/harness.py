@@ -245,7 +245,7 @@ def run_episode(setup: PipelineSetup, embed_seed, play_seed, *, algorithm="rwgm"
 
     if check:
         dist = setup.inst.metric.dist
-        tol = TRIANGLE_SLACK * float(dist.max())
+        tol = TRIANGLE_SLACK * setup.inst.metric.diameter
         for i, (r, g, s, level) in enumerate(zip(setup.inst.requests, setup.g, served, levels)):
             inner_cost = float(dist[g, s])
             if float(dist[r, s]) > inner_cost + float(dist[g, r]) + tol:

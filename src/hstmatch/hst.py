@@ -23,20 +23,24 @@ lam * d_min in metric units.
 
 Construction: ``count_servers`` computes the part of a draw that depends
 only on the metric and the servers (the classes of points at distance zero,
-the distances between class representatives in units of d_min, the log of
-the diameter, and the servers counted per class) once for all draws over
-them. A draw then finds every class's center at every level, one
-vectorized pass per level: a class joins the first center in permutation
-order within the level's radius. One sort of the classes by their centers,
-level by level from the top, then reads off the whole tree: a class's node
-at a level is its sequence of centers down to that level, so each level's
-nodes are the runs of equal prefixes in sorted order. Nodes therefore come
-out numbered breadth-first, which is ``HstTree``'s one layout: every node's
-children are one id range, the leaves are the last ids, all at level 0, and
-a class that is split off early continues as a chain of single-child nodes.
-One count weighted by the classes' servers gives every node's server count.
-A draw whose node bound height * k + 1 over k classes exceeds
-MAX_TREE_NODES, or whose distances would overflow a float, is refused.
+the distances between class representatives in units of d_min, the
+diameter in those units, and the servers counted per class) once for all
+draws over them. A draw then finds every class's center at every level: a
+class joins the first center in permutation order within the level's radius.
+Only a radius from 1 up to the diameter takes a vectorized pass: the leaf
+level's radius beta/lam is below every distance between two classes, all at
+least 1, so each class centers itself, and a radius that reaches the
+diameter gives everyone the first center in permutation order. One sort of
+the classes by their centers, level by level from the top, then reads off
+the whole tree: a class's node at a level is its sequence of centers down to
+that level, so each level's nodes are the runs of equal prefixes in sorted
+order. Nodes therefore come out numbered breadth-first, which is
+``HstTree``'s one layout: every node's children are one id range,
+the leaves are the last ids, all at level 0, and a class that is split off
+early continues as a chain of single-child nodes. One count weighted by the
+classes' servers gives every node's server count. A draw whose node bound
+height * k + 1 over k classes exceeds MAX_TREE_NODES, or whose distances
+would overflow a float, is refused.
 """
 from __future__ import annotations
 
@@ -204,7 +208,7 @@ class ServerCounts(NamedTuple):
     rep_of: np.ndarray  # class index of every point
     dn: np.ndarray  # distances between representatives, in units of d_min
     d_min: float | None  # smallest positive distance; None for a single class
-    log_diameter: float  # log of dn's largest entry; 0 for a single class
+    diameter: float  # dn's largest entry; 0 for a single class
     per_class: np.ndarray  # servers in each class
 
 
@@ -215,19 +219,18 @@ def count_servers(metric: FiniteMetric, servers) -> ServerCounts:
     idx = np.array(_checked_points("servers", servers, len(metric)), dtype=np.intp)
     reps, rep_of = _zero_distance_classes(metric.dist)
     if len(reps) == 1:
-        dn, d_min, diameter = np.zeros((1, 1)), None, 1.0
+        dn, d_min, diameter = np.zeros((1, 1)), None, 0.0
     else:
         d = metric.dist if len(reps) == len(metric) else metric.dist[np.ix_(reps, reps)]
+        top = metric.diameter if d is metric.dist else float(d.max())
         d_min = float(d[d > 0.0].min())
-        diameter = float(d.max()) / d_min
+        diameter = top / d_min  # dn's largest entry: a division by d_min keeps the order of the entries
         if not math.isfinite(diameter):
-            raise ValueError(
-                f"distance spread {float(d.max())!r} / {d_min!r} exceeds the floating-point range"
-            )
+            raise ValueError(f"distance spread {top!r} / {d_min!r} exceeds the floating-point range")
         dn = d / d_min
     dn.flags.writeable = False  # every draw over the counts shares it
     per_class = np.bincount(rep_of[idx], minlength=len(reps))
-    return ServerCounts(reps, rep_of, dn, d_min, math.log(diameter), per_class)
+    return ServerCounts(reps, rep_of, dn, d_min, diameter, per_class)
 
 
 def frt_embed(counts: ServerCounts, params: EmbeddingParams) -> HstTree:
@@ -243,27 +246,30 @@ def frt_embed(counts: ServerCounts, params: EmbeddingParams) -> HstTree:
     lam = float(params.lam)
     k = len(counts.reps)
     w = counts.per_class
-    height = math.ceil(counts.log_diameter / math.log(lam)) + 1 if counts.log_diameter > 0.0 else 1
+    height = math.ceil(math.log(counts.diameter) / math.log(lam)) + 1 if counts.diameter > 1.0 else 1
     scale = lam * counts.d_min if k > 1 else 1.0
     _check_budget(height, k, lam, scale)
 
     rng = np.random.default_rng(params.seed)
     beta = lam ** rng.random()  # density proportional to 1/beta on [1, lam)
     perm = rng.permutation(k)
-    # Row c holds class c's distances to the centers in permutation order
-    # (dn is symmetric, as every valid metric is), so each level's argmax
-    # runs along contiguous rows.
-    dp = counts.dn.take(perm, axis=1)
-
-    # One pass per level. A class joins the first center in permutation order
-    # that covers it, whatever its cluster, so row i of ``centers`` holds
-    # every class's center at level height - 1 - i. A class's node at a level
-    # is its column of centers down to that level, so one sort of the columns
-    # puts every node's classes together, and a node starts wherever a column
-    # first differs from its left neighbour at or above the level.
-    centers = np.empty((height, k), dtype=np.intp)
+    # One pass per level whose radius lies from 1 up to dn's largest entry (see
+    # the module docstring). Row i of ``centers`` holds every class's center, as
+    # a permutation position, at level height - 1 - i; row c of ``dp`` holds class
+    # c's distances to the centers in permutation order (dn is symmetric, as every
+    # valid metric is), so each argmax runs along contiguous rows. A class's node
+    # at a level is its column of centers down to that level, so one sort of the
+    # columns puts every node's classes together, and a node starts wherever a
+    # column first differs from its left neighbour at or above the level.
+    centers = np.zeros((height, k), dtype=np.intp)  # a radius that covers dn leaves a row at 0
+    dp = None
     for i in range(height):
-        np.argmax(dp <= beta * lam ** (height - 2 - i), axis=1, out=centers[i])
+        radius = beta * lam ** (height - 2 - i)
+        if radius < 1.0:  # each class its own center
+            centers[i, perm] = np.arange(k)
+        elif radius < counts.diameter:
+            dp = counts.dn.take(perm, axis=1) if dp is None else dp
+            np.argmax(dp <= radius, axis=1, out=centers[i])
     order = np.lexsort(centers[::-1])
     centers = centers[:, order]
     starts = np.ones((height, k), dtype=bool)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -89,25 +89,28 @@ class MetricViolation:
         return self.message
 
 
-def _as_square_matrix(dist) -> np.ndarray:
+def _as_square_matrix(dist) -> tuple[np.ndarray, float]:
+    """A float copy of dist and its largest entry (0 for no entries), if it is square, finite and non-negative."""
     try:
         arr = np.array(dist, dtype=float)  # a copy, also of an ndarray: the caller keeps no handle on it
     except OverflowError:  # a Python int beyond the largest float
         raise MetricStructureError("distance matrix holds an integer too large for a float") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise MetricStructureError(f"distance matrix must be square, got shape {arr.shape}")
-    if arr.size:
-        if not np.isfinite(arr).all():
-            raise MetricStructureError("distance matrix contains NaN or infinite entries")
-        if float(arr.min()) < 0.0:
-            i, j = np.unravel_index(int(arr.argmin()), arr.shape)
-            raise MetricStructureError(f"negative distance {arr[i, j]} at ({i}, {j})")
-    return arr
+    if not arr.size:
+        return arr, 0.0
+    low, high = float(arr.min()), float(arr.max())  # both NaN if any entry is, and infinite if one is
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise MetricStructureError("distance matrix contains NaN or infinite entries")
+    if low < 0.0:
+        i, j = np.unravel_index(int(arr.argmin()), arr.shape)
+        raise MetricStructureError(f"negative distance {arr[i, j]} at ({i}, {j})")
+    return arr, high
 
 
 @dataclass(frozen=True, eq=False)
 class FiniteMetric:
-    """Immutable point set with a read-only distance matrix.
+    """Immutable point set with a read-only distance matrix and its largest entry, ``diameter``.
 
     Construction rejects structurally broken input; the metric axioms
     themselves are checked by :func:`validate_metric`.
@@ -115,17 +118,20 @@ class FiniteMetric:
 
     points: tuple[str, ...]
     dist: np.ndarray
+    diameter: float = field(init=False, repr=False)  # found by the constructor's own scan; 0 for no points
 
     def __post_init__(self) -> None:
-        arr = _as_square_matrix(self.dist)
+        arr, diameter = _as_square_matrix(self.dist)
         points = tuple(str(p) for p in self.points)
         if len(points) != arr.shape[0]:
             raise MetricStructureError(
                 f"{len(points)} labels for a {arr.shape[0]}x{arr.shape[1]} matrix"
             )
-        arr.flags.writeable = False
-        object.__setattr__(self, "dist", arr)
-        object.__setattr__(self, "points", points)
+        self._bind(points, arr, diameter)
+
+    def _bind(self, points: tuple, dist: np.ndarray, diameter: float) -> None:
+        dist.flags.writeable = False  # checked parts, kept as they are
+        vars(self).update(points=points, dist=dist, diameter=diameter)
 
     @classmethod
     def from_matrix(cls, dist, points=None) -> "FiniteMetric":
@@ -147,9 +153,8 @@ def validate_metric(m) -> MetricViolation | None:
     as a MetricViolation naming the offending pair or triple. The triangle
     inequality is checked with additive slack TRIANGLE_SLACK * max entry.
     """
-    d = (m if isinstance(m, FiniteMetric) else FiniteMetric.from_matrix(m)).dist
-    tol = TRIANGLE_SLACK * float(d.max()) if d.size else 0.0
-    return _pair_violation(d) or _first_triangle(d, tol)
+    m = m if isinstance(m, FiniteMetric) else FiniteMetric.from_matrix(m)
+    return _pair_violation(m.dist) or _first_triangle(m.dist, TRIANGLE_SLACK * m.diameter)
 
 
 def _pair_violation(d: np.ndarray) -> MetricViolation | None:
@@ -230,14 +235,16 @@ def submetric_of_servers(inst: Instance) -> tuple[FiniteMetric, dict[int, int]]:
     """Restrict the metric to the distinct server points.
 
     Returns the submetric and the mapping from parent point index to the
-    new index. Distances are copied from the parent matrix, never recomputed.
+    new index. Distances are copied from the parent matrix, never recomputed:
+    one take of the server rows, then one of their columns. A principal block
+    of a built metric is square, finite and non-negative, so it skips the
+    constructor's copy and checks; only its largest entry is found anew.
     """
     pts = sorted(set(inst.servers))
-    idx = np.asarray(pts, dtype=int)
-    sub = FiniteMetric(
-        points=tuple(inst.metric.points[p] for p in pts),
-        dist=inst.metric.dist[np.ix_(idx, idx)],
-    )
+    idx = np.array(pts)
+    block = inst.metric.dist.take(idx, axis=0).take(idx, axis=1)
+    sub = object.__new__(FiniteMetric)
+    sub._bind(tuple(inst.metric.points[p] for p in pts), block, float(block.max()))
     mapping = {p: i for i, p in enumerate(pts)}
     return sub, mapping
 

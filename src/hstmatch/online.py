@@ -97,7 +97,7 @@ def _below(state: RwgmState, n: int) -> int:
             m = next(state.u32) * n
         except StopIteration:
             # A little-endian view puts each output's low half first, on any platform.
-            state.u32 = iter(state.bits.random_raw(_RAW_BLOCK).astype("<u8").view("<u4").tolist())
+            state.u32 = iter(state.bits.random_raw(_RAW_BLOCK).astype("<u8", copy=False).view("<u4").tolist())
             continue
         if m & 0xFFFFFFFF >= n or m & 0xFFFFFFFF >= (0x100000000 - n) % n:
             return m >> 32
@@ -164,27 +164,31 @@ def rwgm_serve(state: RwgmState, request_leaf: int):
     if not state.first_leaf <= request_leaf < len(parent):
         raise ValueError(f"request node {request_leaf} is not a leaf of the tree")
     counts = state.subtree_remaining
-    v = chosen = request_leaf
-    level = 0
-    if not counts[v]:
-        if not counts[0]:  # the root holds no server
-            raise RuntimeError("all servers have been assigned")
+    if counts[request_leaf]:
+        chosen, level = request_leaf, 0
+    elif counts[0]:
+        v, level = parent[request_leaf], 1
         while not counts[v]:
             v = parent[v]
             level += 1
         chosen = _descend(state, v)
-    # Counts never shrink going up, so the nodes that turn red are the chosen leaf
-    # and its ancestors below the first that stays green; only uniform descents build lists.
+    else:  # the root holds no server
+        raise RuntimeError("all servers have been assigned")
+    # Counts never shrink going up, so the nodes that turn red are the chosen leaf and its
+    # ancestors below the first that stays green; only uniform descents build lists. Both
+    # walks stop below the root, node 0, which has no parent list and takes its drop last.
     green = state.green
-    w, up = chosen, parent[chosen]
-    while counts[w] == 1 and up is not None:
+    w = chosen
+    while w and counts[w] == 1:
         counts[w] = 0
+        up = parent[w]
         if green[up] is not None:
             green[up].remove(w)
-        w, up = up, parent[up]
-    while w is not None:
+        w = up
+    while w:
         counts[w] -= 1
         w = parent[w]
+    counts[0] -= 1
     return chosen, level
 
 
@@ -200,7 +204,7 @@ def discretize_all(inst: Instance) -> tuple:
     d = inst.metric.dist
     pts = np.array(sorted(set(inst.servers)))
     requests, images = np.asarray(inst.requests), []
-    tol = TRIANGLE_SLACK * float(d.max())
+    tol = TRIANGLE_SLACK * inst.metric.diameter
     step = max(1, _CHUNK_ENTRIES // len(pts))
     with np.errstate(over="ignore"):  # an overflowing detour is never shorter
         for lo in range(0, len(requests), step):

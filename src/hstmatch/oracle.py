@@ -94,7 +94,7 @@ def optimal_matching(inst: Instance) -> OptimalMatching:
     """
     srv = np.asarray(inst.servers, dtype=int)
     req = np.asarray(inst.requests, dtype=int)
-    cost = inst.metric.dist[np.ix_(srv, req)]
+    cost = inst.metric.dist.take(srv, axis=0).take(req, axis=1)
     rows, cols = _linear_sum_assignment()(cost)
     served = tuple(srv[rows[np.argsort(cols)]].tolist())
     with np.errstate(over="ignore"):  # an overflowing sum is inf, which a run refuses

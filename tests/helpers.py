@@ -399,7 +399,7 @@ def level_pass_frt_embed(counts, params: EmbeddingParams) -> HstTree:
     lam = float(params.lam)
     k = len(counts.reps)
     w = counts.per_class
-    height = math.ceil(counts.log_diameter / math.log(lam)) + 1 if counts.log_diameter > 0.0 else 1
+    height = math.ceil(math.log(counts.diameter) / math.log(lam)) + 1 if counts.diameter > 1.0 else 1
     scale = lam * counts.d_min if k > 1 else 1.0
     hst._check_budget(height, k, lam, scale)
     rng = np.random.default_rng(params.seed)

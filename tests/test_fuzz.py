@@ -88,6 +88,7 @@ def run_in_process(*argv) -> tuple:
                                                    [1, 1, 1, 0]], "servers": [0, 2, 3], "requests": [1, 0, 3]})
 def test_every_run_ends_in_a_finite_report_or_one_error_line(workdir, document):
     instance, report_path, trace_path = workdir / "instance.json", workdir / "report.json", workdir / "trace.csv"
+    instance.unlink(missing_ok=True)  # a fresh file: on some filesystems overwriting one waits for a flush
     instance.write_text(json.dumps(document))
     for tag in ALGORITHMS:
         report_path.unlink(missing_ok=True)
@@ -182,6 +183,7 @@ def malformed_documents(draw) -> str:
 @example(text='{"points": ["a"], "dist": 5, "servers": [0], "requests": [0]}')
 def test_every_malformed_document_runs_or_gives_one_error_line(workdir, text):
     instance = workdir / "malformed.json"
+    instance.unlink(missing_ok=True)  # a fresh file, as above
     instance.write_text(text)
     for argv in (("run", "--algorithm", "rwgm", "--episodes", 2), ("embed",)):
         code, out, err = run_in_process(argv[0], "--instance", instance, *argv[1:])

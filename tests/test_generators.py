@@ -134,3 +134,16 @@ def test_line_metric_refuses_coordinates_that_are_not_a_1d_array(coords, shape):
     with pytest.raises(ValueError, match=f"^{re.escape(f'line coordinates must be a 1-d array, got shape {shape}')}$"):
         line_metric(coords)
     assert line_metric([0.0, 1.0, 3.0]).dist.shape == (3, 3)
+
+
+@pytest.mark.parametrize(
+    "build, coords, family",
+    [(euclidean_metric, [[10**400], [0]], "euclidean"), (euclidean_metric, [[0, -(10**400)]], "euclidean"),
+     (line_metric, [10**400, 0], "line"), (line_metric, [0, -(10**400)], "line")],
+)
+def test_coordinates_beyond_the_float_range_are_refused_in_one_line(build, coords, family):
+    # numpy's conversion raises a bare OverflowError on a Python int past the largest float.
+    message = f"{family} coordinates must be finite reals; an integer beyond the float range is not"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(coords)
+    assert build([[10**100], [0]] if family == "euclidean" else [10**300, 0]).dist.shape == (2, 2)  # a large int is taken

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import functools
 import importlib.util
 import math
 import re
@@ -36,7 +38,7 @@ from hstmatch.harness import (
     trace_csv,
     report_to_dict,
 )
-from hstmatch.hst import EmbeddingParams, frt_embed, tree_to_dict
+from hstmatch.hst import EmbeddingParams, HstTree, frt_embed, tree_to_dict
 from hstmatch.metric import FiniteMetric, Instance, instance_from_dict, instance_to_dict, submetric_of_servers
 from hstmatch.online import run_greedy
 from hstmatch.oracle import optimal_matching
@@ -582,6 +584,60 @@ def test_trace_csv_matches_row_by_row_formatting():
     for tag in ALGORITHMS:
         record = run_algorithm(inst, tag, master_seed=3, episodes=40)
         assert trace_csv(inst, record) == reference_trace_csv(inst, record)
+
+
+@functools.lru_cache(maxsize=None)
+def _embedding_setups() -> dict:
+    """Run set-ups of the three benchmark inputs at their throughput sizes and of star, nested-uniform and one point."""
+    inputs = _perfbench_inputs()
+    one_point = Instance(metric=FiniteMetric.from_matrix([[0.0]]), servers=(0,), requests=(0,))
+    return {
+        "euclid-embed": pipeline_setup(instance_from_dict(inputs.cloud(0, 256))),
+        "depot-serve": pipeline_setup(instance_from_dict(inputs.depots(0, 16, 32, 256))),
+        "line-sweep": pipeline_setup(instance_from_dict(inputs.line(0, 96))),
+        "star": pipeline_setup(generate_instance(GeneratorSpec("star", 9, seed=0))),
+        "nested-uniform": pipeline_setup(generate_instance(GeneratorSpec("nested-uniform", 9, seed=0))),
+        "single-point": pipeline_setup(one_point),
+    }
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(master=st.integers(0, 2**64 - 1), start=st.integers(0, 2**32 - 8))
+@example(master=3131, start=0)
+def test_frt_embed_matches_the_level_pass_oracle_on_episode_streams(master, start):
+    # frt_embed passes over the distances only at a radius from 1 up to dn's largest entry; the oracle passes at
+    # every level. Each draw reads an episode's own embedding stream; the oracle reads a copy of it.
+    top_covers = set()
+    for name, setup in _embedding_setups().items():
+        for counts in (setup.servers, setup.rest):
+            for bits, _ in next(harness._episode_streams(master, start, start + 8)):
+                twin, probe = copy.deepcopy(bits), copy.deepcopy(bits)
+                got = frt_embed(counts, EmbeddingParams(lam=setup.lam, seed=bits))
+                want = level_pass_frt_embed(counts, EmbeddingParams(lam=setup.lam, seed=twin))
+                for field in [f.name for f in dataclasses.fields(HstTree)] + ["children", "level"]:
+                    assert getattr(got, field) == getattr(want, field), (name, field)
+                assert bits.state == twin.state  # both drew beta and the permutation, and nothing more
+                if got.height > 1:  # the top row is not the leaf row
+                    beta = setup.lam ** np.random.default_rng(probe).random()
+                    top_covers.add(beta * setup.lam ** (got.height - 2) >= counts.diameter)
+    assert top_covers == {True, False}  # the sample skips some top rows' passes and runs others
+
+
+def test_run_episode_check_fires_on_a_tree_cost_short_by_less_than_half(monkeypatch):
+    # nested-uniform n = 2: points 0, 1, 2 one apart, servers 1 and 2, requests 0 and 1, both imaged to 1. The
+    # opening serves request 0 from 1, and the matcher serves request 1 from 2: a move at level 1 of inner cost
+    # d(1, 2) = 1. A tree scale shrunk to 0.35 puts level_distance[1] at 0.7, below that cost by far more than the
+    # check's slack but above half of it, so a check twice as loose would let the move through.
+    inst = generate_instance(GeneratorSpec("nested-uniform", 2, seed=0))
+    setup = pipeline_setup(inst)
+    assert setup.g == (1, 1) and setup.opening == (1,) and run_episode(setup, 1, 2, check=True) == [1, 2]
+    embed = harness.frt_embed
+    monkeypatch.setattr(harness, "frt_embed", lambda *args: dataclasses.replace(embed(*args), scale=0.35))
+    tree = harness.frt_embed(setup.rest, EmbeddingParams(lam=setup.lam, seed=1))
+    tol = metric.TRIANGLE_SLACK * inst.metric.diameter
+    assert tree.height == 1 and tree.level_distance[1] * (1.0 + 1e-12) + tol < 1.0 < 2.0 * tree.level_distance[1]
+    with pytest.raises(AssertionError, match="^request 1: tree cost fails to dominate the metric cost$"):
+        run_episode(setup, 1, 2, check=True)
 
 
 def _perfbench_inputs():

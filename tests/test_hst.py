@@ -487,6 +487,36 @@ def test_frt_refuses_trees_beyond_the_node_budget():
         frt_embed(count_servers(m, ()), EmbeddingParams(lam=1.0000001, seed=0))
 
 
+def test_the_node_budget_admits_exactly_max_tree_nodes(monkeypatch):
+    # On the bound: a draw whose height * k + 1 equals MAX_TREE_NODES is built, and one more node is refused.
+    counts = count_servers(line_metric(np.arange(8.0) ** 2), (1, 4, 4))
+    params = EmbeddingParams(lam=1.5, seed=3)
+    t = frt_embed(counts, params)
+    bound = t.height * len(counts.reps) + 1
+    for budget in (bound, bound + 1):
+        monkeypatch.setattr(hst, "MAX_TREE_NODES", budget)
+        assert frt_embed(counts, params).parent == t.parent
+    monkeypatch.setattr(hst, "MAX_TREE_NODES", bound - 1)
+    message = f"a tree of height {t.height} over 8 points may need {bound} nodes, above MAX_TREE_NODES = {bound - 1}; raise lam"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        frt_embed(counts, params)
+    monkeypatch.undo()
+    # And at the real budget, 2**20 = 3 * 5**2 * 11 * 31 * 41 + 1 nodes.
+    hst._check_budget(3, (hst.MAX_TREE_NODES - 1) // 3, 2.0, 1.0)
+    with pytest.raises(ValueError, match="above MAX_TREE_NODES = 1048576; raise lam$"):
+        hst._check_budget(4, hst.MAX_TREE_NODES // 4, 2.0, 1.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(metric=st.one_of(euclidean_metrics(), line_metrics(), slack_metrics()), picks=st.lists(st.integers(0, 2**16)))
+@example(metric=line_metric([7.0, 7.0]), picks=[0])  # one class: dn is [[0.0]]
+def test_server_counts_carry_dn_largest_entry(metric, picks):
+    counts = count_servers(metric, [p % len(metric) for p in picks])
+    assert counts.diameter == float(counts.dn.max()) and type(counts.diameter) is float
+    assert (counts.diameter >= 1.0) if len(counts.reps) > 1 else (counts.diameter == 0.0 and counts.d_min is None)
+    assert counts._fields[-2:] == ("diameter", "per_class")
+
+
 @pytest.mark.parametrize(
     "coords",
     [

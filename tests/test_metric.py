@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -275,7 +276,7 @@ def test_ensure_valid_metric_checks_on_every_call_and_marks_nothing(monkeypatch)
     monkeypatch.setattr(metric, "validate_metric", lambda m, _fn=validate_metric: calls.append(m) or _fn(m))
     m = FiniteMetric.from_matrix([[0, 1], [1, 0]])
     assert ensure_valid_metric(m) is m and ensure_valid_metric(m) is m
-    assert calls == [m, m] and set(vars(m)) == {"points", "dist"}
+    assert calls == [m, m] and set(vars(m)) == {"points", "dist", "diameter"}
     message = "invalid metric: dist[0][1] = 5.0 > dist[0][2] + dist[2][1] = 2.0"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ensure_valid_metric(FiniteMetric.from_matrix([[0, 5, 1], [5, 0, 1], [1, 1, 0]]))
@@ -422,6 +423,44 @@ def test_submetric_distances_bit_identical():
     for p in (2, 5, 7):
         for q in (2, 5, 7):
             assert sub.dist[mapping[p], mapping[q]] == m.dist[p, q]
+
+
+@st.composite
+def server_picks(draw):
+    """A metric, not necessarily valid (asymmetric, nonzero diagonal, -0.0 and huge entries), and a server multiset."""
+    n = draw(st.integers(1, 10))
+    entry = st.sampled_from([0.0, -0.0, 1.0, 0.5, 1e-300, 5e-324, 1e300, 1.7976931348623157e308]) | st.floats(0.0, 1e6)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    servers = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
+    return FiniteMetric(points=tuple(f"q{i}" for i in range(n)), dist=rows), tuple(servers)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=server_picks())
+def test_submetric_equals_the_constructor_built_block(case):
+    # The block is cut with two takes and skips the constructor's copy and checks, which a principal block of a
+    # built metric always passes; it must hold what the constructor would have made of the same block.
+    m, servers = case
+    sub, mapping = submetric_of_servers(Instance(metric=m, servers=servers, requests=servers))
+    pts = sorted(set(servers))
+    want = FiniteMetric(points=tuple(m.points[p] for p in pts), dist=m.dist[np.ix_(pts, pts)])
+    assert type(sub) is FiniteMetric and mapping == {p: i for i, p in enumerate(pts)}
+    assert sub.points == want.points and all(type(x) is str for x in sub.points)
+    assert sub.dist.dtype == want.dist.dtype == np.float64 and sub.dist.shape == want.dist.shape
+    assert sub.dist.tobytes() == want.dist.tobytes()  # bit for bit, -0.0 included
+    assert sub.dist.flags.writeable is want.dist.flags.writeable is False
+    assert sub.dist.flags.c_contiguous and sub.diameter == want.diameter == float(want.dist.max())
+    assert set(vars(sub)) == set(vars(want)) == {"points", "dist", "diameter"}
+
+
+def test_metric_keeps_its_largest_entry():
+    assert FiniteMetric.from_matrix([[0, 3], [2.5, 0]]).diameter == 3.0
+    assert FiniteMetric.from_matrix([[0.0]]).diameter == 0.0 and FiniteMetric.from_matrix(np.zeros((0, 0))).diameter == 0.0
+    assert FiniteMetric.from_matrix([[0, 10**300], [10**300, 0]]).diameter == 1e300
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        FiniteMetric.from_matrix([[0.0]]).diameter = 1.0
+    with pytest.raises(TypeError):
+        FiniteMetric(points=("a",), dist=[[0.0]], diameter=5.0)  # not a constructor argument
 
 
 def test_instance_json_round_trip(tmp_path):

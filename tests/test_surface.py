@@ -118,7 +118,7 @@ def test_the_greedy_dict_scan_is_a_test_oracle_only():
 
 def test_a_run_leaves_no_cache_on_its_metrics(monkeypatch):
     # A run's zero-distance classes live in PipelineSetup.servers, and no check marks a metric
-    # as done: generated, loaded and submetric objects hold their points and distances only.
+    # as done: generated, loaded and submetric objects hold their points, distances and largest entry only.
     metrics = []
 
     def submetric(inst, _fn=harness.submetric_of_servers):
@@ -130,4 +130,4 @@ def test_a_run_leaves_no_cache_on_its_metrics(monkeypatch):
     generated = generate_instance(GeneratorSpec("euclidean", 6, seed=8))
     for inst in (generated, instance_from_dict(instance_to_dict(generated))):
         harness.run_pipeline(inst, master_seed=2, episodes=5)
-    assert [sorted(vars(m)) for m in metrics] == [["dist", "points"]] * 4
+    assert [sorted(vars(m)) for m in metrics] == [["diameter", "dist", "points"]] * 4

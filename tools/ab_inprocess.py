@@ -12,10 +12,11 @@ its own ``instance_from_dict`` (timed apart) and then runs on what it loaded,
 so work moved between loading and a run shows on both clocks. Then, in the
 same order, each side's ``cli.main`` runs the workload's command sequence as
 ``perfbench/run.py::commands`` builds it (every ``-o`` trace, ``--report``
-and sweep table written into that side's own temporary directory), which
-times the trace and report writing that ``run_pipeline`` skips. Both sides
-share the process, so a slow spell of a shared machine hits them alike; the
-per-pair ratio is what to read. Each call is also timed in process CPU
+and sweep table written into that side's own temporary directory, and
+deleted before each sequence outside the clock, so every file is written
+new), which times the trace and report writing that ``run_pipeline``
+skips. Both sides share the process, so a slow spell of a shared machine
+hits them alike; the per-pair ratio is what to read. Each call is also timed in process CPU
 seconds (``time.process_time``, every thread of the process): work moved
 onto a second thread beside the call shows as lower wall time with CPU time
 flat or higher. To show where a call's time goes, each pair also times, per
@@ -80,6 +81,24 @@ def load_package(src: Path, alias: str):
 def src_lines(src: Path) -> int:
     """Newlines in the package's modules, as ``wc -l src/hstmatch/*.py`` totals them."""
     return sum(path.read_bytes().count(b"\n") for path in (src / "hstmatch").glob("*.py"))
+
+
+def run_commands(cli_main, cmds, workdir: Path) -> tuple:
+    """Seconds for one CLI sequence run by ``cli_main`` in workdir (side "a" or "b"), and the bytes of every file it
+    wrote. Its outputs are deleted first, outside the clock, so every file it writes is new: overwriting a file can
+    wait for the filesystem to flush it (52-64 ms per file on an ext4 host), which would be timed as the CLI's."""
+    workdir.mkdir(exist_ok=True)
+    outputs = [workdir / name for cmd in cmds for name in cmd.outputs]
+    for path in outputs:
+        path.unlink(missing_ok=True)
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()):
+        for cmd in cmds:
+            argv = [str(workdir / a) if a in cmd.outputs else a for a in cmd.argv]
+            if cli_main(argv) != 0:
+                raise SystemExit(f"side {workdir.name}: hstmatch {' '.join(argv)} failed")
+    elapsed = time.perf_counter() - t0
+    return elapsed, {path.name: path.read_bytes() for path in outputs}
 
 
 def main(argv=None) -> int:
@@ -189,21 +208,9 @@ def main(argv=None) -> int:
             for name, fn in saved.items():
                 setattr(harness, name, fn)
 
-    def run_commands(s: int) -> tuple:
-        """Seconds for side s's CLI sequence, and the bytes of every file it wrote."""
-        workdirs[s].mkdir(exist_ok=True)
-        t0 = time.perf_counter()
-        with contextlib.redirect_stdout(io.StringIO()):
-            for cmd in cmds:
-                argv = [str(workdirs[s] / a) if a in cmd.outputs else a for a in cmd.argv]
-                if clis[s].main(argv) != 0:
-                    raise SystemExit(f"side {'ab'[s]}: hstmatch {' '.join(argv)} failed")
-        elapsed = time.perf_counter() - t0
-        return elapsed, {name: (workdirs[s] / name).read_bytes() for cmd in cmds for name in cmd.outputs}
-
     for s, pkg in enumerate(sides):  # warm-up: imports, caches, first-call costs
         load_and_call(pkg)
-        run_commands(s)
+        run_commands(clis[s].main, cmds, workdirs[s])
     loads: tuple = ([], [])
     times: tuple = ([], [])
     cpu_times: tuple = ([], [])
@@ -232,7 +239,7 @@ def main(argv=None) -> int:
                 stage_times[s][name].extend(xs)
                 stage_pairs[s][name].append(statistics.median(xs))
         for s in order:
-            cli_s, files[s] = run_commands(s)
+            cli_s, files[s] = run_commands(clis[s].main, cmds, workdirs[s])
             cli_times[s].append(cli_s)
         same = same and reports[0] == reports[1]
         same_files = same_files and files[0] == files[1]
