@@ -169,7 +169,7 @@ def _zero_distance_classes(dist: np.ndarray) -> tuple[list, np.ndarray]:
     triangle slack can make distance zero non-transitive (d(a, b) = d(b, c) = 0
     while d(a, c) is tiny and positive), so a class is what its first point
     claims: a new representative takes every unclaimed point at distance zero
-    from it, one row operation per class (the matrix is symmetric). Only rows
+    from it, one row operation per class (a FiniteMetric is symmetric). Only rows
     with an off-diagonal zero can claim or be claimed, so only they are
     scanned; every other point is its own class.
     """
@@ -257,7 +257,7 @@ def frt_embed(counts: ServerCounts, params: EmbeddingParams) -> HstTree:
     # the module docstring). Row i of ``centers`` holds every class's center, as
     # a permutation position, at level height - 1 - i; row c of ``dp`` holds class
     # c's distances to the centers in permutation order (dn is symmetric, as every
-    # valid metric is), so each argmax runs along contiguous rows. A class's node
+    # FiniteMetric is), so each argmax runs along contiguous rows. A class's node
     # at a level is its column of centers down to that level, so one sort of the
     # columns puts every node's classes together, and a node starts wherever a
     # column first differs from its left neighbour at or above the level.

@@ -79,10 +79,9 @@ class MetricStructureError(ValueError):
 
 @dataclass(frozen=True)
 class MetricViolation:
-    """A failed metric axiom, pointing at the offending indices."""
+    """A failing triangle, dist[i][j] above the detour through k, pointing at (i, j, k)."""
 
-    kind: str  # "diagonal" | "symmetry" | "triangle"
-    where: tuple[int, ...]
+    where: tuple[int, int, int]
     message: str
 
     def __str__(self) -> str:
@@ -90,7 +89,8 @@ class MetricViolation:
 
 
 def _as_square_matrix(dist) -> tuple[np.ndarray, float]:
-    """A float copy of dist and its largest entry (0 for no entries), if it is square, finite and non-negative."""
+    """A float copy of dist and its largest entry (0 for no entries), if it is square, finite and non-negative,
+    with a zero diagonal and symmetric; else an error naming the first offender, a pair in row-major order."""
     try:
         arr = np.array(dist, dtype=float)  # a copy, also of an ndarray: the caller keeps no handle on it
     except OverflowError:  # a Python int beyond the largest float
@@ -105,6 +105,14 @@ def _as_square_matrix(dist) -> tuple[np.ndarray, float]:
     if low < 0.0:
         i, j = np.unravel_index(int(arr.argmin()), arr.shape)
         raise MetricStructureError(f"negative distance {arr[i, j]} at ({i}, {j})")
+    diagonal = np.flatnonzero(arr.diagonal())
+    if diagonal.size:
+        i = int(diagonal[0])
+        raise ValueError(f"invalid metric: dist[{i}][{i}] = {arr[i, i]} != 0")
+    asymmetric = arr != arr.T
+    if asymmetric.any():
+        i, j = np.unravel_index(int(asymmetric.argmax()), arr.shape)
+        raise ValueError(f"invalid metric: dist[{i}][{j}] = {arr[i, j]} != dist[{j}][{i}] = {arr[j, i]}")
     return arr, high
 
 
@@ -112,8 +120,9 @@ def _as_square_matrix(dist) -> tuple[np.ndarray, float]:
 class FiniteMetric:
     """Immutable point set with a read-only distance matrix and its largest entry, ``diameter``.
 
-    Construction rejects structurally broken input; the metric axioms
-    themselves are checked by :func:`validate_metric`.
+    Construction refuses structurally broken input, a nonzero diagonal entry
+    and an asymmetric pair, so every FiniteMetric is symmetric with a zero
+    diagonal; :func:`validate_metric` checks the triangle inequality.
     """
 
     points: tuple[str, ...]
@@ -146,34 +155,21 @@ class FiniteMetric:
 
 
 def validate_metric(m) -> MetricViolation | None:
-    """Check the metric axioms; return None if they hold.
+    """Check the triangle inequality; return None if it holds.
 
-    Accepts a FiniteMetric or a raw matrix. Structural junk (non-square,
-    negative, NaN) raises MetricStructureError; axiom failures are reported
-    as a MetricViolation naming the offending pair or triple. The triangle
-    inequality is checked with additive slack TRIANGLE_SLACK * max entry.
+    Accepts a FiniteMetric or a raw matrix, which is built into one first,
+    so its construction refuses structural junk and a non-metric pair. A
+    failing triangle, checked with additive slack TRIANGLE_SLACK * max
+    entry, is reported as a MetricViolation naming the offending triple.
     """
     m = m if isinstance(m, FiniteMetric) else FiniteMetric.from_matrix(m)
-    return _pair_violation(m.dist) or _first_triangle(m.dist, TRIANGLE_SLACK * m.diameter)
-
-
-def _pair_violation(d: np.ndarray) -> MetricViolation | None:
-    """The first nonzero diagonal entry of d, else its first asymmetric pair in row-major order."""
-    diagonal = np.flatnonzero(d.diagonal())
-    if diagonal.size:
-        i = int(diagonal[0])
-        return MetricViolation("diagonal", (i,), f"dist[{i}][{i}] = {d[i, i]} != 0")
-    bad = d != d.T
-    if bad.any():
-        i, j = (int(x) for x in np.argwhere(bad)[0])
-        return MetricViolation("symmetry", (i, j), f"dist[{i}][{j}] = {d[i, j]} != dist[{j}][{i}] = {d[j, i]}")
-    return None
+    return _first_triangle(m.dist, TRIANGLE_SLACK * m.diameter)
 
 
 def _triangle_violation(d: np.ndarray, i: int, j: int, k: int) -> MetricViolation:
     """Report dist[i][j] > dist[i][k] + dist[k][j] under the indices given."""
     message = f"dist[{i}][{j}] = {d[i, j]} > dist[{i}][{k}] + dist[{k}][{j}] = {d[i, k] + d[k, j]}"
-    return MetricViolation("triangle", (i, j, k), message)
+    return MetricViolation((i, j, k), message)
 
 
 def _first_triangle(d: np.ndarray, tol: float) -> MetricViolation | None:
@@ -284,9 +280,9 @@ def _check_numeric_rows(dist) -> None:
 def instance_from_dict(data: dict) -> Instance:
     """Build an instance from its JSON object, refusing what a file can get wrong.
 
-    Besides the field types, that is a nonzero diagonal entry or an asymmetric
-    pair anywhere in the matrix, and a failing triangle of the k distinct
-    server points (an exact Θ(k³) check). A violation names instance points.
+    Besides the field types and what FiniteMetric refuses, that is a failing
+    triangle of the k distinct server points (an exact Θ(k³) check), named
+    by instance points.
     """
     if not isinstance(data, dict):
         raise ValueError(f"instance JSON must be an object, got {type(data).__name__}")
@@ -301,12 +297,10 @@ def instance_from_dict(data: dict) -> Instance:
     except KeyError as missing:
         raise ValueError(f"instance JSON lacks required field {missing}") from None
     sub, mapping = submetric_of_servers(inst)
-    violation = _pair_violation(metric.dist) or validate_metric(sub)
-    if violation is not None:
-        if violation.kind == "triangle":  # found in the server submetric: name instance points
-            pts = list(mapping)
-            violation = _triangle_violation(metric.dist, *(pts[x] for x in violation.where))
-        raise ValueError(f"invalid metric: {violation}")
+    violation = validate_metric(sub)
+    if violation is not None:  # found in the server submetric: name instance points
+        pts = list(mapping)
+        raise ValueError(f"invalid metric: {_triangle_violation(metric.dist, *(pts[x] for x in violation.where))}")
     return inst
 
 

@@ -133,7 +133,7 @@ def _descend(state: RwgmState, u: int) -> int:
                 kids = green[u]
                 if kids is None:
                     kids = green[u] = [v for v in range(c, b[u + 1]) if counts[v]]
-                c = kids[_below(state, len(kids))]
+                c = kids[_below(state, len(kids))] if len(kids) > 1 else kids[0]
             u = c
     else:
         while u < first_leaf:
@@ -212,8 +212,9 @@ def discretize_all(inst: Instance) -> tuple:
             rs = d.take(r[:, None] * len(d) + pts)  # d[r][:, pts] by flat index, with no whole row copied
             g = pts[rs.argmin(axis=1)]
             gs = d.take(g[:, None] * len(d) + pts)
-            over = rs - (d[r, g][:, None] + gs) > tol
-            bad = over | (gs - (d[g, r][:, None] + rs) > tol)
+            rg = d[r, g][:, None]  # d[g, r] too: a FiniteMetric is symmetric
+            over = rs - (rg + gs) > tol
+            bad = over | (gs - (rg + rs) > tol)
             if bad.any():
                 i, j = np.unravel_index(int(bad.argmax()), bad.shape)
                 ijk = (r[i], pts[j], g[i]) if over[i, j] else (g[i], pts[j], r[i])

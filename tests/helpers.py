@@ -273,6 +273,22 @@ def reference_request_triangle(inst: Instance, images):
     return None
 
 
+def reference_pair_refusal(d):
+    """What FiniteMetric refuses of a matrix's pair axioms, found by loops, or None.
+
+    The first nonzero diagonal entry, else the first asymmetric pair in
+    row-major order, in the refusal's text.
+    """
+    n = len(d)
+    for i in range(n):
+        if d[i][i] != 0:
+            return f"invalid metric: dist[{i}][{i}] = {float(d[i][i])} != 0"
+    for i, j in itertools.product(range(n), repeat=2):
+        if d[i][j] != d[j][i]:
+            return f"invalid metric: dist[{i}][{j}] = {float(d[i][j])} != dist[{j}][{i}] = {float(d[j][i])}"
+    return None
+
+
 def k_major_triangle(d: np.ndarray, tol: float):
     """The first k, then the first (i, j) in row order, with d[i, j] - (d[i, k] + d[k, j]) > tol, as (i, j, k), or None.
 

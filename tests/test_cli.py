@@ -459,6 +459,19 @@ def test_instances_that_break_a_checked_triangle_or_pair_fail_with_one_line(tmp_
     assert one_error_line(capsys) == f"ValueError: invalid metric: {message}"
 
 
+def test_a_bad_pair_is_named_before_a_bad_point_index(tmp_path, capsys):
+    # The metric is built, and its pairs checked, before the instance checks its point indices.
+    document = {**BAD_INSTANCES["asymmetric-rows"][0], "servers": [0, 4]}
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(document))
+    assert run_cli("run", "--instance", inst_path, "--algorithm", "rwgm") == 1
+    assert one_error_line(capsys) == "ValueError: invalid metric: dist[0][2] = 10.0 != dist[2][0] = 0.0"
+    document["dist"][2][0] = document["dist"][3][1] = 10  # every pair mended
+    inst_path.write_text(json.dumps(document))
+    assert run_cli("run", "--instance", inst_path, "--algorithm", "rwgm") == 1
+    assert one_error_line(capsys) == "ValueError: servers[1] = 4 outside 0..3"
+
+
 def _reject_constant(token):
     raise AssertionError(f"non-finite JSON token {token}")
 

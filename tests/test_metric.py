@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import re
 import tracemalloc
@@ -9,9 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import k_major_triangle, random_tree, reference_request_triangle, tree_metric
+from helpers import k_major_triangle, random_tree, reference_pair_refusal, reference_request_triangle, tree_metric
 from hstmatch import metric, online
-from hstmatch.generators import euclidean_metric, line_metric, star_metric, uniform_metric
+from hstmatch.generators import (
+    FAMILIES,
+    GeneratorSpec,
+    euclidean_metric,
+    generate_instance,
+    line_metric,
+    star_metric,
+    uniform_metric,
+)
 from hstmatch.metric import (
     TRIANGLE_SLACK,
     FiniteMetric,
@@ -34,7 +43,7 @@ def test_validate_accepts_degenerate_and_two_point():
 
 def test_validate_flags_triangle_violation_with_triple():
     v = validate_metric([[0, 5, 1], [5, 0, 1], [1, 1, 0]])
-    assert v is not None and v.kind == "triangle"
+    assert v is not None
     i, j, k = v.where
     assert {i, j} == {0, 1} and k == 2
     assert str(v) == "dist[0][1] = 5.0 > dist[0][2] + dist[2][1] = 2.0"
@@ -48,10 +57,47 @@ def test_validate_ignores_overflowing_detours():
 
 
 def test_validate_flags_diagonal_and_symmetry():
-    v = validate_metric([[0, 1], [1, 0.5]])
-    assert v is not None and v.kind == "diagonal" and v.where == (1,)
-    v = validate_metric([[0, 1], [2, 0]])
-    assert v is not None and v.kind == "symmetry"
+    # A raw matrix is built into a FiniteMetric first, and the construction refuses the pair axioms' first offender.
+    for bad, message in [
+        ([[0, 1], [1, 0.5]], "dist[1][1] = 0.5 != 0"),
+        ([[0, 1], [2, 0]], "dist[0][1] = 1.0 != dist[1][0] = 2.0"),
+        ([[0, 1, 3], [2, 0, 1], [1, 1, 7]], "dist[2][2] = 7.0 != 0"),  # every diagonal entry before any pair
+    ]:
+        labels = "abc"[: len(bad)]
+        for build in (validate_metric, FiniteMetric.from_matrix, lambda d: FiniteMetric(points=labels, dist=d)):
+            with pytest.raises(ValueError, match=f"^invalid metric: {re.escape(message)}$") as refused:
+                build(bad)
+            assert type(refused.value) is ValueError
+
+
+@st.composite
+def broken_pairs(draw):
+    """A 2-5 point integer metric, symmetric with a zero diagonal, and a copy with one nonzero diagonal entry or one
+    asymmetric pair."""
+    n = draw(st.integers(2, 5))
+    base = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        base[i][j] = base[j][i] = draw(st.integers(1, 2))  # entries 1 and 2 keep every triangle
+    broken = [list(row) for row in base]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    broken[i][j] = draw(st.integers(1, 9).filter(lambda x: x != base[i][j]))
+    return base, broken
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pair=broken_pairs(), family=st.sampled_from(FAMILIES), size=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+def test_every_finite_metric_has_a_zero_diagonal_and_is_symmetric(pair, family, size, seed):
+    # A non-metric pair is refused at construction, so nothing downstream (count_servers, frt_embed) sees one.
+    base, broken = pair
+    refusal = reference_pair_refusal(broken)
+    assert refusal is not None and reference_pair_refusal(base) is None and validate_metric(base) is None
+    for build in (FiniteMetric.from_matrix, validate_metric):
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$") as refused:
+            build(broken)
+        assert type(refused.value) is ValueError
+    # Every generator family builds metrics that pass the construction's checks.
+    m = generate_instance(GeneratorSpec(family=family, n=size, seed=seed)).metric
+    assert not m.dist.diagonal().any() and np.array_equal(m.dist, m.dist.T)
 
 
 @pytest.mark.parametrize(
@@ -201,7 +247,7 @@ def tol_of(d) -> float:
 def assert_names_a_failing_triangle(d, violation) -> None:
     """A reported triple (i, j, k) has i <= j, k outside {i, j}, and an excess above tol, in the message too."""
     i, j, k = violation.where
-    assert violation.kind == "triangle" and i <= j and k not in (i, j)
+    assert i <= j and k not in (i, j)
     with np.errstate(over="ignore"):
         assert d[i, j] - (d[i, k] + d[k, j]) > tol_of(d)
     assert str(violation) == f"dist[{i}][{j}] = {d[i, j]} > dist[{i}][{k}] + dist[{k}][{j}] = {d[i, k] + d[k, j]}"
@@ -256,7 +302,7 @@ def test_generated_matrix_loaded_again_is_checked():
     inst = Instance(metric=m, servers=(0, 1, 2, 3, 4, 5), requests=(6, 7, 8, 9, 10, 11))
     data = json.loads(json.dumps(instance_to_dict(inst)))
     assert np.array_equal(instance_from_dict(data).metric.dist, m.dist)
-    # The whole matrix's diagonal and symmetry are checked, not only the servers'.
+    # The whole matrix's diagonal and symmetry are checked at construction, not only the servers'.
     for i, j, message in [
         (7, 7, r"dist\[7\]\[7\] = 10\.0 != 0$"),
         (6, 7, r"dist\[6\]\[7\] = 10\.0 != dist\[7\]\[6\] = "),
@@ -284,31 +330,41 @@ def test_ensure_valid_metric_checks_on_every_call_and_marks_nothing(monkeypatch)
 
 @st.composite
 def request_triangle_cases(draw):
-    """An instance whose requests discretize_all sends to their images.
+    """A distance matrix, and the servers and requests of an instance over it that discretize_all sends to their images.
 
-    The matrix is a line metric, the same with entries scaled up or down, or
-    small random integers (neither symmetric nor a metric); nonzero
-    diagonals are allowed too, since the check reads only the entries it names.
+    The matrix is a line metric, the same with symmetric pairs scaled up or down, or small random symmetric
+    integers with a zero diagonal (not always a metric); or, for the constructor to refuse, small random
+    integers, which are neither symmetric nor zero on the diagonal.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     size = draw(st.integers(1, 12))
-    kind = draw(st.sampled_from(["line", "perturbed", "integers"]))
-    if kind == "integers":
+    kind = draw(st.sampled_from(["line", "perturbed", "integers", "raw integers"]))
+    if kind == "raw integers":
         d = rng.integers(0, 6, (size, size)).astype(float)
+    elif kind == "integers":
+        d = np.triu(rng.integers(0, 6, (size, size)), 1).astype(float)
+        d += d.T
     else:
         d = np.array(line_metric(rng.uniform(0.0, 10.0, size)).dist)
         if kind == "perturbed":
-            d[rng.random((size, size)) < 0.2] *= rng.choice([0.5, 1.0 + 1e-9, 2.0])
+            scaled = np.triu(rng.random((size, size)) < 0.2, 1)
+            d[scaled | scaled.T] *= rng.choice([0.5, 1.0 + 1e-9, 2.0])
     n = draw(st.integers(1, 2 * size))
     servers = tuple(int(p) for p in rng.integers(0, size, n))
     requests = tuple(int(p) for p in rng.integers(0, size, n))
-    return Instance(metric=FiniteMetric.from_matrix(d), servers=servers, requests=requests)
+    return d, servers, requests
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(inst=request_triangle_cases(), chunk=st.sampled_from([1, 24, 1 << 20]))
-def test_request_triangles_match_the_brute_force_loop(inst, chunk):
-    d = inst.metric.dist
+@given(case=request_triangle_cases(), chunk=st.sampled_from([1, 24, 1 << 20]))
+def test_request_triangles_match_the_brute_force_loop(case, chunk):
+    d, servers, requests = case
+    refusal = reference_pair_refusal(d)
+    if refusal is not None:
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            FiniteMetric.from_matrix(d)
+        return
+    inst = Instance(metric=FiniteMetric.from_matrix(d), servers=servers, requests=requests)
     pts = sorted(set(inst.servers))
     images = tuple(min(pts, key=lambda s: d[r, s]) for r in inst.requests)  # min keeps the first: the lowest index
     want = reference_request_triangle(inst, images)
@@ -427,12 +483,18 @@ def test_submetric_distances_bit_identical():
 
 @st.composite
 def server_picks(draw):
-    """A metric, not necessarily valid (asymmetric, nonzero diagonal, -0.0 and huge entries), and a server multiset."""
+    """Distance rows, symmetric with a signed zero on the diagonal (not always a metric: -0.0, subnormal and huge
+    entries), or now and then as drawn, which the constructor refuses; and a server multiset."""
     n = draw(st.integers(1, 10))
     entry = st.sampled_from([0.0, -0.0, 1.0, 0.5, 1e-300, 5e-324, 1e300, 1.7976931348623157e308]) | st.floats(0.0, 1e6)
     rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.integers(0, 4)):
+        for i in range(n):
+            rows[i][i] = draw(st.sampled_from([0.0, -0.0]))
+            for j in range(i):
+                rows[i][j] = rows[j][i]
     servers = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
-    return FiniteMetric(points=tuple(f"q{i}" for i in range(n)), dist=rows), tuple(servers)
+    return rows, tuple(servers)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -440,7 +502,14 @@ def server_picks(draw):
 def test_submetric_equals_the_constructor_built_block(case):
     # The block is cut with two takes and skips the constructor's copy and checks, which a principal block of a
     # built metric always passes; it must hold what the constructor would have made of the same block.
-    m, servers = case
+    rows, servers = case
+    labels = tuple(f"q{i}" for i in range(len(rows)))
+    refusal = reference_pair_refusal(rows)
+    if refusal is not None:
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            FiniteMetric(points=labels, dist=rows)
+        return
+    m = FiniteMetric(points=labels, dist=rows)
     sub, mapping = submetric_of_servers(Instance(metric=m, servers=servers, requests=servers))
     pts = sorted(set(servers))
     want = FiniteMetric(points=tuple(m.points[p] for p in pts), dist=m.dist[np.ix_(pts, pts)])
@@ -454,7 +523,9 @@ def test_submetric_equals_the_constructor_built_block(case):
 
 
 def test_metric_keeps_its_largest_entry():
-    assert FiniteMetric.from_matrix([[0, 3], [2.5, 0]]).diameter == 3.0
+    assert FiniteMetric.from_matrix([[0, 3, 2.5], [3, 0, 1], [2.5, 1, 0]]).diameter == 3.0
+    with pytest.raises(ValueError, match=r"^invalid metric: dist\[0\]\[1\] = 3\.0 != dist\[1\]\[0\] = 2\.5$"):
+        FiniteMetric.from_matrix([[0, 3], [2.5, 0]])
     assert FiniteMetric.from_matrix([[0.0]]).diameter == 0.0 and FiniteMetric.from_matrix(np.zeros((0, 0))).diameter == 0.0
     assert FiniteMetric.from_matrix([[0, 10**300], [10**300, 0]]).diameter == 1e300
     with pytest.raises(dataclasses.FrozenInstanceError):

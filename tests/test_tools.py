@@ -25,6 +25,10 @@ def test_ab_inprocess_finds_the_same_code_the_same():
     assert result["workload"] == "depot-serve" and result["pairs"] == 2
     assert result["same_reports"] is True and result["same_cli_files"] is True
     assert result["a_src_lines"] == result["b_src_lines"] > 0
+    spreads = [result[f"{side}_load_spread"] for side in "ab"]
+    assert all(type(x) is float and x >= 0 for x in spreads) and type(result["load_resolved"]) is bool
+    shown = f"per load (spread {spreads[0]} and {spreads[1]}" + ("" if result["load_resolved"] else ", unresolved")
+    assert shown + ")," in lines[-2]
     stages = {"images", "setup", "seeds", "frt_embed", "attach_servers", "rwgm_init", "serve"}
     assert set(result["b_stage_ms"]) == set(result["stage_median_b_over_a"]) == set(result["stage_b_wins"]) == stages
     assert all(r > 0 for r in result["stage_median_b_over_a"].values())

@@ -41,8 +41,10 @@ number of pairs B won are printed per stage.
 Prints each side's
 median and quartiles in milliseconds for the call (wall and CPU), the
 episodes-only call, the solve, the load and the CLI sequence, the median of
-B/A for each, how many pairs B won, and whether both sides returned the same
-reports and wrote the same bytes, with each side's ``src/`` line count (as
+B/A for each, how many pairs B won, each side's load spread (quartile
+distance over median, with the load ratio marked unresolved when the two
+medians differ by less than either side's quartile distance), and whether
+both sides returned the same reports and wrote the same bytes, with each side's ``src/`` line count (as
 ``wc -l src/hstmatch/*.py`` counts it); the last line is the same as JSON.
 """
 from __future__ import annotations
@@ -248,6 +250,11 @@ def main(argv=None) -> int:
     def quartiles_ms(xs) -> list:
         return [round(1e3 * x, 3) for x in statistics.quantiles(xs, n=4)]
 
+    def spread(xs) -> float:
+        """Quartile distance over the median."""
+        q1, q2, q3 = statistics.quantiles(xs, n=4)
+        return round((q3 - q1) / q2, 4)
+
     ratios = [b / a for a, b in zip(*times)]
     cpu_ratios = [b / a for a, b in zip(*cpu_times)]
     load_ratios = [b / a for a, b in zip(*loads)]
@@ -276,6 +283,11 @@ def main(argv=None) -> int:
         "a_load_ms": quartiles_ms(loads[0]),
         "b_load_ms": quartiles_ms(loads[1]),
         "load_median_b_over_a": round(statistics.median(load_ratios), 4),
+        "a_load_spread": spread(loads[0]),
+        "b_load_spread": spread(loads[1]),
+        # Unresolved: the medians lie closer together than either side's quartile distance.
+        "load_resolved": abs(statistics.median(loads[1]) - statistics.median(loads[0]))
+        > max(statistics.median(xs) * spread(xs) for xs in loads),
         "a_cli_ms": quartiles_ms(cli_times[0]),
         "b_cli_ms": quartiles_ms(cli_times[1]),
         "cli_median_b_over_a": round(statistics.median(cli_ratios), 4),
@@ -309,7 +321,8 @@ def main(argv=None) -> int:
         f"b/a median {result['median_b_over_a']} per call ({result['cpu_median_b_over_a']} in CPU time),"
         f" {result['episodes_only_median_b_over_a']} per episodes-only call,"
         f" {result['solve_median_b_over_a']} per solve,"
-        f" {result['load_median_b_over_a']} per load,"
+        f" {result['load_median_b_over_a']} per load (spread {result['a_load_spread']} and"
+        f" {result['b_load_spread']}{'' if result['load_resolved'] else ', unresolved'}),"
         f" {result['cli_median_b_over_a']} per CLI sequence; b won {result['b_wins']}/{args.pairs} calls"
         f" and {result['cli_b_wins']}/{args.pairs} CLI sequences; stage b/a medians (pairs b won): "
         + ", ".join(
